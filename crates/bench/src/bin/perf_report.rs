@@ -18,7 +18,7 @@ use dpbench_algorithms::registry::{mechanism_by_name, NAMES_1D};
 use dpbench_bench::timing::fmt_duration;
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::rng_for;
-use dpbench_core::{DataVector, Domain, Loss, Workload, Workspace};
+use dpbench_core::{json, DataVector, Domain, Loss, Workload, Workspace};
 use dpbench_datasets::catalog;
 use dpbench_harness::config::{ExperimentConfig, WorkloadSpec};
 use dpbench_harness::runner::Runner;
@@ -45,14 +45,6 @@ fn time_adaptive<F: FnMut()>(budget_s: f64, max_iters: u32, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
     best
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.9}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// The throughput grid: full 1-D suite (minus the quadratic SF/PHP at
@@ -187,8 +179,8 @@ fn main() {
         );
         mech_rows.push(format!(
             "    {{\"name\": \"{name}\", \"plan_s\": {}, \"execute_s\": {}}}",
-            json_f(plan_s),
-            json_f(exec_s)
+            json::Float(plan_s),
+            json::Float(exec_s)
         ));
     }
 
@@ -221,7 +213,7 @@ fn main() {
         .filter(|s| s.algorithm == "DAWA")
         .count();
     let scale_ratio = (grid_n as f64 / n_partition as f64).powi(2);
-    let est_pr1_grid_s = grid_s + dawa_execs as f64 * (naive_s - fast_s).max(0.0) * scale_ratio;
+    let est_naive_grid_s = grid_s + dawa_execs as f64 * (naive_s - fast_s).max(0.0) * scale_ratio;
     println!(
         "grid: {} measurements in {:.2}s ({runs_per_sec:.0} runs/s, {} threads, plan cache {} built / {:.0}% hit, hier pool {:.0}% hit)",
         store.samples().len(),
@@ -275,25 +267,25 @@ fn main() {
     let json = format!(
         "{{\n  \"report\": \"perf_report\",\n  \"pr\": 5,\n  \"tiny\": {tiny},\n  \"timestamp_unix\": {timestamp},\n  \"threads\": {},\n  \"dawa_partition\": {{\n    \"n\": {n_partition},\n    \"naive_s\": {},\n    \"fast_s\": {},\n    \"speedup\": {}\n  }},\n  \"dawa_execute\": {{\n    \"n\": {n_partition},\n    \"now_s\": {},\n    \"est_pr1_s\": {},\n    \"est_speedup\": {}\n  }},\n  \"mechanisms\": {{\n    \"n\": {n_mech},\n    \"rows\": [\n{}\n    ]\n  }},\n  \"grid\": {{\n    \"domain_n\": {grid_n},\n    \"measurements\": {},\n    \"total_runs_configured\": {total_runs},\n    \"seconds\": {},\n    \"runs_per_sec\": {},\n    \"est_pr1_seconds\": {},\n    \"plan_cache_built\": {},\n    \"plan_cache_hit_rate\": {},\n    \"hier_pool_hit_rate\": {},\n    \"data_cache_hits\": {},\n    \"data_cache_misses\": {}\n  }},\n  \"sinks\": {{\n    \"memory_runs_per_sec\": {},\n    \"aggregating_runs_per_sec\": {},\n    \"jsonl_runs_per_sec\": {}\n  }}\n}}\n",
         runner.threads,
-        json_f(naive_s),
-        json_f(fast_s),
-        json_f(partition_speedup),
-        json_f(dawa_exec_s),
-        json_f(dawa_exec_baseline_s),
-        json_f(dawa_exec_speedup),
+        json::Float(naive_s),
+        json::Float(fast_s),
+        json::Float(partition_speedup),
+        json::Float(dawa_exec_s),
+        json::Float(dawa_exec_baseline_s),
+        json::Float(dawa_exec_speedup),
         mech_rows.join(",\n"),
         store.samples().len(),
-        json_f(grid_s),
-        json_f(runs_per_sec),
-        json_f(est_pr1_grid_s),
+        json::Float(grid_s),
+        json::Float(runs_per_sec),
+        json::Float(est_naive_grid_s),
         runner.plan_cache.len(),
-        json_f(runner.plan_cache.stats().hit_rate()),
-        json_f(run_stats.hier_cache.hit_rate()),
+        json::Float(runner.plan_cache.stats().hit_rate()),
+        json::Float(run_stats.hier_cache.hit_rate()),
         run_stats.data_cache.hits,
         run_stats.data_cache.misses,
-        json_f(runs_per_sec),
-        json_f(agg_runs_per_sec),
-        json_f(jsonl_runs_per_sec),
+        json::Float(runs_per_sec),
+        json::Float(agg_runs_per_sec),
+        json::Float(jsonl_runs_per_sec),
     );
     std::fs::write(&out_path, &json).expect("write perf report");
     println!("wrote {out_path}");

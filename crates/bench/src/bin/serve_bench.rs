@@ -38,7 +38,7 @@
 //!   explicitly (asserted within 10%: per-request selection must be
 //!   effectively free) and (b) mean SLO error of `auto` vs fixed DAWA.
 
-use dpbench_core::{Domain, Loss};
+use dpbench_core::{json, Domain, Loss};
 use dpbench_datasets::catalog;
 use dpbench_harness::config::WorkloadSpec;
 use dpbench_harness::serve::{self, http, Limits, ServeConfig, TenantAccountant};
@@ -140,17 +140,21 @@ fn bench(args: &[String]) {
     handle.shutdown().unwrap();
 }
 
-/// Numeric field extractor for the flat keys of a release/status response.
-fn json_num(resp: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let i = resp.find(&pat).unwrap_or_else(|| panic!("{key} in {resp}")) + pat.len();
-    let rest = &resp[i..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("unterminated {key}"));
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} not numeric: {}", &rest[..end]))
+/// The number at `path` (object keys, outermost first) of a JSON
+/// response, read through the shared JSON reader.
+fn json_num(resp: &str, path: &[&str]) -> f64 {
+    let (key, outer) = path.split_last().expect("non-empty path");
+    let mut text = resp;
+    for k in outer {
+        match json::Object::parse(text).map(|o| o.get(k).cloned()) {
+            Ok(Some(json::Value::Obj(inner))) => text = inner,
+            other => panic!("{k} is not an object ({other:?}) in {resp}"),
+        }
+    }
+    json::Object::parse(text)
+        .ok()
+        .and_then(|o| o.num(key))
+        .unwrap_or_else(|| panic!("{key} not numeric in {resp}"))
 }
 
 fn route(args: &[String]) {
@@ -261,7 +265,7 @@ fn route(args: &[String]) {
         for _ in 0..trials {
             let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap();
             assert_eq!(status, 200, "{resp}");
-            total += json_num(&resp, "scaled_l2");
+            total += json_num(&resp, &["slo", "scaled_l2"]);
         }
         total / trials as f64
     };
@@ -275,8 +279,8 @@ fn route(args: &[String]) {
         status_body.contains("\"profile_loaded\":true"),
         "{status_body}"
     );
-    let auto_requests = json_num(&status_body, "auto_requests") as u64;
-    let exact = json_num(&status_body, "exact") as u64;
+    let auto_requests = json_num(&status_body, &["selector", "auto_requests"]) as u64;
+    let exact = json_num(&status_body, &["selector", "exact"]) as u64;
     assert!(
         exact > 0,
         "auto never routed through the profile: {status_body}"

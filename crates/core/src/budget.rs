@@ -13,12 +13,11 @@
 //! budget trace of the execution that produced it (the paper's Table 1 /
 //! Principle 5 analysis inspects exactly this decomposition).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error raised when a mechanism tries to spend more privacy budget than it
 /// was granted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetExhausted {
     /// Amount the caller attempted to spend.
     pub requested: f64,
@@ -39,7 +38,7 @@ impl fmt::Display for BudgetExhausted {
 impl std::error::Error for BudgetExhausted {}
 
 /// One recorded budget draw: what it was for and how much ε it consumed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpendRecord {
     /// Short label describing the step (e.g. `"measure"`, `"remainder"`,
     /// `"scale-estimate"`).
@@ -58,7 +57,7 @@ pub struct TraceMark(usize);
 /// A tiny relative slack (`1e-9`) absorbs floating-point accumulation when a
 /// budget is split into many parts (e.g. per-level allocations in
 /// hierarchical mechanisms) that should sum exactly to ε.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BudgetLedger {
     total: f64,
     spent: f64,

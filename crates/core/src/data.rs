@@ -3,7 +3,6 @@
 //! *domain size*, *scale* `‖x‖₁`, and *shape* `p = x / ‖x‖₁`.
 
 use crate::domain::Domain;
-use serde::{Deserialize, Serialize};
 
 /// A dataset represented as a (row-major) vector of cell counts over a
 /// [`Domain`].
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Counts are stored as `f64` because mechanism outputs are real-valued
 /// estimates of the same object; inputs produced by the data generator are
 /// always integral.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataVector {
     counts: Vec<f64>,
     domain: Domain,

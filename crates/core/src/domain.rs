@@ -5,14 +5,13 @@
 //! total number of cells, one of the three key dataset properties the
 //! benchmark controls for (scale and shape being the others).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A discrete, ordered data domain of dimensionality 1 or 2.
 ///
 /// The benchmark uses 1-D domains of sizes {256, 512, 1024, 2048, 4096} and
 /// square 2-D domains of sizes {32², 64², 128², 256²} (paper Section 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// One-dimensional domain with `n` cells.
     D1(usize),

@@ -8,10 +8,8 @@
 //! error of 100 means something very different at scale 10³ vs 10⁸) and is
 //! what gives the *scale-ε exchangeability* property its clean form.
 
-use serde::{Deserialize, Serialize};
-
 /// The loss function `L` comparing true and noisy workload answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
     /// Sum of absolute differences.
     L1,

@@ -25,12 +25,16 @@
 //!   budget trace, and strategy diagnostics), with metadata mirroring the
 //!   paper's Table 1;
 //! * the error standard `E_M` (Definition 3: *scaled average per-query
-//!   error*).
+//!   error*);
+//! * the workspace's one JSON codec ([`json`]): the string escaper, the
+//!   float writer and the strict one-object-per-line reader behind every
+//!   ledger, summary, journal, profile and HTTP body.
 
 pub mod budget;
 pub mod data;
 pub mod domain;
 pub mod error;
+pub mod json;
 pub mod mechanism;
 pub mod primitives;
 pub mod query;

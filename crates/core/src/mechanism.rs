@@ -23,14 +23,14 @@
 use crate::budget::{BudgetExhausted, BudgetLedger, SpendRecord};
 use crate::data::DataVector;
 use crate::domain::Domain;
+use crate::json;
 use crate::workload::Workload;
 use crate::workspace::Workspace;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which dimensionalities a mechanism supports (Table 1 "Dimension").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DimSupport {
     /// 1-D only (H, PHP, EFPA, SF).
     OneD,
@@ -56,7 +56,7 @@ impl DimSupport {
 }
 
 /// Static metadata about a mechanism — one row of the paper's Table 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MechInfo {
     /// Display name as used in the paper (e.g. `"DAWA"`, `"MWEM*"`).
     pub name: String,
@@ -138,7 +138,7 @@ impl From<BudgetExhausted> for MechError {
 
 /// Strategy diagnostics fixed at plan time (paper Table 1 analysis
 /// columns).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanDiagnostics {
     /// Mechanism name the plan was built for.
     pub mechanism: String,
@@ -183,7 +183,7 @@ impl PlanDiagnostics {
 }
 
 /// The structured output of one private execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Release {
     /// The estimate `x̂` of the full data vector; workload answers are
     /// `ŷ = W x̂` (how the paper evaluates every algorithm).
@@ -221,11 +221,10 @@ impl Release {
     }
 
     /// Serialize the release as one self-contained JSON object — the wire
-    /// format of the online release server (the workspace's serde is a
-    /// vendored marker stub, so all JSON in this codebase is hand-rolled,
-    /// matching the harness ledger discipline: fixed field order, floats
-    /// in Rust's shortest round-trip formatting so parse → re-format
-    /// reproduces the bytes, strings escaped minimally).
+    /// format of the online release server, written with the shared
+    /// [`crate::json`] codec like every other record in this codebase:
+    /// fixed field order, floats in shortest round-trip form so parse →
+    /// re-format reproduces the bytes, strings escaped.
     ///
     /// ```text
     /// {"mechanism":"DAWA","data_independent":false,"spent":0.1,
@@ -242,65 +241,32 @@ impl Release {
     /// release server's hot path reuses one response buffer across
     /// keep-alive requests instead of allocating per release.
     pub fn to_json_into(&self, out: &mut String) {
+        use std::fmt::Write;
         out.reserve(64 + 16 * self.estimate.len());
         out.push_str("{\"mechanism\":\"");
-        json_escape_into(&self.diagnostics.mechanism, out);
-        out.push_str("\",\"data_independent\":");
-        out.push_str(if self.diagnostics.data_independent {
-            "true"
-        } else {
-            "false"
-        });
-        out.push_str(",\"spent\":");
-        push_f64(self.spent(), out);
-        out.push_str(",\"budget_trace\":[");
+        json::escape_into(out, &self.diagnostics.mechanism);
+        let _ = write!(
+            out,
+            "\",\"data_independent\":{},\"spent\":{},\"budget_trace\":[",
+            self.diagnostics.data_independent,
+            json::Float(self.spent())
+        );
         for (i, r) in self.budget_trace.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"label\":\"");
-            json_escape_into(&r.label, out);
-            out.push_str("\",\"eps\":");
-            push_f64(r.epsilon, out);
-            out.push('}');
+            json::escape_into(out, &r.label);
+            let _ = write!(out, "\",\"eps\":{}}}", json::Float(r.epsilon));
         }
         out.push_str("],\"estimate\":[");
         for (i, v) in self.estimate.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_f64(*v, out);
+            let _ = write!(out, "{}", json::Float(*v));
         }
         out.push_str("]}");
-    }
-}
-
-/// Append a float in shortest round-trip formatting; non-finite values
-/// (which valid releases never produce, but a wire format must not emit
-/// bare `inf`/`NaN` tokens) become `null`.
-fn push_f64(v: f64, out: &mut String) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Minimal JSON string escape: quotes, backslashes, and control bytes.
-/// Mechanism names and trace labels are internal identifiers that never
-/// contain these, but a serializer must not rely on that.
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -731,7 +697,11 @@ mod tests {
             diagnostics: PlanDiagnostics::data_dependent("bad\"name\\\n"),
         };
         let json = release.to_json();
-        assert!(json.contains("bad\\\"name\\\\\\u000a"));
+        // One escaper for every body: a newline is `\n`, as in the
+        // server's error bodies.
+        assert!(json.contains("bad\\\"name\\\\\\n"));
+        let parsed = crate::json::Object::parse(&json).unwrap();
+        assert_eq!(parsed.str("mechanism"), Some("bad\"name\\\n"));
     }
 
     #[test]

@@ -7,12 +7,11 @@
 
 use crate::data::DataVector;
 use crate::domain::Domain;
-use serde::{Deserialize, Serialize};
 
 /// An inclusive axis-aligned range query.
 ///
 /// For 1-D domains the second coordinate is always `(0, 0)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RangeQuery {
     /// Inclusive lower corner `(row, col)`.
     pub lo: (usize, usize),

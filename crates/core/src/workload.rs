@@ -14,10 +14,9 @@ use crate::domain::Domain;
 use crate::query::{PrefixTable, RangeQuery};
 use crate::workspace::Workspace;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A set of range queries over a common domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     domain: Domain,
     queries: Vec<RangeQuery>,

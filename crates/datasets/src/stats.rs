@@ -9,10 +9,8 @@
 //! regions → low entropy / high concentration; smooth shapes → Fourier
 //! compressibility; etc.).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a shape (a non-negative vector summing to 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeStats {
     /// Shannon entropy in nats.
     pub entropy: f64,

@@ -4,10 +4,9 @@
 use dpbench_core::rng::rng_for;
 use dpbench_core::{Domain, Fingerprint, Loss, Workload};
 use dpbench_datasets::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// How workload queries are generated for each domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadSpec {
     /// The 1-D Prefix workload (paper Section 6.2).
     Prefix,
@@ -48,7 +47,7 @@ impl WorkloadSpec {
 
 /// One experimental setting: the paper varies these four inputs while
 /// holding everything else fixed (Principles 1–4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Setting {
     /// Dataset (shape source) name.
     pub dataset: String,

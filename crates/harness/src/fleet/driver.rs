@@ -51,7 +51,7 @@ use super::transport::{
     ShardStatus, ShardTransport, StealSpec,
 };
 use crate::manifest::{RunManifest, UnitId};
-use crate::sink::{atomic_write, merge_jsonl, read_ledger};
+use crate::sink::{atomic_write, header_fingerprint, merge_jsonl, read_ledger};
 use std::collections::HashSet;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -98,10 +98,6 @@ pub struct FleetOptions {
     /// above the worst transient unreachability window as well as above
     /// the slowest unit.
     pub stall_timeout: Option<Duration>,
-    /// After completion, copy each shard's `--agg` summary back next to
-    /// its ledger (remote transports; local summaries are written in
-    /// place).
-    pub fetch_summaries: bool,
     /// Re-deal a straggler's unfinished tail to idle slots (work
     /// stealing). On by default: any deal merges byte-identically, so
     /// stealing only changes wall clock, never output.
@@ -130,7 +126,6 @@ impl Default for FleetOptions {
             poll_interval: Duration::from_millis(25),
             progress_interval: Duration::from_millis(500),
             stall_timeout: None,
-            fetch_summaries: false,
             steal: true,
             steal_min_units: 2,
             max_defer_rounds: 20,
@@ -213,7 +208,9 @@ pub fn shard_ledger_path(out: &Path, index: usize) -> PathBuf {
 }
 
 /// Canonical shard *summary* (mergeable sketch) path: `out.jsonl` →
-/// `out.shard3.agg.jsonl`.
+/// `out.shard3.agg.jsonl` — where a launcher that asks its shards for a
+/// `run --agg` sketch puts it. (`dpbench fleet --agg` needs none: it
+/// summarizes the verified merged ledger.)
 pub fn shard_summary_path(out: &Path, index: usize) -> PathBuf {
     let ledger = shard_ledger_path(out, index);
     let name = ledger
@@ -232,23 +229,6 @@ pub fn steal_ledger_path(out: &Path, seq: usize) -> PathBuf {
         .unwrap_or_default();
     let base = name.strip_suffix(".jsonl").unwrap_or(&name);
     out.with_file_name(format!("{base}.steal{seq}.jsonl"))
-}
-
-/// Fingerprint of a ledger's header line, if the file starts with a
-/// complete well-formed one. A one-line read — the probe-path guard
-/// that keeps a foreign ledger delivered into our shard path from being
-/// silently observed (and later healed over by a clean re-fetch)
-/// instead of erroring like every other validation site.
-fn header_fingerprint(path: &Path) -> Option<u64> {
-    use std::io::BufRead;
-    let f = std::fs::File::open(path).ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(f).read_line(&mut line).ok()?;
-    if !line.ends_with('\n') {
-        return None;
-    }
-    let rest = &line[line.find("\"fp\":\"")? + 6..];
-    u64::from_str_radix(rest.get(..16)?, 16).ok()
 }
 
 /// Where one shard stands before (re)launching.
@@ -1153,21 +1133,6 @@ pub fn run_fleet_with(
                         r.slot
                     ),
                 }
-            }
-        }
-    }
-
-    // Copy back the mergeable `--agg` summaries. Best-effort: a shard
-    // whose ledger predates this fleet may have none, and the CLI
-    // rebuilds stale/missing summaries from the (fetched) ledger.
-    if opts.fetch_summaries {
-        for i in 0..procs {
-            match transport.fetch(i, Artifact::Summary, &shard_summary_path(out, i)) {
-                Ok(_) => {}
-                Err(e) if opts.verbose => {
-                    eprintln!("[fleet] shard {i}: summary copy-back failed ({e}); will rebuild")
-                }
-                Err(_) => {}
             }
         }
     }

@@ -9,8 +9,7 @@
 //!    back a pollable [`ShardHandle`];
 //! 2. **poll** the attempt ([`ShardHandle::poll`]) and **kill** it when
 //!    the driver decides it has stalled;
-//! 3. **fetch** the shard's artifacts — ledger and optional `--agg`
-//!    summary — back to the driver's filesystem
+//! 3. **fetch** the shard's ledger back to the driver's filesystem
 //!    ([`ShardTransport::fetch`], the *copy-back* step);
 //! 4. **cleanup** the shard's remote scratch space once the merged
 //!    output has been verified ([`ShardTransport::cleanup`]).
@@ -120,8 +119,6 @@ pub trait ShardHandle {
 pub enum Artifact {
     /// The JSONL result/resume ledger.
     Ledger,
-    /// The mergeable `--agg` t-digest summary.
-    Summary,
     /// The ledger of steal `seq` (a stolen tail's own fresh ledger,
     /// written by whichever slot ran the steal — the `index` argument of
     /// [`ShardTransport::fetch`] names that slot).
@@ -381,8 +378,6 @@ pub struct RemotePaths {
     pub dir: PathBuf,
     /// Remote ledger path (`<dir>/ledger.jsonl`).
     pub ledger: PathBuf,
-    /// Remote `--agg` summary path (`<dir>/ledger.agg.jsonl`).
-    pub summary: PathBuf,
 }
 
 /// Builds the shard command argv (program first) for one attempt, given
@@ -459,7 +454,6 @@ impl CommandTransport {
         let dir = self.workdir.join(format!("shard{index}"));
         RemotePaths {
             ledger: dir.join("ledger.jsonl"),
-            summary: dir.join("ledger.agg.jsonl"),
             dir,
         }
     }
@@ -472,7 +466,6 @@ impl CommandTransport {
         let dir = self.workdir.join(format!("steal{seq}"));
         RemotePaths {
             ledger: dir.join("ledger.jsonl"),
-            summary: dir.join("ledger.agg.jsonl"),
             dir,
         }
     }
@@ -556,13 +549,10 @@ impl ShardTransport for CommandTransport {
 
     fn fetch(&self, index: usize, artifact: Artifact, dest: &Path) -> io::Result<FetchOutcome> {
         let paths = match artifact {
+            Artifact::Ledger => self.remote_paths(index),
             Artifact::Steal { seq } => self.remote_steal_paths(seq),
-            _ => self.remote_paths(index),
         };
-        let src = match artifact {
-            Artifact::Ledger | Artifact::Steal { .. } => paths.ledger,
-            Artifact::Summary => paths.summary,
-        };
+        let src = &paths.ledger;
         match &self.fetch_template {
             Some(template) => {
                 // The command writes to a scratch path, not to `dest`
@@ -612,7 +602,7 @@ impl ShardTransport for CommandTransport {
                     Ok(FetchOutcome::Missing)
                 }
             }
-            None => match std::fs::copy(&src, dest) {
+            None => match std::fs::copy(src, dest) {
                 Ok(_) => Ok(FetchOutcome::Copied),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(FetchOutcome::Missing),
                 Err(e) => Err(e),
@@ -628,17 +618,14 @@ impl ShardTransport for CommandTransport {
         from: u64,
     ) -> io::Result<RangedFetch> {
         let paths = match artifact {
+            Artifact::Ledger => self.remote_paths(index),
             Artifact::Steal { seq } => self.remote_steal_paths(seq),
-            _ => self.remote_paths(index),
         };
-        let src = match artifact {
-            Artifact::Ledger | Artifact::Steal { .. } => paths.ledger,
-            Artifact::Summary => paths.summary,
-        };
+        let src = &paths.ledger;
         match &self.fetch_template {
             // No template: the workdir is filesystem-reachable, so range
             // natively with seek + append.
-            None => ranged_copy(&src, dest, from),
+            None => ranged_copy(src, dest, from),
             // A template can range only if it takes the offset; plain
             // `scp {src} {dest}` templates fall back to full fetches.
             Some(template) if !template.contains("{offset}") => Ok(RangedFetch::Unsupported),
@@ -1115,9 +1102,6 @@ impl ShardTransport for FaultyTransport {
     }
 
     fn fetch(&self, index: usize, artifact: Artifact, dest: &Path) -> io::Result<FetchOutcome> {
-        if artifact == Artifact::Summary {
-            return Ok(FetchOutcome::Missing); // fault tests never use --agg
-        }
         // Steal ledgers fetch plainly — the fault script (and its
         // occurrence counters) stays keyed to primary shard ledgers.
         if let Artifact::Steal { seq } = artifact {
@@ -1185,7 +1169,6 @@ impl ShardTransport for FaultyTransport {
             return Ok(RangedFetch::Unsupported);
         }
         let src = match artifact {
-            Artifact::Summary => return Ok(RangedFetch::Missing),
             Artifact::Steal { seq } => self.remote_steal_ledger(seq),
             Artifact::Ledger => self.remote_ledger(index),
         };
@@ -1234,10 +1217,6 @@ mod tests {
         assert_eq!(
             p.ledger,
             PathBuf::from("/scratch/fleet/shard3/ledger.jsonl")
-        );
-        assert_eq!(
-            p.summary,
-            PathBuf::from("/scratch/fleet/shard3/ledger.agg.jsonl")
         );
     }
 

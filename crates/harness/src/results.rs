@@ -2,12 +2,11 @@
 
 use crate::config::Setting;
 use dpbench_stats::Summary;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 
 /// One measured error (Definition 3) from a single mechanism run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorSample {
     /// Algorithm name.
     pub algorithm: String,
@@ -22,7 +21,7 @@ pub struct ErrorSample {
 }
 
 /// Aggregated view of all trials of one algorithm in one setting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SettingSummary {
     /// Algorithm name.
     pub algorithm: String,

@@ -27,6 +27,7 @@ use crate::config::Setting;
 use crate::results::parse_domain;
 use crate::sink::{read_summary, AggregatingSink};
 use crate::tuning::tuned_params_for;
+use dpbench_core::json::{self, Value};
 use dpbench_core::Domain;
 use dpbench_datasets::{catalog, shape_stats};
 use dpbench_stats::{competitive_set_moments, Moments, StreamingSummary};
@@ -503,18 +504,19 @@ impl SelectionProfile {
             Some(l) => l?,
             None => return Err(bad(1, "empty profile file")),
         };
-        if field(&header, "\"t\"") != Some("\"dpbench-profile\"".into()) {
-            return Err(bad(1, "not a dpbench profile header"));
-        }
-        let version: u32 = field(&header, "\"v\"")
-            .and_then(|v| v.parse().ok())
+        let header = json::Object::parse(&header)
+            .ok()
+            .filter(|h| h.str("t") == Some("dpbench-profile"))
+            .ok_or_else(|| bad(1, "not a dpbench profile header"))?;
+        let version: u32 = header
+            .num("v")
             .ok_or_else(|| bad(1, "missing profile version"))?;
         if version != PROFILE_VERSION {
             return Err(bad(1, &format!("unsupported profile version {version}")));
         }
-        let n_cells: usize = parse_field(&header, "\"cells\"", 1)?;
-        let sources: u32 = parse_field(&header, "\"sources\"", 1)?;
-        let total_samples: u64 = parse_field(&header, "\"samples\"", 1)?;
+        let n_cells: usize = need(&header, "cells", 1)?;
+        let sources: u32 = need(&header, "sources", 1)?;
+        let total_samples: u64 = need(&header, "samples", 1)?;
 
         let mut cells = BTreeMap::new();
         for (i, line) in lines.enumerate() {
@@ -622,7 +624,7 @@ fn build_cell(key: &CellKey, algs: &BTreeMap<String, BTreeMap<String, StreamingS
 }
 
 // ---------------------------------------------------------------------------
-// Parsing helpers (same strictness discipline as `sink::read_summary`)
+// Parsing helpers (the shared strict reader, as in `sink::read_summary`)
 // ---------------------------------------------------------------------------
 
 fn bad(lineno: usize, msg: &str) -> io::Error {
@@ -632,172 +634,62 @@ fn bad(lineno: usize, msg: &str) -> io::Error {
     )
 }
 
-/// Extract the raw token after `"key":`. The key is matched only where
-/// a key can actually occur — at the top level of the record object,
-/// outside any quoted string — so a key-looking pattern inside an
-/// earlier string value (e.g. a params string containing `"n":`) can
-/// never match. Values are either quoted strings (returned with
-/// quotes), numbers, or booleans — the profile writer never nests
-/// objects inside these fields.
-fn field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("{key}:");
-    let bytes = line.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                if depth == 1 && line[i..].starts_with(&pat) {
-                    return value_token(&line[i + pat.len()..]);
-                }
-                i = skip_string(bytes, i)?;
-            }
-            b'{' | b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b'}' | b']' => {
-                depth -= 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Advance past the quoted string opening at `bytes[i] == b'"'`;
-/// returns the index just past the closing quote, `None` if the string
-/// never terminates.
-fn skip_string(bytes: &[u8], i: usize) -> Option<usize> {
-    let mut j = i + 1;
-    while j < bytes.len() {
-        match bytes[j] {
-            b'\\' => j += 2,
-            b'"' => return Some(j + 1),
-            _ => j += 1,
-        }
-    }
-    None
-}
-
-/// The raw value token from the start of `rest` up to the next `,`, `}`
-/// or `]` that is both top-level and outside quotes — commas inside a
-/// quoted value (AHP's `"rho=…,eta=…"` params) don't cut it short.
-fn value_token(rest: &str) -> Option<String> {
-    let bytes = rest.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => i = skip_string(bytes, i)?,
-            b'[' | b'{' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' | b'}' if depth > 0 => {
-                depth -= 1;
-                i += 1;
-            }
-            b',' | b'}' | b']' if depth == 0 => return Some(rest[..i].to_string()),
-            _ => i += 1,
-        }
-    }
-    Some(rest.to_string())
-}
-
-/// Split the body of a JSON array of flat objects into one complete
-/// `{…}` slice per record, tracking quoted strings so a `},{` sequence
-/// inside a value can never split a record. `None` on anything that
-/// isn't a comma-separated list of objects.
-fn split_records(body: &str) -> Option<Vec<&str>> {
-    let bytes = body.as_bytes();
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' if depth > 0 => i = skip_string(bytes, i)?,
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-                i += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return None;
-                }
-                if depth == 0 {
-                    out.push(&body[start..=i]);
-                }
-                i += 1;
-            }
-            b',' if depth == 0 => i += 1,
-            _ if depth == 0 => return None,
-            _ => i += 1,
-        }
-    }
-    (depth == 0).then_some(out)
-}
-
-fn parse_field<T: std::str::FromStr>(line: &str, key: &str, lineno: usize) -> io::Result<T> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad(lineno, &format!("missing or malformed {key}")))
-}
-
-fn unquote(v: &str) -> Option<&str> {
-    v.strip_prefix('"')?.strip_suffix('"')
+/// The number field `key` of a profile record, parsed as `T`.
+fn need<T: std::str::FromStr>(rec: &json::Object, key: &str, lineno: usize) -> io::Result<T> {
+    rec.num(key)
+        .ok_or_else(|| bad(lineno, &format!("missing or malformed \"{key}\"")))
 }
 
 fn parse_cell(line: &str, lineno: usize) -> io::Result<(CellKey, Cell)> {
-    if field(line, "\"t\"").as_deref() != Some("\"cell\"") {
+    let rec = json::Object::parse(line)
+        .map_err(|e| bad(lineno, &format!("malformed cell record: {e}")))?;
+    if rec.str("t") != Some("cell") {
         return Err(bad(lineno, "expected a cell record"));
     }
-    let shape_tok =
-        field(line, "\"shape\"").ok_or_else(|| bad(lineno, "missing or malformed \"shape\""))?;
-    let shape = unquote(&shape_tok)
+    let shape = rec
+        .str("shape")
         .and_then(ShapeClass::from_str)
         .ok_or_else(|| bad(lineno, "unknown shape class"))?;
     let key = CellKey {
-        dims: parse_field(line, "\"dims\"", lineno)?,
+        dims: need(&rec, "dims", lineno)?,
         shape,
-        scale_bucket: parse_field(line, "\"scale_b\"", lineno)?,
-        eps_bucket: parse_field(line, "\"eps_b\"", lineno)?,
+        scale_bucket: need(&rec, "scale_b", lineno)?,
+        eps_bucket: need(&rec, "eps_b", lineno)?,
     };
-    let settings: u32 = parse_field(line, "\"settings\"", lineno)?;
+    let settings: u32 = need(&rec, "settings", lineno)?;
 
-    let arr_tok = field(line, "\"ranked\"").ok_or_else(|| bad(lineno, "missing ranked list"))?;
-    let body = arr_tok
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| bad(lineno, "malformed ranked list"))?;
+    let Some(Value::Arr(list)) = rec.get("ranked") else {
+        return Err(bad(lineno, "missing ranked list"));
+    };
+    let malformed = |_| bad(lineno, "malformed ranked list");
     let mut ranked = Vec::new();
-    for obj in split_records(body).ok_or_else(|| bad(lineno, "malformed ranked list"))? {
-        let mech_tok =
-            field(obj, "\"m\"").ok_or_else(|| bad(lineno, "mech record missing name"))?;
-        let mechanism = unquote(&mech_tok)
-            .ok_or_else(|| bad(lineno, "mech name not a string"))?
+    for item in json::parse_array(list).map_err(malformed)? {
+        let Value::Obj(item) = item else {
+            return Err(bad(lineno, "malformed ranked list"));
+        };
+        let m = json::Object::parse(item).map_err(malformed)?;
+        let mechanism = m
+            .str("m")
+            .ok_or_else(|| bad(lineno, "mech record missing name"))?
             .to_string();
-        let params = match field(obj, "\"params\"") {
-            Some(tok) => Some(
-                unquote(&tok)
+        let params = match m.get("params") {
+            Some(v) => Some(
+                v.as_str()
                     .ok_or_else(|| bad(lineno, "params not a string"))?
                     .to_string(),
             ),
             None => None,
         };
+        let Some(&Value::Bool(competitive)) = m.get("comp") else {
+            return Err(bad(lineno, "missing or malformed \"comp\""));
+        };
         ranked.push(MechRecord {
             mechanism,
-            regret: parse_field(obj, "\"regret\"", lineno)?,
-            mean_error: parse_field(obj, "\"mean\"", lineno)?,
-            p95_error: parse_field(obj, "\"p95\"", lineno)?,
-            n: parse_field(obj, "\"n\"", lineno)?,
-            competitive: parse_field(obj, "\"comp\"", lineno)?,
+            regret: need(&m, "regret", lineno)?,
+            mean_error: need(&m, "mean", lineno)?,
+            p95_error: need(&m, "p95", lineno)?,
+            n: need(&m, "n", lineno)?,
+            competitive,
             params,
         });
     }
@@ -1007,29 +899,5 @@ mod tests {
         reread.write_file(&path).unwrap();
         assert_eq!(bytes1, std::fs::read(&path).unwrap());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Keys are matched only at top level outside strings: a value that
-    /// happens to contain a key-looking pattern must not shadow the
-    /// real field, and commas inside quoted values don't end a token.
-    #[test]
-    fn field_scanner_is_string_aware() {
-        let line = "{\"t\":\"cell\",\"note\":\"fake \\\"dims\\\": 9,\",\"dims\":2}";
-        assert_eq!(field(line, "\"dims\"").as_deref(), Some("2"));
-        assert_eq!(
-            field(line, "\"note\"").as_deref(),
-            Some("\"fake \\\"dims\\\": 9,\"")
-        );
-        let rec = "{\"m\":\"AHP*\",\"n\":64,\"params\":\"rho=0.85,eta=1.5\"}";
-        assert_eq!(field(rec, "\"n\"").as_deref(), Some("64"));
-        assert_eq!(
-            field(rec, "\"params\"").as_deref(),
-            Some("\"rho=0.85,eta=1.5\"")
-        );
-        assert_eq!(
-            split_records("{\"a\":1},{\"b\":\"},{\"}").map(|v| v.len()),
-            Some(2)
-        );
-        assert!(split_records("{\"a\":1}garbage").is_none());
     }
 }

@@ -1,8 +1,9 @@
 //! Persistent JSONL spend journal for the release server.
 //!
 //! Same discipline as the result ledger in [`crate::sink`]: one JSON
-//! object per line, fixed field order, shortest-round-trip floats, no
-//! string escapes (tenant names are validated identifiers). A malformed
+//! object per line read by the shared strict reader in
+//! [`dpbench_core::json`], fixed field order, shortest-round-trip floats,
+//! no string escapes (tenant names are validated identifiers). A malformed
 //! line mid-file is hard corruption (`InvalidData` naming the line); a
 //! torn **final** line — the only damage a crash mid-append can cause —
 //! is healed by truncation on reopen, which loses at most the one record
@@ -31,6 +32,7 @@
 //!   spend record.
 
 use crate::sink::{bad, TornTail};
+use dpbench_core::json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -276,20 +278,20 @@ fn classify(line: &str) -> JLine {
     if trimmed.is_empty() {
         return JLine::Blank;
     }
-    // Structural completeness first (see `sink::classify`): a crash tear
+    // The whole object or nothing (see `sink::classify`): a crash tear
     // can truncate a trailing number to a shorter, still-parseable one.
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return JLine::Malformed("truncated record");
-    }
-    match field(line, "t") {
-        Some("tenants") => match field(line, "v").and_then(|v| v.parse::<u32>().ok()) {
+    let Ok(rec) = json::Object::parse(trimmed) else {
+        return JLine::Malformed("truncated or malformed record");
+    };
+    match rec.str("t") {
+        Some("tenants") => match rec.num::<u32>("v") {
             Some(1) => JLine::Header,
             _ => JLine::Malformed("unsupported journal version"),
         },
         Some(tag @ ("spend" | "refund")) => {
-            let tenant = field(line, "tenant");
-            let eps = field(line, "eps").and_then(|s| s.parse::<f64>().ok());
-            let seq = field(line, "seq").and_then(|s| s.parse::<u64>().ok());
+            let tenant = rec.str("tenant");
+            let eps = rec.num::<f64>("eps");
+            let seq = rec.num::<u64>("seq");
             match (tenant, eps, seq) {
                 (Some(tenant), Some(eps), Some(_)) if eps.is_finite() && eps >= 0.0 => {
                     JLine::Record(JournalRecord {
@@ -308,9 +310,6 @@ fn classify(line: &str) -> JLine {
         _ => JLine::Malformed("unrecognized record"),
     }
 }
-
-/// Re-export of the sink module's field extractor (single-line JSON).
-use crate::sink::field;
 
 /// The result of scanning raw journal bytes.
 struct Scan {

@@ -51,7 +51,8 @@ use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
-    scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Release, Workload, Workspace,
+    json, scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Release, Workload,
+    Workspace,
 };
 use dpbench_datasets::{catalog, DataGenerator};
 use std::collections::HashMap;
@@ -1046,9 +1047,9 @@ fn route(
                         let _ = write!(
                             out,
                             "{{\"tenant\":\"{tenant}\",\"total\":{},\"spent\":{},\"remaining\":{},\"releases\":{}}}",
-                            jf(snap.total),
-                            jf(snap.spent),
-                            jf(snap.remaining),
+                            json::Float(snap.total),
+                            json::Float(snap.spent),
+                            json::Float(snap.remaining),
                             snap.releases
                         );
                         RespMeta::new(200)
@@ -1088,7 +1089,7 @@ fn handle_readyz(state: &ServerState, stopping: bool, out: &mut String) -> RespM
     let _ = write!(
         out,
         "{{\"ready\":true,\"conns\":{conns},\"est_wait_ms\":{}}}",
-        jf(est_wait_ms)
+        json::Float(est_wait_ms)
     );
     RespMeta::new(200)
 }
@@ -1220,7 +1221,7 @@ fn handle_release(
             out,
             "{{\"error\":\"overloaded\",\"detail\":\"estimated wait {}ms exceeds limit\",\"est_wait_ms\":{}}}",
             est_wait_ms.round(),
-            jf(est_wait_ms)
+            json::Float(est_wait_ms)
         );
         return RespMeta::retry(503, retry_after_s(est_wait_ms));
     }
@@ -1266,7 +1267,7 @@ fn handle_release(
             selection = Some(format!(
                 "{{\"source\":\"profile\",\"confidence\":\"{}\",\"regret\":{},\"reason\":\"{}\"}}",
                 rec.confidence.as_str(),
-                jf(chosen.regret),
+                json::Float(chosen.regret),
                 rec.reason()
             ));
             Some(chosen.mechanism.clone())
@@ -1324,8 +1325,8 @@ fn handle_release(
             let _ = write!(
                 out,
                 "{{\"error\":\"budget_exhausted\",\"requested\":{},\"remaining\":{}}}",
-                jf(requested),
-                jf(remaining)
+                json::Float(requested),
+                json::Float(remaining)
             );
             return RespMeta::new(429);
         }
@@ -1405,9 +1406,9 @@ fn handle_release(
     let _ = write!(
         out,
         "{{\"tenant\":\"{tenant}\",\"dataset\":\"{dataset_name}\",\"mechanism\":\"{mech_name}\",\"requested_mechanism\":\"{requested_mech}\",\"eps\":{},\"remaining\":{},\"plan_cache_hit\":{cache_hit},\"batched\":{batched},\"latency_ms\":{}",
-        jf(eps),
-        jf(remaining),
-        jf(latency_ms)
+        json::Float(eps),
+        json::Float(remaining),
+        json::Float(latency_ms)
     );
     if let Some(sel) = &selection {
         let _ = write!(out, ",\"selection\":{sel}");
@@ -1416,8 +1417,8 @@ fn handle_release(
         let _ = write!(
             out,
             ",\"slo\":{{\"scaled_l1\":{},\"scaled_l2\":{}}}",
-            jf(l1),
-            jf(l2)
+            json::Float(l1),
+            json::Float(l2)
         );
     }
     out.push_str(",\"release\":");
@@ -1515,7 +1516,7 @@ fn status_json(state: &ServerState) -> String {
     };
     format!(
         "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"batches\":{{\"led\":{},\"followed\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"{}\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
-        jf(state.started.elapsed().as_secs_f64()),
+        json::Float(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.parked_len(),
         state.accountant.len(),
@@ -1546,8 +1547,8 @@ fn status_json(state: &ServerState) -> String {
     )
 }
 
-/// `{"error": code, "detail": detail}` with minimal escaping (details are
-/// our own messages; quotes/backslashes are escaped defensively).
+/// `{"error": code, "detail": detail}`; the detail may echo request
+/// text, so it goes through the shared escaper.
 fn error_json(code: &str, detail: &str) -> String {
     let mut out = String::with_capacity(32 + detail.len());
     error_json_into(code, detail, &mut out);
@@ -1557,25 +1558,6 @@ fn error_json(code: &str, detail: &str) -> String {
 /// Append the [`error_json`] body to `out` (the pooled-buffer path).
 fn error_json_into(code: &str, detail: &str, out: &mut String) {
     let _ = write!(out, "{{\"error\":\"{code}\",\"detail\":\"");
-    for c in detail.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json::escape_into(out, detail);
     out.push_str("\"}");
-}
-
-/// JSON float: shortest round-trip for finite values, `null` otherwise.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }

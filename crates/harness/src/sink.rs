@@ -13,16 +13,18 @@
 //!   [`read_ledger`] recovers the set of finished units after a crash;
 //! * [`AggregatingSink`] — O(δ) state per (algorithm, setting) via the
 //!   streaming Welford/t-digest [`StreamingSummary`] in `dpbench-stats`;
-//!   its summaries **merge** across shards ([`AggregatingSink::merge_from`])
-//!   and serialize to a compact sketch file, so a fleet aggregates
-//!   without re-reading raw samples;
+//!   its summaries **merge** ([`AggregatingSink::merge_from`]) and
+//!   serialize to a compact sketch file. A fleet's `--agg` summary is
+//!   rebuilt from its verified merged ledger ([`summary_from_ledger`]),
+//!   so it matches a one-shot run's byte for byte;
 //! * [`Tee`] — fan out to several sinks at once.
 //!
 //! ## The JSONL format
 //!
-//! One self-describing JSON object per line, written and parsed by this
-//! module (no external JSON dependency; field order is fixed, strings are
-//! never escaped — dataset and algorithm names are validated identifiers,
+//! One self-describing JSON object per line, written by this module's
+//! record templates and parsed by the shared strict reader in
+//! [`dpbench_core::json`] (field order is fixed, strings are never
+//! escaped — dataset and algorithm names are validated identifiers,
 //! enforced at write time by [`ExperimentConfig::validate`] and
 //! [`JsonlSink`]'s `begin`):
 //!
@@ -58,6 +60,7 @@
 use crate::config::{is_valid_identifier, Setting};
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
 use crate::results::{parse_domain, ErrorSample, ResultStore};
+use dpbench_core::json::{self, Value};
 use dpbench_stats::{Centroid, StreamingSummary, Summary, TDigest, Welford};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -461,9 +464,9 @@ impl AggregatingSink {
     }
 
     /// Convenience: [`AggregatingSink::write_summary`] to a file —
-    /// atomically ([`atomic_write`]), so a concurrent reader (the fleet
-    /// driver fetching summaries, a dashboard) never observes a torn
-    /// half-written summary.
+    /// atomically ([`atomic_write`]), so a concurrent reader (a
+    /// dashboard, a `recommend` run) never observes a torn half-written
+    /// summary.
     pub fn write_summary_file<P: AsRef<Path>>(&mut self, path: P) -> io::Result<()> {
         let mut buf = Vec::new();
         self.write_summary(&mut buf)?;
@@ -483,10 +486,11 @@ impl AggregatingSink {
 }
 
 /// Rebuild an [`AggregatingSink`] from a JSONL ledger's completed
-/// samples. This is how a **resumed** shard produces its summary file:
-/// the streaming sink only saw the units run after the crash, but the
-/// ledger holds the union, and one local pass recovers the full
-/// aggregation (the cross-shard path still never touches raw samples).
+/// samples, in manifest order — the order a streaming run pushes them,
+/// so the written summary is byte-identical to the streamed one. This is
+/// how a **resumed** run produces its summary file (the streaming sink
+/// only saw the units run after the crash, but the ledger holds the
+/// union) and how a fleet summarizes its verified merged ledger.
 pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
     let path = path.as_ref();
     let ledger = read_ledger(path)?;
@@ -506,8 +510,8 @@ pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSin
 /// Write `bytes` to `path` via a sibling temp file and an atomic
 /// rename, so a polling reader can never observe a torn or half-written
 /// file — the producer-side dual of the strict readers' corruption
-/// policy. Used for every small per-round JSON the fleet driver emits
-/// (the `--status-file` feed, merged summaries); the append-only ledgers
+/// policy. Used for every small whole-file JSON the fleet emits (the
+/// `--status-file` feed, summaries); the append-only ledgers
 /// keep their flush-per-unit discipline instead, because their readers
 /// are torn-tail-aware by design.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -602,8 +606,12 @@ pub fn ledger_is_effectively_empty<P: AsRef<Path>>(path: P) -> io::Result<bool> 
     Ok(true)
 }
 
-/// Merge per-shard summary files into one [`AggregatingSink`] — the
-/// cross-shard aggregation path that ships sketches instead of samples.
+/// Merge the summary files of one run's disjoint shards into one
+/// [`AggregatingSink`], combining sketches instead of re-reading samples.
+/// Merged moments and digests agree with a single stream's within
+/// floating-point and digest tolerance, not bit for bit — which is why
+/// `fleet --agg` summarizes the merged ledger ([`summary_from_ledger`])
+/// instead.
 pub fn merge_summary_files<P: AsRef<Path>>(inputs: &[P]) -> io::Result<AggregatingSink> {
     if inputs.is_empty() {
         return Err(io::Error::new(
@@ -659,20 +667,22 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
         if line.trim().is_empty() {
             continue;
         }
-        match field(&line, "t") {
+        let rec = json::Object::parse(&line).map_err(|_| bad(i, "malformed summary record"))?;
+        match rec.str("t") {
             Some("agg") => {
-                let fp = field(&line, "fp")
+                let fp = rec
+                    .str("fp")
                     .and_then(|s| u64::from_str_radix(s, 16).ok())
                     .ok_or_else(|| bad(i, "bad summary header fingerprint"))?;
                 if sink.fingerprint.is_some() {
                     return Err(bad(i, "duplicate summary header"));
                 }
                 sink.fingerprint = Some(fp);
-                sink.n_trials = field(&line, "n_trials")
-                    .and_then(|s| s.parse().ok())
+                sink.n_trials = rec
+                    .num("n_trials")
                     .ok_or_else(|| bad(i, "bad summary header n_trials"))?;
-                sink.samples_seen = field(&line, "samples")
-                    .and_then(|s| s.parse().ok())
+                sink.samples_seen = rec
+                    .num("samples")
                     .ok_or_else(|| bad(i, "bad summary header sample count"))?;
             }
             Some("g") => {
@@ -680,7 +690,7 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
                     return Err(bad(i, "group record before summary header"));
                 }
                 let (alg, setting, summary) =
-                    parse_group(&line).ok_or_else(|| bad(i, "malformed group record"))?;
+                    parse_group(&rec).ok_or_else(|| bad(i, "malformed group record"))?;
                 group_count += summary.count();
                 if sink
                     .groups
@@ -711,56 +721,41 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
     Ok(sink)
 }
 
-/// Parse one `{"t":"g",…}` summary group line.
-fn parse_group(line: &str) -> Option<(String, Setting, StreamingSummary)> {
-    let alg = field(line, "alg")?.to_string();
-    let setting = parse_setting(line)?;
-    let n: u64 = field(line, "n")?.parse().ok()?;
-    let mean: f64 = field(line, "mean")?.parse().ok()?;
-    let m2: f64 = field(line, "m2")?.parse().ok()?;
-    let min: f64 = field(line, "min")?.parse().ok()?;
-    let max: f64 = field(line, "max")?.parse().ok()?;
-    let comp: f64 = field(line, "comp")?.parse().ok()?;
-    let centroids = parse_centroids(line)?;
-    let digest = TDigest::from_parts(comp, min, max, centroids);
+/// Parse one `{"t":"g",…}` summary group record.
+fn parse_group(rec: &json::Object) -> Option<(String, Setting, StreamingSummary)> {
+    let alg = rec.str("alg")?.to_string();
+    let setting = parse_setting(rec)?;
+    let n: u64 = rec.num("n")?;
+    let (min, max) = (rec.num("min")?, rec.num("max")?);
+    // `"cent":[[mean,weight],…]`: the nested arrays are re-read by the
+    // same reader.
+    let Some(Value::Arr(cent)) = rec.get("cent") else {
+        return None;
+    };
+    let mut centroids = Vec::new();
+    for pair in json::parse_array(cent).ok()? {
+        let Value::Arr(pair) = pair else {
+            return None;
+        };
+        let pair = json::parse_array(pair).ok()?;
+        let [mean, weight] = pair.as_slice() else {
+            return None;
+        };
+        centroids.push(Centroid {
+            mean: mean.parse()?,
+            weight: weight.parse()?,
+        });
+    }
+    let digest = TDigest::from_parts(rec.num("comp")?, min, max, centroids);
     if digest.count() != n {
         return None; // weights disagree with the moment count
     }
+    let welford = Welford::from_parts(n, rec.num("mean")?, rec.num("m2")?);
     Some((
         alg,
         setting,
-        StreamingSummary::from_parts(Welford::from_parts(n, mean, m2), min, max, digest),
+        StreamingSummary::from_parts(welford, min, max, digest),
     ))
-}
-
-/// Parse the `"cent":[[mean,weight],…]` array of a group record.
-fn parse_centroids(line: &str) -> Option<Vec<Centroid>> {
-    let tag = "\"cent\":[";
-    let start = line.find(tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find(']').and_then(|_| {
-        // The array ends at the first "]]" (inner pair close + array
-        // close) or immediately for an empty array.
-        if rest.starts_with(']') {
-            Some(0)
-        } else {
-            rest.find("]]").map(|i| i + 1)
-        }
-    })?;
-    let body = &rest[..end];
-    let mut out = Vec::new();
-    for pair in body.split("],") {
-        let pair = pair.trim_start_matches('[').trim_end_matches(']');
-        if pair.is_empty() {
-            continue;
-        }
-        let (m, w) = pair.split_once(',')?;
-        out.push(Centroid {
-            mean: m.parse().ok()?,
-            weight: w.parse().ok()?,
-        });
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -824,27 +819,13 @@ pub(crate) fn bad(line_no: usize, what: &str) -> io::Error {
     )
 }
 
-/// Extract the raw value of `"key":` from a single-line JSON record
-/// (string values unquoted; this module's own writer guarantees the
-/// format, including that strings contain no escapes).
-pub(crate) fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// One fully-validated ledger line.
-enum Line<'a> {
+enum Line {
     /// `{"t":"run",…}` file header.
     Header {
         fingerprint: u64,
         n_trials: usize,
-        cfg: Option<&'a str>,
+        cfg: Option<String>,
     },
     /// `{"t":"u",…}` unit-completion marker.
     UnitDone { id: UnitId, pos: usize },
@@ -864,48 +845,57 @@ enum Line<'a> {
 /// Classify (and fully parse) one line. Every reader shares this, so
 /// "well-formed" means the same thing to the resume path, the sample
 /// loader, the merge, and the tail-repair in [`JsonlSink::append`].
-fn classify(line: &str) -> Line<'_> {
+fn classify(line: &str) -> Line {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Line::Blank;
     }
-    // Structural completeness first: every record the writer emits ends
-    // with `}` (single-level objects, one per line), and a crash tear
-    // removes it. Without this check, a numeric tail torn to a *shorter
-    // valid number* (`"pos":15}` → `"pos":1`) would still parse and be
-    // kept — recording a unit marker at the wrong manifest position.
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return Line::Malformed("truncated record");
-    }
-    match field(line, "t") {
+    // The strict reader wants the whole object, closing brace included,
+    // and a crash tear removes it. That matters because a numeric tail
+    // torn to a *shorter valid number* (`"pos":15}` → `"pos":1`) would
+    // otherwise still parse, recording a unit marker at the wrong
+    // manifest position.
+    let Ok(rec) = json::Object::parse(trimmed) else {
+        return Line::Malformed("truncated or malformed record");
+    };
+    match rec.str("t") {
         Some("run") => {
-            let fp = field(line, "fp").and_then(|s| u64::from_str_radix(s, 16).ok());
-            let n_trials = field(line, "n_trials").and_then(|s| s.parse().ok());
-            match (fp, n_trials) {
+            let fp = rec.str("fp").and_then(|s| u64::from_str_radix(s, 16).ok());
+            match (fp, rec.num("n_trials")) {
                 (Some(fingerprint), Some(n_trials)) => Line::Header {
                     fingerprint,
                     n_trials,
-                    cfg: field(line, "cfg"),
+                    cfg: rec.str("cfg").map(str::to_string),
                 },
                 _ => Line::Malformed("malformed run header"),
             }
         }
         Some("u") => {
-            let id = field(line, "unit").and_then(UnitId::parse);
-            let pos = field(line, "pos").and_then(|s| s.parse().ok());
-            match (id, pos) {
+            let id = rec.str("unit").and_then(UnitId::parse);
+            match (id, rec.num("pos")) {
                 (Some(id), Some(pos)) => Line::UnitDone { id, pos },
                 _ => Line::Malformed("malformed unit marker"),
             }
         }
-        Some("s") => match field(line, "unit").and_then(UnitId::parse) {
-            Some(id) => match parse_sample(line) {
-                Some((pos, sample)) => Line::Sample { id, pos, sample },
-                None => Line::Malformed("malformed sample record"),
-            },
-            None => Line::Malformed("malformed sample record"),
+        Some("s") => match (rec.str("unit").and_then(UnitId::parse), parse_sample(&rec)) {
+            (Some(id), Some((pos, sample))) => Line::Sample { id, pos, sample },
+            _ => Line::Malformed("malformed sample record"),
         },
         _ => Line::Malformed("unrecognized record"),
+    }
+}
+
+/// Fingerprint of the ledger's first line when it is a complete
+/// (newline-terminated) well-formed header — the one-line read the fleet
+/// driver uses to spot a foreign ledger mid-poll.
+pub(crate) fn header_fingerprint(path: &Path) -> Option<u64> {
+    let mut line = String::new();
+    BufReader::new(File::open(path).ok()?)
+        .read_line(&mut line)
+        .ok()?;
+    match classify(line.strip_suffix('\n')?) {
+        Line::Header { fingerprint, .. } => Some(fingerprint),
+        _ => None,
     }
 }
 
@@ -961,7 +951,7 @@ pub fn read_ledger<P: AsRef<Path>>(path: P) -> io::Result<Ledger> {
                 Some((fp, nt, _)) if *fp != fingerprint || *nt != n_trials => {
                     return Err(bad(i, "conflicting run headers"));
                 }
-                _ => header = Some((fingerprint, n_trials, cfg.map(str::to_string))),
+                _ => header = Some((fingerprint, n_trials, cfg)),
             },
             Line::UnitDone { id, .. } => {
                 done.insert(id);
@@ -1098,27 +1088,26 @@ pub fn probe_ledger(path: &Path, from_offset: u64) -> io::Result<LedgerProbe> {
 }
 
 /// Parse the setting fields shared by sample and summary-group records.
-fn parse_setting(line: &str) -> Option<Setting> {
+fn parse_setting(rec: &json::Object) -> Option<Setting> {
     Some(Setting {
-        dataset: field(line, "dataset")?.to_string(),
-        scale: field(line, "scale")?.parse().ok()?,
-        domain: parse_domain(field(line, "domain")?)?,
-        epsilon: field(line, "eps")?.parse().ok()?,
+        dataset: rec.str("dataset")?.to_string(),
+        scale: rec.num("scale")?,
+        domain: parse_domain(rec.str("domain")?)?,
+        epsilon: rec.num("eps")?,
     })
 }
 
-/// Parse one `{"t":"s",…}` line; `None` when any field is missing or
+/// Parse one `{"t":"s",…}` record; `None` when any field is missing or
 /// malformed (a torn write).
-fn parse_sample(line: &str) -> Option<(usize, ErrorSample)> {
-    let pos: usize = field(line, "pos")?.parse().ok()?;
+fn parse_sample(rec: &json::Object) -> Option<(usize, ErrorSample)> {
     let sample = ErrorSample {
-        algorithm: field(line, "alg")?.to_string(),
-        setting: parse_setting(line)?,
-        sample: field(line, "sample")?.parse().ok()?,
-        trial: field(line, "trial")?.parse().ok()?,
-        error: field(line, "err")?.parse().ok()?,
+        algorithm: rec.str("alg")?.to_string(),
+        setting: parse_setting(rec)?,
+        sample: rec.num("sample")?,
+        trial: rec.num("trial")?,
+        error: rec.num("err")?,
     };
-    Some((pos, sample))
+    Some((rec.num("pos")?, sample))
 }
 
 /// Load the completed samples of a JSONL file into a [`ResultStore`]

@@ -8,11 +8,9 @@
 //! retain a bias term that does *not* vanish as ε or scale grow — the paper
 //! shows their large-scale error is dominated by bias.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-workload decomposition of mean squared error into bias² and
 /// variance components, averaged over queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorDecomposition {
     /// Average over queries of `(E[ŷ_q] − y_q)²`.
     pub bias_sq: f64,

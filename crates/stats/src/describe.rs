@@ -5,8 +5,6 @@
 //! **95th-percentile error** (risk-averse analyst) over repeated trials
 //! (Principle 8: measurement of variability).
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -48,7 +46,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 }
 
 /// Full summary of a sample of error measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,
@@ -87,7 +85,7 @@ impl Summary {
 
 /// Welford's online mean/variance accumulator — single pass, numerically
 /// stable, mergeable across threads.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,

@@ -27,7 +27,7 @@ pub mod ttest;
 pub use decompose::ErrorDecomposition;
 pub use describe::{mean, percentile, std_dev, variance, Summary, Welford};
 pub use regret::{geometric_mean_regret, RegretError};
-pub use streaming::{P2Quantile, StreamingSummary};
+pub use streaming::StreamingSummary;
 pub use tdigest::{Centroid, TDigest};
 pub use ttest::{
     bonferroni_alpha, competitive_set, competitive_set_moments, welch_t_test, welch_t_test_moments,

@@ -8,163 +8,20 @@
 //! [`TDigest`] sketch for the median and the paper's risk-averse 95th
 //! percentile. Because every component merges (Chan's formula for the
 //! moments, centroid re-clustering for the digest),
-//! [`StreamingSummary::merge`] combines per-shard summaries into the
-//! summary of the union stream without revisiting raw samples — the
-//! cross-shard aggregation path of a sharded fleet.
-//!
-//! The standalone [`P2Quantile`] estimator (Jain & Chlamtac, CACM 1985)
-//! remains available for single-stream O(1) tracking: it maintains five
-//! markers and adjusts their heights by piecewise-parabolic interpolation
-//! — exact for the first five observations, convergent afterwards — but
-//! two P² states cannot be combined, which is exactly why the summary
-//! switched to the digest.
+//! [`StreamingSummary::merge`] combines summaries of disjoint streams
+//! into the summary of their union without revisiting raw samples — how
+//! the selection profile pools evidence across runs. (A fleet's `--agg`
+//! summary is instead rebuilt from its merged ledger, in stream order,
+//! so it is bit-identical to a one-shot run's.)
 
 use crate::describe::{Summary, Welford};
 use crate::tdigest::TDigest;
-use serde::{Deserialize, Serialize};
-
-/// P² single-quantile estimator: five markers, O(1) per observation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
-    /// The tracked quantile in (0, 1).
-    p: f64,
-    /// Marker heights (ascending once initialized).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    rate: [f64; 5],
-    /// Observations seen so far.
-    n: u64,
-}
-
-impl P2Quantile {
-    /// Track quantile `p ∈ (0, 1)` (e.g. 0.95 for the 95th percentile).
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1), got {p}");
-        Self {
-            p,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            rate: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            n: 0,
-        }
-    }
-
-    /// Observations seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.n < 5 {
-            // Bootstrap: collect the first five exactly, sorted.
-            let mut i = self.n as usize;
-            self.heights[i] = x;
-            while i > 0 && self.heights[i - 1] > self.heights[i] {
-                self.heights.swap(i - 1, i);
-                i -= 1;
-            }
-            self.n += 1;
-            return;
-        }
-        self.n += 1;
-
-        // Find the cell k with heights[k] <= x < heights[k+1], clamping x
-        // into the observed range (updating the extreme markers).
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // One of the three interior cells.
-            let mut cell = 0;
-            for j in 1..4 {
-                if x >= self.heights[j] {
-                    cell = j;
-                }
-            }
-            cell
-        };
-
-        for pos in self.positions.iter_mut().skip(k + 1) {
-            *pos += 1.0;
-        }
-        for (d, r) in self.desired.iter_mut().zip(&self.rate) {
-            *d += r;
-        }
-
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let step_up = self.positions[i + 1] - self.positions[i] > 1.0;
-            let step_down = self.positions[i - 1] - self.positions[i] < -1.0;
-            if (d >= 1.0 && step_up) || (d <= -1.0 && step_down) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic (P²) height prediction for moving marker `i` by
-    /// `d ∈ {-1, +1}` positions.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let np = &self.positions;
-        q[i] + d / (np[i + 1] - np[i - 1])
-            * ((np[i] - np[i - 1] + d) * (q[i + 1] - q[i]) / (np[i + 1] - np[i])
-                + (np[i + 1] - np[i] - d) * (q[i] - q[i - 1]) / (np[i] - np[i - 1]))
-    }
-
-    /// Linear fallback when the parabolic prediction leaves the bracket.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate. Exact for n ≤ 5 (linear interpolation on
-    /// the sorted sample, the same type-7 rule as
-    /// [`percentile`](crate::describe::percentile)); the P² sketch after.
-    /// Panics if no observation was pushed.
-    pub fn estimate(&self) -> f64 {
-        assert!(self.n > 0, "quantile of empty stream");
-        let n = self.n as usize;
-        if n <= 5 {
-            let sorted = &self.heights[..n];
-            let rank = self.p * (n - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                let frac = rank - lo as f64;
-                sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-            }
-        } else {
-            self.heights[2]
-        }
-    }
-}
 
 /// Amortized-O(1)-per-observation summary: Welford mean/variance, exact
 /// min/max, and a mergeable [`TDigest`] for the median and 95th
 /// percentile. The streaming — and shardable — counterpart of the batch
 /// [`Summary`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingSummary {
     welford: Welford,
     min: f64,
@@ -289,63 +146,6 @@ mod tests {
                 (z ^ (z >> 31)) as f64 / u64::MAX as f64
             })
             .collect()
-    }
-
-    #[test]
-    fn exact_below_six_observations() {
-        for n in 1..=5 {
-            let xs: Vec<f64> = (0..n).map(|i| (i * 7 % 5) as f64).collect();
-            let mut q = P2Quantile::new(0.95);
-            xs.iter().for_each(|&x| q.push(x));
-            assert!(
-                (q.estimate() - percentile(&xs, 95.0)).abs() < 1e-12,
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn p2_converges_on_uniform_stream() {
-        let xs = stream(41, 20_000);
-        let mut p95 = P2Quantile::new(0.95);
-        let mut p50 = P2Quantile::new(0.5);
-        for &x in &xs {
-            p95.push(x);
-            p50.push(x);
-        }
-        // Uniform [0,1): true quantiles 0.95 and 0.5.
-        assert!((p95.estimate() - 0.95).abs() < 0.01, "{}", p95.estimate());
-        assert!((p50.estimate() - 0.50).abs() < 0.01, "{}", p50.estimate());
-    }
-
-    #[test]
-    fn p2_tracks_skewed_stream_within_tolerance() {
-        // Squared uniforms: heavy mass near zero, like benchmark errors.
-        let xs: Vec<f64> = stream(97, 10_000).into_iter().map(|x| x * x).collect();
-        let mut q = P2Quantile::new(0.95);
-        xs.iter().for_each(|&x| q.push(x));
-        let exact = percentile(&xs, 95.0);
-        assert!(
-            (q.estimate() - exact).abs() / exact < 0.05,
-            "sketch {} vs exact {exact}",
-            q.estimate()
-        );
-    }
-
-    #[test]
-    fn p2_monotone_markers_survive_sorted_input() {
-        // Sorted and reverse-sorted inputs are the classic degenerate
-        // cases for marker-based sketches.
-        for reverse in [false, true] {
-            let mut xs: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-            if reverse {
-                xs.reverse();
-            }
-            let mut q = P2Quantile::new(0.95);
-            xs.iter().for_each(|&x| q.push(x));
-            let est = q.estimate();
-            assert!((est - 949.05).abs() < 25.0, "est {est}");
-        }
     }
 
     #[test]

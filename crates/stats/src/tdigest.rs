@@ -1,15 +1,13 @@
 //! Mergeable streaming quantile sketch (t-digest).
 //!
-//! The P² sketches ([`crate::streaming::P2Quantile`]) are O(1) but do
-//! **not** merge: two P² states cannot be combined into the state a
-//! single pass over the union would have produced, so a sharded grid had
-//! to round-trip raw JSONL samples to aggregate across shards. The
-//! t-digest (Dunning & Ertl) closes that gap: it keeps a compressed list
-//! of weighted centroids whose sizes shrink toward the distribution
-//! tails, supports O(1) amortized insertion through a small buffer, and
-//! — the point — **merges**: combining two digests and compressing is a
-//! valid digest of the union stream, so shards can ship sketches instead
-//! of samples.
+//! Marker-based quantile sketches such as P² are O(1) but do **not**
+//! merge: two P² states cannot be combined into the state a single pass
+//! over the union would have produced. The t-digest (Dunning & Ertl)
+//! closes that gap: it keeps a compressed list of weighted centroids
+//! whose sizes shrink toward the distribution tails, supports O(1)
+//! amortized insertion through a small buffer, and — the point —
+//! **merges**: combining two digests and compressing is a valid digest
+//! of the union stream, so summaries combine without their samples.
 //!
 //! This is the *merging* variant: incoming points accumulate in a
 //! buffer; when it fills (or on [`TDigest::compress`] / [`TDigest::merge`]),
@@ -33,11 +31,9 @@
 //! in this module pin that contract over hundreds of seeded
 //! stream/shard combinations.
 
-use serde::{Deserialize, Serialize};
-
 /// One cluster of the digest: `weight` observations summarized by their
 /// `mean`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Centroid {
     /// Mean of the clustered observations.
     pub mean: f64,
@@ -47,7 +43,7 @@ pub struct Centroid {
 
 /// Mergeable quantile sketch. See the module docs for the accuracy
 /// contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TDigest {
     /// Compression parameter δ: the centroid count is bounded by ~2δ.
     compression: f64,

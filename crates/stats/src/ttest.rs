@@ -7,10 +7,9 @@
 //! `α = 0.05 / (n_algs − 1)`.
 
 use crate::special::student_t_two_sided_p;
-use serde::{Deserialize, Serialize};
 
 /// Result of a two-sample t-test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTestResult {
     /// The t statistic.
     pub t: f64,

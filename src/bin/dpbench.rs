@@ -45,15 +45,16 @@
 //! (`--kill-shard i:N` is a built-in crash drill that kills shard `i`'s
 //! first attempt after `N` units), and stream-merges the shard ledgers
 //! into `--out` — byte-identical to a single-process run. With `--agg`,
-//! each shard also ships a mergeable t-digest summary and the fleet
-//! combines them without re-reading raw samples.
+//! the fleet also writes the t-digest summary of that verified merged
+//! ledger — byte-identical to a one-shot `run --agg`, however the units
+//! were dealt, stolen or retried.
 //!
 //! By default shards are local child processes. `--launch-cmd` swaps in
 //! a templated wrapper command line — `{cmd}` is replaced by the shard
 //! command — so `ssh worker{index} {cmd}` or `docker run … {cmd}` runs
 //! the fleet over machines or containers: each shard writes into its own
-//! `--workdir` directory and the driver copies ledgers (and summaries)
-//! back before validating and merging them. `--progress` tails the
+//! `--workdir` directory and the driver copies ledgers back before
+//! validating and merging them. `--progress` tails the
 //! (fetched) shard ledgers into live per-shard `done/total` lines, and
 //! `--stall-timeout` kills and retries a shard whose ledger stops
 //! moving.
@@ -1158,7 +1159,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
 
 /// The shard command recipe shared by both transports: the `run`
 /// subcommand argv for one shard attempt, given where that attempt
-/// should write its ledger and summary.
+/// should write its ledger.
 #[derive(Clone)]
 struct ShardArgs {
     /// Shared `run` flags (everything but out/shard/resume/fail-after).
@@ -1175,7 +1176,7 @@ impl ShardArgs {
     /// Arguments after the program name for one attempt — a primary
     /// shard, or a stolen tail (`--shard victim/k --from-pos/--until-pos`,
     /// never resumed, never crash-drilled).
-    fn run_args(&self, spec: &LaunchSpec, ledger: &Path, summary: Option<&Path>) -> Vec<String> {
+    fn run_args(&self, spec: &LaunchSpec, ledger: &Path) -> Vec<String> {
         let mut args = vec!["run".to_string()];
         args.extend(self.base_args.iter().cloned());
         args.push("--out".into());
@@ -1193,10 +1194,6 @@ impl ShardArgs {
         }
         if spec.resume {
             args.push("--resume".into());
-        }
-        if let Some(summary) = summary {
-            args.push("--agg".into());
-            args.push(summary.display().to_string());
         }
         if let Some((victim, units)) = self.kill_shard {
             if spec.steal.is_none() && victim == spec.index && spec.attempt == 0 {
@@ -1220,20 +1217,12 @@ impl ShardArgs {
 struct CliShardLauncher {
     exe: PathBuf,
     args: ShardArgs,
-    /// Request a mergeable summary (`--agg`) from every shard.
-    want_agg: bool,
-    /// The fleet's merged output path (shard paths derive from it).
-    out: PathBuf,
 }
 
 impl ShardLauncher for CliShardLauncher {
     fn launch(&self, spec: &LaunchSpec) -> std::io::Result<std::process::Child> {
-        // Steals ship no summary: the fleet's t-digest merge reads the
-        // primaries, and the merged ledger is the canonical artifact.
-        let summary = (self.want_agg && spec.steal.is_none())
-            .then(|| fleet::shard_summary_path(&self.out, spec.index));
         let mut cmd = std::process::Command::new(&self.exe);
-        cmd.args(self.args.run_args(spec, &spec.ledger, summary.as_deref()));
+        cmd.args(self.args.run_args(spec, &spec.ledger));
         // Append: the log keeps the whole attempt history of the shard.
         let log = std::fs::OpenOptions::new()
             .create(true)
@@ -1421,7 +1410,6 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
         manifest.n_trials,
         child_threads
     );
-    let want_agg = agg_out.is_some();
     let shard_args = ShardArgs {
         base_args,
         kill_shard,
@@ -1433,7 +1421,6 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
         verbose: spec.verbose,
         progress,
         stall_timeout,
-        fetch_summaries: want_agg,
         steal,
         status_file,
         ..FleetOptions::default()
@@ -1454,9 +1441,8 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
         let build = {
             let shard_args = shard_args.clone();
             move |spec: &LaunchSpec, paths: &RemotePaths| -> Vec<String> {
-                let summary = (want_agg && spec.steal.is_none()).then_some(paths.summary.as_path());
                 let mut argv = vec![remote_exe.clone()];
-                argv.extend(shard_args.run_args(spec, &paths.ledger, summary));
+                argv.extend(shard_args.run_args(spec, &paths.ledger));
                 argv
             }
         };
@@ -1480,8 +1466,6 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
         let launcher = CliShardLauncher {
             exe,
             args: shard_args,
-            want_agg,
-            out: PathBuf::from(&out),
         };
         fleet::run_fleet_with(
             &manifest,
@@ -1534,40 +1518,17 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
     }
     println!("merged {} units into {out}", report.merged_units);
 
-    // Cross-shard aggregation: merge the shards' t-digest summaries —
-    // no raw sample ever crosses a shard boundary. A shard that was
-    // already complete before this fleet ran may lack a summary file;
-    // rebuild it locally from its ledger.
+    // The fleet summary is the summary of the verified merged ledger,
+    // so it matches a one-shot `run --agg` byte for byte whichever
+    // shards, steals or retries produced the units.
     if let Some(agg_path) = agg_out {
-        let mut shard_summaries: Vec<PathBuf> = Vec::with_capacity(procs);
-        for i in 0..procs {
-            let summary = fleet::shard_summary_path(Path::new(&out), i);
-            let expected = manifest.shard(i, procs).len() as u64 * manifest.n_trials as u64;
-            let fresh = sink::read_summary(&summary)
-                .ok()
-                .is_some_and(|s| s.samples_seen() == expected);
-            if !fresh {
-                let ledger = fleet::shard_ledger_path(Path::new(&out), i);
-                let rebuilt = sink::summary_from_ledger(&ledger)
-                    .and_then(|mut s| s.write_summary_file(&summary));
-                if let Err(e) = rebuilt {
-                    eprintln!("error rebuilding shard {i} summary: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            shard_summaries.push(summary);
-        }
-        let mut merged = match sink::merge_summary_files(&shard_summaries) {
+        let mut merged = match sink::summary_from_ledger(&out) {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("error merging shard summaries: {e}");
+                eprintln!("error summarizing {out}: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        if merged.fingerprint() != Some(manifest.fingerprint) {
-            eprintln!("error: merged summary fingerprint does not match this fleet's run");
-            return ExitCode::FAILURE;
-        }
         if let Err(e) = merged.write_summary_file(&agg_path) {
             eprintln!("error writing {agg_path}: {e}");
             return ExitCode::FAILURE;

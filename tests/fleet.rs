@@ -1,8 +1,8 @@
 //! Fleet end-to-end tests: drive the real `dpbench` binary the way an
 //! operator would and pin the acceptance criteria — `dpbench fleet
 //! --procs k` produces bytes identical to a one-shot single-process run,
-//! including after a shard is killed mid-run and retried, and the
-//! cross-shard t-digest summaries merge without touching raw samples.
+//! including after a shard is killed mid-run and retried, and its
+//! `--agg` t-digest summary matches a one-shot `run --agg` byte for byte.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -171,6 +171,11 @@ fn fleet_merges_shard_summaries_into_union_statistics() {
     ]);
     let stdout = run_ok(&args);
     assert!(stdout.contains("merged t-digest summary"), "{stdout}");
+    assert_eq!(
+        std::fs::read(&ref_agg).unwrap(),
+        std::fs::read(&fleet_agg).unwrap(),
+        "fleet --agg summary differs from the one-shot run's"
+    );
 
     // Compare the merged sketch against the single-stream one: exact
     // moments must agree to fp noise; quantiles within the documented
@@ -194,6 +199,31 @@ fn fleet_merges_shard_summaries_into_union_statistics() {
             b.p95
         );
     }
+
+    // A straggler whose tail is stolen gets released (killed) before it
+    // could finish, and steals run without `--agg`; the fleet summary
+    // must still cover every unit, byte for byte.
+    let slow = dir.join("slow.jsonl");
+    let slow_agg = dir.join("slow.agg.jsonl");
+    let mut args = vec!["fleet", "--procs", "2", "--slow-shard", "1:1000"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&[
+        "--out",
+        slow.to_str().unwrap(),
+        "--agg",
+        slow_agg.to_str().unwrap(),
+    ]);
+    run_ok(&args);
+    assert_eq!(
+        std::fs::read(&ref_out).unwrap(),
+        std::fs::read(&slow).unwrap(),
+        "slow-shard fleet output differs from the one-shot run"
+    );
+    assert_eq!(
+        std::fs::read(&ref_agg).unwrap(),
+        std::fs::read(&slow_agg).unwrap(),
+        "slow-shard fleet --agg summary differs from the one-shot run's"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -13,6 +13,12 @@
 //! distinct levels the uniform-within-bucket approximation keeps a bias
 //! that never vanishes: PHP is **inconsistent** (paper Theorem 6), the
 //! property the benchmark's Finding 9 exposes at large scales.
+//!
+//! Each bucket's split scores are computed once and cached: an iteration
+//! rescores only the two halves of the bucket it just split, and the
+//! cached scores are concatenated in bucket order, so the exponential
+//! mechanism sees the same score vector (and draws the same randomness)
+//! as the full per-iteration rescan ([`Php::plan_naive`]).
 
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
@@ -57,6 +63,23 @@ impl Mechanism for Php {
     }
 
     fn plan(&self, domain: &Domain, _workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
+        self.plan_with(domain, bisect)
+    }
+
+    fn config_fingerprint(&self) -> u64 {
+        fingerprint_words(&[self.rho.to_bits()])
+    }
+}
+
+impl Php {
+    /// PHP planned with the original full per-iteration rescan, retained
+    /// as the validation oracle for the cached bisection: every split
+    /// score is recomputed in every iteration. Used only by tests.
+    pub fn plan_naive(&self, domain: &Domain) -> Result<Box<dyn Plan>, MechError> {
+        self.plan_with(domain, bisect_naive)
+    }
+
+    fn plan_with(&self, domain: &Domain, bisect: Bisect) -> Result<Box<dyn Plan>, MechError> {
         if !self.supports(domain) {
             return Err(MechError::Unsupported {
                 mechanism: "PHP".into(),
@@ -67,16 +90,10 @@ impl Mechanism for Php {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("PHP"),
-            move |x, budget, rng| mech.bisect_and_measure(x, budget, rng),
+            move |x, budget, rng| mech.bisect_and_measure(x, budget, rng, bisect),
         ))
     }
 
-    fn config_fingerprint(&self) -> u64 {
-        fingerprint_words(&[self.rho.to_bits()])
-    }
-}
-
-impl Php {
     /// The private pipeline: recursive bisection (ε₁) then bucket
     /// measurement (ε₂).
     fn bisect_and_measure(
@@ -84,51 +101,14 @@ impl Php {
         x: &DataVector,
         budget: &mut BudgetLedger,
         rng: &mut dyn RngCore,
+        bisect: Bisect,
     ) -> Result<Vec<f64>, MechError> {
         let n = x.n_cells();
         let counts = x.counts();
         let iterations = (n as f64).log2().ceil().max(1.0) as usize;
         let eps1 = budget.spend_fraction_as("structure", self.rho)?;
         let eps2 = budget.spend_all_as("buckets");
-        let eps_per_iter = eps1 / iterations as f64;
-
-        let mut buckets = vec![Bucket {
-            lo: 0,
-            hi: n,
-            cost: l1_deviation(counts, 0, n),
-        }];
-
-        for _ in 0..iterations {
-            // Candidate splits: (bucket index, split position, improvement).
-            let mut candidates: Vec<(usize, usize)> = Vec::new();
-            let mut scores: Vec<f64> = Vec::new();
-            for (bi, b) in buckets.iter().enumerate() {
-                for s in b.lo + 1..b.hi {
-                    let improvement =
-                        b.cost - l1_deviation(counts, b.lo, s) - l1_deviation(counts, s, b.hi);
-                    candidates.push((bi, s));
-                    scores.push(improvement);
-                }
-            }
-            if candidates.is_empty() {
-                break; // every bucket is a single cell
-            }
-            // Improvement = difference of deviation costs, each with
-            // per-record sensitivity 2 → score sensitivity 4.
-            let chosen = exponential_mechanism(&scores, 4.0, eps_per_iter, rng);
-            let (bi, s) = candidates[chosen];
-            let b = buckets[bi].clone();
-            buckets[bi] = Bucket {
-                lo: b.lo,
-                hi: s,
-                cost: l1_deviation(counts, b.lo, s),
-            };
-            buckets.push(Bucket {
-                lo: s,
-                hi: b.hi,
-                cost: l1_deviation(counts, s, b.hi),
-            });
-        }
+        let buckets = bisect(counts, iterations, eps1 / iterations as f64, rng);
 
         // Measure bucket totals (partition → sensitivity 1) and expand.
         let mut est = vec![0.0; n];
@@ -142,6 +122,92 @@ impl Php {
         }
         Ok(est)
     }
+}
+
+/// A bisection: `(counts, iterations, ε per iteration, rng)` → buckets.
+type Bisect = fn(&[f64], usize, f64, &mut dyn RngCore) -> Vec<Bucket>;
+
+impl Bucket {
+    fn new(counts: &[f64], lo: usize, hi: usize) -> Self {
+        Self {
+            lo,
+            hi,
+            cost: l1_deviation(counts, lo, hi),
+        }
+    }
+
+    /// Improvement of splitting at each `s` in `lo+1..hi`, in order.
+    fn split_scores(&self, counts: &[f64]) -> Vec<f64> {
+        (self.lo + 1..self.hi)
+            .map(|s| {
+                self.cost - l1_deviation(counts, self.lo, s) - l1_deviation(counts, s, self.hi)
+            })
+            .collect()
+    }
+}
+
+/// Recursive bisection with each bucket's split scores cached: an
+/// iteration rescores only the two halves of the bucket it split. The
+/// scores are concatenated in bucket order, so the exponential mechanism
+/// sees the same vector (and draws the same randomness) as in
+/// [`bisect_naive`].
+fn bisect(counts: &[f64], iterations: usize, eps: f64, rng: &mut dyn RngCore) -> Vec<Bucket> {
+    let mut buckets = vec![Bucket::new(counts, 0, counts.len())];
+    let mut cached = vec![buckets[0].split_scores(counts)];
+    let mut scores = Vec::new();
+    for _ in 0..iterations {
+        scores.clear();
+        for c in &cached {
+            scores.extend_from_slice(c);
+        }
+        if scores.is_empty() {
+            break; // every bucket is a single cell
+        }
+        // Improvement = difference of deviation costs, each with
+        // per-record sensitivity 2 → score sensitivity 4.
+        let mut chosen = exponential_mechanism(&scores, 4.0, eps, rng);
+        let mut bi = 0;
+        while chosen >= cached[bi].len() {
+            chosen -= cached[bi].len();
+            bi += 1;
+        }
+        let (lo, hi) = (buckets[bi].lo, buckets[bi].hi);
+        let s = lo + 1 + chosen;
+        let (left, right) = (Bucket::new(counts, lo, s), Bucket::new(counts, s, hi));
+        cached[bi] = left.split_scores(counts);
+        cached.push(right.split_scores(counts));
+        buckets[bi] = left;
+        buckets.push(right);
+    }
+    buckets
+}
+
+/// [`bisect`] without the cache: every bucket's split scores are
+/// recomputed in every iteration.
+fn bisect_naive(counts: &[f64], iterations: usize, eps: f64, rng: &mut dyn RngCore) -> Vec<Bucket> {
+    let mut buckets = vec![Bucket::new(counts, 0, counts.len())];
+    for _ in 0..iterations {
+        // Candidate splits: (bucket index, split position, improvement).
+        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        let mut scores: Vec<f64> = Vec::new();
+        for (bi, b) in buckets.iter().enumerate() {
+            for s in b.lo + 1..b.hi {
+                let improvement =
+                    b.cost - l1_deviation(counts, b.lo, s) - l1_deviation(counts, s, b.hi);
+                candidates.push((bi, s));
+                scores.push(improvement);
+            }
+        }
+        if candidates.is_empty() {
+            break; // every bucket is a single cell
+        }
+        let chosen = exponential_mechanism(&scores, 4.0, eps, rng);
+        let (bi, s) = candidates[chosen];
+        let b = buckets[bi].clone();
+        buckets[bi] = Bucket::new(counts, b.lo, s);
+        buckets.push(Bucket::new(counts, s, b.hi));
+    }
+    buckets
 }
 
 /// `Σ |x_i − mean|` over `counts[lo..hi)`.

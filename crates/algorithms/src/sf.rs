@@ -22,8 +22,13 @@
 //! quadratic in scale) though it behaves so empirically.
 //!
 //! Substitution note (DESIGN.md §2): the exact DP is O(n²k); we cap bucket
-//! widths at `16·n/k` — transitions the V-optimal solution essentially
+//! widths at `w = 16·n/k` — transitions the V-optimal solution essentially
 //! never takes at `k = n/10` — keeping the DP tractable at n = 4096.
+//! [`VOptDp::build`] computes each bucket cost `sse(s, s+d)` once into an
+//! `n × w` table — O(n·w) divisions — and then spends O(k·n·w) add/min
+//! steps relaxing the rows, with n·w·8 bytes of scratch (1.3 MB at
+//! n = 1024, w = 160). Its table is bit-identical to the triple loop that
+//! recomputes every cost per row ([`VOptDp::build_naive`]).
 
 use crate::hierarchy::Hierarchy;
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
@@ -226,22 +231,51 @@ pub struct VOptDp {
 }
 
 impl VOptDp {
-    /// Build the DP for `k` buckets with the given width cap.
+    /// Build the DP for `k` buckets with the given width cap (clamped to
+    /// `n`, which allows every width).
+    ///
+    /// Every bucket cost `sse(s, s + d)` is computed once into an `n × w`
+    /// table, then row `j` is relaxed forward: each finite `table[j−1][s]`
+    /// lowers `table[j][s+1..=s+w]` in one contiguous branch-free min loop.
+    /// Each entry is the minimum over the same candidates, computed by the
+    /// same operations and visited in the same order (ascending `s`), as
+    /// in [`build_naive`](Self::build_naive), so the table is bit-identical.
     pub fn build(counts: &[f64], k: usize, width: usize) -> Self {
         let n = counts.len();
-        let mut prefix = vec![0.0; n + 1];
-        let mut prefix_sq = vec![0.0; n + 1];
-        for (i, &c) in counts.iter().enumerate() {
-            prefix[i + 1] = prefix[i] + c;
-            prefix_sq[i + 1] = prefix_sq[i] + c * c;
+        let w = width.min(n);
+        let mut dp = Self::empty(counts, k, w);
+        // cost[s·w + d − 1] = sse(s, s + d) for 1 ≤ d ≤ min(w, n − s).
+        let mut cost = vec![0.0; n * w];
+        for (s, row) in cost.chunks_exact_mut(w.max(1)).enumerate() {
+            let m = w.min(n - s);
+            for (d, c) in row[..m].iter_mut().enumerate() {
+                *c = dp.sse(s, s + d + 1);
+            }
         }
-        let mut dp = Self {
-            table: vec![vec![f64::INFINITY; n + 1]; k + 1],
-            prefix,
-            prefix_sq,
-            width,
-        };
-        dp.table[0][0] = 0.0;
+        for j in 1..=k {
+            let (done, rest) = dp.table.split_at_mut(j);
+            let (prev, row) = (&done[j - 1], &mut rest[0]);
+            for s in j - 1..n {
+                let p = prev[s];
+                if !p.is_finite() {
+                    continue;
+                }
+                let m = w.min(n - s);
+                for (best, &c) in row[s + 1..=s + m].iter_mut().zip(&cost[s * w..s * w + m]) {
+                    let cand = p + c;
+                    *best = if cand < *best { cand } else { *best };
+                }
+            }
+        }
+        dp
+    }
+
+    /// The original O(k·n·w) triple loop, retained as the validation
+    /// oracle for [`build`](Self::build): every transition recomputes its
+    /// bucket cost, division included. Used only by tests.
+    pub fn build_naive(counts: &[f64], k: usize, width: usize) -> Self {
+        let n = counts.len();
+        let mut dp = Self::empty(counts, k, width);
         for j in 1..=k {
             for i in j..=n {
                 let lo = i.saturating_sub(width).max(j - 1);
@@ -259,6 +293,26 @@ impl VOptDp {
             }
         }
         dp
+    }
+
+    /// Prefix sums over `counts` and a table with only `table[0][0] = 0`
+    /// feasible.
+    fn empty(counts: &[f64], k: usize, width: usize) -> Self {
+        let n = counts.len();
+        let mut prefix = vec![0.0; n + 1];
+        let mut prefix_sq = vec![0.0; n + 1];
+        for (i, &c) in counts.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + c;
+            prefix_sq[i + 1] = prefix_sq[i] + c * c;
+        }
+        let mut table = vec![vec![f64::INFINITY; n + 1]; k + 1];
+        table[0][0] = 0.0;
+        Self {
+            table,
+            prefix,
+            prefix_sq,
+            width,
+        }
     }
 
     /// Within-bucket squared error of `counts[lo..hi)` around its mean.

@@ -185,9 +185,10 @@ fn main() {
     }
 
     // ---- 4. Whole-grid throughput through the streaming runner. --------
-    // Paper-scale domain (n = 4096 full size); SF and PHP are excluded at
-    // full scale — their own quadratic inner loops (ROADMAP open items)
-    // would dominate the grid and mask the hot-path changes under test.
+    // Paper-scale domain (n = 4096 full size); SF and PHP stay excluded at
+    // full scale so this grid's throughput remains comparable across
+    // releases: their partition DPs, even with cached costs and scores,
+    // would dominate the grid and mask the runner changes under test.
     let grid_n = n_partition;
     let cfg = runner_cfg(tiny, grid_n);
     let total_runs = cfg.total_runs();

@@ -1,13 +1,16 @@
 //! Hot-path integration tests: the O(n log² n) DAWA partition must return
-//! exactly the partition of the retained O(n²) DP, and executions drawing
-//! scratch from a reused [`Workspace`] must be bit-identical to executions
-//! with fresh scratch.
+//! exactly the partition of the retained O(n²) DP, SF's cost-table DP and
+//! PHP's cached bisection must match their retained full-rescan oracles
+//! bit for bit, and executions drawing scratch from a reused [`Workspace`]
+//! must be bit-identical to executions with fresh scratch.
 
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
+use dpbench_algorithms::php::Php;
 use dpbench_algorithms::registry::mechanism_by_name;
-use dpbench_core::mechanism::execute_eps_with;
+use dpbench_algorithms::sf::{StructureFirst, VOptDp};
+use dpbench_core::mechanism::{execute_eps_with, Mechanism};
 use dpbench_core::rng::rng_for;
-use dpbench_core::{DataVector, Domain, Workload, Workspace};
+use dpbench_core::{DataVector, Domain, Release, Workload, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +60,129 @@ fn fast_partition_equals_naive_on_random_vectors() {
         }
     }
     assert!(cases >= 200, "suite must cover ≥ 200 cases, ran {cases}");
+}
+
+/// A seeded test vector of `n` cells; `kind` picks all-zero, constant,
+/// spiky, integer counts up to 10⁷, or noisy piecewise-constant levels.
+fn test_counts(rng: &mut StdRng, n: usize, kind: usize) -> Vec<f64> {
+    match kind % 5 {
+        0 => vec![0.0; n],
+        1 => vec![rng.gen_range(0_u64..=10_000_000) as f64; n],
+        2 => {
+            let mut counts = vec![0.0; n];
+            for _ in 0..n / 50 + 1 {
+                counts[rng.gen_range(0..n)] = rng.gen_range(1_u64..=10_000_000) as f64;
+            }
+            counts
+        }
+        3 => (0..n)
+            .map(|_| rng.gen_range(0_u64..=10_000_000) as f64)
+            .collect(),
+        _ => {
+            let level = rng.gen_range(0.0..500.0);
+            (0..n)
+                .map(|i| {
+                    let step = if (i / 16) % 2 == 0 { level } else { 0.0 };
+                    step + rng.gen_range(0.0..20.0)
+                })
+                .collect()
+        }
+    }
+}
+
+/// SF's V-optimal DP fills its table from a precomputed bucket-cost table
+/// with a forward min loop; every entry must equal the retained triple
+/// loop's bit for bit. ≥ 200 seeded vectors, n from 1 to about 1,100 with
+/// odd lengths, k = SF's bucket count, widths {SF's default, 1, n, 2n}.
+#[test]
+fn fast_vopt_dp_equals_naive_on_random_vectors() {
+    let mut rng = StdRng::seed_from_u64(0x5F0D);
+    let mut vectors = 0;
+    for round in 0..200 {
+        // One vector near n = 1,100 (the O(k·n²) naive build at width n
+        // takes seconds unoptimized), a few hundred cells on a tenth of
+        // the rounds, and small or odd lengths otherwise.
+        let n: usize = match round % 20 {
+            _ if round == 0 => rng.gen_range(1000_usize..=1100) | 1,
+            1..=2 => rng.gen_range(160..=400),
+            3..=8 => rng.gen_range(33_usize..=160) | 1,
+            _ => rng.gen_range(1..=32),
+        };
+        let counts = test_counts(&mut rng, n, round / 2);
+        let k = StructureFirst::bucket_count(n).min(n);
+        let default_width = (n.div_ceil(k) * StructureFirst::new().width_factor).clamp(1, n);
+        for width in [default_width, 1, n, 2 * n] {
+            let fast = VOptDp::build(&counts, k, width);
+            let naive = VOptDp::build_naive(&counts, k, width);
+            assert_eq!(fast.table.len(), naive.table.len());
+            for (j, (a, b)) in fast.table.iter().zip(&naive.table).enumerate() {
+                let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "row {j}, n={n} k={k} width={width} round={round}");
+            }
+        }
+        vectors += 1;
+    }
+    assert!(
+        vectors >= 200,
+        "suite must cover ≥ 200 vectors, ran {vectors}"
+    );
+}
+
+/// PHP's cached bisection must release exactly what the full
+/// per-iteration rescan releases: bit-identical estimates and budget
+/// traces over seeds and vector shapes, and at tiny n — n = 1 (no split
+/// exists), n = 2 and 3 (every bucket is a single cell when the
+/// iterations end) and n = 5.
+#[test]
+fn cached_php_equals_full_rescan() {
+    let mut rng = StdRng::seed_from_u64(0x9A9);
+    let mut sizes: Vec<usize> = vec![1, 2, 3, 5];
+    for round in 0..16 {
+        sizes.push(match round % 4 {
+            0 => rng.gen_range(6_usize..=64),
+            1 => rng.gen_range(65_usize..=300) | 1,
+            2 => 1 << rng.gen_range(6_usize..=10),
+            _ => rng.gen_range(300_usize..=1100),
+        });
+    }
+    for (case, &n) in sizes.iter().enumerate() {
+        let domain = Domain::D1(n);
+        let workload = Workload::prefix_1d(n);
+        let x = DataVector::new(test_counts(&mut rng, n, case), domain);
+        let php = Php::new();
+        let fast = php.plan(&domain, &workload).unwrap();
+        let naive = php.plan_naive(&domain).unwrap();
+        for (seed, eps) in [(0_u64, 0.01), (1, 0.1), (2, 1.0), (3, 1e6)] {
+            let mut ws = Workspace::new();
+            let a = execute_eps_with(
+                fast.as_ref(),
+                &x,
+                eps,
+                &mut ws,
+                &mut rng_for("PHP", &[seed]),
+            )
+            .unwrap();
+            let b = execute_eps_with(
+                naive.as_ref(),
+                &x,
+                eps,
+                &mut ws,
+                &mut rng_for("PHP", &[seed]),
+            )
+            .unwrap();
+            let bits = |r: &Release| {
+                let trace: Vec<_> = r
+                    .budget_trace
+                    .iter()
+                    .map(|d| (d.label.clone(), d.epsilon.to_bits()))
+                    .collect();
+                let est: Vec<_> = r.estimate.iter().map(|e| e.to_bits()).collect();
+                (est, trace)
+            };
+            assert_eq!(bits(&a), bits(&b), "n={n} seed={seed} ε={eps}");
+        }
+    }
 }
 
 /// Executing any mechanism with a freshly created workspace per trial and

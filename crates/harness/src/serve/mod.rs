@@ -18,14 +18,10 @@
 //!   error; only a torn final line is healed), so a restarted server
 //!   recovers **bit-exact** balances by replaying the same float ops in
 //!   the same order.
-//! - [`batcher`] — groups same-strategy, same-ε requests arriving within
-//!   a short window into one `Plan::execute`; every joiner still reserves
-//!   its own ε (sharing one released value with more recipients is
-//!   post-processing and costs nothing extra against the data).
 //! - [`poller`] — the readiness layer: a raw `extern "C"` epoll binding
-//!   on Linux (one-shot events, any worker can wait), a serialized
-//!   `poll(2)` fallback for other unixes, a dependency-free timer wheel
-//!   for connection deadlines, and a self-pipe wakeup.
+//!   (one-shot events, any worker can wait), a dependency-free timer
+//!   wheel for connection deadlines, and a self-pipe wakeup. epoll makes
+//!   the server Linux-only; elsewhere it refuses to start.
 //! - [`server`] — the event-driven worker pool, router, and endpoints:
 //!   `POST /v1/release`, `GET /v1/tenants/:id/budget`, `GET /v1/status`,
 //!   `GET /v1/healthz`, `GET /v1/readyz`, `POST /v1/admin/reload`.
@@ -51,7 +47,6 @@
 //! `plan_cache_hit` bit.
 
 pub mod accountant;
-pub mod batcher;
 pub mod fault;
 pub mod http;
 pub mod journal;
@@ -63,9 +58,8 @@ pub mod shutdown;
 pub use accountant::{
     parse_tenant_grants, AdmissionError, BudgetSnapshot, ReloadOutcome, TenantAccountant,
 };
-pub use batcher::Batcher;
 pub use fault::{AppendFault, FaultyIo};
 pub use journal::{FileIo, JournalIo, JournalOp, JournalRecord, SpendJournal};
 pub use limits::{Limits, RateLimit, RateLimiter};
-pub use poller::{Backend, Poller, TimerWheel};
+pub use poller::{Poller, TimerWheel};
 pub use server::{start, ServeConfig, ServerHandle};

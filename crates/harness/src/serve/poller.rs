@@ -1,25 +1,24 @@
-//! Readiness shim for the release server: `epoll(7)` on Linux, a
-//! `poll(2)` fallback for other unixes, and a rotation-cadence simulator
-//! off unix — plus the [`TimerWheel`] that makes deadline reaping exact
-//! instead of cadence-quantized.
+//! Readiness shim for the release server: a raw `epoll(7)` binding plus
+//! the [`TimerWheel`] that makes deadline reaping exact instead of
+//! cadence-quantized.
 //!
 //! The workspace vendors no libc crate, so — in the style of
 //! `shutdown.rs`'s `signal(2)` binding — the syscalls are bound directly
 //! with `extern "C"` declarations against the platform libc that std
-//! already links. No new dependencies.
+//! already links. No new dependencies. epoll is Linux-only, and Linux is
+//! the only target the server is built and tested on: elsewhere
+//! [`Poller::new`] returns `ErrorKind::Unsupported`, so `dpbench serve`
+//! refuses to start.
 //!
 //! ## Semantics
 //!
 //! Registrations are **one-shot**: an fd armed with [`Poller::register`]
 //! or [`Poller::rearm`] delivers at most one event and is then disarmed
 //! until re-armed. That is what makes a single poller safe to `wait` on
-//! from many worker threads at once — the kernel (or the fallback's
-//! dispatch queue) hands each readiness event to exactly one waiter, so
-//! two workers can never service the same connection concurrently.
-//! Events may be *spurious* (readiness that yields zero bytes); callers
-//! must already tolerate `WouldBlock`, and the simulator backend leans on
-//! that tolerance hard (it reports every armed fd as ready on a short
-//! cadence, which is exactly the PR 7 rotation behavior).
+//! from many worker threads at once — the kernel hands each readiness
+//! event to exactly one waiter, so two workers can never service the
+//! same connection concurrently. Events may be *spurious* (readiness
+//! that yields zero bytes); callers must tolerate `WouldBlock`.
 //!
 //! Every wakeup, dispatched event, spurious wakeup, and timer fire is
 //! counted ([`Poller::stats`]) and exposed in `/v1/status` under
@@ -35,35 +34,6 @@ use std::time::{Duration, Instant};
 /// Token reserved for the poller's internal wake pipe; user tokens must
 /// stay below it.
 pub const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Which readiness backend to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Pick the best available: epoll on Linux, poll(2) on other
-    /// unixes, the simulator elsewhere.
-    Auto,
-    /// Linux `epoll(7)` (one-shot, level-triggered).
-    Epoll,
-    /// Portable `poll(2)` — one poller thread at a time, events fanned
-    /// out through a dispatch queue.
-    Poll,
-    /// No OS readiness at all: report every armed fd ready on a short
-    /// cadence. The only backend available off unix.
-    Sim,
-}
-
-impl Backend {
-    /// Parse a `--poller` flag value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Backend::Auto),
-            "epoll" => Ok(Backend::Epoll),
-            "poll" => Ok(Backend::Poll),
-            "sim" => Ok(Backend::Sim),
-            other => Err(format!("bad --poller {other:?} (auto|epoll|poll|sim)")),
-        }
-    }
-}
 
 /// Read/write interest for one registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,124 +92,40 @@ struct Counters {
     registered: AtomicU64,
 }
 
-/// The readiness poller: register nonblocking fds under tokens, then
-/// `wait` from any number of worker threads.
+/// The readiness poller — one epoll instance: register nonblocking fds
+/// under tokens, then `wait` from any number of worker threads.
 pub struct Poller {
-    imp: Imp,
+    epoll: epoll::Epoll,
     counters: Counters,
 }
 
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    #[cfg(unix)]
-    Poll(pollfd::PollBackend),
-    Sim(sim::SimBackend),
-}
-
 impl Poller {
-    /// Open a poller with the requested backend. `Auto` picks the best
-    /// available for the target; asking for an unavailable backend is an
-    /// `Unsupported` error (the caller can fall back or refuse loudly).
-    pub fn new(backend: Backend) -> io::Result<Poller> {
-        let imp = match backend {
-            Backend::Auto => {
-                #[cfg(target_os = "linux")]
-                {
-                    Imp::Epoll(epoll::Epoll::new()?)
-                }
-                #[cfg(all(unix, not(target_os = "linux")))]
-                {
-                    Imp::Poll(pollfd::PollBackend::new()?)
-                }
-                #[cfg(not(unix))]
-                {
-                    Imp::Sim(sim::SimBackend::new())
-                }
-            }
-            Backend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    Imp::Epoll(epoll::Epoll::new()?)
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "epoll is Linux-only (use --poller auto)",
-                    ));
-                }
-            }
-            Backend::Poll => {
-                #[cfg(unix)]
-                {
-                    Imp::Poll(pollfd::PollBackend::new()?)
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "poll(2) needs a unix target (use --poller sim)",
-                    ));
-                }
-            }
-            Backend::Sim => Imp::Sim(sim::SimBackend::new()),
-        };
+    /// Open the epoll instance and its wake pipe. Off Linux this is an
+    /// `Unsupported` error.
+    pub fn new() -> io::Result<Poller> {
         Ok(Poller {
-            imp,
+            epoll: epoll::Epoll::new()?,
             counters: Counters::default(),
         })
-    }
-
-    /// The backend actually running (after `Auto` resolution).
-    pub fn backend_name(&self) -> &'static str {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(_) => "epoll",
-            #[cfg(unix)]
-            Imp::Poll(_) => "poll",
-            Imp::Sim(_) => "sim",
-        }
     }
 
     /// Register `fd` under `token` with one-shot `interest`. The token
     /// must be unique among live registrations and below [`WAKE_TOKEN`].
     pub fn register(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
         debug_assert!(token < WAKE_TOKEN);
-        let r = match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.register(fd, token, interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.register(fd, token, interest),
-            Imp::Sim(s) => s.register(fd, token, interest),
-        };
-        if r.is_ok() {
-            self.counters.registered.fetch_add(1, Ordering::Relaxed);
-        }
-        r
+        self.epoll.register(fd, token, interest)?;
+        self.counters.registered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Re-arm an existing registration (after its one-shot fired).
     pub fn rearm(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.rearm(fd, token, interest),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.rearm(fd, token, interest),
-            Imp::Sim(s) => s.rearm(fd, token, interest),
-        }
+        self.epoll.rearm(fd, token, interest)
     }
 
     /// Remove a registration entirely (before closing the fd).
-    pub fn deregister(&self, fd: i32, token: u64) {
-        let removed = match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.deregister(fd, token),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.deregister(fd, token),
-            Imp::Sim(s) => s.deregister(fd, token),
-        };
-        if removed {
+    pub fn deregister(&self, fd: i32) {
+        if self.epoll.deregister(fd) {
             self.counters.registered.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -249,13 +135,7 @@ impl Poller {
     /// threads may wait concurrently; each event goes to exactly one.
     pub fn wait(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         let before = out.len();
-        let r = match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.wait(out, timeout),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.wait(out, timeout),
-            Imp::Sim(s) => s.wait(out, timeout),
-        };
+        let r = self.epoll.wait(out, timeout);
         self.counters.wakeups.fetch_add(1, Ordering::Relaxed);
         let n = (out.len() - before) as u64;
         if n > 0 {
@@ -264,16 +144,9 @@ impl Poller {
         r
     }
 
-    /// Interrupt one in-flight `wait` (shutdown, or a registration change
-    /// the fallback backend's active poll set must pick up).
+    /// Interrupt one in-flight `wait` (the shutdown path).
     pub fn wake(&self) {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll(e) => e.wake(),
-            #[cfg(unix)]
-            Imp::Poll(p) => p.wake(),
-            Imp::Sim(s) => s.wake(),
-        }
+        self.epoll.wake();
     }
 
     /// Record a wakeup that carried no events and fired no timers.
@@ -300,7 +173,7 @@ impl Poller {
 
 /// Clamp a `Duration` to a nonzero poll-style millisecond timeout
 /// (rounding a sub-millisecond wait *up* so a 0 never busy-spins).
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn timeout_ms(timeout: Duration) -> i32 {
     if timeout.is_zero() {
         return 0;
@@ -310,45 +183,37 @@ fn timeout_ms(timeout: Duration) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared unix plumbing: the self-pipe used to interrupt a blocked wait.
+// The self-pipe used to interrupt a blocked wait.
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod pipe {
     use std::io;
 
-    const F_GETFL: i32 = 3;
-    const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
     const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x4;
+    const O_CLOEXEC: i32 = 0o2000000;
 
     extern "C" {
-        fn pipe(fds: *mut i32) -> i32;
+        fn pipe2(fds: *mut i32, flags: i32) -> i32;
         fn close(fd: i32) -> i32;
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
     }
 
-    /// A nonblocking self-pipe: `notify` makes the read end readable.
+    /// A nonblocking, close-on-exec self-pipe: `notify` makes the read
+    /// end readable.
     pub struct WakePipe {
         pub r: i32,
-        w: i32,
+        pub w: i32,
     }
 
     impl WakePipe {
         pub fn new() -> io::Result<WakePipe> {
             let mut fds = [0_i32; 2];
-            if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
+            // SAFETY: `fds` is a writable array of the two ints pipe2(2)
+            // fills in.
+            if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } != 0 {
                 return Err(io::Error::last_os_error());
-            }
-            for fd in fds {
-                unsafe {
-                    let flags = fcntl(fd, F_GETFL, 0);
-                    fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-                }
             }
             Ok(WakePipe {
                 r: fds[0],
@@ -362,8 +227,8 @@ mod pipe {
             let _ = unsafe { write(self.w, &byte, 1) };
         }
 
-        /// Drain pending wake bytes (called at the top of each poll
-        /// round so stale wakes don't spin).
+        /// Drain pending wake bytes (called when the wake token fires so
+        /// stale wakes don't spin).
         pub fn drain(&self) {
             let mut sink = [0_u8; 64];
             while unsafe { read(self.r, sink.as_mut_ptr(), sink.len()) } > 0 {}
@@ -381,7 +246,7 @@ mod pipe {
 }
 
 // ---------------------------------------------------------------------------
-// epoll backend (Linux)
+// epoll binding (Linux)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
@@ -444,7 +309,7 @@ mod epoll {
 
     pub struct Epoll {
         epfd: i32,
-        wake: WakePipe,
+        pub wake: WakePipe,
     }
 
     impl Epoll {
@@ -468,7 +333,7 @@ mod epoll {
             ctl(self.epfd, EPOLL_CTL_MOD, fd, interest_bits(interest), token)
         }
 
-        pub fn deregister(&self, fd: i32, _token: u64) -> bool {
+        pub fn deregister(&self, fd: i32) -> bool {
             ctl(self.epfd, EPOLL_CTL_DEL, fd, 0, 0).is_ok()
         }
 
@@ -518,280 +383,42 @@ mod epoll {
     }
 }
 
-// ---------------------------------------------------------------------------
-// poll(2) backend (portable unix fallback)
-// ---------------------------------------------------------------------------
-
-#[cfg(unix)]
-mod pollfd {
-    use super::pipe::WakePipe;
-    use super::{timeout_ms, Event, Interest};
-    use std::collections::{HashMap, VecDeque};
-    use std::io;
-    use std::sync::Condvar;
-    use std::sync::Mutex;
-    use std::time::{Duration, Instant};
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
-    }
-
-    struct Registration {
-        fd: i32,
-        interest: Interest,
-        armed: bool,
-    }
-
-    /// One thread at a time runs the actual `poll(2)` (serialized by
-    /// `poll_lock`); delivered events are disarmed and fanned out to the
-    /// other waiters through `pending` + the condvar. Re-arms from
-    /// serving threads poke the wake pipe so the in-flight poll picks
-    /// the fd back up immediately instead of on the next round.
-    pub struct PollBackend {
-        reg: Mutex<HashMap<u64, Registration>>,
-        pending: Mutex<VecDeque<Event>>,
-        ready: Condvar,
-        poll_lock: Mutex<()>,
-        wake: WakePipe,
-    }
-
-    impl PollBackend {
-        pub fn new() -> io::Result<PollBackend> {
-            Ok(PollBackend {
-                reg: Mutex::new(HashMap::new()),
-                pending: Mutex::new(VecDeque::new()),
-                ready: Condvar::new(),
-                poll_lock: Mutex::new(()),
-                wake: WakePipe::new()?,
-            })
-        }
-
-        pub fn register(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.reg.lock().expect("poller poisoned").insert(
-                token,
-                Registration {
-                    fd,
-                    interest,
-                    armed: true,
-                },
-            );
-            self.wake.notify();
-            Ok(())
-        }
-
-        pub fn rearm(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.register(fd, token, interest)
-        }
-
-        pub fn deregister(&self, _fd: i32, token: u64) -> bool {
-            self.reg
-                .lock()
-                .expect("poller poisoned")
-                .remove(&token)
-                .is_some()
-        }
-
-        pub fn wake(&self) {
-            self.wake.notify();
-            self.ready.notify_all();
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            let deadline = Instant::now() + timeout;
-            loop {
-                {
-                    let mut p = self.pending.lock().expect("poller poisoned");
-                    if !p.is_empty() {
-                        out.extend(p.drain(..));
-                        return Ok(());
-                    }
-                }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match self.poll_lock.try_lock() {
-                    Ok(_guard) => {
-                        let got = self.poll_once(remaining)?;
-                        if got == 0 {
-                            return Ok(()); // timed out (or pure wake)
-                        }
-                        self.ready.notify_all();
-                        // Loop: drain our share from `pending`.
-                    }
-                    Err(_) => {
-                        // Another thread is polling; wait for fan-out.
-                        if remaining.is_zero() {
-                            return Ok(());
-                        }
-                        let p = self.pending.lock().expect("poller poisoned");
-                        let (mut p, _) = self
-                            .ready
-                            .wait_timeout(p, remaining.min(Duration::from_millis(50)))
-                            .expect("poller poisoned");
-                        if !p.is_empty() {
-                            out.extend(p.drain(..));
-                            return Ok(());
-                        }
-                        if Instant::now() >= deadline {
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-
-        /// Run one `poll(2)` over the armed set; deliver into `pending`.
-        /// Returns the number of events delivered.
-        fn poll_once(&self, timeout: Duration) -> io::Result<usize> {
-            self.wake.drain();
-            let mut fds = vec![PollFd {
-                fd: self.wake.r,
-                events: POLLIN,
-                revents: 0,
-            }];
-            let mut tokens = vec![u64::MAX];
-            {
-                let reg = self.reg.lock().expect("poller poisoned");
-                for (&token, r) in reg.iter() {
-                    if !r.armed {
-                        continue;
-                    }
-                    let mut events = 0_i16;
-                    if r.interest.read {
-                        events |= POLLIN;
-                    }
-                    if r.interest.write {
-                        events |= POLLOUT;
-                    }
-                    fds.push(PollFd {
-                        fd: r.fd,
-                        events,
-                        revents: 0,
-                    });
-                    tokens.push(token);
-                }
-            }
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            let mut delivered = 0;
-            let mut reg = self.reg.lock().expect("poller poisoned");
-            let mut pending = self.pending.lock().expect("poller poisoned");
-            for (f, &token) in fds.iter().zip(&tokens).skip(1) {
-                if f.revents == 0 {
-                    continue;
-                }
-                // Disarm (one-shot semantics) — unless the registration
-                // was replaced mid-poll, in which case the event may be
-                // stale and the new arm must win.
-                match reg.get_mut(&token) {
-                    Some(r) if r.fd == f.fd => r.armed = false,
-                    _ => continue,
-                }
-                pending.push_back(Event {
-                    token,
-                    readable: f.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0,
-                    writable: f.revents & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-                delivered += 1;
-            }
-            Ok(delivered)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Simulator backend (non-unix): the old rotation cadence as a Poller.
-// ---------------------------------------------------------------------------
-
-mod sim {
+/// No epoll off Linux: `new` refuses, so no value of this type exists
+/// and the other methods are statically unreachable.
+#[cfg(not(target_os = "linux"))]
+mod epoll {
     use super::{Event, Interest};
-    use std::collections::HashMap;
     use std::io;
-    use std::sync::{Condvar, Mutex};
     use std::time::Duration;
 
-    /// No OS readiness: report every armed registration as ready on a
-    /// short cadence (the PR 7 rotation behavior, spurious-wakeup-heavy
-    /// but correct, since callers tolerate `WouldBlock`). The cadence
-    /// sleep is the simulator's version of the old accept-loop backoff.
-    const CADENCE: Duration = Duration::from_millis(5);
+    pub enum Epoll {}
 
-    pub struct SimBackend {
-        reg: Mutex<HashMap<u64, (Interest, bool)>>,
-        ready: Condvar,
-    }
-
-    impl SimBackend {
-        pub fn new() -> SimBackend {
-            SimBackend {
-                reg: Mutex::new(HashMap::new()),
-                ready: Condvar::new(),
-            }
+    impl Epoll {
+        pub fn new() -> io::Result<Epoll> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "dpbench serve needs Linux epoll(7)",
+            ))
         }
 
-        pub fn register(&self, _fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.reg
-                .lock()
-                .expect("poller poisoned")
-                .insert(token, (interest, true));
-            self.ready.notify_all();
-            Ok(())
+        pub fn register(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
+            match *self {}
         }
 
-        pub fn rearm(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.register(fd, token, interest)
+        pub fn rearm(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
+            match *self {}
         }
 
-        pub fn deregister(&self, _fd: i32, token: u64) -> bool {
-            self.reg
-                .lock()
-                .expect("poller poisoned")
-                .remove(&token)
-                .is_some()
+        pub fn deregister(&self, _fd: i32) -> bool {
+            match *self {}
+        }
+
+        pub fn wait(&self, _out: &mut Vec<Event>, _timeout: Duration) -> io::Result<()> {
+            match *self {}
         }
 
         pub fn wake(&self) {
-            self.ready.notify_all();
-        }
-
-        pub fn wait(&self, out: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-            let reg = self.reg.lock().expect("poller poisoned");
-            // Pace every round: this is what keeps spurious "everything
-            // is ready" reporting from becoming a hot spin.
-            let (mut reg, _) = self
-                .ready
-                .wait_timeout(reg, timeout.min(CADENCE))
-                .expect("poller poisoned");
-            for (&token, entry) in reg.iter_mut() {
-                if !entry.1 {
-                    continue;
-                }
-                entry.1 = false;
-                out.push(Event {
-                    token,
-                    readable: entry.0.read,
-                    writable: entry.0.write,
-                });
-            }
-            Ok(())
+            match *self {}
         }
     }
 }
@@ -978,73 +605,51 @@ mod tests {
         assert_eq!(due, vec![5]);
     }
 
-    #[test]
-    fn backend_parse_and_auto_open() {
-        assert_eq!(Backend::parse("auto").unwrap(), Backend::Auto);
-        assert_eq!(Backend::parse("epoll").unwrap(), Backend::Epoll);
-        assert_eq!(Backend::parse("poll").unwrap(), Backend::Poll);
-        assert_eq!(Backend::parse("sim").unwrap(), Backend::Sim);
-        assert!(Backend::parse("kqueue").is_err());
-        let p = Poller::new(Backend::Auto).unwrap();
-        #[cfg(target_os = "linux")]
-        assert_eq!(p.backend_name(), "epoll");
-        let stats = p.stats();
-        assert_eq!(stats.registered, 0);
-    }
-
-    /// The poller actually delivers readiness for a real socket pair —
-    /// exercised for every backend available on this target.
-    #[cfg(unix)]
+    /// The poller actually delivers readiness for a real socket pair.
+    #[cfg(target_os = "linux")]
     #[test]
     fn delivers_readiness_for_a_socketpair() {
         use std::io::Write;
         use std::net::{TcpListener, TcpStream};
         use std::os::unix::io::AsRawFd;
 
-        let backends: &[Backend] = if cfg!(target_os = "linux") {
-            &[Backend::Epoll, Backend::Poll, Backend::Sim]
-        } else {
-            &[Backend::Poll, Backend::Sim]
-        };
-        for &backend in backends {
-            let poller = Poller::new(backend).unwrap();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server_side, _) = listener.accept().unwrap();
-            server_side.set_nonblocking(true).unwrap();
-            poller
-                .register(server_side.as_raw_fd(), 42, Interest::READ)
-                .unwrap();
-            assert_eq!(poller.stats().registered, 1);
+        let poller = Poller::new().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        poller
+            .register(server_side.as_raw_fd(), 42, Interest::READ)
+            .unwrap();
+        assert_eq!(poller.stats().registered, 1);
 
-            client.write_all(b"ping").unwrap();
-            let mut events = Vec::new();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            let mut got = false;
-            while Instant::now() < deadline && !got {
-                events.clear();
-                poller
-                    .wait(&mut events, Duration::from_millis(100))
-                    .unwrap();
-                for ev in &events {
-                    if ev.token == 42 {
-                        // Sim reports spuriously; real backends only on data.
-                        assert!(ev.readable, "{backend:?}");
-                        got = true;
-                    }
+        client.write_all(b"ping").unwrap();
+        let mut events = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut got = false;
+        while Instant::now() < deadline && !got {
+            events.clear();
+            poller
+                .wait(&mut events, Duration::from_millis(100))
+                .unwrap();
+            for ev in &events {
+                if ev.token == 42 {
+                    assert!(ev.readable);
+                    got = true;
                 }
             }
-            assert!(got, "{backend:?} never delivered readiness");
-            poller.deregister(server_side.as_raw_fd(), 42);
-            assert_eq!(poller.stats().registered, 0);
-            assert!(poller.stats().wakeups >= 1);
         }
+        assert!(got, "epoll never delivered readiness");
+        poller.deregister(server_side.as_raw_fd());
+        assert_eq!(poller.stats().registered, 0);
+        assert!(poller.stats().wakeups >= 1);
     }
 
     /// `wake` interrupts a blocked wait promptly (the shutdown path).
+    #[cfg(target_os = "linux")]
     #[test]
     fn wake_interrupts_a_blocked_wait() {
-        let poller = std::sync::Arc::new(Poller::new(Backend::Auto).unwrap());
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
         let p2 = std::sync::Arc::clone(&poller);
         let waker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
@@ -1058,5 +663,34 @@ mod tests {
             "wake did not interrupt the wait"
         );
         waker.join().unwrap();
+    }
+
+    /// Both wake-pipe ends carry the flags the listener and the epoll fd
+    /// already have: nonblocking, so a full pipe never stalls `wake`, and
+    /// close-on-exec, so the pipe never leaks into a child process an
+    /// embedding program spawns.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn wake_pipe_is_nonblocking_and_close_on_exec() {
+        const F_GETFD: i32 = 1;
+        const F_GETFL: i32 = 3;
+        const FD_CLOEXEC: i32 = 1;
+        const O_NONBLOCK: i32 = 0o4000;
+        extern "C" {
+            fn fcntl(fd: i32, cmd: i32, ...) -> i32;
+        }
+        let poller = Poller::new().unwrap();
+        let pipe = &poller.epoll.wake;
+        for fd in [pipe.r, pipe.w] {
+            // SAFETY: F_GETFD and F_GETFL take no third argument and
+            // only read the descriptor's flags.
+            let (fd_flags, status_flags) = unsafe { (fcntl(fd, F_GETFD), fcntl(fd, F_GETFL)) };
+            assert!(
+                fd_flags >= 0 && status_flags >= 0,
+                "fcntl failed on fd {fd}"
+            );
+            assert!(fd_flags & FD_CLOEXEC != 0, "fd {fd} not close-on-exec");
+            assert!(status_flags & O_NONBLOCK != 0, "fd {fd} not nonblocking");
+        }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /v1/release` | shed check → rate limit → reserve ε → (batched) `Plan::execute` → JSON release |
+//! | `POST /v1/release` | shed check → rate limit → reserve ε → `Plan::execute` → JSON release |
 //! | `GET /v1/tenants/:id/budget` | the tenant's live balance |
-//! | `GET /v1/status` | uptime, per-mechanism counts, plan-cache/batcher/poller/robustness counters |
+//! | `GET /v1/status` | uptime, per-mechanism counts, plan-cache/poller/robustness counters |
 //! | `GET /v1/healthz` | liveness: 200 whenever the process can answer |
 //! | `GET /v1/readyz` | readiness: 503 while draining, at the connection cap, or overloaded |
 //! | `POST /v1/admin/reload` | re-read `--tenant-config` and apply grants without restart |
@@ -13,8 +13,8 @@
 //! ## Scheduling
 //!
 //! Workers do not own connections; connections are **parked** on a
-//! readiness [`Poller`] (`epoll` on Linux, `poll(2)` on other unixes —
-//! see [`super::poller`]). The listener and every parked socket register
+//! readiness [`Poller`] (one `epoll` instance — see [`super::poller`]).
+//! The listener and every parked socket register
 //! one-shot read/write interest; workers block on `poller.wait()` and
 //! each delivered event hands exactly one connection to exactly one
 //! worker, which drains arrived bytes, serves any complete requests,
@@ -31,18 +31,16 @@
 //! admission ([`TenantAccountant::reserve`] — atomic check-and-reserve,
 //! journaled), so a shed request costs zero ε. A mechanism failure
 //! refunds, and the response's remaining balance is read back after
-//! settlement. Plans come from one [`PlanCache`] shared by all workers;
-//! executions of the same (mechanism, domain, workload, dataset, ε)
-//! arriving within the batch window share one noise draw through the
-//! [`Batcher`]. Per-connection buffers (read, body, response, output)
-//! are pooled across keep-alive requests, so the steady-state request
-//! path allocates only inside the mechanism itself.
+//! settlement. Plans come from one [`PlanCache`] shared by all workers,
+//! and every release executes inline on its worker with its own noise
+//! draw. Per-connection buffers (read, body, response, output) are
+//! pooled across keep-alive requests, so the steady-state request path
+//! allocates only inside the mechanism itself.
 
 use super::accountant::{parse_tenant_grants, AdmissionError, ReloadOutcome, TenantAccountant};
-use super::batcher::Batcher;
 use super::http::{self, JsonValue, Request};
 use super::limits::{Limits, RateLimiter};
-use super::poller::{Backend, Event, Interest, Poller, TimerWheel};
+use super::poller::{Event, Interest, Poller, TimerWheel};
 use super::shutdown;
 use crate::config::WorkloadSpec;
 use crate::runner::PlanCache;
@@ -51,8 +49,7 @@ use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
-    json, scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Release, Workload,
-    Workspace,
+    json, scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Workload, Workspace,
 };
 use dpbench_datasets::{catalog, DataGenerator};
 use std::collections::HashMap;
@@ -92,14 +89,8 @@ pub struct ServeConfig {
     pub journal: Option<PathBuf>,
     /// Worker threads handling connections.
     pub threads: usize,
-    /// Same-strategy request batching window (zero disables).
-    pub batch_window: Duration,
     /// Connection caps, deadlines, and rate limits.
     pub limits: Limits,
-    /// Readiness backend (`Auto` resolves to epoll on Linux, `poll(2)`
-    /// on other unixes). `Poll` forces the portable fallback — the
-    /// fallback test suite runs the full hostile contract against it.
-    pub poller: Backend,
     /// Seed stirred into data generation and release noise.
     pub seed: u64,
     /// Operator opt-in: include the SLO error block (scaled L1/L2 vs the
@@ -124,9 +115,7 @@ impl Default for ServeConfig {
             tenant_config: None,
             journal: None,
             threads: 4,
-            batch_window: Duration::ZERO,
             limits: Limits::default(),
-            poller: Backend::Auto,
             seed: 0,
             slo: false,
             profile: None,
@@ -248,7 +237,7 @@ fn raw_fd<T: std::os::unix::io::AsRawFd>(s: &T) -> i32 {
 
 #[cfg(not(unix))]
 fn raw_fd<T>(_s: &T) -> i32 {
-    0 // the Sim backend never touches real fds
+    unreachable!("Poller::new refuses to open off Linux")
 }
 
 /// Shared state of a running server — exposed through
@@ -263,7 +252,6 @@ pub struct ServerState {
     /// The caps and deadlines this server enforces.
     pub limits: Limits,
     datasets: HashMap<String, LoadedDataset>,
-    batcher: Batcher<Release>,
     rate_limiter: Option<RateLimiter>,
     tenant_config: Option<PathBuf>,
     /// The readiness poller every worker blocks on.
@@ -514,7 +502,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let poller = Poller::new(config.poller)?;
+    let poller = Poller::new()?;
     poller.register(raw_fd(&listener), LISTENER_TOKEN, Interest::READ)?;
 
     let state = Arc::new(ServerState {
@@ -530,7 +518,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         next_token: AtomicU64::new(LISTENER_TOKEN + 1),
         listener,
         datasets,
-        batcher: Batcher::new(config.batch_window),
         domain: config.domain,
         scale: config.scale,
         threads: config.threads.max(1),
@@ -607,7 +594,7 @@ fn worker_loop(state: &ServerState, stop: &AtomicBool) {
         // to service inline; re-arm the rest so idle workers pick them
         // up concurrently — servicing a whole harvest serially here
         // would head-of-line block every later connection behind the
-        // first slow request (e.g. a batch-window leader's sleep).
+        // first slow request (e.g. a large-domain mechanism execute).
         let mut claimed: Option<Conn> = None;
         for ev in &events {
             if ev.token == LISTENER_TOKEN {
@@ -714,7 +701,7 @@ fn park(state: &ServerState, conn: Conn) {
 
 /// Close a claimed connection and release its resources.
 fn close_conn(state: &ServerState, conn: Conn) {
-    state.poller.deregister(raw_fd(&conn.stream), conn.token);
+    state.poller.deregister(raw_fd(&conn.stream));
     state.conn_count.fetch_sub(1, Ordering::Relaxed);
     // The stream drops (and the fd closes) here.
 }
@@ -1359,7 +1346,9 @@ fn handle_release(
         Domain::D1(n) => (1, n as u64, 0),
         Domain::D2(r, c) => (2, r as u64, c as u64),
     };
-    let batch_key = Fingerprint::new()
+    // Each release draws its own noise stream, keyed by the request
+    // fingerprint and the server-wide release counter.
+    let noise_key = Fingerprint::new()
         .str(&mech_name)
         .word(mech.config_fingerprint())
         .word(dims)
@@ -1369,16 +1358,13 @@ fn handle_release(
         .str(dataset_name)
         .f64(eps)
         .finish();
-    let executed = state.batcher.run(batch_key, || {
-        let seq = state.release_seq.fetch_add(1, Ordering::Relaxed);
-        let mut rng = rng_for("serve", &[state.seed, batch_key, seq]);
-        execute_eps_with(plan.as_ref(), &data.x, eps, ws, &mut rng).map_err(|e| e.to_string())
-    });
-    let (release, batched) = match executed {
-        Ok(pair) => pair,
+    let seq = state.release_seq.fetch_add(1, Ordering::Relaxed);
+    let mut rng = rng_for("serve", &[state.seed, noise_key, seq]);
+    let release = match execute_eps_with(plan.as_ref(), &data.x, eps, ws, &mut rng) {
+        Ok(release) => release,
         Err(e) => {
             refund();
-            return err_meta(out, 500, "mechanism_failed", &e);
+            return err_meta(out, 500, "mechanism_failed", &e.to_string());
         }
     };
 
@@ -1405,7 +1391,7 @@ fn handle_release(
     out.reserve(256 + 16 * release.estimate.len());
     let _ = write!(
         out,
-        "{{\"tenant\":\"{tenant}\",\"dataset\":\"{dataset_name}\",\"mechanism\":\"{mech_name}\",\"requested_mechanism\":\"{requested_mech}\",\"eps\":{},\"remaining\":{},\"plan_cache_hit\":{cache_hit},\"batched\":{batched},\"latency_ms\":{}",
+        "{{\"tenant\":\"{tenant}\",\"dataset\":\"{dataset_name}\",\"mechanism\":\"{mech_name}\",\"requested_mechanism\":\"{requested_mech}\",\"eps\":{},\"remaining\":{},\"plan_cache_hit\":{cache_hit},\"latency_ms\":{}",
         json::Float(eps),
         json::Float(remaining),
         json::Float(latency_ms)
@@ -1496,7 +1482,6 @@ fn y_true_for(
 /// `GET /v1/status`.
 fn status_json(state: &ServerState) -> String {
     let plan = state.plan_cache.stats();
-    let batches = state.batcher.stats();
     let poll = state.poller.stats();
     let mut mechs: Vec<(String, u64)> = {
         let counts = state.mech_counts.lock().expect("counts poisoned");
@@ -1515,7 +1500,7 @@ fn status_json(state: &ServerState) -> String {
         None => (false, 0),
     };
     format!(
-        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"batches\":{{\"led\":{},\"followed\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"{}\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
+        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"epoll\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
         json::Float(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.parked_len(),
@@ -1523,10 +1508,7 @@ fn status_json(state: &ServerState) -> String {
         plan.hits,
         plan.misses,
         state.plan_cache.len(),
-        batches.led,
-        batches.followed,
         state.conn_count.load(Ordering::Relaxed),
-        state.poller.backend_name(),
         poll.wakeups,
         poll.events,
         poll.spurious,

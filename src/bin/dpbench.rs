@@ -25,12 +25,11 @@
 //! dpbench serve --port 8787 --datasets MEDCOST,NETTRACE \
 //!               --tenants alice=1.0,bob=0.5 [--tenant-config FILE]
 //!               [--journal spend.jsonl] [--scale N] [--domain N|RxC]
-//!               [--threads N] [--batch-window-ms MS] [--seed S]
+//!               [--threads N] [--seed S]
 //!               [--slo] [--profile profile.json] [--verbose]
 //!               [--max-conns N] [--max-queue N] [--max-wait-ms MS]
 //!               [--header-timeout-ms MS] [--idle-timeout-ms MS]
 //!               [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]
-//!               [--poller auto|epoll|poll]
 //! ```
 //!
 //! The streaming flags address the grid as a manifest of content-hashed
@@ -148,15 +147,13 @@ fn main() -> ExitCode {
             eprintln!("           [--dataset NAME] [--domain N|RxC --scale S --eps E]");
             eprintln!("serve: --tenants NAME=EPS,... [--tenant-config FILE]");
             eprintln!("       [--port P] [--datasets A,B] [--scale N] [--domain N|RxC]");
-            eprintln!("       [--journal FILE.jsonl] [--threads N]");
-            eprintln!("       [--batch-window-ms MS] [--seed S] [--slo] [--verbose]");
+            eprintln!("       [--journal FILE.jsonl] [--threads N] [--seed S] [--slo] [--verbose]");
             eprintln!("       [--profile FILE.json] (auto routes through the profile)");
             eprintln!("       [--max-conns N] [--max-queue N] [--max-wait-ms MS]");
             eprintln!("          (connections park on a readiness poller between requests,");
             eprintln!("           so --max-conns in the thousands is practical; default 1024)");
             eprintln!("       [--header-timeout-ms MS] [--idle-timeout-ms MS]");
             eprintln!("       [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]");
-            eprintln!("       [--poller auto|epoll|poll] (auto = epoll on Linux)");
             return ExitCode::FAILURE;
         }
     }
@@ -338,10 +335,8 @@ const SERVE_FLAGS: &[&str] = &[
     "idle-timeout-ms",
     "write-timeout-ms",
     "rate-limit",
-    "poller",
     "journal",
     "threads",
-    "batch-window-ms",
     "seed",
     "slo",
     "profile",
@@ -1048,10 +1043,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             Some(s) => config::parse_flag_value("threads", s)?,
             None => 4,
         };
-        let batch_ms: u64 = match flags.get("batch-window-ms") {
-            Some(s) => config::parse_flag_value("batch-window-ms", s)?,
-            None => 0,
-        };
         let seed: u64 = match flags.get("seed") {
             Some(s) => config::parse_flag_value("seed", s)?,
             None => 0,
@@ -1086,10 +1077,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         if let Some(s) = flags.get("rate-limit") {
             limits.rate_limit = Some(RateLimit::parse(s)?);
         }
-        let poller = match flags.get("poller") {
-            Some(s) => serve::Backend::parse(s)?,
-            None => serve::Backend::Auto,
-        };
         Ok(ServeConfig {
             addr: format!("127.0.0.1:{port}"),
             datasets,
@@ -1099,9 +1086,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             tenant_config: flags.get("tenant-config").map(PathBuf::from),
             journal: flags.get("journal").map(PathBuf::from),
             threads,
-            batch_window: Duration::from_millis(batch_ms),
             limits,
-            poller,
             seed,
             slo: flags.get("slo").map(|v| v == "1").unwrap_or(false),
             profile: flags.get("profile").map(PathBuf::from),

@@ -341,6 +341,17 @@ fn unknown_flag_names_are_rejected() {
         stderr.contains("unknown flag --procs"),
         "unexpected stderr: {stderr}"
     );
+    // Scripts that still pass `serve --batch-window-ms` or `--poller`
+    // must fail, not run with the flag ignored.
+    for (flag, value) in [("--batch-window-ms", "5"), ("--poller", "poll")] {
+        let out = dpbench(&["serve", flag, value]);
+        assert_eq!(out.status.code(), Some(1), "serve {flag} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "unexpected stderr: {stderr}"
+        );
+    }
     // Boolean flags take bare form or 0/1 — `--progress true` silently
     // meaning "off" would be another silent misparse.
     let out = dpbench(&["run", "--dataset", "MEDCOST", "--verbose", "true"]);

@@ -436,3 +436,44 @@ fn health_and_readiness_probes() {
     assert!(resp.contains("\"ready\":true"), "{resp}");
     handle.shutdown().unwrap();
 }
+
+/// Pipelined keep-alive requests on one connection: every response comes
+/// back in order, a release still round-trips on the same connection,
+/// and the poller counters (backend `epoll`) show real event traffic.
+#[test]
+fn pipelined_keepalive_requests_are_answered_in_order() {
+    let handle = server_with(Limits::default(), &[("t", 10.0)]);
+    let addr = handle.addr().to_string();
+
+    let mut conn = http::ClientConn::connect(&addr).unwrap();
+    const N: usize = 8;
+    for _ in 0..N {
+        conn.send("GET", "/v1/healthz", None).unwrap();
+    }
+    for i in 0..N {
+        let (status, body) = conn.recv().unwrap();
+        assert_eq!(status, 200, "response {i}: {body}");
+        assert!(body.contains("\"ok\":true"), "response {i}: {body}");
+    }
+    let (status, body) = conn
+        .request(
+            "POST",
+            "/v1/release",
+            Some(r#"{"tenant":"t","dataset":"MEDCOST","eps":0.1,"mechanism":"IDENTITY"}"#),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (_, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
+    let stats = handle.state().poller_stats();
+    assert!(stats.wakeups > 0, "workers must have blocked on the poller");
+    assert!(
+        stats.events > 0,
+        "readiness events must have been delivered"
+    );
+    assert!(
+        status_body.contains("\"poller\":{\"backend\":\"epoll\""),
+        "{status_body}"
+    );
+    handle.shutdown().unwrap();
+}

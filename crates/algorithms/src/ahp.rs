@@ -35,7 +35,7 @@ enum AhpParams {
     /// Fixed (ρ, η).
     Fixed { rho: f64, eta: f64 },
     /// Signal-indexed schedule `(signal upper bound, ρ, η)` — the AHP★
-    /// repair.
+    /// repair. Only the first row's ρ runs (see [`Ahp::pick_params`]).
     Tuned(Vec<(f64, f64, f64)>),
 }
 
@@ -88,14 +88,17 @@ impl Ahp {
         }
     }
 
-    fn pick_params(&self, signal: f64) -> (f64, f64) {
+    /// The (ρ, η) this mechanism runs at signal ε·scale. AHP★ must fix ρ
+    /// before it spends any budget, so it runs its schedule's first ρ at
+    /// every signal; only η follows the signal.
+    pub fn pick_params(&self, signal: f64) -> (f64, f64) {
         match &self.params {
             AhpParams::Fixed { rho, eta } => (*rho, *eta),
             AhpParams::Tuned(table) => table
                 .iter()
                 .find(|(bound, _, _)| signal <= *bound)
                 .or(table.last())
-                .map(|(_, r, e)| (*r, *e))
+                .map(|(_, _, eta)| (table[0].1, *eta))
                 .expect("non-empty schedule"),
         }
     }
@@ -150,32 +153,9 @@ impl Ahp {
     ) -> Result<Vec<f64>, MechError> {
         let n = x.n_cells();
         let eps = budget.total();
-        // Signal proxy for the tuned schedule: ε times a cheap noisy scale
-        // estimate folded into the structure stage (no extra budget: the
-        // sum of the stage-1 noisy counts is itself a scale estimate).
-        let (rho, eta) = match &self.params {
-            AhpParams::Fixed { .. } => self.pick_params(0.0),
-            AhpParams::Tuned(_) => {
-                // Defer: picked after stage 1 below using the noisy total.
-                (f64::NAN, f64::NAN)
-            }
-        };
-
-        // Stage 1: noisy structure. For the tuned variant we must fix ρ
-        // before spending; use the schedule's mid rule with a provisional
-        // signal from a tiny pre-estimate is not allowed (budget!), so the
-        // tuned variant uses ρ of the *lowest* bracket for stage 1 and
-        // re-picks η afterwards from the noisy total. ρ is therefore
-        // schedule-initial; η is signal-adaptive.
-        let (rho, pick_eta_later) = if rho.is_nan() {
-            match &self.params {
-                AhpParams::Tuned(table) => (table[0].1, true),
-                _ => unreachable!(),
-            }
-        } else {
-            (rho, false)
-        };
-
+        // Stage 1: noisy structure. ρ must be fixed before any budget is
+        // spent, so it does not follow the signal (see `pick_params`).
+        let (rho, _) = self.pick_params(0.0);
         let eps1 = budget.spend_fraction_as("structure", rho)?;
         let eps2 = budget.spend_all_as("clusters");
         let mut noisy: Vec<f64> = x
@@ -184,12 +164,10 @@ impl Ahp {
             .map(|&c| c + laplace(1.0 / eps1, rng))
             .collect();
 
-        let eta = if pick_eta_later {
-            let noisy_total: f64 = noisy.iter().sum::<f64>().max(1.0);
-            self.pick_params(eps * noisy_total).1
-        } else {
-            eta
-        };
+        // Signal for the tuned η: ε times the sum of the stage-1 noisy
+        // counts, a scale estimate that costs no extra budget.
+        let noisy_total: f64 = noisy.iter().sum::<f64>().max(1.0);
+        let (_, eta) = self.pick_params(eps * noisy_total);
 
         // Threshold small counts to zero.
         let threshold = eta * (n as f64).ln().max(1.0).sqrt() / eps1;

@@ -20,6 +20,16 @@
 //! * MWEM is **inconsistent** (Theorem 8): with fixed `T`, at most `T`
 //!   measured queries constrain the estimate, leaving bias that never
 //!   vanishes as ε → ∞.
+//!
+//! The update is invariant to a global scale factor, so the kernel keeps
+//! the estimate as `g·w` (lazy scaling): an update sums and rescales only
+//! the measured query's cells of `w` and renormalizes by changing the
+//! scalar `g`. Once per round `g` is folded back into `w`. The original
+//! kernel, which re-sums and rescales all n cells after every update, is
+//! kept as the reference [`Mwem::plan_naive`]. Both draw the same
+//! randomness in the same order; their outputs differ by rounding, which
+//! `dpbench_harness::competitive::kernel_gate` checks is statistically
+//! invisible.
 
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
@@ -28,6 +38,7 @@ use dpbench_core::{
     BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Workload,
 };
 use rand::RngCore;
+use std::ops::Range;
 
 /// How MWEM learns the dataset scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +145,8 @@ impl Mwem {
         }
     }
 
-    fn pick_rounds(&self, signal: f64) -> usize {
+    /// The number of rounds `T` this mechanism runs at signal ε·scale.
+    pub fn pick_rounds(&self, signal: f64) -> usize {
         match &self.rounds {
             Rounds::Fixed(t) => *t,
             Rounds::Tuned(table) => table
@@ -161,18 +173,7 @@ impl Mechanism for Mwem {
     }
 
     fn plan(&self, domain: &Domain, workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
-        if workload.is_empty() {
-            return Err(MechError::InvalidConfig(
-                "MWEM needs a non-empty workload".into(),
-            ));
-        }
-        let mech = self.clone();
-        let w = workload.clone();
-        Ok(FnPlan::boxed(
-            *domain,
-            PlanDiagnostics::data_dependent(self.name.clone()),
-            move |x, budget, rng| mech.iterate(x, &w, budget, rng),
-        ))
+        self.plan_with::<LazyScale>(domain, workload)
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -198,15 +199,44 @@ impl Mechanism for Mwem {
 }
 
 impl Mwem {
+    /// MWEM planned with the original kernel, retained as the reference
+    /// for the lazy-scale kernel: every update re-sums and rescales all n
+    /// cells. Used only by tests.
+    pub fn plan_naive(
+        &self,
+        domain: &Domain,
+        workload: &Workload,
+    ) -> Result<Box<dyn Plan>, MechError> {
+        self.plan_with::<Rescaled>(domain, workload)
+    }
+
+    fn plan_with<E: Estimate + 'static>(
+        &self,
+        domain: &Domain,
+        workload: &Workload,
+    ) -> Result<Box<dyn Plan>, MechError> {
+        if workload.is_empty() {
+            return Err(MechError::InvalidConfig(
+                "MWEM needs a non-empty workload".into(),
+            ));
+        }
+        let mech = self.clone();
+        let w = workload.clone();
+        Ok(FnPlan::boxed(
+            *domain,
+            PlanDiagnostics::data_dependent(self.name.clone()),
+            move |x, budget, rng| mech.iterate::<E>(x, &w, budget, rng),
+        ))
+    }
+
     /// The private select–measure–update loop.
-    fn iterate(
+    fn iterate<E: Estimate>(
         &self,
         x: &DataVector,
         workload: &Workload,
         budget: &mut BudgetLedger,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<f64>, MechError> {
-        let n = x.n_cells();
         // Scale: side info or noisy estimate.
         let total = match self.scale_source {
             ScaleSource::SideInfo => x.scale(),
@@ -223,12 +253,12 @@ impl Mwem {
         let queries = workload.queries();
 
         // Synthetic estimate: uniform at the (noisy) scale.
-        let mut est = vec![total / n as f64; n];
+        let mut est = E::uniform(x.domain(), total);
         let mut history: Vec<(RangeQuery, f64)> = Vec::with_capacity(t_rounds);
 
         for _ in 0..t_rounds {
             // (a) Select the worst query via the exponential mechanism.
-            let est_answers = answers(&est, x, queries);
+            let est_answers = est.answers(queries);
             let scores: Vec<f64> = y_true
                 .iter()
                 .zip(&est_answers)
@@ -240,49 +270,218 @@ impl Mwem {
             history.push((queries[chosen], measured));
             // (c) Multiplicative-weights sweeps over the history.
             for _ in 0..self.mw_sweeps {
-                for &(q, m) in &history {
-                    mw_update(&mut est, x, &q, m, total);
+                for (q, m) in &history {
+                    est.update(q, *m);
                 }
             }
         }
-        Ok(est)
+        Ok(est.into_cells())
     }
 }
 
-/// Evaluate all workload queries against the current estimate.
-fn answers(est: &[f64], x: &DataVector, queries: &[RangeQuery]) -> Vec<f64> {
-    let v = DataVector::new(est.to_vec(), x.domain());
-    let table = PrefixTable::build(&v);
-    queries.iter().map(|q| table.eval(q)).collect()
+/// MWEM's synthetic distribution: it answers the workload once per round
+/// and applies one multiplicative-weights update per measurement.
+trait Estimate {
+    /// The uniform distribution of mass `total` over `domain`.
+    fn uniform(domain: Domain, total: f64) -> Self;
+    /// The estimate's answer to every query.
+    fn answers(&mut self, queries: &[RangeQuery]) -> Vec<f64>;
+    /// Multiply the cells of `q` by `exp((m − answer) / 2·total)`, with
+    /// the exponent clamped to ±20 to stay numerically safe under huge
+    /// noise, and renormalize to the total.
+    fn update(&mut self, q: &RangeQuery, m: f64);
+    /// The final estimate's cells.
+    fn into_cells(self) -> Vec<f64>;
 }
 
-/// One multiplicative-weights update for measurement `(q, m)`.
-fn mw_update(est: &mut [f64], x: &DataVector, q: &RangeQuery, m: f64, total: f64) {
-    let domain = x.domain();
-    // Current answer of the estimate on q.
-    let mut cur = 0.0;
-    for r in q.lo.0..=q.hi.0 {
-        for c in q.lo.1..=q.hi.1 {
-            cur += est[domain.index((r, c))];
+/// The update's exponent clamp.
+const MAX_EXPONENT: f64 = 20.0;
+
+/// The original kernel: after every update all n cells are re-summed in
+/// index order and rescaled to the total.
+struct Rescaled {
+    est: Vec<f64>,
+    domain: Domain,
+    total: f64,
+}
+
+impl Estimate for Rescaled {
+    fn uniform(domain: Domain, total: f64) -> Self {
+        let n = domain.n_cells();
+        Self {
+            est: vec![total / n as f64; n],
+            domain,
+            total,
         }
     }
-    // exp(q_i · (m − cur) / (2·total)) applied to cells inside q; clamp the
-    // exponent to keep the update numerically safe under huge noise.
-    let exponent = ((m - cur) / (2.0 * total)).clamp(-20.0, 20.0);
-    let factor = exponent.exp();
-    for r in q.lo.0..=q.hi.0 {
-        for c in q.lo.1..=q.hi.1 {
-            est[domain.index((r, c))] *= factor;
+
+    fn answers(&mut self, queries: &[RangeQuery]) -> Vec<f64> {
+        let table = PrefixTable::build_cells(&self.est, self.domain);
+        queries.iter().map(|q| table.eval(q)).collect()
+    }
+
+    fn update(&mut self, q: &RangeQuery, m: f64) {
+        let (est, domain) = (&mut self.est, self.domain);
+        let mut cur = 0.0;
+        for r in q.lo.0..=q.hi.0 {
+            for c in q.lo.1..=q.hi.1 {
+                cur += est[domain.index((r, c))];
+            }
+        }
+        let exponent = ((m - cur) / (2.0 * self.total)).clamp(-MAX_EXPONENT, MAX_EXPONENT);
+        let factor = exponent.exp();
+        for r in q.lo.0..=q.hi.0 {
+            for c in q.lo.1..=q.hi.1 {
+                est[domain.index((r, c))] *= factor;
+            }
+        }
+        let sum: f64 = est.iter().sum();
+        if sum > 0.0 {
+            let scale = self.total / sum;
+            for e in est.iter_mut() {
+                *e *= scale;
+            }
         }
     }
-    // Renormalize to the known total.
-    let sum: f64 = est.iter().sum();
-    if sum > 0.0 {
-        let scale = total / sum;
-        for e in est.iter_mut() {
-            *e *= scale;
+
+    fn into_cells(self) -> Vec<f64> {
+        self.est
+    }
+}
+
+/// `Σw` is kept inside `[2⁻⁵¹², 2⁵¹²]`: one update moves it by at most
+/// e^±20 < 2^±29, so no cell of `w` can overflow, and no cell holding more
+/// than 2⁻⁵³³ of the mass can flush to zero.
+const SUM_MAX: f64 = 1.340_780_792_994_259_7e154; // 2^512
+const SUM_MIN: f64 = 1.0 / SUM_MAX;
+
+/// How far the running `Σw` may move, in units of its value, before it is
+/// re-summed exactly. A shrinking update cancels: its rounding error is
+/// relative to the mass it removed, not to what is left. Bounding the
+/// moved mass to 2⁸·Σw keeps `Σw`'s relative error near 2⁸ ulps.
+const MAX_DRIFT: f64 = 256.0;
+
+/// The lazy-scale kernel: the estimate is `g·w`. An update sums and
+/// rescales only the query's cells of `w` (row slices, no per-cell index
+/// arithmetic) and tracks `Σw` incrementally, so renormalizing to the
+/// total is the scalar `g = total / Σw`. `g` is folded into `w` and `Σw`
+/// re-summed exactly once per round, and early when `Σw` leaves
+/// `[SUM_MIN, SUM_MAX]` or drifts by more than [`MAX_DRIFT`].
+struct LazyScale {
+    w: Vec<f64>,
+    g: f64,
+    sum_w: f64,
+    /// Mass moved by updates since `sum_w` was last summed exactly.
+    moved: f64,
+    domain: Domain,
+    total: f64,
+    /// Cumulative table of `w`, rebuilt in place every round.
+    table: PrefixTable,
+}
+
+impl LazyScale {
+    /// `w ← g·w`, then re-sum `Σw` exactly and renormalize `g`.
+    fn fold(&mut self) {
+        let g = self.g;
+        for v in self.w.iter_mut() {
+            *v *= g;
+        }
+        self.sum_w = sum(&self.w);
+        self.g = if self.sum_w > 0.0 {
+            self.total / self.sum_w
+        } else {
+            1.0
+        };
+        self.moved = 0.0;
+    }
+}
+
+impl Estimate for LazyScale {
+    fn uniform(domain: Domain, total: f64) -> Self {
+        let n = domain.n_cells();
+        let w = vec![total / n as f64; n];
+        let table = PrefixTable::build_cells(&w, domain);
+        let mut est = Self {
+            w,
+            g: 1.0,
+            sum_w: 0.0,
+            moved: 0.0,
+            domain,
+            total,
+            table,
+        };
+        est.fold();
+        est
+    }
+
+    fn answers(&mut self, queries: &[RangeQuery]) -> Vec<f64> {
+        self.fold();
+        self.table.rebuild_cells(&self.w, self.domain);
+        queries
+            .iter()
+            .map(|q| self.g * self.table.eval(q))
+            .collect()
+    }
+
+    fn update(&mut self, q: &RangeQuery, m: f64) {
+        let sum_q: f64 = row_spans(self.domain, q)
+            .map(|span| sum(&self.w[span]))
+            .sum();
+        let cur = self.g * sum_q;
+        let exponent = ((m - cur) / (2.0 * self.total)).clamp(-MAX_EXPONENT, MAX_EXPONENT);
+        let factor = exponent.exp();
+        for span in row_spans(self.domain, q) {
+            for v in &mut self.w[span] {
+                *v *= factor;
+            }
+        }
+        let delta = (factor - 1.0) * sum_q;
+        self.sum_w += delta;
+        self.moved += delta.abs();
+        if !(SUM_MIN..=SUM_MAX).contains(&self.sum_w) || self.moved > MAX_DRIFT * self.sum_w {
+            self.fold();
+        } else {
+            self.g = self.total / self.sum_w;
         }
     }
+
+    fn into_cells(mut self) -> Vec<f64> {
+        self.fold();
+        let g = self.g;
+        for v in self.w.iter_mut() {
+            *v *= g;
+        }
+        self.w
+    }
+}
+
+/// The row-major index spans of `q`'s cells: one span per row of a 2-D
+/// query, one span for a 1-D query.
+fn row_spans(domain: Domain, q: &RangeQuery) -> impl Iterator<Item = Range<usize>> {
+    let (rows, cols, width) = match domain {
+        Domain::D1(_) => (0..=0, q.lo.0..q.hi.0 + 1, 0),
+        Domain::D2(_, c) => (q.lo.0..=q.hi.0, q.lo.1..q.hi.1 + 1, c),
+    };
+    rows.map(move |r| r * width + cols.start..r * width + cols.end)
+}
+
+/// Sum with eight independent accumulators, so the adds pipeline and
+/// vectorize instead of forming one serial chain.
+fn sum(xs: &[f64]) -> f64 {
+    let mut acc = [0.0; 8];
+    let chunks = xs.chunks_exact(8);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (a, v) in acc.iter_mut().zip(chunk) {
+            *a += v;
+        }
+    }
+    let mut total =
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    for v in rest {
+        total += v;
+    }
+    total
 }
 
 #[cfg(test)]

@@ -187,7 +187,7 @@ pub struct MechRecord {
     /// on the pooled moments fails to separate it from the best mean).
     pub competitive: bool,
     /// Tuned free parameters at the cell's signal level (`"T=10"`,
-    /// `"rho=0.7,eta=1"`); `None` for parameter-free mechanisms.
+    /// `"rho=0.85,eta=1.5"`); `None` for parameter-free mechanisms.
     pub params: Option<String>,
 }
 

@@ -136,75 +136,22 @@ pub fn tune_ahp_schedule(cfg: &TuningConfig, rhos: &[f64], etas: &[f64]) -> Vec<
     out
 }
 
-/// The stock MWEM `T` schedule: per-signal winners of a
-/// [`tune_mwem_schedule`] pass at the default [`TuningConfig`]
-/// (candidates 2/5/10/20/50), frozen here so selection profiles can
-/// attach tuned parameters without re-running training. Rows are
-/// `(signal upper bound, T)`; signals are ε·scale.
-pub fn default_mwem_schedule() -> Vec<(f64, usize)> {
-    schedule_from_points(&[
-        (1e1, 2),
-        (1e2, 5),
-        (1e3, 10),
-        (1e4, 10),
-        (1e5, 20),
-        (1e6, 50),
-    ])
-}
-
-/// The stock AHP `(ρ, η)` schedule (same provenance as
-/// [`default_mwem_schedule`]): low signal favors spending more budget on
-/// clustering (high ρ) with aggressive thresholding, high signal the
-/// reverse. Rows are `(signal upper bound, ρ, η)`.
-pub fn default_ahp_schedule() -> Vec<(f64, f64, f64)> {
-    let points: [(f64, f64, f64); 6] = [
-        (1e1, 0.85, 1.5),
-        (1e2, 0.85, 1.0),
-        (1e3, 0.7, 1.0),
-        (1e4, 0.5, 0.5),
-        (1e5, 0.3, 0.5),
-        (1e6, 0.3, 0.35),
-    ];
-    let mut out = Vec::with_capacity(points.len());
-    for (i, &(signal, rho, eta)) in points.iter().enumerate() {
-        let bound = if i + 1 < points.len() {
-            (signal * points[i + 1].0).sqrt()
-        } else {
-            f64::INFINITY
-        };
-        out.push((bound, rho, eta));
-    }
-    out
-}
-
-/// Tuned free parameters of `mechanism` at signal level ε·scale, as the
+/// The free parameters `mechanism` runs at signal level ε·scale, as the
 /// compact `key=value` string a selection-profile cell carries. `None`
-/// for mechanisms without free parameters. The starred registry variants
-/// already embed these schedules; the profile echoes the concrete values
-/// so a recommendation is reproducible outside the registry.
+/// for mechanisms without free parameters. The values come from the
+/// registry's own mechanisms, so a recommendation is reproducible
+/// outside the registry.
 pub fn tuned_params_for(mechanism: &str, signal: f64) -> Option<String> {
+    let rounds = |m: Mwem| format!("T={}", m.pick_rounds(signal));
+    let ahp = |a: Ahp| {
+        let (rho, eta) = a.pick_params(signal);
+        format!("rho={rho},eta={eta}")
+    };
     match mechanism {
-        "MWEM" | "MWEM*" => {
-            let sched = default_mwem_schedule();
-            let t = sched
-                .iter()
-                .find(|(bound, _)| signal <= *bound)
-                .map(|&(_, t)| t)
-                .unwrap_or(sched.last().expect("non-empty schedule").1);
-            Some(format!("T={t}"))
-        }
-        "AHP" | "AHP*" => {
-            let sched = default_ahp_schedule();
-            let (rho, eta) = sched
-                .iter()
-                .find(|(bound, _, _)| signal <= *bound)
-                .map(|&(_, r, e)| (r, e))
-                .unwrap_or_else(|| {
-                    let last = sched.last().expect("non-empty schedule");
-                    (last.1, last.2)
-                });
-            Some(format!("rho={rho},eta={eta}"))
-        }
+        "MWEM" => Some(rounds(Mwem::original())),
+        "MWEM*" => Some(rounds(Mwem::star())),
+        "AHP" => Some(ahp(Ahp::original())),
+        "AHP*" => Some(ahp(Ahp::star())),
         _ => None,
     }
 }
@@ -263,11 +210,14 @@ mod tests {
 
     #[test]
     fn tuned_params_follow_the_signal() {
-        // Low signal → few MWEM rounds; high signal → many.
+        // Low signal → few MWEM★ rounds; high signal → many. The values
+        // are what the registry's mechanisms run.
         assert_eq!(tuned_params_for("MWEM*", 5.0).unwrap(), "T=2");
-        assert_eq!(tuned_params_for("MWEM*", 1e7).unwrap(), "T=50");
-        let low = tuned_params_for("AHP*", 5.0).unwrap();
-        assert!(low.starts_with("rho=0.85"), "{low}");
+        assert_eq!(tuned_params_for("MWEM*", 1e7).unwrap(), "T=100");
+        assert_eq!(tuned_params_for("MWEM", 1e7).unwrap(), "T=10");
+        assert_eq!(tuned_params_for("AHP*", 1e3).unwrap(), "rho=0.85,eta=1.5");
+        assert_eq!(tuned_params_for("AHP*", 1e7).unwrap(), "rho=0.85,eta=0.4");
+        assert_eq!(tuned_params_for("AHP", 1e3).unwrap(), "rho=0.5,eta=1");
         assert!(tuned_params_for("DAWA", 100.0).is_none());
     }
 

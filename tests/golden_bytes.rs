@@ -59,8 +59,8 @@ const JOURNAL: &str = r#"{"t":"tenants","v":1}
 "#;
 
 const PROFILE: &str = r#"{"t":"dpbench-profile","v":1,"cells":2,"sources":1,"samples":16}
-{"t":"cell","dims":1,"shape":"any","scale_b":3,"eps_b":-1,"settings":1,"ranked":[{"m":"AHP*","regret":1,"mean":0.0103,"p95":0.0106,"n":8,"comp":true,"params":"rho=0.7,eta=1"},{"m":"IDENTITY","regret":49.99999999999999,"mean":0.515,"p95":0.53,"n":8,"comp":false}]}
-{"t":"cell","dims":1,"shape":"spiky","scale_b":3,"eps_b":-1,"settings":1,"ranked":[{"m":"AHP*","regret":1,"mean":0.0103,"p95":0.0106,"n":8,"comp":true,"params":"rho=0.7,eta=1"},{"m":"IDENTITY","regret":49.99999999999999,"mean":0.515,"p95":0.53,"n":8,"comp":false}]}
+{"t":"cell","dims":1,"shape":"any","scale_b":3,"eps_b":-1,"settings":1,"ranked":[{"m":"AHP*","regret":1,"mean":0.0103,"p95":0.0106,"n":8,"comp":true,"params":"rho=0.85,eta=1.5"},{"m":"IDENTITY","regret":49.99999999999999,"mean":0.515,"p95":0.53,"n":8,"comp":false}]}
+{"t":"cell","dims":1,"shape":"spiky","scale_b":3,"eps_b":-1,"settings":1,"ranked":[{"m":"AHP*","regret":1,"mean":0.0103,"p95":0.0106,"n":8,"comp":true,"params":"rho=0.85,eta=1.5"},{"m":"IDENTITY","regret":49.99999999999999,"mean":0.515,"p95":0.53,"n":8,"comp":false}]}
 "#;
 
 const RELEASE: &str = r#"{"mechanism":"DAWA","data_independent":false,"spent":0.1,"budget_trace":[{"label":"partition","eps":0.025},{"label":"measure","eps":0.075}],"estimate":[1.5,-0,@TINY@,-25000000000,null,null]}"#;
@@ -286,7 +286,7 @@ fn profile_bytes_and_values_are_pinned() {
     assert_eq!(read, profile);
     let ahp = &read.cells.values().next().unwrap().ranked[0];
     assert_eq!(ahp.mechanism, "AHP*");
-    assert_eq!(ahp.params.as_deref(), Some("rho=0.7,eta=1"));
+    assert_eq!(ahp.params.as_deref(), Some("rho=0.85,eta=1.5"));
     std::fs::remove_file(&path).unwrap();
 }
 

@@ -1,16 +1,23 @@
 //! Hot-path integration tests: the O(n log² n) DAWA partition must return
 //! exactly the partition of the retained O(n²) DP, SF's cost-table DP and
 //! PHP's cached bisection must match their retained full-rescan oracles
-//! bit for bit, and executions drawing scratch from a reused [`Workspace`]
-//! must be bit-identical to executions with fresh scratch.
+//! bit for bit, MWEM's lazy-scale kernel must pass the kernel gate against
+//! its retained full-rescale kernel, and executions drawing scratch from a
+//! reused [`Workspace`] must be bit-identical to executions with fresh
+//! scratch.
 
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
+use dpbench_algorithms::mwem::Mwem;
 use dpbench_algorithms::php::Php;
 use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_algorithms::sf::{StructureFirst, VOptDp};
 use dpbench_core::mechanism::{execute_eps_with, Mechanism};
 use dpbench_core::rng::rng_for;
-use dpbench_core::{DataVector, Domain, Release, Workload, Workspace};
+use dpbench_core::{
+    scaled_per_query_error, DataVector, Domain, Loss, Plan, Release, Workload, Workspace,
+};
+use dpbench_harness::competitive::kernel_gate;
+use dpbench_harness::{ErrorSample, ResultStore, Setting};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,6 +192,120 @@ fn cached_php_equals_full_rescan() {
     }
 }
 
+/// A data vector of `scale` records over `domain`, heavy-tailed: a few
+/// cells hold most of the mass, as in the paper's spiky datasets.
+fn shaped(rng: &mut StdRng, domain: Domain, scale: f64) -> DataVector {
+    let weights: Vec<f64> = (0..domain.n_cells())
+        .map(|_| rng.gen::<f64>().powi(6))
+        .collect();
+    let total: f64 = weights.iter().sum();
+    let counts = weights
+        .iter()
+        .map(|w| (w / total * scale).round())
+        .collect();
+    DataVector::new(counts, domain)
+}
+
+/// MWEM and MWEM★ with the lazy-scale kernel against the retained
+/// full-rescale kernel, on 1-D prefix and 2-D random-range settings
+/// across scales: every trial pairs by its RNG coordinates, and the
+/// paper's statistics must not tell the two kernels apart.
+#[test]
+fn lazy_mwem_passes_gate_against_naive() {
+    const TRIALS: usize = 10;
+    let mut rng = StdRng::seed_from_u64(0x3E3);
+    let d1 = Domain::D1(256);
+    let d2 = Domain::D2(32, 32);
+    let w2 = Workload::random_ranges(d2, 200, &mut rng);
+    let grid = [
+        (d1, Workload::prefix_1d(256), [1e3, 1e5, 1e7].as_slice()),
+        (d2, w2, [1e4, 1e6].as_slice()),
+    ];
+    let (mut naive, mut lazy) = (ResultStore::new(), ResultStore::new());
+    for (domain, workload, scales) in &grid {
+        for &scale in scales.iter() {
+            let x = shaped(&mut rng, *domain, scale);
+            let y = workload.evaluate(&x);
+            let setting = Setting {
+                dataset: "SHAPED".into(),
+                scale: scale as u64,
+                domain: *domain,
+                epsilon: 0.1,
+            };
+            for (name, mech) in [("MWEM", Mwem::original()), ("MWEM*", Mwem::star())] {
+                let plans: [(Box<dyn Plan>, &mut ResultStore); 2] = [
+                    (mech.plan_naive(domain, workload).unwrap(), &mut naive),
+                    (mech.plan(domain, workload).unwrap(), &mut lazy),
+                ];
+                for (plan, store) in plans {
+                    let mut ws = Workspace::new();
+                    for trial in 0..TRIALS {
+                        let coords = [scale as u64, trial as u64];
+                        let mut trial_rng = rng_for(name, &coords);
+                        let r = execute_eps_with(plan.as_ref(), &x, 0.1, &mut ws, &mut trial_rng)
+                            .unwrap();
+                        let y_hat = workload.evaluate_cells(&r.estimate);
+                        store.push(ErrorSample {
+                            algorithm: name.into(),
+                            setting: setting.clone(),
+                            sample: 0,
+                            trial,
+                            error: scaled_per_query_error(&y, &y_hat, x.scale(), Loss::L2),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    let report = kernel_gate(&naive, &lazy).unwrap();
+    assert_eq!(report.paired, 2 * 5 * TRIALS);
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.diverged, 0, "{report}");
+    assert!(report.max_rel_change < 1e-9, "{report}");
+}
+
+/// Under noise far larger than the data every update's exponent saturates
+/// at ±20, so `Σw` swings by e^±20 per update and cancels when a query
+/// holding nearly all the mass shrinks. The lazy kernel must still return
+/// a finite, non-negative estimate of the right total, within rounding of
+/// the full-rescale kernel's.
+#[test]
+fn lazy_mwem_survives_saturated_updates() {
+    let mut rng = StdRng::seed_from_u64(0x5A7);
+    let d2 = Domain::D2(16, 16);
+    let cases = [
+        (Domain::D1(256), Workload::prefix_1d(256)),
+        (d2, Workload::random_ranges(d2, 100, &mut rng)),
+    ];
+    for (domain, workload) in &cases {
+        for (scale, eps) in [(1.0, 1e-3), (10.0, 1e-3), (100.0, 1e-2), (1000.0, 1e-2)] {
+            let x = shaped(&mut rng, *domain, scale);
+            let mech = Mwem::with_rounds(100);
+            let lazy = mech.plan(domain, workload).unwrap();
+            let naive = mech.plan_naive(domain, workload).unwrap();
+            for seed in 0..4_u64 {
+                let run = |plan: &dyn Plan| {
+                    let mut trial_rng = rng_for("MWEM-saturated", &[seed]);
+                    execute_eps_with(plan, &x, eps, &mut Workspace::new(), &mut trial_rng)
+                        .unwrap()
+                        .estimate
+                };
+                let (est, reference) = (run(lazy.as_ref()), run(naive.as_ref()));
+                let case = format!("{domain} scale {scale} ε {eps} seed {seed}");
+                assert!(est.iter().all(|v| v.is_finite() && *v >= 0.0), "{case}");
+                let total: f64 = est.iter().sum();
+                assert!(
+                    (total - x.scale()).abs() <= 1e-9 * x.scale(),
+                    "{case}: total {total}"
+                );
+                for (a, b) in est.iter().zip(&reference) {
+                    assert!((a - b).abs() <= 1e-9 * x.scale(), "{case}: {a} vs {b}");
+                }
+            }
+        }
+    }
+}
+
 /// Executing any mechanism with a freshly created workspace per trial and
 /// with one workspace reused across trials (and across mechanisms) must
 /// produce bit-identical releases: pooled buffers are zero-filled on take,
@@ -248,7 +369,7 @@ fn workspace_reuse_is_bit_identical_in_2d() {
     let x = DataVector::new(counts, domain);
 
     let mut reused = Workspace::new();
-    for name in ["DAWA", "GREEDY_H", "QUADTREE", "HB"] {
+    for name in ["DAWA", "GREEDY_H", "QUADTREE", "HB", "MWEM*"] {
         let mech = mechanism_by_name(name).unwrap();
         let plan = mech.plan(&domain, &workload).unwrap();
         for trial in 0..2_u64 {

@@ -7,11 +7,11 @@
 //! processes. This module generalizes the driver to **k shards over any
 //! transport**:
 //!
-//! * [`driver`] — the transport-agnostic conductor: round-robin shard
-//!   manifests, launch rounds with retry/resume, the copy-back protocol
-//!   (fetch → validate with the strict readers → re-dispatch on torn or
-//!   missing artifacts), stall detection, live progress, and the final
-//!   k-way stream-merge with coverage verification.
+//! * [`driver`] — the transport-agnostic conductor: contiguous-block
+//!   shard manifests, launch rounds with retry/resume, the copy-back
+//!   protocol (fetch → validate with the strict readers → re-dispatch on
+//!   torn or missing artifacts), stall detection, live progress, and the
+//!   final k-way stream-merge with coverage verification.
 //! * [`transport`] — how shards actually run: local child processes
 //!   ([`LocalTransport`] over a [`ShardLauncher`]), an arbitrary
 //!   templated wrapper command line ([`CommandTransport`] — covers

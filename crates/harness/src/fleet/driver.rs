@@ -2,8 +2,8 @@
 //!
 //! [`run_fleet_with`] conducts `k` shards over any [`ShardTransport`]:
 //!
-//! 1. expand the manifest **once** and deal it into `k` round-robin
-//!    shards ([`RunManifest::shard`]);
+//! 1. expand the manifest **once** and cut it into `k` contiguous,
+//!    balanced blocks ([`RunManifest::shard`]);
 //! 2. each round, **fetch** every unfinished shard's ledger back from
 //!    the transport (a no-op for local transports, an offset-based
 //!    incremental fetch where the transport supports ranging) and
@@ -22,8 +22,10 @@
 //!    per-shard `done/total` lines. When some shards finish while a
 //!    straggler is still grinding, the driver **steals** the
 //!    straggler's unfinished tail — re-dealing it to the idle slots as
-//!    fresh sub-shard launches (`shard(victim, k).span(from, until)`) —
-//!    and releases the victim once its units are covered;
+//!    fresh sub-shard launches (`shard(victim, k).span(from, until)`).
+//!    Every poll releases any attempt whose units are all covered — a
+//!    victim whose tail the steals finished, or a thief whose victim got
+//!    there first — so a round never waits on duplicate work;
 //! 4. once every shard's units are covered (by its own ledger and/or
 //!    steal ledgers), stream-merge the ledgers into the canonical
 //!    output ([`merge_jsonl`]), verify the merged ledger covers the
@@ -830,10 +832,13 @@ pub fn run_fleet_with(
                                 return Err(foreign(&rec.ledger));
                             }
                             let _ = rec.tailer.observe(&rec.ledger);
-                            covered[rec.spec.victim].extend(rec.tailer.done().iter().copied());
+                            let v = rec.spec.victim;
+                            covered[v].extend(rec.tailer.done().iter().copied());
                             rec.finalized = true;
-                            rec.dead =
-                                !rec.unit_ids.iter().all(|id| rec.tailer.done().contains(id));
+                            // A thief released because its victim got
+                            // there first covered nothing, yet left no
+                            // gap: only an uncovered range is dead.
+                            rec.dead = !rec.unit_ids.iter().all(|id| covered[v].contains(id));
                             if rec.dead && opts.verbose {
                                 eprintln!(
                                     "[fleet] steal {} died before covering its range; \
@@ -844,6 +849,36 @@ pub fn run_fleet_with(
                         }
                     }
                 }
+            }
+            // Release every still-running attempt whose units are all
+            // covered (a victim whose tail the steals finished, or a
+            // thief whose victim finished its range first): its work is
+            // duplicate. Checked on every poll, so the exit that
+            // completes coverage frees the round at once, not at the
+            // next probe tick. Not a stall kill.
+            for r in running.iter_mut().filter(|r| !r.exited && !r.killed) {
+                match r.steal {
+                    None if !ids[r.slot].is_empty() && ids[r.slot].is_subset(&covered[r.slot]) => {
+                        eprintln!(
+                            "[fleet] shard {}: released — remaining tail covered by steals",
+                            r.slot
+                        )
+                    }
+                    Some(si) => {
+                        let rec = &steals[si];
+                        let v = rec.spec.victim;
+                        if !rec.unit_ids.iter().all(|id| covered[v].contains(id)) {
+                            continue;
+                        }
+                        eprintln!(
+                            "[fleet] steal {}: released — shard {v} already covered its range",
+                            rec.spec.seq
+                        )
+                    }
+                    None => continue,
+                }
+                r.handle.kill()?;
+                r.killed = true;
             }
             if all_exited {
                 break;
@@ -945,20 +980,6 @@ pub fn run_fleet_with(
                             r.handle.kill()?;
                             r.killed = true;
                         }
-                    }
-                }
-                // Release victims whose remaining tail is fully covered
-                // by steals: their in-flight unit would only duplicate
-                // work the merge already has. Not a stall kill.
-                for r in &mut running {
-                    if r.exited || r.killed || r.steal.is_some() {
-                        continue;
-                    }
-                    let v = r.slot;
-                    if !ids[v].is_empty() && count_covered(&ids[v], &covered[v]) == ids[v].len() {
-                        eprintln!("[fleet] shard {v}: released — remaining tail covered by steals");
-                        r.handle.kill()?;
-                        r.killed = true;
                     }
                 }
                 // Steal decision: re-deal the biggest uncovered tail of

@@ -8,10 +8,11 @@
 //! [`UnitId`], plus a run-level fingerprint over the whole grid
 //! definition. That identity layer is what makes runs *addressable*:
 //!
-//! * **Sharding** — [`RunManifest::shard`] deals the unit list across `k`
-//!   independent processes; because per-trial RNG streams derive from unit
-//!   coordinates (not from execution order), the union of the shards'
-//!   results is bit-identical to a single-process run.
+//! * **Sharding** — [`RunManifest::shard`] cuts the unit list into `k`
+//!   contiguous blocks for independent processes; because per-trial RNG
+//!   streams derive from unit coordinates (not from execution order), the
+//!   union of the shards' results is bit-identical to a single-process
+//!   run.
 //! * **Checkpoint/resume** — a sink records each completed [`UnitId`] in a
 //!   ledger; [`RunManifest::without`] drops finished units so a crashed or
 //!   interrupted run restarts exactly where it stopped.
@@ -144,9 +145,16 @@ impl RunManifest {
         self.units.is_empty()
     }
 
-    /// Shard `index` of `count`: every `count`-th unit starting at
-    /// `index`, with `pos` (and ids) unchanged. Round-robin keeps the
-    /// slow data-dependent mechanisms of each cell spread across shards.
+    /// Shard `index` of `count`: the `index`-th of `count` contiguous
+    /// blocks of the **full** manifest (the units with
+    /// `pos * count / total_units == index`), with `pos` (and ids)
+    /// unchanged. Block sizes differ by at most one, and so does each
+    /// mechanism's unit count across shards: `B` consecutive units of
+    /// the settings × samples × mechanisms order hold every mechanism
+    /// ⌊B/M⌋ or ⌈B/M⌉ times. A block also touches only about
+    /// `1/count` of the (setting, sample) cells, so a shard generates
+    /// only its own share of the data, and its unfinished work is one
+    /// contiguous tail — the range a steal re-deals.
     pub fn shard(&self, index: usize, count: usize) -> Self {
         assert!(count > 0, "shard count must be positive");
         assert!(index < count, "shard index {index} out of range 0..{count}");
@@ -158,7 +166,7 @@ impl RunManifest {
             units: self
                 .units
                 .iter()
-                .filter(|u| u.pos % count == index)
+                .filter(|u| u.pos * count / self.total_units == index)
                 .cloned()
                 .collect(),
         }
@@ -250,18 +258,55 @@ mod tests {
     #[test]
     fn shards_partition_the_manifest() {
         let m = RunManifest::from_config(&cfg());
-        let s0 = m.shard(0, 3);
-        let s1 = m.shard(1, 3);
-        let s2 = m.shard(2, 3);
-        assert_eq!(s0.len() + s1.len() + s2.len(), m.len());
-        let mut seen = HashSet::new();
-        for u in s0.units.iter().chain(&s1.units).chain(&s2.units) {
-            assert!(seen.insert(u.id), "unit appears in two shards");
+        for k in 1..=m.len() + 1 {
+            let shards: Vec<RunManifest> = (0..k).map(|i| m.shard(i, k)).collect();
+            // Shard i is the i-th contiguous block: concatenated in index
+            // order, the shards are the manifest itself.
+            let dealt: Vec<usize> = shards
+                .iter()
+                .flat_map(|s| s.units.iter().map(|u| u.pos))
+                .collect();
+            assert_eq!(dealt, (0..m.len()).collect::<Vec<_>>(), "k = {k}");
+            let sizes: Vec<usize> = shards.iter().map(RunManifest::len).collect();
+            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(hi - lo <= 1, "k = {k}: uneven blocks {sizes:?}");
+            // Shards retain the full-run ids, positions and fingerprint.
+            for s in &shards {
+                assert!(s.units.iter().all(|u| u.id == m.units[u.pos].id));
+                assert_eq!(s.fingerprint, m.fingerprint);
+                assert_eq!(s.total_units, m.total_units);
+            }
         }
-        // Shards retain the full-run positions and fingerprint.
-        assert!(s1.units.iter().all(|u| u.pos % 3 == 1));
-        assert_eq!(s1.fingerprint, m.fingerprint);
-        assert_eq!(s1.total_units, m.total_units);
+        // 12 units in 3 shards: positions 0..4, 4..8, 8..12.
+        let s1 = m.shard(1, 3);
+        assert!(s1.units.iter().map(|u| u.pos).eq(4..8));
+    }
+
+    #[test]
+    fn shards_balance_every_mechanism() {
+        let mut c = cfg();
+        c.scales = vec![10_000];
+        c.n_samples = 10;
+        c.algorithms = ["IDENTITY", "H", "HB", "GREEDY_H", "PRIVELET", "UNIFORM"]
+            .map(String::from)
+            .to_vec();
+        let m = RunManifest::from_config(&c);
+        assert_eq!(m.len(), 60);
+        for k in 2..=5 {
+            for name in &c.algorithms {
+                let counts: Vec<usize> = (0..k)
+                    .map(|i| {
+                        m.shard(i, k)
+                            .units
+                            .iter()
+                            .filter(|u| &u.algorithm == name)
+                            .count()
+                    })
+                    .collect();
+                let (lo, hi) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+                assert!(hi - lo <= 1, "k = {k}: {name} dealt {counts:?}");
+            }
+        }
     }
 
     #[test]
@@ -276,6 +321,7 @@ mod tests {
         // inside the range, and splitting a shard into spans partitions
         // it exactly.
         let victim = m.shard(1, 3);
+        let own: HashSet<UnitId> = victim.units.iter().map(|u| u.id).collect();
         let mid = victim.units[victim.len() / 2].pos;
         let head = victim.span(0, mid);
         let tail = victim.span(mid, usize::MAX);
@@ -283,8 +329,13 @@ mod tests {
         let mut seen = HashSet::new();
         for u in head.units.iter().chain(&tail.units) {
             assert!(seen.insert(u.id), "unit appears in two spans");
-            assert!(u.pos % 3 == 1, "span must not leave the shard");
         }
+        // A range wider than the shard never leaves it.
+        for (from, until) in [(0, usize::MAX), (2, 10), (0, mid), (mid, 12)] {
+            let span = victim.span(from, until);
+            assert!(span.units.iter().all(|u| own.contains(&u.id)));
+        }
+        assert_eq!(victim.span(0, usize::MAX).len(), victim.len());
     }
 
     #[test]

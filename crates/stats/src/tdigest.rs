@@ -469,7 +469,7 @@ mod tests {
             let single = digest_of(&xs);
             let (lo, hi) = (single.min(), single.max());
             for k in [2_usize, 3, 5] {
-                // Round-robin deal, like RunManifest::shard.
+                // Round-robin deal: any partition must merge alike.
                 let mut merged = TDigest::new();
                 for shard in 0..k {
                     let mut part = TDigest::new();

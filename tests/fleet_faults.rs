@@ -446,6 +446,68 @@ fn straggler_tail_is_stolen_and_wall_clock_stays_bounded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn fast_thief_releases_its_victim_without_waiting_for_a_probe_tick() {
+    let dir = tmp_dir("release-victim");
+    let oracle = reference(&dir);
+    let manifest = Runner::new(tiny_config()).manifest();
+    // Shard 0 finishes inside its launch; shard 1 runs on a slow slot,
+    // so the first probe tick re-deals its whole two-unit tail to the
+    // idle fast slot. The thief covers it within milliseconds, and its
+    // exit must release the victim at once: the next probe tick is a
+    // minute away, and the victim alone needs two slow units.
+    let slow = Duration::from_secs(2);
+    let transport = FaultyTransport::new(tiny_config(), dir.join("remote")).slow_slot(1, slow);
+    let out = dir.join("fleet.jsonl");
+    let mut o = opts();
+    o.progress_interval = Duration::from_secs(60);
+    let started = Instant::now();
+    let report = run_fleet_with(&manifest, &transport, &out, &o).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(report.steal_launches, 1, "{report:?}");
+    assert_eq!(report.steals[0].victim, 1);
+    assert!(
+        elapsed < slow,
+        "the covered victim kept the fleet open for {elapsed:?}"
+    );
+    assert_eq!(std::fs::read(&out).unwrap(), oracle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn slow_thief_is_released_when_its_victim_finishes_first() {
+    let dir = tmp_dir("release-thief");
+    let oracle = reference(&dir);
+    let manifest = Runner::new(tiny_config()).manifest();
+    let out = dir.join("fleet.jsonl");
+    // Shard 0's ledger is already complete, so slot 0 is idle from the
+    // start and shard 1 runs alone. The first probe tick re-deals shard
+    // 1's tail to slot 0, which is far slower: the victim finishes its
+    // own units first, and the fleet must return then, not when the
+    // thief would have.
+    let mut sink = JsonlSink::create(shard_ledger_path(&out, 0)).unwrap();
+    Runner::new(tiny_config())
+        .run_with_sink(&manifest.shard(0, 2), &mut sink)
+        .unwrap();
+    drop(sink);
+    let thief_unit = Duration::from_secs(2);
+    let transport = FaultyTransport::new(tiny_config(), dir.join("remote"))
+        .slow_slot(0, thief_unit)
+        .slow_slot(1, Duration::from_millis(300));
+    let started = Instant::now();
+    let report = run_fleet_with(&manifest, &transport, &out, &opts()).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(report.launches, 1, "only shard 1 needed a launch");
+    assert_eq!(report.steal_launches, 1, "{report:?}");
+    assert_eq!(report.shards[1].attempts, 1);
+    assert!(
+        elapsed < thief_unit,
+        "the covered thief kept the fleet open for {elapsed:?}"
+    );
+    assert_eq!(std::fs::read(&out).unwrap(), oracle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pull one `"key":<int>` field out of a status line without a JSON
 /// parser (the harness deliberately has no JSON dependency).
 fn field_usize(s: &str, key: &str) -> Option<usize> {

@@ -264,8 +264,7 @@ pub fn l1_partition_with(
 /// [`l1_partition`]: every interval's deviation is recomputed by a full
 /// rescan. The only change from the pre-optimization code is the shared
 /// [`IMPROVEMENT_TOL`] near-tie rule (both DPs must break fp-level cost
-/// ties identically to be comparable at all). Used only by tests and the
-/// `perf_report` baseline.
+/// ties identically to be comparable at all). Used only by tests.
 pub fn l1_partition_naive(noisy: &[f64], eps1: f64, eps2: f64) -> Vec<(usize, usize)> {
     let n = noisy.len();
     assert!(n > 0);

@@ -12,18 +12,15 @@ fn main() {
         "Rparam training (MWEM* round schedule, AHP* parameters)",
         "Hay et al., SIGMOD 2016, Sections 5.2 and 6.4",
     );
-    let quick = std::env::var("DPBENCH_FULL")
-        .map(|v| v != "1")
-        .unwrap_or(true);
-    let cfg = if quick {
+    let cfg = if common::Fidelity::from_env().full {
+        TuningConfig::default()
+    } else {
         TuningConfig {
             signals: vec![1e1, 1e3, 1e5],
             epsilon: 0.1,
             domain: 256,
             trials: 2,
         }
-    } else {
-        TuningConfig::default()
     };
     println!("Training config: {cfg:?}\n");
 

@@ -4,14 +4,16 @@
 //!
 //! * `DPBENCH_SAMPLES` — data vectors per setting (paper: 5; default 1)
 //! * `DPBENCH_TRIALS`  — runs per data vector (paper: 10; default 3)
-//! * `DPBENCH_FULL=1`  — paper-scale fidelity (5 × 10)
+//! * `DPBENCH_FULL=1`  — paper-scale fidelity (5 × 10); `0` or unset is off
 //! * `DPBENCH_DOMAIN`  — override the 1-D domain size / 2-D side
 //! * `DPBENCH_JSONL`   — stream raw samples + completed-unit ledger to
 //!   this JSONL file while the grid runs (resumable with the `dpbench`
 //!   CLI; see `crates/harness/src/sink.rs`)
 //!
 //! Reduced fidelity changes error-bar tightness, not the shape of the
-//! results; every binary prints the configuration it ran.
+//! results; every binary prints the configuration it ran. A malformed or
+//! zero count, or a `DPBENCH_FULL` other than `0`/`1`, panics with the
+//! variable's name and value rather than running at the default.
 //!
 //! Grids run through the streaming sink pipeline: a memory sink feeds
 //! the binary's tables, and `DPBENCH_JSONL` tees the same stream onto
@@ -24,38 +26,59 @@ use dpbench_harness::ResultStore;
 use dpbench_harness::Runner;
 
 /// Fidelity settings resolved from the environment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fidelity {
     /// Data vectors per setting.
     pub samples: usize,
     /// Mechanism runs per data vector.
     pub trials: usize,
+    /// Paper-scale fidelity (`DPBENCH_FULL=1`).
+    pub full: bool,
+    /// The 1-D domain size / 2-D side, when `DPBENCH_DOMAIN` overrides it.
+    pub domain: Option<usize>,
 }
 
 impl Fidelity {
     /// Resolve from environment variables.
     pub fn from_env() -> Self {
-        let full = std::env::var("DPBENCH_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        let samples = env_usize("DPBENCH_SAMPLES").unwrap_or(if full { 5 } else { 1 });
-        let trials = env_usize("DPBENCH_TRIALS").unwrap_or(if full { 10 } else { 3 });
-        Self { samples, trials }
+        Self::resolve(|key| std::env::var(key).ok())
     }
-}
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
+    /// Resolve from `var`, which looks a variable up by name.
+    ///
+    /// # Panics
+    ///
+    /// On a count that is not a positive integer, or a `DPBENCH_FULL`
+    /// other than `0`/`1`; the message names the variable and its value.
+    pub fn resolve(var: impl Fn(&str) -> Option<String>) -> Self {
+        let count = |key: &str| {
+            var(key).map(|v| match v.parse::<usize>() {
+                Ok(n) if n > 0 => n,
+                _ => panic!("{key}={v:?} is not a positive integer"),
+            })
+        };
+        let full = match var("DPBENCH_FULL").as_deref() {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(v) => panic!("DPBENCH_FULL={v:?} must be 0 or 1"),
+        };
+        Self {
+            samples: count("DPBENCH_SAMPLES").unwrap_or(if full { 5 } else { 1 }),
+            trials: count("DPBENCH_TRIALS").unwrap_or(if full { 10 } else { 3 }),
+            full,
+            domain: count("DPBENCH_DOMAIN"),
+        }
+    }
 }
 
 /// The 1-D domain to use: paper default 4096, overridable.
 pub fn domain_1d() -> Domain {
-    Domain::D1(env_usize("DPBENCH_DOMAIN").unwrap_or(4096))
+    Domain::D1(Fidelity::from_env().domain.unwrap_or(4096))
 }
 
 /// The 2-D domain to use: paper default 128×128, overridable side.
 pub fn domain_2d() -> Domain {
-    let side = env_usize("DPBENCH_DOMAIN").unwrap_or(128);
+    let side = Fidelity::from_env().domain.unwrap_or(128);
     Domain::D2(side, side)
 }
 
@@ -149,5 +172,56 @@ pub fn config_2d(algorithms: &[&str], scales: Vec<u64>) -> ExperimentConfig {
         n_trials: 3,
         workload: WorkloadSpec::RandomRanges(2000),
         loss: dpbench_core::Loss::L2,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn resolve(vars: &[(&str, &str)]) -> Fidelity {
+        Fidelity::resolve(|key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn defaults_full_fidelity_and_overrides() {
+        let quick = Fidelity {
+            samples: 1,
+            trials: 3,
+            full: false,
+            domain: None,
+        };
+        assert_eq!(resolve(&[]), quick);
+        assert_eq!(resolve(&[("DPBENCH_FULL", "0")]), quick);
+        let full = resolve(&[("DPBENCH_FULL", "1")]);
+        assert_eq!((full.samples, full.trials, full.full), (5, 10, true));
+        let set = resolve(&[
+            ("DPBENCH_FULL", "1"),
+            ("DPBENCH_SAMPLES", "2"),
+            ("DPBENCH_TRIALS", "7"),
+            ("DPBENCH_DOMAIN", "256"),
+        ]);
+        assert_eq!((set.samples, set.trials, set.domain), (2, 7, Some(256)));
+    }
+
+    #[test]
+    fn malformed_values_panic_with_name_and_value() {
+        for (key, value, rule) in [
+            ("DPBENCH_SAMPLES", "five", "is not a positive integer"),
+            ("DPBENCH_TRIALS", "0", "is not a positive integer"),
+            ("DPBENCH_DOMAIN", "-4", "is not a positive integer"),
+            ("DPBENCH_FULL", "true", "must be 0 or 1"),
+        ] {
+            let panic = std::panic::catch_unwind(|| resolve(&[(key, value)]))
+                .expect_err("a malformed value must not fall back to a default");
+            let text = panic
+                .downcast_ref::<String>()
+                .expect("panic carries a formatted message");
+            assert_eq!(*text, format!("{key}={value:?} {rule}"));
+        }
     }
 }

@@ -1,9 +1,7 @@
 //! # dpbench-bench
 //!
-//! Shared plumbing for the figure/table reproduction binaries (in
-//! `src/bin/`) and the wall-clock micro-benchmarks (in `benches/`,
-//! hand-timed `harness = false` binaries — criterion is unavailable in
-//! the offline build environment).
+//! Shared plumbing for the paper's figure, table and finding reproduction
+//! binaries (in `src/bin/`). Performance is measured by `perfbench/`, not
+//! here.
 
 pub mod common;
-pub mod timing;

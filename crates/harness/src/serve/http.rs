@@ -388,8 +388,8 @@ pub fn request(
 /// A persistent keep-alive HTTP/1.1 client connection for load
 /// generation and tests: send any number of requests (pipelining
 /// allowed — `send` never reads), then collect responses in order with
-/// `recv`/`try_recv`. Responses are framed by `Content-Length`, so
-/// leftover bytes after one response stay buffered for the next.
+/// `recv`. Responses are framed by `Content-Length`, so leftover bytes
+/// after one response stay buffered for the next.
 pub struct ClientConn {
     stream: TcpStream,
     rbuf: Vec<u8>,
@@ -405,11 +405,6 @@ impl ClientConn {
             stream,
             rbuf: Vec::new(),
         })
-    }
-
-    /// Change the read deadline (`try_recv` uses it as its poll slice).
-    pub fn set_read_timeout(&mut self, d: std::time::Duration) -> io::Result<()> {
-        self.stream.set_read_timeout(Some(d))
     }
 
     /// Write one keep-alive request; does not wait for the response.
@@ -431,19 +426,7 @@ impl ClientConn {
             if let Some(resp) = self.parse_buffered()? {
                 return Ok(resp);
             }
-            self.fill(true)?;
-        }
-    }
-
-    /// Nonblocking-ish receive: returns `Ok(None)` when no complete
-    /// response is buffered and the read deadline passes without bytes.
-    pub fn try_recv(&mut self) -> io::Result<Option<(u16, String)>> {
-        if let Some(resp) = self.parse_buffered()? {
-            return Ok(Some(resp));
-        }
-        match self.fill(false) {
-            Ok(()) => self.parse_buffered(),
-            Err(e) => Err(e),
+            self.fill()?;
         }
     }
 
@@ -458,9 +441,8 @@ impl ClientConn {
         self.recv()
     }
 
-    /// Read more bytes into `rbuf`; with `must_progress`, a timeout is an
-    /// error (for `recv`), otherwise it is a quiet no-op (for `try_recv`).
-    fn fill(&mut self, must_progress: bool) -> io::Result<()> {
+    /// Read more bytes into `rbuf`; passing the read deadline is an error.
+    fn fill(&mut self) -> io::Result<()> {
         let mut chunk = [0_u8; 16 << 10];
         match self.stream.read(&mut chunk) {
             Ok(0) => Err(io::Error::new(
@@ -469,15 +451,6 @@ impl ClientConn {
             )),
             Ok(n) => {
                 self.rbuf.extend_from_slice(&chunk[..n]);
-                Ok(())
-            }
-            Err(e)
-                if !must_progress
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
                 Ok(())
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(()),

@@ -190,6 +190,16 @@ fn merge(args: &[String]) -> ExitCode {
         eprintln!("error: merge requires at least one input file");
         return ExitCode::FAILURE;
     }
+    // Creating `--out` truncates it, so it must not be one of the inputs.
+    if let Ok(out_path) = std::fs::canonicalize(&out) {
+        if let Some(input) = inputs
+            .iter()
+            .find(|i| std::fs::canonicalize(i).is_ok_and(|p| p == out_path))
+        {
+            eprintln!("error: --out {out} is the input {input}; merge into a new file");
+            return ExitCode::FAILURE;
+        }
+    }
     let result = std::fs::File::create(&out)
         .map_err(|e| std::io::Error::new(e.kind(), format!("creating {out}: {e}")))
         .and_then(|f| {

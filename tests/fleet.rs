@@ -303,6 +303,37 @@ fn launch_cmd_fleet_with_copy_back_matches_one_shot_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `merge --out` naming one of its own inputs is refused before anything
+/// is created: creating `--out` truncates it, destroying that input.
+#[test]
+fn merge_refuses_an_output_that_is_one_of_its_inputs() {
+    let dir = tmp_dir("merge-in-place");
+    let shards: Vec<String> = (0..2)
+        .map(|i| {
+            let path = dir.join(format!("s{i}.jsonl")).display().to_string();
+            let shard = format!("{i}/2");
+            let mut args = vec!["run"];
+            args.extend_from_slice(GRID);
+            args.extend_from_slice(&["--out", &path, "--shard", &shard]);
+            run_ok(&args);
+            path
+        })
+        .collect();
+    let before = std::fs::read(&shards[0]).unwrap();
+    // The same file under another spelling.
+    let out_path = dir.join(".").join("s0.jsonl").display().to_string();
+    let out = dpbench(&["merge", "--out", &out_path, &shards[0], &shards[1]]);
+    assert!(!out.status.success(), "merge into its own input accepted");
+    assert_eq!(
+        std::fs::read(&shards[0]).unwrap(),
+        before,
+        "the input ledger must be left intact"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&shards[0]), "unexpected stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_flag_names_are_rejected() {
     // Regression: a misspelled flag *name* (--trails for --trials) used

@@ -620,5 +620,18 @@ fn ranged_fetch_moves_only_new_bytes() {
         "expected multiple probe ticks: {:?}",
         report.probe_fetch_bytes
     );
+    // The same fleet with whole-ledger copy-backs moves more bytes.
+    let t = FaultyTransport::new(tiny_config(), dir.join("remote-full"))
+        .slow_slot(0, Duration::from_millis(60))
+        .slow_slot(1, Duration::from_millis(60));
+    let out = dir.join("fleet-full.jsonl");
+    let full = run_fleet_with(&manifest, &t, &out, &opts()).unwrap();
+    assert_eq!(std::fs::read(&out).unwrap(), oracle);
+    assert!(
+        report.fetch_ranged_bytes < full.fetch_full_bytes,
+        "ranged fetch moved no fewer bytes than whole-ledger copies: {} vs {}",
+        report.fetch_ranged_bytes,
+        full.fetch_full_bytes
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

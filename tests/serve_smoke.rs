@@ -123,7 +123,8 @@ fn concurrent_spend_exactly_exhausts_the_budget_and_survives_restart() {
 
 /// Repeated identical releases hit the shared cross-request plan cache:
 /// the first request builds (hit bit false), every later one is served
-/// warm (hit bit true), and the status counters agree.
+/// warm (hit bit true), and the status counters agree. A release on a
+/// new workload builds again.
 #[test]
 fn repeated_identical_releases_hit_the_shared_plan_cache() {
     let handle = test_server(&[("bob", 10.0)], None);
@@ -144,6 +145,11 @@ fn repeated_identical_releases_hit_the_shared_plan_cache() {
     assert!(resp.contains("\"DAWA\":5"), "{resp}");
     let stats = handle.state().plan_cache.stats();
     assert_eq!((stats.hits, stats.misses), (4, 1));
+    // A distinct workload is a distinct plan: it builds cold.
+    let body = "{\"tenant\":\"bob\",\"dataset\":\"MEDCOST\",\"mechanism\":\"DAWA\",\"eps\":0.1,\"workload\":\"random:100\"}";
+    let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(body)).unwrap();
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains("\"plan_cache_hit\":false"), "{resp}");
     handle.shutdown().unwrap();
 }
 

@@ -181,10 +181,13 @@ impl ExperimentConfig {
         self.settings().len() * self.algorithms.len() * self.n_samples * self.n_trials
     }
 
-    /// Fail fast on names the JSONL ledger cannot represent: dataset and
-    /// algorithm identifiers must match `[A-Za-z0-9_*-]+` (see
-    /// [`is_valid_identifier`]). Called by the runner and the JSONL sink
-    /// before any ledger byte is written.
+    /// Fail fast on a grid that cannot run or that the JSONL ledger
+    /// cannot represent: dataset and algorithm identifiers must match
+    /// `[A-Za-z0-9_*-]+` (see [`is_valid_identifier`]), every ε must be
+    /// positive and finite, every dataset must coarsen to each domain of
+    /// its dimensionality, and the grid needs a trial, a sample and a
+    /// setting. Called by the runner before any unit runs or any ledger
+    /// byte is written.
     pub fn validate(&self) -> Result<(), String> {
         for d in &self.datasets {
             if !is_valid_identifier(d.name) {
@@ -200,6 +203,30 @@ impl ExperimentConfig {
                     "invalid algorithm name {a:?}: ledger identifiers must match [A-Za-z0-9_*-]+"
                 ));
             }
+        }
+        if let Some(e) = self.epsilons.iter().find(|e| !(e.is_finite() && **e > 0.0)) {
+            return Err(format!("epsilon {e} is not positive and finite"));
+        }
+        for d in &self.datasets {
+            for domain in self.domains.iter().filter(|m| m.dims() == d.dims()) {
+                if !d.base_domain.coarsens_to(domain) {
+                    return Err(format!(
+                        "dataset {} (base domain {}) cannot coarsen to domain {domain}",
+                        d.name, d.base_domain
+                    ));
+                }
+            }
+        }
+        if self.n_trials == 0 {
+            return Err("the grid needs at least one trial (got 0)".into());
+        }
+        if self.n_samples == 0 {
+            return Err("the grid needs at least one sample (got 0)".into());
+        }
+        if self.settings().is_empty() {
+            return Err(
+                "the grid has no setting: no domain has the dimensionality of a dataset".into(),
+            );
         }
         Ok(())
     }
@@ -401,6 +428,50 @@ mod tests {
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("algorithm"), "{err}");
         assert!(err.contains("[A-Za-z0-9_*-]+"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_grids_that_cannot_run() {
+        let base = ExperimentConfig {
+            datasets: vec![catalog::by_name("ADULT").unwrap()],
+            scales: vec![1000],
+            domains: vec![Domain::D1(256)],
+            epsilons: vec![0.1],
+            algorithms: vec!["IDENTITY".into()],
+            n_samples: 1,
+            n_trials: 1,
+            workload: WorkloadSpec::Prefix,
+            loss: Loss::L2,
+        };
+        assert!(base.validate().is_ok());
+        // Settings skip a domain of the other dimensionality.
+        let mut mixed = base.clone();
+        mixed.domains.push(Domain::D2(8, 8));
+        assert!(mixed.validate().is_ok());
+        let mut cases = Vec::new();
+        for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = base.clone();
+            c.epsilons.push(eps);
+            cases.push((c, "not positive and finite"));
+        }
+        for domain in [Domain::D1(100), Domain::D1(0), Domain::D1(8192)] {
+            let mut c = base.clone();
+            c.domains = vec![domain];
+            cases.push((c, "cannot coarsen"));
+        }
+        let mut c = base.clone();
+        c.domains = vec![Domain::D2(8, 8)];
+        cases.push((c, "no setting"));
+        let mut c = base.clone();
+        c.n_trials = 0;
+        cases.push((c, "at least one trial"));
+        let mut c = base.clone();
+        c.n_samples = 0;
+        cases.push((c, "at least one sample"));
+        for (cfg, expected) in cases {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(expected), "{err}");
+        }
     }
 
     #[test]

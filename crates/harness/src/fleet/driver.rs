@@ -49,13 +49,13 @@
 
 use super::progress::ProgressTailer;
 use super::transport::{
-    Artifact, FetchOutcome, LaunchSpec, LocalTransport, RangedFetch, ShardHandle, ShardLauncher,
-    ShardStatus, ShardTransport, StealSpec,
+    Artifact, FetchOutcome, LaunchSpec, RangedFetch, ShardHandle, ShardStatus, ShardTransport,
+    StealSpec,
 };
 use crate::manifest::{RunManifest, UnitId};
-use crate::sink::{atomic_write, header_fingerprint, merge_jsonl, read_ledger};
+use crate::sink::{atomic_write, header_fingerprint, merge_jsonl_file, read_ledger};
 use std::collections::HashSet;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -445,17 +445,6 @@ fn render_status(s: &StatusInput) -> String {
     }
     out.push_str("]}\n");
     out
-}
-
-/// Run a fleet of local child processes — the PR 4 entry point, now a
-/// thin wrapper that adapts `launcher` into a [`LocalTransport`].
-pub fn run_fleet(
-    manifest: &RunManifest,
-    launcher: &dyn ShardLauncher,
-    out: &Path,
-    opts: &FleetOptions,
-) -> io::Result<FleetReport> {
-    run_fleet_with(manifest, &LocalTransport { launcher }, out, opts)
 }
 
 /// Run the whole fleet over an arbitrary transport: launch `k` shards,
@@ -1180,9 +1169,7 @@ pub fn run_fleet_with(
             })
             .map(|r| r.ledger.clone()),
     );
-    let mut writer = std::io::BufWriter::new(std::fs::File::create(out)?);
-    merge_jsonl(&inputs, &mut writer)?;
-    writer.flush()?;
+    merge_jsonl_file(&inputs, out)?;
     let merged = read_ledger(out)?;
     if merged.fingerprint != manifest.fingerprint {
         return Err(io::Error::new(
@@ -1277,6 +1264,7 @@ pub fn run_fleet_with(
 mod tests {
     use super::*;
     use crate::config::{ExperimentConfig, WorkloadSpec};
+    use crate::fleet::transport::{LocalTransport, ShardLauncher};
     use dpbench_core::{Domain, Loss};
     use dpbench_datasets::catalog;
     use std::process::Child;
@@ -1363,6 +1351,11 @@ mod tests {
         }
     }
 
+    /// [`NoopLauncher`] behind the local transport.
+    const NOOP: LocalTransport<'static> = LocalTransport {
+        launcher: &NoopLauncher,
+    };
+
     #[test]
     fn fleet_over_prebuilt_ledgers_merges_without_launching() {
         use crate::runner::Runner;
@@ -1383,7 +1376,7 @@ mod tests {
             max_attempts: 1,
             ..FleetOptions::default()
         };
-        let report = run_fleet(&manifest, &NoopLauncher, &out, &opts).unwrap();
+        let report = run_fleet_with(&manifest, &NOOP, &out, &opts).unwrap();
         assert_eq!(report.launches, 0, "complete shards must not relaunch");
         assert_eq!(report.merged_units, manifest.len());
         assert_eq!(report.steal_launches, 0);
@@ -1419,7 +1412,7 @@ mod tests {
             max_attempts: 2,
             ..FleetOptions::default()
         };
-        let err = run_fleet(&manifest, &NoopLauncher, &out, &opts).unwrap_err();
+        let err = run_fleet_with(&manifest, &NOOP, &out, &opts).unwrap_err();
         assert!(
             err.to_string()
                 .contains("did not complete after 2 attempt(s)"),
@@ -1474,7 +1467,7 @@ mod tests {
             .unwrap();
         drop(sink);
         let manifest = crate::manifest::RunManifest::from_config(&tiny_config());
-        let err = run_fleet(&manifest, &NoopLauncher, &out, &FleetOptions::default()).unwrap_err();
+        let err = run_fleet_with(&manifest, &NOOP, &out, &FleetOptions::default()).unwrap_err();
         assert!(
             err.to_string().contains("different run"),
             "unexpected error: {err}"

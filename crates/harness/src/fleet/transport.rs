@@ -38,7 +38,7 @@
 use crate::config::ExperimentConfig;
 use crate::runner::Runner;
 use crate::sink::{read_ledger, JsonlSink, Throttle};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -935,41 +935,21 @@ fn execute_faulty_shard(
             .span(st.from_pos, st.until_pos),
         None => runner.manifest().shard(spec.index, spec.procs),
     };
-    if spec.resume {
-        // Mirror the real child: resume over an unreadable ledger is
-        // a failed attempt, not silent data loss.
-        let ledger = match read_ledger(remote) {
-            Ok(l) => l,
-            Err(_) => return Ok(false),
+    // Mirror the real child: resume over an unreadable ledger is a failed
+    // attempt, not silent data loss.
+    let (done, mut sink) = if spec.resume {
+        let Ok(ledger) = read_ledger(remote) else {
+            return Ok(false);
         };
-        let mut sink = JsonlSink::append(remote)?;
-        match delay {
-            Some(d) => {
-                let mut slow = Throttle::new(&mut sink, d);
-                if let Some(flag) = cancel {
-                    slow = slow.with_cancel(flag);
-                }
-                runner.resume(&shard, &ledger.done, &mut slow)?;
-            }
-            None => {
-                runner.resume(&shard, &ledger.done, &mut sink)?;
-            }
-        }
+        (ledger.done, JsonlSink::append(remote)?)
     } else {
-        let mut sink = JsonlSink::create(remote)?;
-        match delay {
-            Some(d) => {
-                let mut slow = Throttle::new(&mut sink, d);
-                if let Some(flag) = cancel {
-                    slow = slow.with_cancel(flag);
-                }
-                runner.run_with_sink(&shard, &mut slow)?;
-            }
-            None => {
-                runner.run_with_sink(&shard, &mut sink)?;
-            }
-        }
+        (HashSet::new(), JsonlSink::create(remote)?)
+    };
+    let mut slow = Throttle::new(&mut sink, delay.unwrap_or_default());
+    if let Some(flag) = cancel {
+        slow = slow.with_cancel(flag);
     }
+    runner.resume(&shard, &done, &mut slow)?;
     if torn_tail {
         // A kill mid-write: a fragment with no newline and no
         // closing brace. `JsonlSink::append` heals it on resume.

@@ -40,8 +40,8 @@ pub mod tuning;
 
 pub use config::{ExperimentConfig, Setting};
 pub use fleet::{
-    run_fleet, run_fleet_with, CommandTransport, FleetOptions, FleetReport, LaunchSpec,
-    ShardLauncher, ShardTransport, StealEvent, StealSpec,
+    run_fleet_with, CommandTransport, FleetOptions, FleetReport, LaunchSpec, ShardLauncher,
+    ShardTransport, StealEvent, StealSpec,
 };
 pub use manifest::{ManifestUnit, RunManifest, UnitId};
 pub use results::{ErrorSample, ResultStore, SettingSummary};

@@ -381,7 +381,11 @@ impl SelectionProfile {
     pub fn from_summary_files<P: AsRef<Path>>(paths: &[P]) -> io::Result<SelectionProfile> {
         let mut sinks = Vec::with_capacity(paths.len());
         for p in paths {
-            sinks.push(read_summary(p)?);
+            let p = p.as_ref();
+            sinks.push(
+                read_summary(p)
+                    .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", p.display())))?,
+            );
         }
         Ok(SelectionProfile::build(&sinks))
     }
@@ -847,6 +851,19 @@ mod tests {
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         assert!(SelectionProfile::read_file(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn summary_read_errors_name_the_file() {
+        let missing = std::env::temp_dir().join(format!(
+            "dpbench-selector-missing-{}.jsonl",
+            std::process::id()
+        ));
+        let err = SelectionProfile::from_summary_files(&[&missing]).unwrap_err();
+        assert!(
+            err.to_string().contains(&missing.display().to_string()),
+            "{err}"
+        );
     }
 
     #[test]

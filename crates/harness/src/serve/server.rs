@@ -477,6 +477,15 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
                 format!("unknown dataset {name} (see `dpbench list-datasets`)"),
             )
         })?;
+        if !ds.base_domain.coarsens_to(&config.domain) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "dataset {name} (base domain {}) cannot coarsen to domain {}",
+                    ds.base_domain, config.domain
+                ),
+            ));
+        }
         let mut rng = rng_for(
             "serve-data",
             &[

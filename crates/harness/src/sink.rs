@@ -507,30 +507,41 @@ pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSin
     Ok(sink)
 }
 
-/// Write `bytes` to `path` via a sibling temp file and an atomic
-/// rename, so a polling reader can never observe a torn or half-written
-/// file — the producer-side dual of the strict readers' corruption
-/// policy. Used for every small whole-file JSON the fleet emits (the
-/// `--status-file` feed, summaries); the append-only ledgers
-/// keep their flush-per-unit discipline instead, because their readers
-/// are torn-tail-aware by design.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Write `path` through `write` into a sibling temp file and rename it
+/// over `path` only once everything is written, so a polling reader can
+/// never observe a torn or half-written file and a failed write leaves
+/// an existing `path` untouched — the producer-side dual of the strict
+/// readers' corruption policy. Used for every whole file the fleet and
+/// `merge` emit (the `--status-file` feed, summaries, merged ledgers);
+/// the append-only ledgers keep their flush-per-unit discipline instead,
+/// because their readers are torn-tail-aware by design.
+fn replace_file(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = path.with_file_name(format!(
         "{}.tmp",
         path.file_name()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default()
     ));
-    let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.flush()?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let result = File::create(&tmp)
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            write(&mut w)?;
+            w.flush()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    result
+}
+
+/// Replace `path` with `bytes` through a sibling temp file and a rename,
+/// so a reader sees the old file or the new one, never a torn one.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    replace_file(path, |w| w.write_all(bytes))
 }
 
 /// A [`ResultSink`] wrapper that sleeps for a fixed duration before
@@ -1249,7 +1260,8 @@ pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::R
     let mut streams: Vec<UnitStream> = Vec::with_capacity(inputs.len());
     for path in inputs {
         let path = path.as_ref();
-        let ledger = read_ledger(path)?;
+        let ledger = read_ledger(path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         match &header {
             None => header = Some((ledger.fingerprint, ledger.n_trials, ledger.cfg.clone())),
             Some((fp, _, _)) if *fp != ledger.fingerprint => {
@@ -1325,4 +1337,10 @@ pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::R
         writeln!(out, "{}", format_unit_done(id, min_pos))?;
     }
     Ok(())
+}
+
+/// [`merge_jsonl`] into the file `out` through a sibling temp file, so
+/// an existing `out` is replaced only when the whole merge succeeds.
+pub fn merge_jsonl_file<P: AsRef<Path>>(inputs: &[P], out: &Path) -> io::Result<()> {
+    replace_file(out, |w| merge_jsonl(inputs, w))
 }

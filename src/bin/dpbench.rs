@@ -1,36 +1,10 @@
 //! `dpbench` — command-line front end to the benchmark.
 //!
-//! ```text
-//! dpbench list-datasets                 # Table 2 with calibration stats
-//! dpbench list-algorithms               # Table 1 metadata
-//! dpbench shapes                        # shape statistics per dataset
-//! dpbench run --dataset MEDCOST --algorithms IDENTITY,DAWA \
-//!             --scale 100000 --eps 0.1 --trials 5 [--domain 1024]
-//!             [--workload prefix|identity|random:2000] [--loss l1|l2]
-//!             [--threads N] [--verbose] [--csv out.csv]
-//!             [--out run.jsonl] [--resume] [--shard i/k]
-//!             [--from-pos N --until-pos M] [--agg summary.jsonl]
-//!             [--max-units N] [--fail-after N] [--unit-delay-ms MS]
-//!             [--data-cache-mb MB]
-//! dpbench fleet --procs k --out run.jsonl <run flags...>
-//!               [--retries N] [--kill-shard i:N] [--agg summary.jsonl]
-//!               [--progress] [--stall-timeout SECS] [--steal 0/1]
-//!               [--status-file FILE.json] [--slow-shard i:MS]
-//!               [--launch-cmd TPL --workdir DIR [--remote-exe PATH]
-//!                [--fetch-cmd TPL] [--cleanup-cmd TPL]]
-//! dpbench merge --out merged.jsonl shard0.jsonl shard1.jsonl ...
-//! dpbench recommend --summaries a.sum.jsonl,b.sum.jsonl
-//!                   [--profile profile.json] [--dataset NAME]
-//!                   [--domain N|RxC --scale S --eps E]
-//! dpbench serve --port 8787 --datasets MEDCOST,NETTRACE \
-//!               --tenants alice=1.0,bob=0.5 [--tenant-config FILE]
-//!               [--journal spend.jsonl] [--scale N] [--domain N|RxC]
-//!               [--threads N] [--seed S]
-//!               [--slo] [--profile profile.json] [--verbose]
-//!               [--max-conns N] [--max-queue N] [--max-wait-ms MS]
-//!               [--header-timeout-ms MS] [--idle-timeout-ms MS]
-//!               [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]
-//! ```
+//! Run `dpbench` with no arguments for every subcommand and its flags.
+//! That usage text is generated from the flag tables below, which are
+//! also each subcommand's allow-list: an unknown flag, a malformed value
+//! (`bad --X value "v"`) and a grid that cannot run are errors before
+//! any work starts.
 //!
 //! The streaming flags address the grid as a manifest of content-hashed
 //! units: `--out` streams every sample (and a completed-unit ledger) to
@@ -89,17 +63,19 @@
 //!
 //! [`BudgetLedger`]: dpbench_core::BudgetLedger
 
+use dpbench::datasets::catalog;
 use dpbench::harness::fleet::{
     self, CommandTransport, FleetOptions, LaunchSpec, LocalTransport, RemotePaths, ShardLauncher,
 };
+use dpbench::harness::results::parse_domain;
 use dpbench::harness::serve::{self, shutdown, Limits, RateLimit, ServeConfig};
 use dpbench::harness::sink::{self, AggregatingSink, JsonlSink, MemorySink, ResultSink, Tee};
-use dpbench::harness::{config, RunManifest};
+use dpbench::harness::{config, SelectionProfile, SelectorQuery, ShapeClass};
 use dpbench::prelude::*;
-use dpbench_core::Loss;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -112,116 +88,315 @@ const SIMULATED_CRASH_EXIT: u8 = 3;
 /// shell convention — but reached only after sinks flushed cleanly).
 const INTERRUPTED_EXIT: u8 = 130;
 
+/// One flag: its name and the placeholder the usage text shows for its
+/// value. An empty placeholder marks a boolean, given bare (`--resume`)
+/// or as `0`/`1`.
+type Flag = (&'static str, &'static str);
+
+/// The grid definition `run` and `fleet` share; `fleet` hands these to
+/// every shard as given.
+const GRID: &[Flag] = &[
+    ("dataset", "NAME"),
+    ("algorithms", "A,B"),
+    ("scale", "N"),
+    ("domain", "N|RxC"),
+    ("eps", "E"),
+    ("trials", "T"),
+    ("samples", "S"),
+    ("workload", "prefix|identity|random:N"),
+    ("loss", "l1|l2"),
+    ("data-cache-mb", "MB"),
+];
+
+/// Runner knobs `run` and `fleet` share (`fleet` splits `--threads`
+/// across its shards).
+const RUNNER: &[Flag] = &[("threads", "N"), ("verbose", "")];
+
+/// `run`'s own flags, on top of [`GRID`] and [`RUNNER`].
+const RUN: &[Flag] = &[
+    ("csv", "FILE"),
+    ("out", "FILE.jsonl"),
+    ("resume", ""),
+    ("shard", "i/k"),
+    ("from-pos", "N"),
+    ("until-pos", "M"),
+    ("agg", "FILE.jsonl"),
+    ("max-units", "N"),
+    ("fail-after", "N"),
+    ("unit-delay-ms", "MS"),
+];
+
+/// `fleet`'s own flags, on top of [`GRID`] and [`RUNNER`].
+const FLEET: &[Flag] = &[
+    ("procs", "K"),
+    ("out", "FILE.jsonl"),
+    ("agg", "FILE.jsonl"),
+    ("retries", "N"),
+    ("kill-shard", "i:N"),
+    ("slow-shard", "i:MS"),
+    ("progress", ""),
+    ("stall-timeout", "SECS"),
+    ("steal", ""),
+    ("status-file", "FILE.json"),
+    ("launch-cmd", "TPL"),
+    ("workdir", "DIR"),
+    ("remote-exe", "PATH"),
+    ("fetch-cmd", "TPL"),
+    ("cleanup-cmd", "TPL"),
+];
+
+const MERGE: &[Flag] = &[("out", "MERGED.jsonl")];
+
+const RECOMMEND: &[Flag] = &[
+    ("summaries", "A.jsonl,B.jsonl"),
+    ("profile", "OUT.json"),
+    ("dataset", "NAME"),
+    ("domain", "N|RxC"),
+    ("scale", "S"),
+    ("eps", "E"),
+];
+
+/// `serve` shares no table with the grid: datasets are plural, there is
+/// no trial grid, and tenants replace algorithms.
+const SERVE: &[Flag] = &[
+    ("tenants", "NAME=EPS,..."),
+    ("tenant-config", "FILE"),
+    ("port", "P"),
+    ("datasets", "A,B"),
+    ("scale", "N"),
+    ("domain", "N|RxC"),
+    ("journal", "FILE.jsonl"),
+    ("threads", "N"),
+    ("seed", "S"),
+    ("slo", ""),
+    ("verbose", ""),
+    ("profile", "FILE.json"),
+    ("max-conns", "N"),
+    ("max-queue", "N"),
+    ("max-wait-ms", "MS"),
+    ("header-timeout-ms", "MS"),
+    ("idle-timeout-ms", "MS"),
+    ("write-timeout-ms", "MS"),
+    ("rate-limit", "RPS[:BURST]"),
+];
+
+/// A subcommand: its flag tables, the placeholder of its positional
+/// arguments (`None` when it takes none), and its body.
+struct Subcommand {
+    name: &'static str,
+    flags: &'static [&'static [Flag]],
+    inputs: Option<&'static str>,
+    body: fn(&Args) -> Result<ExitCode, String>,
+}
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "list-datasets",
+        flags: &[],
+        inputs: None,
+        body: list_datasets,
+    },
+    Subcommand {
+        name: "list-algorithms",
+        flags: &[],
+        inputs: None,
+        body: list_algorithms,
+    },
+    Subcommand {
+        name: "shapes",
+        flags: &[],
+        inputs: None,
+        body: shapes,
+    },
+    Subcommand {
+        name: "run",
+        flags: &[GRID, RUNNER, RUN],
+        inputs: None,
+        body: run,
+    },
+    Subcommand {
+        name: "fleet",
+        flags: &[GRID, RUNNER, FLEET],
+        inputs: None,
+        body: run_fleet,
+    },
+    Subcommand {
+        name: "merge",
+        flags: &[MERGE],
+        inputs: Some("IN.jsonl..."),
+        body: merge,
+    },
+    Subcommand {
+        name: "recommend",
+        flags: &[RECOMMEND],
+        inputs: None,
+        body: recommend,
+    },
+    Subcommand {
+        name: "serve",
+        flags: &[SERVE],
+        inputs: None,
+        body: serve_cmd,
+    },
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list-datasets") => list_datasets(),
-        Some("list-algorithms") => list_algorithms(),
-        Some("shapes") => shapes(),
-        Some("run") => return run(&args[1..]),
-        Some("fleet") => return run_fleet_cmd(&args[1..]),
-        Some("merge") => return merge(&args[1..]),
-        Some("recommend") => return recommend_cmd(&args[1..]),
-        Some("serve") => return serve_cmd(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: dpbench <list-datasets|list-algorithms|shapes|run|fleet|merge|recommend|serve> [options]"
-            );
-            eprintln!("run options: --dataset NAME --algorithms A,B --scale N");
-            eprintln!("             [--domain N|RxC] [--eps E] [--trials T]");
-            eprintln!("             [--samples S] [--workload prefix|identity|random:N]");
-            eprintln!("             [--loss l1|l2] [--threads N] [--verbose]");
-            eprintln!("             [--csv FILE] [--out FILE.jsonl] [--resume]");
-            eprintln!("             [--shard i/k] [--from-pos N --until-pos M]");
-            eprintln!("             [--agg FILE.jsonl] [--max-units N]");
-            eprintln!("             [--fail-after N] [--unit-delay-ms MS]");
-            eprintln!("             [--data-cache-mb MB]");
-            eprintln!("fleet: --procs K --out FILE.jsonl <run flags...>");
-            eprintln!("       [--retries N] [--kill-shard i:N] [--agg FILE.jsonl]");
-            eprintln!("       [--progress] [--stall-timeout SECS] [--steal 0/1]");
-            eprintln!("       [--status-file FILE.json] [--slow-shard i:MS]");
-            eprintln!("       [--launch-cmd TPL --workdir DIR [--remote-exe PATH]");
-            eprintln!("        [--fetch-cmd TPL] [--cleanup-cmd TPL]]");
-            eprintln!("merge: --out MERGED.jsonl IN1.jsonl IN2.jsonl ...");
-            eprintln!("recommend: --summaries A.jsonl,B.jsonl [--profile OUT.json]");
-            eprintln!("           [--dataset NAME] [--domain N|RxC --scale S --eps E]");
-            eprintln!("serve: --tenants NAME=EPS,... [--tenant-config FILE]");
-            eprintln!("       [--port P] [--datasets A,B] [--scale N] [--domain N|RxC]");
-            eprintln!("       [--journal FILE.jsonl] [--threads N] [--seed S] [--slo] [--verbose]");
-            eprintln!("       [--profile FILE.json] (auto routes through the profile)");
-            eprintln!("       [--max-conns N] [--max-queue N] [--max-wait-ms MS]");
-            eprintln!("          (connections park on a readiness poller between requests,");
-            eprintln!("           so --max-conns in the thousands is practical; default 1024)");
-            eprintln!("       [--header-timeout-ms MS] [--idle-timeout-ms MS]");
-            eprintln!("       [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `dpbench merge --out OUT IN...`: interleave shard / partial JSONL
-/// files into canonical manifest order (streaming k-way merge — inputs
-/// are never loaded whole).
-fn merge(args: &[String]) -> ExitCode {
-    let mut out = None;
-    let mut inputs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--out" {
-            match args.get(i + 1) {
-                Some(v) => out = Some(v.clone()),
-                None => {
-                    eprintln!("error: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            }
-            i += 2;
-        } else {
-            inputs.push(args[i].clone());
-            i += 1;
-        }
-    }
-    let Some(out) = out else {
-        eprintln!("error: merge requires --out FILE");
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| SUBCOMMANDS.iter().find(|c| c.name == name))
+    else {
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    if inputs.is_empty() {
-        eprintln!("error: merge requires at least one input file");
-        return ExitCode::FAILURE;
-    }
-    // Creating `--out` truncates it, so it must not be one of the inputs.
-    if let Ok(out_path) = std::fs::canonicalize(&out) {
-        if let Some(input) = inputs
-            .iter()
-            .find(|i| std::fs::canonicalize(i).is_ok_and(|p| p == out_path))
-        {
-            eprintln!("error: --out {out} is the input {input}; merge into a new file");
-            return ExitCode::FAILURE;
+    match Args::parse(cmd, &args[1..]).and_then(|a| (cmd.body)(&a)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    let result = std::fs::File::create(&out)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("creating {out}: {e}")))
-        .and_then(|f| {
-            let mut w = std::io::BufWriter::new(f);
-            sink::merge_jsonl(&inputs, &mut w)?;
-            use std::io::Write;
-            w.flush()
-        });
-    if let Err(e) = result {
-        eprintln!("error merging: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("merged {} files into {out}", inputs.len());
-    ExitCode::SUCCESS
 }
 
-fn list_datasets() {
+/// The usage text, generated from [`SUBCOMMANDS`].
+fn usage() -> String {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
+    let mut text = format!("usage: dpbench <{}> [options]", names.join("|"));
+    for cmd in SUBCOMMANDS {
+        let mut line = format!("\n  {}", cmd.name);
+        let flags = cmd.flags.iter().flat_map(|t| t.iter());
+        let words = flags
+            .map(|&(name, value)| match value {
+                "" => format!("[--{name} [0|1]]"),
+                _ => format!("[--{name} {value}]"),
+            })
+            .chain(cmd.inputs.map(str::to_string));
+        for word in words {
+            if line.len() + word.len() >= 80 {
+                text += &line;
+                line = format!("\n{:1$}", "", cmd.name.len() + 2);
+            }
+            line = format!("{line} {word}");
+        }
+        text += &line;
+    }
+    text
+}
+
+/// The table entry of flag `name`, if any table of `tables` has one.
+fn lookup(tables: &[&[Flag]], name: &str) -> Option<Flag> {
+    tables
+        .iter()
+        .flat_map(|t| t.iter())
+        .find(|f| f.0 == name)
+        .copied()
+}
+
+/// One subcommand's parsed arguments: its flag values (booleans as
+/// `"0"`/`"1"`) and its positional inputs.
+struct Args {
+    tables: &'static [&'static [Flag]],
+    values: HashMap<&'static str, String>,
+    inputs: Vec<String>,
+}
+
+impl Args {
+    /// Parse `--flag value` pairs against `cmd`'s tables. A flag outside
+    /// them is an error: a misspelled name (`--trails`) must not silently
+    /// run the defaults, for the same reason a malformed value must not.
+    fn parse(cmd: &Subcommand, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            tables: cmd.flags,
+            values: HashMap::new(),
+            inputs: Vec::new(),
+        };
+        let mut rest = args.iter().peekable();
+        while let Some(arg) = rest.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                if cmd.inputs.is_none() {
+                    return Err(format!("expected --flag, got {arg}"));
+                }
+                parsed.inputs.push(arg.clone());
+                continue;
+            };
+            let Some((name, placeholder)) = lookup(cmd.flags, key) else {
+                return Err(format!(
+                    "unknown flag --{key} for `dpbench {}` (run `dpbench` for usage)",
+                    cmd.name
+                ));
+            };
+            let value = if placeholder.is_empty() {
+                // `--progress true` silently meaning "off" would be the
+                // same silent-misparse class as a malformed number: a
+                // boolean is bare, or exactly 0 or 1.
+                match rest.next_if(|v| !v.starts_with("--")) {
+                    None => "1".to_string(),
+                    Some(v) if v == "0" || v == "1" => v.clone(),
+                    Some(v) => {
+                        return Err(format!(
+                            "bad --{key} value {v:?} (use --{key} bare, or --{key} 0/1)"
+                        ))
+                    }
+                }
+            } else {
+                rest.next()
+                    .ok_or_else(|| format!("--{key} needs a value"))?
+                    .clone()
+            };
+            parsed.values.insert(name, value);
+        }
+        Ok(parsed)
+    }
+
+    /// The raw value of flag `name`.
+    fn str(&self, name: &str) -> Option<&str> {
+        debug_assert!(lookup(self.tables, name).is_some(), "no flag --{name}");
+        self.values.get(name).map(String::as_str)
+    }
+
+    /// Boolean flag `name`, `default` when absent.
+    fn flag(&self, name: &str, default: bool) -> bool {
+        self.str(name).map_or(default, |v| v == "1")
+    }
+
+    /// Flag `name` parsed strictly ([`config::parse_flag_value`]): absent
+    /// is `None`, never a fallback for a malformed value.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.str(name)
+            .map(|v| config::parse_flag_value(name, v))
+            .transpose()
+    }
+
+    /// Flag `name` in a grammar of its own; `hint` says what is expected.
+    fn parse_with<T>(
+        &self,
+        name: &str,
+        hint: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.str(name)
+            .map(|v| parse(v).ok_or_else(|| format!("bad --{name} value {v:?} ({hint})")))
+            .transpose()
+    }
+
+    /// A count that must be at least 1 (`--threads`, `--procs`).
+    fn positive(&self, name: &str) -> Result<Option<usize>, String> {
+        self.parse_with(name, "use a positive integer", |v| {
+            v.parse().ok().filter(|&n| n > 0)
+        })
+    }
+
+    fn domain(&self) -> Result<Option<Domain>, String> {
+        self.parse_with("domain", "use N or RxC", parse_domain)
+    }
+}
+
+fn list_datasets(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<12} {:>12} {:>8} {:>10}  source family",
         "name", "orig scale", "% zero", "domain"
     );
-    for d in dpbench::datasets::catalog::all_datasets() {
+    for d in catalog::all_datasets() {
         println!(
             "{:<12} {:>12} {:>7.1}% {:>10}",
             d.name,
@@ -230,9 +405,10 @@ fn list_datasets() {
             d.base_domain.to_string(),
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn list_algorithms() {
+fn list_algorithms(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<11} {:<8} {:<10} {:>4} {:>4} {:<9} {:<10} {:<12}",
         "name", "dims", "type", "H", "P", "sideinfo", "consistent", "exchangeable"
@@ -254,14 +430,15 @@ fn list_algorithms() {
             info.scale_eps_exchangeable,
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn shapes() {
+fn shapes(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<12} {:>9} {:>8} {:>9} {:>10} {:>9}",
         "name", "entropy*", "gini", "top cell", "support", "tv-smooth"
     );
-    for d in dpbench::datasets::catalog::all_datasets() {
+    for d in catalog::all_datasets() {
         let s = dpbench::datasets::shape_stats(&d.base_shape());
         println!(
             "{:<12} {:>9.3} {:>8.3} {:>9.4} {:>9.1}% {:>9.4}",
@@ -274,356 +451,118 @@ fn shapes() {
         );
     }
     println!("\n* entropy normalized by ln(n); 1.0 = uniform shape");
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Flags that may appear bare (`--resume`) or with an explicit value
-/// (`--resume 1`).
-const BOOL_FLAGS: &[&str] = &["resume", "verbose", "progress", "slo", "steal"];
-
-/// Grid/runner flags shared by `run` and `fleet`.
-const GRID_FLAGS: &[&str] = &[
-    "dataset",
-    "algorithms",
-    "scale",
-    "domain",
-    "eps",
-    "trials",
-    "samples",
-    "workload",
-    "loss",
-    "threads",
-    "verbose",
-    "data-cache-mb",
-];
-
-/// Flags only `run` accepts (on top of [`GRID_FLAGS`]).
-const RUN_ONLY_FLAGS: &[&str] = &[
-    "csv",
-    "out",
-    "resume",
-    "shard",
-    "from-pos",
-    "until-pos",
-    "agg",
-    "max-units",
-    "fail-after",
-    "unit-delay-ms",
-];
-
-/// Flags only `fleet` accepts (on top of [`GRID_FLAGS`]).
-const FLEET_ONLY_FLAGS: &[&str] = &[
-    "out",
-    "agg",
-    "procs",
-    "retries",
-    "kill-shard",
-    "slow-shard",
-    "progress",
-    "stall-timeout",
-    "steal",
-    "status-file",
-    "launch-cmd",
-    "fetch-cmd",
-    "cleanup-cmd",
-    "workdir",
-    "remote-exe",
-];
-
-/// Flags `serve` accepts (a different shape from the grid: datasets are
-/// plural, there is no trial grid, and tenants replace algorithms).
-const SERVE_FLAGS: &[&str] = &[
-    "port",
-    "datasets",
-    "scale",
-    "domain",
-    "tenants",
-    "tenant-config",
-    "max-conns",
-    "max-queue",
-    "max-wait-ms",
-    "header-timeout-ms",
-    "idle-timeout-ms",
-    "write-timeout-ms",
-    "rate-limit",
-    "journal",
-    "threads",
-    "seed",
-    "slo",
-    "profile",
-    "verbose",
-];
-
-/// Flags `recommend` accepts.
-const RECOMMEND_FLAGS: &[&str] = &["summaries", "profile", "dataset", "domain", "scale", "eps"];
-
-/// [`GRID_FLAGS`] plus a subcommand's own flags — the full allow-list
-/// for `run` and `fleet` (serve passes [`SERVE_FLAGS`] alone; grid
-/// flags like `--trials` are meaningless to a server and must error).
-fn grid_plus(extra: &[&'static str]) -> Vec<&'static str> {
-    GRID_FLAGS.iter().chain(extra).copied().collect()
-}
-
-/// Parse `--flag value` pairs, rejecting flag names outside `allowed` —
-/// a misspelled flag name (`--trails`) must not silently vanish into a
-/// run with default values, for the same reason malformed flag *values*
-/// are errors.
-fn parse_flags(
-    args: &[String],
-    subcommand: &str,
-    allowed: &[&str],
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {}", args[i]))?;
-        if !allowed.contains(&key) {
-            return Err(format!(
-                "unknown flag --{key} for `dpbench {subcommand}` (run `dpbench` for usage)"
-            ));
-        }
-        let next = args.get(i + 1);
-        if BOOL_FLAGS.contains(&key) && next.is_none_or(|v| v.starts_with("--")) {
-            // Bare boolean flag.
-            flags.insert(key.to_string(), "1".to_string());
-            i += 1;
-            continue;
-        }
-        let val = next.ok_or_else(|| format!("--{key} needs a value"))?;
-        // `--progress true` silently meaning "off" would be the same
-        // silent-misparse class as a malformed numeric value; explicit
-        // boolean values must be 0 or 1.
-        if BOOL_FLAGS.contains(&key) && val != "0" && val != "1" {
-            return Err(format!(
-                "bad --{key} value {val:?} (use --{key} bare, or --{key} 0/1)"
-            ));
-        }
-        flags.insert(key.to_string(), val.clone());
-        i += 2;
-    }
-    Ok(flags)
-}
-
-/// The grid definition plus runner knobs shared by `run` and `fleet`.
-struct RunSpec {
-    config: ExperimentConfig,
-    threads: Option<usize>,
-    verbose: bool,
-    data_cache_mb: Option<usize>,
-}
-
-/// Build an [`ExperimentConfig`] (and shared runner knobs) from parsed
-/// flags — the common front half of `run` and `fleet`.
-fn build_spec(flags: &HashMap<String, String>) -> Result<RunSpec, String> {
-    let dataset_name = flags
-        .get("dataset")
+/// The [`Runner`] of the grid the flags of `run` or `fleet` describe,
+/// validated before anything runs.
+fn grid_runner(a: &Args) -> Result<Runner, String> {
+    let name = a
+        .str("dataset")
         .ok_or("--dataset is required (see `dpbench list-datasets`)")?;
-    let dataset = dpbench::datasets::catalog::by_name(dataset_name)
-        .ok_or_else(|| format!("unknown dataset {dataset_name}"))?;
-    let algorithms: Vec<String> = flags
-        .get("algorithms")
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|| vec!["IDENTITY".into(), "DAWA".into()]);
-    for a in &algorithms {
-        if mechanism_by_name(a).is_none() {
-            return Err(format!(
-                "unknown algorithm {a} (see `dpbench list-algorithms`)"
-            ));
-        }
+    let dataset = catalog::by_name(name).ok_or_else(|| format!("unknown dataset {name}"))?;
+    let algorithms: Vec<String> = a.str("algorithms").map_or_else(
+        || vec!["IDENTITY".into(), "DAWA".into()],
+        |s| s.split(',').map(str::to_string).collect(),
+    );
+    if let Some(unknown) = algorithms.iter().find(|x| mechanism_by_name(x).is_none()) {
+        return Err(format!(
+            "unknown algorithm {unknown} (see `dpbench list-algorithms`)"
+        ));
     }
-    // Numeric grid flags parse strictly: a malformed value is an error,
-    // never a silent fall-back to the default (an operator typo must not
-    // quietly benchmark the wrong grid).
-    let scale: u64 = match flags.get("scale") {
-        Some(s) => config::parse_flag_value("scale", s)?,
-        None => 100_000,
-    };
-    let domain = match flags.get("domain") {
-        Some(s) => dpbench::harness::results::parse_domain(s)
-            .ok_or_else(|| format!("bad --domain {s} (use N or RxC)"))?,
-        None => dataset.base_domain,
-    };
-    let epsilon: f64 = match flags.get("eps") {
-        Some(s) => config::parse_flag_value("eps", s)?,
-        None => 0.1,
-    };
-    let trials: usize = match flags.get("trials") {
-        Some(s) => config::parse_flag_value("trials", s)?,
-        None => 5,
-    };
-    let samples: usize = match flags.get("samples") {
-        Some(s) => config::parse_flag_value("samples", s)?,
-        None => 1,
-    };
-    let workload = match flags.get("workload").map(String::as_str) {
-        None => {
-            if domain.dims() == 1 {
-                WorkloadSpec::Prefix
-            } else {
-                WorkloadSpec::RandomRanges(2000)
-            }
-        }
+    let domain = a.domain()?.unwrap_or(dataset.base_domain);
+    let workload = match a.str("workload") {
+        None if domain.dims() == 1 => WorkloadSpec::Prefix,
+        None => WorkloadSpec::RandomRanges(2000),
         Some("prefix") => WorkloadSpec::Prefix,
         Some("identity") => WorkloadSpec::Identity,
-        Some(s) if s.starts_with("random:") => WorkloadSpec::RandomRanges(
-            s["random:".len()..]
-                .parse()
-                .map_err(|_| format!("bad workload {s}"))?,
-        ),
-        Some(s) => return Err(format!("unknown workload {s}")),
+        Some(s) => match s.strip_prefix("random:") {
+            Some(n) => {
+                WorkloadSpec::RandomRanges(n.parse().map_err(|_| format!("bad workload {s}"))?)
+            }
+            None => return Err(format!("unknown workload {s}")),
+        },
     };
-    let loss = match flags.get("loss").map(String::as_str) {
+    let loss = match a.str("loss") {
         None | Some("l2") => Loss::L2,
         Some("l1") => Loss::L1,
         Some(s) => return Err(format!("unknown loss {s} (use l1 or l2)")),
     };
-    let threads: Option<usize> = match flags.get("threads") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => return Err(format!("--threads needs a positive integer, got {s}")),
-        },
-    };
     let config = ExperimentConfig {
         datasets: vec![dataset],
-        scales: vec![scale],
+        scales: vec![a.get("scale")?.unwrap_or(100_000)],
         domains: vec![domain],
-        epsilons: vec![epsilon],
+        epsilons: vec![a.get("eps")?.unwrap_or(0.1)],
         algorithms,
-        n_samples: samples,
-        n_trials: trials,
+        n_samples: a.get("samples")?.unwrap_or(1),
+        n_trials: a.get("trials")?.unwrap_or(5),
         workload,
         loss,
     };
     config.validate()?;
-    Ok(RunSpec {
-        config,
-        threads,
-        verbose: flags.get("verbose").map(|v| v == "1").unwrap_or(false),
-        data_cache_mb: match flags.get("data-cache-mb") {
-            Some(s) => Some(config::parse_flag_value("data-cache-mb", s)?),
-            None => None,
-        },
-    })
+    let mut runner = Runner::new(config);
+    if let Some(n) = a.positive("threads")? {
+        runner.threads = n;
+    }
+    runner.verbose = a.flag("verbose", false);
+    if let Some(mb) = a.get::<usize>("data-cache-mb")? {
+        runner.data_cache_bytes = mb << 20;
+    }
+    Ok(runner)
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, "run", &grid_plus(RUN_ONLY_FLAGS)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match build_spec(&flags) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let verbose = spec.verbose;
-    let resume = flags.get("resume").map(|v| v == "1").unwrap_or(false);
-    let out = flags.get("out").cloned();
-    let agg_out = flags.get("agg").cloned();
-    // A shard launched on a remote machine is the only process on that
-    // machine; nothing else can have created its workdir, so the ledger
-    // and summary writers make their own parent directories.
-    for path in [out.as_deref(), agg_out.as_deref()].into_iter().flatten() {
-        if let Some(parent) = Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("error creating directory {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+/// The `algorithm / mean err / p95 err / std dev` table `run` and
+/// `fleet` end with.
+fn print_summary_table<'a>(rows: impl Iterator<Item = (&'a str, &'a Summary)>) {
+    println!(
+        "\n{:<11} {:>13} {:>13} {:>13}",
+        "algorithm", "mean err", "p95 err", "std dev"
+    );
+    for (algorithm, s) in rows {
+        println!(
+            "{algorithm:<11} {:>13.4e} {:>13.4e} {:>13.4e}",
+            s.mean, s.p95, s.std_dev
+        );
     }
-    let shard: Option<(usize, usize)> = match flags.get("shard") {
-        None => None,
-        Some(s) => match s.split_once('/').and_then(|(i, k)| {
-            let i: usize = i.parse().ok()?;
-            let k: usize = k.parse().ok()?;
-            (i < k && k > 0).then_some((i, k))
-        }) {
-            Some(v) => Some(v),
-            None => {
-                eprintln!("error: bad --shard {s} (use i/k with i < k, e.g. 0/4)");
-                return ExitCode::FAILURE;
-            }
-        },
+}
+
+fn run(a: &Args) -> Result<ExitCode, String> {
+    let mut runner = grid_runner(a)?;
+    let verbose = runner.verbose;
+    let out = a.str("out");
+    let agg_out = a.str("agg");
+    let resumed = match (a.flag("resume", false), out) {
+        (false, _) => None,
+        (true, Some(path)) => Some(path),
+        (true, None) => return Err("--resume needs --out FILE (the ledger to continue)".into()),
     };
+    let shard = a.parse_with("shard", "use i/k with i < k, e.g. 0/4", |s| {
+        let (i, k) = s.split_once('/')?;
+        let (i, k) = (i.parse().ok()?, k.parse().ok()?);
+        (i < k).then_some((i, k))
+    })?;
     // --from-pos/--until-pos restrict to a span of full-run positions —
     // the sub-shard form the fleet's work stealing launches
     // (`--shard v/k --from-pos N --until-pos M` runs the victim's tail).
-    let from_pos: Option<usize> = match flags.get("from-pos") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --from-pos {s}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let until_pos: Option<usize> = match flags.get("until-pos") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --until-pos {s}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
+    let from_pos: Option<usize> = a.get("from-pos")?;
+    let until_pos: Option<usize> = a.get("until-pos")?;
     // --unit-delay-ms throttles unit completion — the deterministic
     // straggler behind `fleet --slow-shard` drills.
-    let unit_delay: Option<Duration> = match flags.get("unit-delay-ms") {
-        None => None,
-        Some(s) => match s.parse::<u64>() {
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => {
-                eprintln!("error: bad --unit-delay-ms {s}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let max_units: Option<usize> = match flags.get("max-units") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --max-units {s}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
+    let unit_delay = Duration::from_millis(a.get("unit-delay-ms")?.unwrap_or(0));
     // --fail-after N: run N units cleanly, then exit like a crash (for
     // resume/fleet drills). Implies the --max-units cutoff.
-    let fail_after: Option<usize> = match flags.get("fail-after") {
-        None => None,
-        Some(s) => match s.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: bad --fail-after {s}");
-                return ExitCode::FAILURE;
+    let fail_after: Option<usize> = a.get("fail-after")?;
+    runner.max_units = fail_after.or(a.get("max-units")?);
+    // A shard launched on a remote machine is the only process on that
+    // machine; nothing else can have created its workdir, so the ledger
+    // and summary writers make their own parent directories.
+    for path in [out, agg_out].into_iter().flatten() {
+        if let Some(parent) = Path::new(path).parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)
+                    .map_err(|e| format!("creating directory {}: {e}", parent.display()))?;
             }
-        },
-    };
-    if resume && out.is_none() {
-        eprintln!("error: --resume needs --out FILE (the ledger to continue)");
-        return ExitCode::FAILURE;
-    }
-
-    let mut runner = Runner::new(spec.config);
-    if let Some(n) = spec.threads {
-        runner.threads = n;
-    }
-    runner.verbose = verbose;
-    runner.max_units = fail_after.or(max_units);
-    if let Some(mb) = spec.data_cache_mb {
-        runner.data_cache_bytes = mb << 20;
+        }
     }
 
     // Graceful interruption: SIGINT/SIGTERM sets the process-wide flag;
@@ -648,16 +587,13 @@ fn run(args: &[String]) -> ExitCode {
         })
     };
 
-    let full = runner.manifest();
-    let manifest = match shard {
-        Some((i, k)) => full.shard(i, k),
-        None => full,
-    };
-    let manifest = if from_pos.is_some() || until_pos.is_some() {
-        manifest.span(from_pos.unwrap_or(0), until_pos.unwrap_or(usize::MAX))
-    } else {
-        manifest
-    };
+    let mut manifest = runner.manifest();
+    if let Some((i, k)) = shard {
+        manifest = manifest.shard(i, k);
+    }
+    if from_pos.is_some() || until_pos.is_some() {
+        manifest = manifest.span(from_pos.unwrap_or(0), until_pos.unwrap_or(usize::MAX));
+    }
     println!(
         "running {} units ({} trials each{})...",
         manifest.len(),
@@ -670,87 +606,60 @@ fn run(args: &[String]) -> ExitCode {
     // Execute: results stream to a memory sink for the summary table, to
     // an append-only JSONL ledger (--out), and to a mergeable t-digest
     // aggregation (--agg). A resumed run appends only the missing units
-    // and reads summaries back from the ledger.
+    // to its ledger and reads everything else back from it.
     let mut memory = MemorySink::new();
     let mut agg = AggregatingSink::new();
-    let stats = if resume {
-        let path = out.as_deref().expect("checked above");
-        let ledger = match sink::read_ledger(path) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("error reading ledger {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if ledger.fingerprint != manifest.fingerprint {
-            eprintln!("error: ledger {path} belongs to a different run configuration");
-            match &ledger.cfg {
-                Some(cfg) => {
-                    for line in config::summary_diff(cfg, &manifest.config_summary) {
-                        eprintln!("  {line}");
+    let (done, mut jsonl) = match (resumed, out) {
+        (Some(path), _) => {
+            let ledger =
+                sink::read_ledger(path).map_err(|e| format!("reading ledger {path}: {e}"))?;
+            if ledger.fingerprint != manifest.fingerprint {
+                let mut msg = format!("ledger {path} belongs to a different run configuration");
+                match &ledger.cfg {
+                    Some(cfg) => {
+                        for line in config::summary_diff(cfg, &manifest.config_summary) {
+                            msg += &format!("\n  {line}");
+                        }
+                    }
+                    None => {
+                        msg += "\n  (ledger predates recorded config summaries; \
+                                    cannot name the diverging field)"
                     }
                 }
-                None => eprintln!(
-                    "  (ledger predates recorded config summaries; \
-                     cannot name the diverging field)"
-                ),
+                return Err(msg);
             }
-            return ExitCode::FAILURE;
+            let jsonl = JsonlSink::append(path).map_err(|e| format!("opening {path}: {e}"))?;
+            (ledger.done, Some(jsonl))
         }
-        let mut jsonl = match JsonlSink::append(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error opening {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match unit_delay {
-            Some(d) => runner.resume(
-                &manifest,
-                &ledger.done,
-                &mut sink::Throttle::new(&mut jsonl, d),
-            ),
-            None => runner.resume(&manifest, &ledger.done, &mut jsonl),
+        (None, Some(path)) => {
+            let jsonl = JsonlSink::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+            (HashSet::new(), Some(jsonl))
         }
-    } else if let Some(path) = out.as_deref() {
-        let mut jsonl = match JsonlSink::create(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error creating {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let mut tee = Tee::new(vec![
-            &mut memory as &mut dyn ResultSink,
-            &mut jsonl,
-            &mut agg,
-        ]);
-        match unit_delay {
-            Some(d) => runner.run_with_sink(&manifest, &mut sink::Throttle::new(&mut tee, d)),
-            None => runner.run_with_sink(&manifest, &mut tee),
-        }
-    } else {
-        let mut tee = Tee::new(vec![&mut memory as &mut dyn ResultSink, &mut agg]);
-        match unit_delay {
-            Some(d) => runner.run_with_sink(&manifest, &mut sink::Throttle::new(&mut tee, d)),
-            None => runner.run_with_sink(&manifest, &mut tee),
-        }
+        (None, None) => (HashSet::new(), None),
     };
+    let mut sinks: Vec<&mut dyn ResultSink> = Vec::new();
+    if let Some(jsonl) = jsonl.as_mut() {
+        sinks.push(jsonl);
+    }
+    if resumed.is_none() {
+        sinks.push(&mut memory);
+        sinks.push(&mut agg);
+    }
+    // A zero delay forwards without sleeping.
+    let stats = runner.resume(
+        &manifest,
+        &done,
+        &mut sink::Throttle::new(&mut Tee::new(sinks), unit_delay),
+    );
     watcher_stop.store(true, Ordering::Relaxed);
     let _ = watcher.join();
-    let stats = match stats {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let stats = stats.map_err(|e| e.to_string())?;
     if shutdown::requested() && fail_after.is_none() {
         eprintln!(
             "interrupted: {} unit(s) completed and flushed; resume with --resume",
             stats.units
         );
-        return ExitCode::from(INTERRUPTED_EXIT);
+        return Ok(ExitCode::from(INTERRUPTED_EXIT));
     }
     if let Some(n) = fail_after {
         eprintln!(
@@ -758,7 +667,7 @@ fn run(args: &[String]) -> ExitCode {
              resume with --resume",
             stats.units
         );
-        return ExitCode::from(SIMULATED_CRASH_EXIT);
+        return Ok(ExitCode::from(SIMULATED_CRASH_EXIT));
     }
     if stats.skipped > 0 {
         println!(
@@ -795,17 +704,13 @@ fn run(args: &[String]) -> ExitCode {
     // The mergeable per-shard summary: streamed directly on a fresh run,
     // rebuilt from the ledger (which holds the union of all phases)
     // after a resume.
-    if let Some(agg_path) = agg_out.as_deref() {
-        let result = if resume {
-            sink::summary_from_ledger(out.as_deref().expect("checked above"))
-                .and_then(|mut rebuilt| rebuilt.write_summary_file(agg_path))
-        } else {
-            agg.write_summary_file(agg_path)
-        };
-        if let Err(e) = result {
-            eprintln!("error writing summary {agg_path}: {e}");
-            return ExitCode::FAILURE;
+    if let Some(agg_path) = agg_out {
+        match resumed {
+            Some(path) => sink::summary_from_ledger(path)
+                .and_then(|mut rebuilt| rebuilt.write_summary_file(agg_path)),
+            None => agg.write_summary_file(agg_path),
         }
+        .map_err(|e| format!("writing summary {agg_path}: {e}"))?;
         if verbose {
             println!("mergeable summary written to {agg_path}");
         }
@@ -813,35 +718,21 @@ fn run(args: &[String]) -> ExitCode {
 
     // Summary table: from memory for a fresh run; from the ledger (which
     // holds the union of all phases) after a resume.
-    let store = if resume {
-        match sink::read_store(out.as_deref().expect("checked above")) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error reading results back: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        memory.into_store()
+    let store = match resumed {
+        Some(path) => sink::read_store(path).map_err(|e| format!("reading results back: {e}"))?,
+        None => memory.into_store(),
     };
-    println!(
-        "\n{:<11} {:>13} {:>13} {:>13}",
-        "algorithm", "mean err", "p95 err", "std dev"
+    print_summary_table(
+        store
+            .summaries()
+            .iter()
+            .map(|s| (s.algorithm.as_str(), &s.summary)),
     );
-    for s in store.summaries() {
-        println!(
-            "{:<11} {:>13.4e} {:>13.4e} {:>13.4e}",
-            s.algorithm, s.summary.mean, s.summary.p95, s.summary.std_dev
-        );
-    }
-    if let Some(path) = flags.get("csv") {
-        if let Err(e) = std::fs::write(path, store.to_csv()) {
-            eprintln!("error writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = a.str("csv") {
+        std::fs::write(path, store.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("\nraw samples written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parse `--tenants alice=1.0,bob=0.5` grants.
@@ -871,255 +762,171 @@ fn parse_tenant_config(path: &str) -> Result<Vec<(String, f64)>, String> {
 /// summary files, optionally write it to a file `serve --profile` can
 /// route through, and (given `--domain --scale --eps`) print the
 /// regret-ranked recommendation for that concrete query.
-fn recommend_cmd(args: &[String]) -> ExitCode {
-    use dpbench::harness::{SelectionProfile, SelectorQuery, ShapeClass};
-    let flags = match parse_flags(args, "recommend", RECOMMEND_FLAGS) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = (|| -> Result<(), String> {
-        let Some(summaries) = flags.get("summaries") else {
-            return Err("recommend requires --summaries FILE[,FILE...]".into());
-        };
-        let paths: Vec<PathBuf> = summaries
-            .split(',')
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from)
-            .collect();
-        if paths.is_empty() {
-            return Err("--summaries needs at least one file".into());
-        }
-        let profile = SelectionProfile::from_summary_files(&paths)
-            .map_err(|e| format!("building profile: {e}"))?;
-        println!(
-            "profile: {} cell(s) from {} summary file(s), {} error sample(s)",
-            profile.cells.len(),
-            profile.sources,
-            profile.total_samples
-        );
-        if let Some(out) = flags.get("profile") {
-            profile
-                .write_file(out)
-                .map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote profile to {out}");
-        }
-
-        let query_parts = ["domain", "scale", "eps"]
-            .iter()
-            .filter(|f| flags.contains_key(**f))
-            .count();
-        if query_parts == 0 {
-            if !flags.contains_key("profile") {
-                return Err(
-                    "nothing to do: give --profile OUT.json and/or a query (--domain N|RxC --scale S --eps E)"
-                        .into(),
-                );
-            }
-            return Ok(());
-        }
-        if query_parts != 3 {
-            return Err("a query needs all three of --domain, --scale, and --eps".into());
-        }
-        let domain_s = flags.get("domain").expect("checked above");
-        let domain = dpbench::harness::results::parse_domain(domain_s)
-            .ok_or_else(|| format!("bad --domain {domain_s} (use N or RxC)"))?;
-        let scale: u64 = config::parse_flag_value("scale", flags.get("scale").expect("checked"))?;
-        let eps: f64 = config::parse_flag_value("eps", flags.get("eps").expect("checked"))?;
-        if !(eps.is_finite() && eps > 0.0) {
-            return Err("--eps must be positive and finite".into());
-        }
-        let shape = match flags.get("dataset") {
-            Some(name) => {
-                if dpbench::datasets::catalog::by_name(name).is_none() {
-                    return Err(format!(
-                        "unknown dataset {name} (see `dpbench list-datasets`)"
-                    ));
-                }
-                Some(ShapeClass::of_dataset(name))
-            }
-            None => None,
-        };
-        let query = SelectorQuery {
-            domain,
-            shape,
-            scale,
-            epsilon: eps,
-        };
-        let Some(rec) = profile.lookup(&query) else {
-            return Err(format!(
-                "profile has no cell for domain {domain}; run a fleet at this dimensionality first"
-            ));
-        };
-        match shape {
-            Some(s) => println!(
-                "query: domain={domain} scale={scale} eps={eps} shape={} ({})",
-                s.as_str(),
-                flags.get("dataset").expect("shape implies dataset")
-            ),
-            None => println!("query: domain={domain} scale={scale} eps={eps}"),
-        }
-        println!("decided by: {}", rec.reason());
-        println!(
-            "{:<4} {:<11} {:>8} {:>13} {:>13} {:>6}  {:<4} params",
-            "rank", "mechanism", "regret", "mean err", "p95 err", "n", "tie"
-        );
-        for (i, m) in rec.cell.ranked.iter().enumerate() {
-            println!(
-                "{:<4} {:<11} {:>8.3} {:>13.6} {:>13.6} {:>6}  {:<4} {}",
-                i + 1,
-                m.mechanism,
-                m.regret,
-                m.mean_error,
-                m.p95_error,
-                m.n,
-                if m.competitive { "yes" } else { "" },
-                m.params.as_deref().unwrap_or("-"),
-            );
-        }
-        let winner = rec.cell.winner();
-        println!(
-            "winner: {} (regret {:.3}, confidence {})",
-            winner.mechanism,
-            winner.regret,
-            rec.confidence.as_str()
-        );
-        let ties = rec.cell.ties();
-        if ties.len() > 1 {
-            println!("competitive tie set: {}", ties.join(", "));
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+fn recommend(a: &Args) -> Result<ExitCode, String> {
+    let summaries = a
+        .str("summaries")
+        .ok_or("recommend requires --summaries FILE[,FILE...]")?;
+    let paths: Vec<PathBuf> = summaries
+        .split(',')
+        .filter(|s| !s.is_empty())
+        .map(PathBuf::from)
+        .collect();
+    if paths.is_empty() {
+        return Err("--summaries needs at least one file".into());
     }
+    let profile = SelectionProfile::from_summary_files(&paths)
+        .map_err(|e| format!("building profile: {e}"))?;
+    println!(
+        "profile: {} cell(s) from {} summary file(s), {} error sample(s)",
+        profile.cells.len(),
+        profile.sources,
+        profile.total_samples
+    );
+    if let Some(out) = a.str("profile") {
+        profile
+            .write_file(out)
+            .map_err(|e| format!("writing {out}: {e}"))?;
+        println!("wrote profile to {out}");
+    }
+
+    let query_parts = ["domain", "scale", "eps"]
+        .iter()
+        .filter(|f| a.str(f).is_some())
+        .count();
+    match query_parts {
+        0 if a.str("profile").is_some() => return Ok(ExitCode::SUCCESS),
+        0 => {
+            return Err("nothing to do: give --profile OUT.json and/or a query \
+                        (--domain N|RxC --scale S --eps E)"
+                .into())
+        }
+        3 => {}
+        _ => return Err("a query needs all three of --domain, --scale, and --eps".into()),
+    }
+    let domain = a.domain()?.expect("counted above");
+    let scale: u64 = a.get("scale")?.expect("counted above");
+    let eps: f64 = a.get("eps")?.expect("counted above");
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err("--eps must be positive and finite".into());
+    }
+    let dataset = a.str("dataset");
+    if let Some(name) = dataset.filter(|name| catalog::by_name(name).is_none()) {
+        return Err(format!(
+            "unknown dataset {name} (see `dpbench list-datasets`)"
+        ));
+    }
+    let shape = dataset.map(ShapeClass::of_dataset);
+    let query = SelectorQuery {
+        domain,
+        shape,
+        scale,
+        epsilon: eps,
+    };
+    let Some(rec) = profile.lookup(&query) else {
+        return Err(format!(
+            "profile has no cell for domain {domain}; run a fleet at this dimensionality first"
+        ));
+    };
+    match (shape, dataset) {
+        (Some(s), Some(name)) => println!(
+            "query: domain={domain} scale={scale} eps={eps} shape={} ({name})",
+            s.as_str()
+        ),
+        _ => println!("query: domain={domain} scale={scale} eps={eps}"),
+    }
+    println!("decided by: {}", rec.reason());
+    println!(
+        "{:<4} {:<11} {:>8} {:>13} {:>13} {:>6}  {:<4} params",
+        "rank", "mechanism", "regret", "mean err", "p95 err", "n", "tie"
+    );
+    for (i, m) in rec.cell.ranked.iter().enumerate() {
+        println!(
+            "{:<4} {:<11} {:>8.3} {:>13.6} {:>13.6} {:>6}  {:<4} {}",
+            i + 1,
+            m.mechanism,
+            m.regret,
+            m.mean_error,
+            m.p95_error,
+            m.n,
+            if m.competitive { "yes" } else { "" },
+            m.params.as_deref().unwrap_or("-"),
+        );
+    }
+    let winner = rec.cell.winner();
+    println!(
+        "winner: {} (regret {:.3}, confidence {})",
+        winner.mechanism,
+        winner.regret,
+        rec.confidence.as_str()
+    );
+    let ties = rec.cell.ties();
+    if ties.len() > 1 {
+        println!("competitive tie set: {}", ties.join(", "));
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `dpbench serve`: start the online release server and run until a
 /// shutdown signal, then drain and fsync the spend journal.
-fn serve_cmd(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, "serve", SERVE_FLAGS) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+fn serve_cmd(a: &Args) -> Result<ExitCode, String> {
+    let datasets: Vec<String> = a.str("datasets").map_or_else(
+        || vec!["MEDCOST".into()],
+        |s| s.split(',').map(str::to_string).collect(),
+    );
+    if let Some(name) = datasets.iter().find(|n| catalog::by_name(n).is_none()) {
+        return Err(format!(
+            "unknown dataset {name} (see `dpbench list-datasets`)"
+        ));
+    }
+    // Default to the first dataset's base domain — every loaded dataset
+    // serves at one common domain.
+    let domain = match a.domain()? {
+        Some(d) => d,
+        None => {
+            catalog::by_name(&datasets[0])
+                .expect("validated above")
+                .base_domain
         }
     };
-    let parsed = (|| -> Result<ServeConfig, String> {
-        let port: u16 = match flags.get("port") {
-            Some(s) => config::parse_flag_value("port", s)?,
-            None => 8787,
-        };
-        let datasets: Vec<String> = flags
-            .get("datasets")
-            .map(|s| s.split(',').map(str::to_string).collect())
-            .unwrap_or_else(|| vec!["MEDCOST".into()]);
-        for name in &datasets {
-            if dpbench::datasets::catalog::by_name(name).is_none() {
-                return Err(format!(
-                    "unknown dataset {name} (see `dpbench list-datasets`)"
-                ));
-            }
-        }
-        let scale: u64 = match flags.get("scale") {
-            Some(s) => config::parse_flag_value("scale", s)?,
-            None => 100_000,
-        };
-        let domain = match flags.get("domain") {
-            Some(s) => dpbench::harness::results::parse_domain(s)
-                .ok_or_else(|| format!("bad --domain {s} (use N or RxC)"))?,
-            None => {
-                // Default to the first dataset's base domain — every
-                // loaded dataset serves at one common domain.
-                dpbench::datasets::catalog::by_name(&datasets[0])
-                    .expect("validated above")
-                    .base_domain
-            }
-        };
-        let mut tenants = Vec::new();
-        if let Some(path) = flags.get("tenant-config") {
-            tenants.extend(parse_tenant_config(path)?);
-        }
-        if let Some(s) = flags.get("tenants") {
-            tenants.extend(parse_tenants_flag(s)?);
-        }
-        let threads: usize = match flags.get("threads") {
-            Some(s) => config::parse_flag_value("threads", s)?,
-            None => 4,
-        };
-        let seed: u64 = match flags.get("seed") {
-            Some(s) => config::parse_flag_value("seed", s)?,
-            None => 0,
-        };
-        let mut limits = Limits::default();
-        if let Some(s) = flags.get("max-conns") {
-            limits.max_conns = config::parse_flag_value("max-conns", s)?;
-        }
-        if let Some(s) = flags.get("max-queue") {
-            limits.max_queue = config::parse_flag_value("max-queue", s)?;
-        }
-        let ms_flag = |name: &str| -> Result<Option<Duration>, String> {
-            match flags.get(name) {
-                Some(s) => Ok(Some(Duration::from_millis(config::parse_flag_value(
-                    name, s,
-                )?))),
-                None => Ok(None),
-            }
-        };
-        if let Some(d) = ms_flag("max-wait-ms")? {
-            limits.max_wait = d;
-        }
-        if let Some(d) = ms_flag("header-timeout-ms")? {
-            limits.header_timeout = d;
-        }
-        if let Some(d) = ms_flag("idle-timeout-ms")? {
-            limits.idle_timeout = d;
-        }
-        if let Some(d) = ms_flag("write-timeout-ms")? {
-            limits.write_timeout = d;
-        }
-        if let Some(s) = flags.get("rate-limit") {
-            limits.rate_limit = Some(RateLimit::parse(s)?);
-        }
-        Ok(ServeConfig {
-            addr: format!("127.0.0.1:{port}"),
-            datasets,
-            scale,
-            domain,
-            tenants,
-            tenant_config: flags.get("tenant-config").map(PathBuf::from),
-            journal: flags.get("journal").map(PathBuf::from),
-            threads,
-            limits,
-            seed,
-            slo: flags.get("slo").map(|v| v == "1").unwrap_or(false),
-            profile: flags.get("profile").map(PathBuf::from),
-            verbose: flags.get("verbose").map(|v| v == "1").unwrap_or(false),
-        })
-    })();
-    let cfg = match parsed {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let mut tenants = Vec::new();
+    if let Some(path) = a.str("tenant-config") {
+        tenants.extend(parse_tenant_config(path)?);
+    }
+    if let Some(s) = a.str("tenants") {
+        tenants.extend(parse_tenants_flag(s)?);
+    }
+    let defaults = Limits::default();
+    let ms = |name: &str, default: Duration| -> Result<Duration, String> {
+        Ok(a.get(name)?.map_or(default, Duration::from_millis))
+    };
+    let limits = Limits {
+        max_conns: a.get("max-conns")?.unwrap_or(defaults.max_conns),
+        max_queue: a.get("max-queue")?.unwrap_or(defaults.max_queue),
+        max_wait: ms("max-wait-ms", defaults.max_wait)?,
+        header_timeout: ms("header-timeout-ms", defaults.header_timeout)?,
+        idle_timeout: ms("idle-timeout-ms", defaults.idle_timeout)?,
+        write_timeout: ms("write-timeout-ms", defaults.write_timeout)?,
+        rate_limit: a.str("rate-limit").map(RateLimit::parse).transpose()?,
+    };
+    let cfg = ServeConfig {
+        addr: format!("127.0.0.1:{}", a.get::<u16>("port")?.unwrap_or(8787)),
+        datasets,
+        scale: a.get("scale")?.unwrap_or(100_000),
+        domain,
+        tenants,
+        tenant_config: a.str("tenant-config").map(PathBuf::from),
+        journal: a.str("journal").map(PathBuf::from),
+        threads: a.positive("threads")?.unwrap_or(4),
+        limits,
+        seed: a.get("seed")?.unwrap_or(0),
+        slo: a.flag("slo", false),
+        profile: a.str("profile").map(PathBuf::from),
+        verbose: a.flag("verbose", false),
     };
     shutdown::install();
     shutdown::install_reload();
     let n_tenants = cfg.tenants.len();
-    let handle = match serve::start(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error starting server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let handle = serve::start(cfg).map_err(|e| format!("starting server: {e}"))?;
     println!(
         "serving on http://{} ({n_tenants} tenant(s); POST /v1/release, \
          GET /v1/tenants/:id/budget, GET /v1/status, GET /v1/healthz)",
@@ -1140,27 +947,21 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("shutdown requested: draining in-flight requests...");
-    match handle.shutdown() {
-        Ok(()) => {
-            eprintln!("spend journal synced; bye");
-            ExitCode::from(INTERRUPTED_EXIT)
-        }
-        Err(e) => {
-            eprintln!("error syncing spend journal: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    handle
+        .shutdown()
+        .map_err(|e| format!("syncing spend journal: {e}"))?;
+    eprintln!("spend journal synced; bye");
+    Ok(ExitCode::from(INTERRUPTED_EXIT))
 }
 
 /// The shard command recipe shared by both transports: the `run`
 /// subcommand argv for one shard attempt, given where that attempt
 /// should write its ledger.
-#[derive(Clone)]
 struct ShardArgs {
     /// Shared `run` flags (everything but out/shard/resume/fail-after).
     base_args: Vec<String>,
     /// Crash drill: kill this shard's first attempt after N units.
-    kill_shard: Option<(usize, usize)>,
+    kill_shard: Option<(usize, u64)>,
     /// Straggler drill: per-unit delay injected on this *slot* — a
     /// machine property, so a stolen tail running on a fast slot runs
     /// fast even when its victim is the slow one.
@@ -1229,176 +1030,69 @@ impl ShardLauncher for CliShardLauncher {
     }
 }
 
-/// Parse and validate `--kill-shard i:N`. An out-of-range shard index is
-/// its own error (naming the range) rather than a generic format
-/// complaint — and never accepted silently: a drill that targets a
-/// nonexistent shard would otherwise "pass" by testing nothing.
-fn parse_kill_shard(s: &str, procs: usize) -> Result<(usize, usize), String> {
-    let (i, n) = s
-        .split_once(':')
-        .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)))
-        .ok_or_else(|| format!("bad --kill-shard {s} (use i:N, e.g. 1:5)"))?;
-    if i >= procs {
+/// Parse a drill's `i:N` shard slot (`--kill-shard i:N`, `--slow-shard
+/// i:MS`). An out-of-range shard index is its own error naming the
+/// range, never accepted silently: a drill that targets a nonexistent
+/// shard would otherwise "pass" by testing nothing.
+fn shard_slot(
+    a: &Args,
+    name: &str,
+    hint: &str,
+    procs: usize,
+) -> Result<Option<(usize, u64)>, String> {
+    let slot = a.parse_with(name, hint, |s| {
+        let (i, n) = s.split_once(':')?;
+        Some((i.parse().ok()?, n.parse().ok()?))
+    })?;
+    if let Some((i, _)) = slot.filter(|&(i, _)| i >= procs) {
         return Err(format!(
-            "--kill-shard shard index {i} is out of range (fleet has {procs} shard(s), \
+            "--{name} shard index {i} is out of range (fleet has {procs} shard(s), \
              valid indexes are 0..={})",
             procs - 1
         ));
     }
-    Ok((i, n))
-}
-
-/// Parse and validate `--slow-shard i:MS` — same shape and same
-/// out-of-range contract as `--kill-shard`.
-fn parse_slow_shard(s: &str, procs: usize) -> Result<(usize, u64), String> {
-    let (i, ms) = s
-        .split_once(':')
-        .and_then(|(i, ms)| Some((i.parse::<usize>().ok()?, ms.parse::<u64>().ok()?)))
-        .ok_or_else(|| format!("bad --slow-shard {s} (use i:MS, e.g. 1:200)"))?;
-    if i >= procs {
-        return Err(format!(
-            "--slow-shard shard index {i} is out of range (fleet has {procs} shard(s), \
-             valid indexes are 0..={})",
-            procs - 1
-        ));
-    }
-    Ok((i, ms))
+    Ok(slot)
 }
 
 /// `dpbench fleet`: expand the manifest once, launch `--procs` shards
 /// (local children, or through a `--launch-cmd` transport with per-shard
 /// workdirs and copy-back), retry/resume failures, and merge to `--out`
 /// byte-identically to a single-process run.
-fn run_fleet_cmd(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args, "fleet", &grid_plus(FLEET_ONLY_FLAGS)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match build_spec(&flags) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let procs: usize = match flags.get("procs") {
-        None => {
-            eprintln!("error: fleet requires --procs K (a positive integer)");
-            return ExitCode::FAILURE;
-        }
-        Some(s) => match config::parse_flag_value("procs", s) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    if procs == 0 {
-        eprintln!("error: --procs must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    let Some(out) = flags.get("out").cloned() else {
-        eprintln!("error: fleet requires --out FILE.jsonl (the merged output)");
-        return ExitCode::FAILURE;
-    };
-    let retries: usize = match flags.get("retries") {
-        None => 2,
-        Some(s) => match config::parse_flag_value("retries", s) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let kill_shard: Option<(usize, usize)> = match flags.get("kill-shard") {
-        None => None,
-        Some(s) => match parse_kill_shard(s, procs) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let slow_shard: Option<(usize, u64)> = match flags.get("slow-shard") {
-        None => None,
-        Some(s) => match parse_slow_shard(s, procs) {
-            Ok(v) => Some(v),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let steal = flags.get("steal").map(|v| v == "1").unwrap_or(true);
-    let status_file = flags.get("status-file").map(PathBuf::from);
-    let stall_timeout = match flags.get("stall-timeout") {
-        None => None,
-        Some(s) => match config::parse_flag_value::<f64>("stall-timeout", s) {
-            // try_from_secs_f64 rejects NaN/inf/overflow; `inf` parses as
-            // a positive f64 and would panic in from_secs_f64.
-            Ok(secs) if secs > 0.0 => match std::time::Duration::try_from_secs_f64(secs) {
-                Ok(d) => Some(d),
-                Err(_) => {
-                    eprintln!("error: --stall-timeout {s} is not a representable duration");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Ok(_) => {
-                eprintln!("error: --stall-timeout must be positive");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let progress = flags.get("progress").map(|v| v == "1").unwrap_or(false);
-    let agg_out = flags.get("agg").cloned();
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error locating dpbench binary: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_fleet(a: &Args) -> Result<ExitCode, String> {
+    let runner = grid_runner(a)?;
+    let procs = a
+        .positive("procs")?
+        .ok_or("fleet requires --procs K (a positive integer)")?;
+    let out = a
+        .str("out")
+        .ok_or("fleet requires --out FILE.jsonl (the merged output)")?;
+    let retries: usize = a.get("retries")?.unwrap_or(2);
+    let kill_shard = shard_slot(a, "kill-shard", "use i:N, e.g. 1:5", procs)?;
+    let slow_shard = shard_slot(a, "slow-shard", "use i:MS, e.g. 1:200", procs)?;
+    // try_from_secs_f64 rejects NaN/inf/overflow; `inf` parses as a
+    // positive f64 and would panic in from_secs_f64.
+    let stall_timeout = a.parse_with("stall-timeout", "use a positive number of seconds", |s| {
+        let secs: f64 = s.parse().ok()?;
+        Duration::try_from_secs_f64(secs)
+            .ok()
+            .filter(|_| secs > 0.0)
+    })?;
+    let exe = std::env::current_exe().map_err(|e| format!("locating dpbench binary: {e}"))?;
 
     // Children share the grid flags; threads divide across the fleet
     // (explicit --threads T means T total, like a single-process run).
-    let total_threads = spec.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    let child_threads = (total_threads / procs).max(1);
+    let child_threads = (runner.threads / procs).max(1);
     let mut base_args: Vec<String> = Vec::new();
-    for key in [
-        "dataset",
-        "algorithms",
-        "scale",
-        "domain",
-        "eps",
-        "trials",
-        "samples",
-        "workload",
-        "loss",
-        "data-cache-mb",
-    ] {
-        if let Some(v) = flags.get(key) {
+    for &(key, _) in GRID {
+        if let Some(v) = a.str(key) {
             base_args.push(format!("--{key}"));
-            base_args.push(v.clone());
+            base_args.push(v.to_string());
         }
     }
     base_args.push("--threads".into());
     base_args.push(child_threads.to_string());
 
-    let manifest = RunManifest::from_config(&spec.config);
+    let manifest = runner.manifest();
     println!(
         "fleet: {} units across {procs} process(es) ({} trials each, {} thread(s)/shard)...",
         manifest.len(),
@@ -1413,50 +1107,38 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
     let opts = FleetOptions {
         procs,
         max_attempts: retries + 1,
-        verbose: spec.verbose,
-        progress,
+        verbose: runner.verbose,
+        progress: a.flag("progress", false),
         stall_timeout,
-        steal,
-        status_file,
+        steal: a.flag("steal", true),
+        status_file: a.str("status-file").map(PathBuf::from),
         ..FleetOptions::default()
     };
 
     // Pick the transport: local child processes by default; a templated
     // wrapper command line (ssh / docker run / sh -c) with per-shard
     // workdirs and copy-back when --launch-cmd is given.
-    let report = if let Some(launch_cmd) = flags.get("launch-cmd") {
-        let Some(workdir) = flags.get("workdir") else {
-            eprintln!("error: --launch-cmd requires --workdir DIR (per-shard scratch space)");
-            return ExitCode::FAILURE;
+    let report = if let Some(launch_cmd) = a.str("launch-cmd") {
+        let workdir = a
+            .str("workdir")
+            .ok_or("--launch-cmd requires --workdir DIR (per-shard scratch space)")?;
+        let remote_exe = a
+            .str("remote-exe")
+            .map_or_else(|| exe.display().to_string(), str::to_string);
+        let build = move |spec: &LaunchSpec, paths: &RemotePaths| -> Vec<String> {
+            let mut argv = vec![remote_exe.clone()];
+            argv.extend(shard_args.run_args(spec, &paths.ledger));
+            argv
         };
-        let remote_exe = flags
-            .get("remote-exe")
-            .cloned()
-            .unwrap_or_else(|| exe.display().to_string());
-        let build = {
-            let shard_args = shard_args.clone();
-            move |spec: &LaunchSpec, paths: &RemotePaths| -> Vec<String> {
-                let mut argv = vec![remote_exe.clone()];
-                argv.extend(shard_args.run_args(spec, &paths.ledger));
-                argv
-            }
-        };
-        let transport = match CommandTransport::new(launch_cmd.clone(), workdir, Box::new(build)) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let transport = match flags.get("fetch-cmd") {
-            Some(t) => transport.with_fetch_template(t.clone()),
-            None => transport,
-        };
-        let transport = match flags.get("cleanup-cmd") {
-            Some(t) => transport.with_cleanup_template(t.clone()),
-            None => transport,
-        };
-        fleet::run_fleet_with(&manifest, &transport, Path::new(&out), &opts)
+        let mut transport = CommandTransport::new(launch_cmd, workdir, Box::new(build))
+            .map_err(|e| e.to_string())?;
+        if let Some(t) = a.str("fetch-cmd") {
+            transport = transport.with_fetch_template(t);
+        }
+        if let Some(t) = a.str("cleanup-cmd") {
+            transport = transport.with_cleanup_template(t);
+        }
+        fleet::run_fleet_with(&manifest, &transport, Path::new(out), &opts)
     } else {
         let launcher = CliShardLauncher {
             exe,
@@ -1467,17 +1149,11 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
             &LocalTransport {
                 launcher: &launcher,
             },
-            Path::new(&out),
+            Path::new(out),
             &opts,
         )
     };
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fleet error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = report.map_err(|e| format!("fleet: {e}"))?;
     for s in &report.shards {
         println!(
             "  shard {}: {} units, {} launch(es){}{}{}",
@@ -1503,7 +1179,7 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
             ev.seq, ev.units, ev.victim, ev.from_pos, ev.until_pos, ev.slot
         );
     }
-    if spec.verbose {
+    if runner.verbose {
         println!(
             "  copy-back traffic: {} byte(s) full, {} byte(s) ranged over {} probe tick(s)",
             report.fetch_full_bytes,
@@ -1516,29 +1192,46 @@ fn run_fleet_cmd(args: &[String]) -> ExitCode {
     // The fleet summary is the summary of the verified merged ledger,
     // so it matches a one-shot `run --agg` byte for byte whichever
     // shards, steals or retries produced the units.
-    if let Some(agg_path) = agg_out {
-        let mut merged = match sink::summary_from_ledger(&out) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("error summarizing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = merged.write_summary_file(&agg_path) {
-            eprintln!("error writing {agg_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(agg_path) = a.str("agg") {
+        let mut merged =
+            sink::summary_from_ledger(out).map_err(|e| format!("summarizing {out}: {e}"))?;
+        merged
+            .write_summary_file(agg_path)
+            .map_err(|e| format!("writing {agg_path}: {e}"))?;
         println!("merged t-digest summary written to {agg_path}");
-        println!(
-            "\n{:<11} {:>13} {:>13} {:>13}",
-            "algorithm", "mean err", "p95 err", "std dev"
+        print_summary_table(
+            merged
+                .summaries()
+                .iter()
+                .map(|(alg, _setting, s)| (alg.as_str(), s)),
         );
-        for (alg, _setting, summary) in merged.summaries() {
-            println!(
-                "{:<11} {:>13.4e} {:>13.4e} {:>13.4e}",
-                alg, summary.mean, summary.p95, summary.std_dev
-            );
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `dpbench merge --out OUT IN...`: interleave shard / partial JSONL
+/// files into canonical manifest order (streaming k-way merge — inputs
+/// are never loaded whole). `--out` is replaced only when the whole
+/// merge succeeds.
+fn merge(a: &Args) -> Result<ExitCode, String> {
+    let out = a.str("out").ok_or("merge requires --out FILE")?;
+    if a.inputs.is_empty() {
+        return Err("merge requires at least one input file".into());
+    }
+    // Merging into one of the inputs would replace that input.
+    if let Ok(out_path) = std::fs::canonicalize(out) {
+        if let Some(input) = a
+            .inputs
+            .iter()
+            .find(|i| std::fs::canonicalize(i).is_ok_and(|p| p == out_path))
+        {
+            return Err(format!(
+                "--out {out} is the input {input}; merge into a new file"
+            ));
         }
     }
-    ExitCode::SUCCESS
+    sink::merge_jsonl_file(&a.inputs, Path::new(out))
+        .map_err(|e| format!("merging into {out}: {e}"))?;
+    println!("merged {} files into {out}", a.inputs.len());
+    Ok(ExitCode::SUCCESS)
 }

@@ -392,6 +392,21 @@ fn unknown_flag_names_are_rejected() {
         stderr.contains("bad --verbose value"),
         "unexpected stderr: {stderr}"
     );
+    // Every subcommand reads its arguments through the same parser: a
+    // stray flag is an error, never an input file or a silent no-op.
+    for args in [
+        &["merge", "--verbose"][..],
+        &["recommend", "--trials", "3"],
+        &["list-datasets", "--foo"],
+    ] {
+        let out = dpbench(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", args[1])),
+            "unexpected stderr for {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -477,53 +492,220 @@ fn kill_shard_out_of_range_is_rejected_at_parse_time() {
     assert!(stderr.contains("use i:N"), "unexpected stderr: {stderr}");
 }
 
+/// Run each argv and require exit 1 with `expected` on stderr and no
+/// panic; report every row that fails.
+fn assert_rejected(cases: &[(Vec<String>, &str)]) {
+    let failures: Vec<String> = cases
+        .iter()
+        .filter_map(|(args, expected)| {
+            let out = Command::new(DPBENCH)
+                .args(args)
+                .output()
+                .expect("spawn dpbench");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let rejected = out.status.code() == Some(1)
+                && stderr.contains(expected)
+                && !stderr.contains("panicked");
+            (!rejected).then(|| {
+                format!(
+                    "{args:?}: exit {:?}, want {expected:?} on stderr: {}",
+                    out.status.code(),
+                    stderr.lines().next().unwrap_or("")
+                )
+            })
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} row(s) not rejected as expected:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+fn argv(parts: &[&str]) -> Vec<String> {
+    parts.iter().map(|s| s.to_string()).collect()
+}
+
 #[test]
 fn malformed_numeric_flags_are_errors_not_defaults() {
     // Regression: numeric flags used to fall back to their defaults on
-    // unparseable values, silently benchmarking the wrong grid.
-    let cases: &[(&[&str], &str)] = &[
-        (
-            &["run", "--dataset", "MEDCOST", "--trials", "abc"],
-            "--trials",
-        ),
-        (&["run", "--dataset", "MEDCOST", "--scale", "-3"], "--scale"),
-        (&["run", "--dataset", "MEDCOST", "--eps", "zero"], "--eps"),
-        (
-            &[
-                "fleet",
-                "--procs",
-                "2",
-                "--retries",
-                "x",
-                "--dataset",
-                "MEDCOST",
-                "--out",
-                "/tmp/never-written.jsonl",
-            ],
-            "--retries",
-        ),
-        (
-            &[
-                "fleet",
-                "--procs",
-                "two",
-                "--dataset",
-                "MEDCOST",
-                "--out",
-                "/tmp/never-written.jsonl",
-            ],
-            "--procs",
-        ),
+    // unparseable values, silently benchmarking the wrong grid. One row
+    // per flag whose value has a grammar; file paths and command
+    // templates (`--out`, `--launch-cmd`, …) take any string.
+    let never = "/tmp/never-written.jsonl";
+    // The grid flags `run` and `fleet` share, checked under both.
+    let grid: &[(&str, &str, &str)] = &[
+        ("--dataset", "NOPE", "unknown dataset NOPE"),
+        ("--algorithms", "IDENTITY,NOPE", "unknown algorithm NOPE"),
+        ("--scale", "-3", "bad --scale value"),
+        ("--domain", "16y16", "bad --domain"),
+        ("--eps", "zero", "bad --eps value"),
+        ("--trials", "abc", "bad --trials value"),
+        ("--samples", "2x", "bad --samples value"),
+        ("--workload", "random:x", "bad workload random:x"),
+        ("--loss", "l3", "unknown loss l3"),
+        ("--threads", "many", "bad --threads value"),
+        ("--data-cache-mb", "lots", "bad --data-cache-mb value"),
     ];
-    for (args, flag) in cases {
-        let out = dpbench(args);
-        assert!(!out.status.success(), "{args:?} accepted");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("bad {flag} value")),
-            "unexpected stderr for {args:?}: {stderr}"
-        );
+    let mut cases = Vec::new();
+    for &(flag, value, expected) in grid {
+        let mut run = argv(&["run", "--dataset", "MEDCOST", flag, value]);
+        if flag == "--dataset" {
+            run.drain(1..3);
+        }
+        let mut fleet = argv(&["fleet", "--procs", "2", "--out", never]);
+        fleet.extend(run[1..].iter().cloned());
+        cases.push((run, expected));
+        cases.push((fleet, expected));
     }
+    let run_only: &[(&str, &str, &str)] = &[
+        ("--shard", "4/4", "bad --shard"),
+        ("--from-pos", "x", "bad --from-pos value"),
+        ("--until-pos", "-1", "bad --until-pos value"),
+        ("--max-units", "x", "bad --max-units value"),
+        ("--fail-after", "x", "bad --fail-after value"),
+        ("--unit-delay-ms", "1.5", "bad --unit-delay-ms value"),
+    ];
+    for &(flag, value, expected) in run_only {
+        cases.push((
+            argv(&["run", "--dataset", "MEDCOST", flag, value]),
+            expected,
+        ));
+    }
+    let fleet_only: &[(&str, &str, &str)] = &[
+        ("--procs", "two", "bad --procs value"),
+        ("--retries", "x", "bad --retries value"),
+        ("--kill-shard", "1-2", "bad --kill-shard"),
+        ("--slow-shard", "1:x", "bad --slow-shard"),
+        ("--stall-timeout", "soon", "bad --stall-timeout value"),
+    ];
+    for &(flag, value, expected) in fleet_only {
+        let mut args = argv(&["fleet", "--procs", "2", "--dataset", "MEDCOST"]);
+        args.extend(argv(&["--out", never, flag, value]));
+        cases.push((args, expected));
+    }
+    // No row names a tenant, so no row can start a server.
+    let serve: &[(&str, &str, &str)] = &[
+        ("--port", "99999", "bad --port value"),
+        ("--datasets", "MEDCOST,NOPE", "unknown dataset NOPE"),
+        ("--scale", "1e5", "bad --scale value"),
+        ("--domain", "4z", "bad --domain"),
+        ("--tenants", "alice", "bad tenant grant"),
+        ("--max-conns", "x", "bad --max-conns value"),
+        ("--max-queue", "x", "bad --max-queue value"),
+        ("--max-wait-ms", "x", "bad --max-wait-ms value"),
+        ("--header-timeout-ms", "x", "bad --header-timeout-ms value"),
+        ("--idle-timeout-ms", "x", "bad --idle-timeout-ms value"),
+        ("--write-timeout-ms", "x", "bad --write-timeout-ms value"),
+        ("--rate-limit", "fast", "bad rate limit"),
+        ("--threads", "x", "bad --threads value"),
+        ("--seed", "-1", "bad --seed value"),
+    ];
+    for &(flag, value, expected) in serve {
+        cases.push((argv(&["serve", "--port", "0", flag, value]), expected));
+    }
+    let dir = tmp_dir("malformed");
+    let grants = dir.join("tenants.toml");
+    std::fs::write(&grants, "alice = lots\n").unwrap();
+    let grants = grants.to_str().unwrap();
+    cases.push((argv(&["serve", "--tenant-config", grants]), "bad epsilon"));
+    // recommend reads its summaries first, so its query rows need a real
+    // one.
+    let summary = dir.join("run.agg.jsonl");
+    let summary = summary.to_str().unwrap();
+    let mut args = vec!["run"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&["--agg", summary]);
+    run_ok(&args);
+    let recommend: &[(&str, &str, &str)] = &[
+        ("--domain", "x", "bad --domain"),
+        ("--scale", "x", "bad --scale value"),
+        ("--eps", "x", "bad --eps value"),
+        ("--eps", "0", "--eps must be positive and finite"),
+        ("--dataset", "NOPE", "unknown dataset NOPE"),
+    ];
+    for &(flag, value, expected) in recommend {
+        let mut args = argv(&["recommend", "--summaries", summary, "--dataset", "MEDCOST"]);
+        args.extend(argv(&[
+            "--domain", "256", "--scale", "10000", "--eps", "0.1",
+        ]));
+        args.extend(argv(&[flag, value]));
+        cases.push((args, expected));
+    }
+    cases.push((
+        argv(&["recommend", "--summaries", ",", "--eps", "0.1"]),
+        "--summaries needs at least one file",
+    ));
+    assert_rejected(&cases);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unrunnable_grids_fail_at_parse_time() {
+    // Regression: an ε that is not positive and finite, or a domain the
+    // dataset cannot coarsen to, panicked a worker thread (exit 101) or,
+    // under `fleet`, burned every launch attempt; a domain of the wrong
+    // dimensionality or zero trials ran an empty grid and exited 0.
+    let never = "/tmp/never-written.jsonl";
+    let mut cases = Vec::new();
+    for eps in ["-1", "0", "nan", "inf"] {
+        let run = argv(&["run", "--dataset", "MEDCOST", "--eps", eps]);
+        cases.push((run, "is not positive and finite"));
+    }
+    let grid_rows: &[(&[&str], &str)] = &[
+        (&["--domain", "100"], "cannot coarsen"),
+        (&["--domain", "0"], "cannot coarsen"),
+        (&["--domain", "8x8"], "no setting"),
+        (&["--trials", "0"], "at least one trial"),
+        (&["--samples", "0"], "at least one sample"),
+        (&["--threads", "0"], "bad --threads value"),
+    ];
+    for (extra, expected) in grid_rows {
+        let mut run = argv(&["run", "--dataset", "MEDCOST"]);
+        run.extend(argv(extra));
+        cases.push((run, *expected));
+    }
+    let mut fleet = argv(&["fleet", "--procs", "2", "--eps", "0", "--out", never]);
+    fleet.extend(argv(GRID));
+    cases.push((fleet, "is not positive and finite"));
+    let mut fleet = argv(&["fleet", "--procs", "0", "--out", never]);
+    fleet.extend(argv(GRID));
+    cases.push((fleet, "bad --procs value"));
+    let serve = argv(&["serve", "--port", "0", "--tenants", "a=1", "--domain", "0"]);
+    cases.push((serve, "cannot coarsen"));
+    cases.push((
+        argv(&["serve", "--port", "0", "--threads", "0"]),
+        "bad --threads value",
+    ));
+    assert_rejected(&cases);
+}
+
+#[test]
+fn failed_merge_keeps_an_existing_out_and_names_the_bad_input() {
+    // Regression: `merge` created (truncated) `--out` before reading its
+    // inputs, so a missing input emptied an existing output, and the
+    // error did not say which input was missing.
+    let dir = tmp_dir("merge-missing");
+    let keep = dir.join("keep.jsonl");
+    std::fs::write(&keep, "precious\n").unwrap();
+    let missing = dir.join("missing.jsonl");
+    let out = dpbench(&[
+        "merge",
+        "--out",
+        keep.to_str().unwrap(),
+        missing.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(std::fs::read(&keep).unwrap(), b"precious\n");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(missing.to_str().unwrap()),
+        "stderr does not name the missing input: {stderr}"
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(left.len(), 1, "the failed merge left a file behind");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,41 +1,55 @@
 //! Shared hierarchical-decomposition substrate.
 //!
 //! Several mechanisms (H, Hb, GREEDY_H, QUADTREE, and the hierarchies
-//! inside DAWA) measure noisy counts of nested groups of cells arranged in
-//! a b-ary tree over the domain. This module builds such hierarchies over
-//! 1-D and 2-D domains, decomposes range queries into canonical nodes, and
-//! runs the measure-then-infer pipeline on top of
-//! [`dpbench_transforms::tree_ls`].
+//! inside DAWA and SF) measure noisy counts of nested groups of cells
+//! arranged in a b-ary tree over the domain. This module builds such
+//! hierarchies over 1-D and 2-D domains, decomposes range queries into
+//! canonical nodes, and runs the measure-then-infer pipeline: the exact
+//! two-pass GLS inference of [`dpbench_transforms::tree_ls`], run over a
+//! flat breadth-first layout that [`Hierarchy::build`] compiles once.
 
+use dpbench_core::primitives::laplace;
 use dpbench_core::query::PrefixTable;
 use dpbench_core::{DataVector, Domain, RangeQuery, Workspace};
-use dpbench_transforms::tree_ls::{MeasuredTree, Measurement, TreeScratch};
 use rand::RngCore;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// One node of a spatial hierarchy: an axis-aligned box plus tree links.
-#[derive(Debug, Clone)]
+/// One node of a spatial hierarchy: an axis-aligned box and its level.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierNode {
     /// The box of cells this node covers.
     pub query: RangeQuery,
     /// Level in the tree (0 = root).
     pub level: usize,
-    /// Child node ids (empty for leaves).
-    pub children: Vec<usize>,
 }
 
-/// A b-ary hierarchy over a domain.
+/// A b-ary hierarchy over a domain, numbered in breadth-first build order:
+/// each level is one id range, and each node's children are one contiguous
+/// id range above its own.
+///
+/// Inference runs over the hierarchy's nodes followed by one unmeasured
+/// node per cell of every unresolved leaf (a leaf covering more than one
+/// cell), appended in leaf order. Unresolved leaves all sit on the last
+/// level, after every node that splits, so this *inference tree* keeps
+/// both properties: children before parents is reverse id order, and
+/// parents before children is id order.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// All nodes; index 0 is the root.
     pub nodes: Vec<HierNode>,
     /// The underlying domain.
     pub domain: Domain,
-    /// Node ids grouped by level (`levels[0] = [root]`).
-    pub levels: Vec<Vec<usize>>,
-    /// Ids of all childless nodes, precomputed at build time (the
-    /// measure/infer hot path walks them every trial).
+    /// Node ids of each level (`levels[0] = 0..1`, the root).
+    pub levels: Vec<Range<usize>>,
+    /// Ids of all childless nodes.
     leaves: Vec<usize>,
+    /// Inference-tree children: node `i`'s are `kids[i]..kids[i + 1]`.
+    /// One entry per hierarchy node plus one; the last is the size of the
+    /// inference tree (per-cell nodes are childless).
+    kids: Vec<u32>,
+    /// `cell_node[c]`: the inference-tree node holding cell `c`'s estimate.
+    cell_node: Vec<u32>,
 }
 
 impl Hierarchy {
@@ -52,58 +66,64 @@ impl Hierarchy {
             Domain::D1(n) => RangeQuery::d1(0, n - 1),
             Domain::D2(r, c) => RangeQuery::d2(0, 0, r - 1, c - 1),
         };
+        let node_id = |i: usize| u32::try_from(i).expect("hierarchy exceeds 32-bit node ids");
         let mut nodes = vec![HierNode {
             query: root_query,
             level: 0,
-            children: Vec::new(),
         }];
-        let mut levels: Vec<Vec<usize>> = vec![vec![0]];
-        let mut frontier = vec![0_usize];
-        while !frontier.is_empty() {
-            let level = levels.len();
-            if level >= max_levels {
-                break;
+        let mut levels: Vec<Range<usize>> = Vec::new();
+        let mut leaves = Vec::new();
+        let mut kids = vec![1];
+        let mut cell_node = vec![0; domain.n_cells()];
+        // Breadth first: node `id` appends its children, which take the
+        // next free ids. `end` is the next free inference-tree id.
+        let mut end = 1;
+        let mut id = 0;
+        while id < nodes.len() {
+            let HierNode { query: q, level } = nodes[id];
+            if levels.len() == level {
+                levels.push(id..id);
             }
-            let mut next = Vec::new();
-            for &id in &frontier {
-                let q = nodes[id].query;
-                if q.size() == 1 {
-                    continue;
-                }
-                let row_parts = split_axis(q.lo.0, q.hi.0, branching);
-                let col_parts = split_axis(q.lo.1, q.hi.1, branching);
-                let mut children = Vec::with_capacity(row_parts.len() * col_parts.len());
-                for &(r1, r2) in &row_parts {
-                    for &(c1, c2) in &col_parts {
-                        let child = HierNode {
+            levels[level].end = id + 1;
+            if q.size() > 1 && level + 1 < max_levels {
+                debug_assert_eq!(end, nodes.len(), "a node splits after an unresolved leaf");
+                for (r1, r2) in split_axis(q.lo.0, q.hi.0, branching) {
+                    for (c1, c2) in split_axis(q.lo.1, q.hi.1, branching) {
+                        nodes.push(HierNode {
                             query: RangeQuery {
                                 lo: (r1, c1),
                                 hi: (r2, c2),
                             },
-                            level,
-                            children: Vec::new(),
-                        };
-                        nodes.push(child);
-                        children.push(nodes.len() - 1);
+                            level: level + 1,
+                        });
                     }
                 }
-                next.extend_from_slice(&children);
-                nodes[id].children = children;
+                end = nodes.len();
+            } else {
+                leaves.push(id);
+                if q.size() == 1 {
+                    cell_node[domain.index(q.lo)] = node_id(id);
+                } else {
+                    // An unresolved leaf gets one childless inference node
+                    // per cell, row-major.
+                    for r in q.lo.0..=q.hi.0 {
+                        for c in q.lo.1..=q.hi.1 {
+                            cell_node[domain.index((r, c))] = node_id(end);
+                            end += 1;
+                        }
+                    }
+                }
             }
-            if next.is_empty() {
-                break;
-            }
-            levels.push(next.clone());
-            frontier = next;
+            kids.push(node_id(end));
+            id += 1;
         }
-        let leaves = (0..nodes.len())
-            .filter(|&i| nodes[i].children.is_empty())
-            .collect();
         Self {
             nodes,
             domain,
             levels,
             leaves,
+            kids,
+            cell_node,
         }
     }
 
@@ -120,6 +140,23 @@ impl Hierarchy {
     /// True when every leaf covers exactly one cell.
     pub fn fully_resolved(&self) -> bool {
         self.leaves.iter().all(|&i| self.nodes[i].query.size() == 1)
+    }
+
+    /// Child ids of node `id` (empty for leaves).
+    pub fn children(&self, id: usize) -> Range<usize> {
+        let kids = self.kids_of(id);
+        // An unresolved leaf's inference children are per-cell nodes, not
+        // hierarchy nodes.
+        if kids.start < self.nodes.len() {
+            kids
+        } else {
+            0..0
+        }
+    }
+
+    /// Inference-tree children of node `id`.
+    fn kids_of(&self, id: usize) -> Range<usize> {
+        self.kids[id] as usize..self.kids[id + 1] as usize
     }
 
     /// Decompose a range query into a minimal set of canonical nodes: nodes
@@ -142,8 +179,7 @@ impl Hierarchy {
         stack.clear();
         stack.push(0_usize);
         while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            let b = node.query;
+            let b = self.nodes[id].query;
             // Disjoint?
             if b.lo.0 > q.hi.0 || b.hi.0 < q.lo.0 || b.lo.1 > q.hi.1 || b.hi.1 < q.lo.1 {
                 continue;
@@ -153,13 +189,14 @@ impl Hierarchy {
                 out.push(id);
                 continue;
             }
-            if node.children.is_empty() {
+            let children = self.children(id);
+            if children.is_empty() {
                 // Partial overlap at a leaf: take the leaf (the caller
                 // accepts approximation on unresolved hierarchies).
                 out.push(id);
                 continue;
             }
-            stack.extend_from_slice(&node.children);
+            stack.extend(children);
         }
     }
 
@@ -181,10 +218,20 @@ impl Hierarchy {
     }
 
     /// [`Hierarchy::measure_and_infer`] drawing the cumulative table, the
-    /// measured tree, the inference arrays, and the output buffer from a
-    /// caller-owned [`Workspace`] — the allocation-free per-trial entry
-    /// point of every hierarchical mechanism. The returned vector comes
-    /// from the pool; hand it back via `ws.give_f64` when done.
+    /// inference arrays, and the output buffer from a caller-owned
+    /// [`Workspace`] — the allocation-free per-trial entry point of every
+    /// hierarchical mechanism. The returned vector comes from the pool;
+    /// hand it back via `ws.give_f64` when done.
+    ///
+    /// Four linear passes over the inference tree: draw the noise in node
+    /// id order, fuse upward in reverse id order, spread discrepancies
+    /// downward in id order, and gather each cell's node. Every node
+    /// computes exactly what [`MeasuredTree::infer`] computes for it, from
+    /// its own measurement and its children's values in ascending order,
+    /// so the estimate is bit-identical to
+    /// [`Hierarchy::measure_and_infer_naive`].
+    ///
+    /// [`MeasuredTree::infer`]: dpbench_transforms::tree_ls::MeasuredTree::infer
     pub fn measure_and_infer_with(
         &self,
         x: &DataVector,
@@ -193,6 +240,11 @@ impl Hierarchy {
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
         assert_eq!(level_eps.len(), self.height(), "one ε per level");
+        assert_eq!(
+            x.domain(),
+            self.domain,
+            "data outside the hierarchy's domain"
+        );
         let table = match ws.take_table() {
             Some(mut table) => {
                 table.rebuild_cells(x.counts(), x.domain());
@@ -200,16 +252,109 @@ impl Hierarchy {
             }
             None => PrefixTable::build(x),
         };
+        // `est[i]` holds node i's measurement, then its upward estimate,
+        // then its final value; `var[i]` the measurement's variance, then
+        // the upward estimate's. An unmeasured node starts as an unknown
+        // leaf: 0 with infinite variance.
+        let n_tree = self.kids[self.nodes.len()] as usize;
+        let mut est = ws.take_f64(n_tree);
+        let mut var = ws.take_f64(n_tree);
+        for (ids, &eps) in self.levels.iter().zip(level_eps) {
+            if eps > 0.0 {
+                let (scale, variance) = (1.0 / eps, 2.0 / (eps * eps));
+                for id in ids.clone() {
+                    est[id] = table.eval(&self.nodes[id].query) + laplace(scale, rng);
+                    var[id] = variance;
+                }
+            } else {
+                var[ids.clone()].fill(f64::INFINITY);
+            }
+        }
+        var[self.nodes.len()..].fill(f64::INFINITY);
+        ws.store_table(table);
 
-        let mut tree: Box<MeasuredTree> = ws.take_typed();
-        tree.clear();
+        // Upward, children before parents: fuse each node's measurement
+        // with the sum of its children's estimates. A leaf keeps its own.
+        for (ids, &eps) in self.levels.iter().zip(level_eps).rev() {
+            for id in ids.clone().rev() {
+                let kids = self.kids_of(id);
+                if kids.is_empty() {
+                    continue;
+                }
+                let sum: f64 = est[kids.clone()].iter().sum();
+                let child_var: f64 = var[kids].iter().sum();
+                (est[id], var[id]) = if eps > 0.0 {
+                    fuse(est[id], var[id], sum, child_var)
+                } else {
+                    (sum, child_var)
+                };
+            }
+        }
+
+        // Downward, parents before children: `est[id]` is already the
+        // node's final value; spread its discrepancy from the children's
+        // upward sum over the children.
+        for id in 0..self.nodes.len() {
+            let kids = self.kids_of(id);
+            if kids.is_empty() {
+                continue;
+            }
+            let child_sum: f64 = est[kids.clone()].iter().sum();
+            let d = est[id] - child_sum;
+            let (est, var) = (&mut est[kids.clone()], &var[kids]);
+            let total_var: f64 = var.iter().sum();
+            if total_var.is_infinite() {
+                // Uninformed (infinite-variance) children share equally —
+                // the uniformity assumption.
+                let n_inf = var.iter().filter(|v| v.is_infinite()).count();
+                let share = d / n_inf as f64;
+                for (e, v) in est.iter_mut().zip(var) {
+                    *e += if v.is_infinite() { share } else { 0.0 };
+                }
+            } else if total_var == 0.0 {
+                // Exact children: the (necessarily ~0) residual splits
+                // evenly to keep the sum constraint.
+                let share = d / est.len() as f64;
+                for e in est {
+                    *e += share;
+                }
+            } else {
+                for (e, &v) in est.iter_mut().zip(var) {
+                    *e += d * v / total_var;
+                }
+            }
+        }
+
+        let mut cells = ws.take_f64(0);
+        cells.extend(self.cell_node.iter().map(|&node| est[node as usize]));
+        ws.give_f64(est);
+        ws.give_f64(var);
+        cells
+    }
+
+    /// The measure/infer pipeline that builds a [`MeasuredTree`] per call
+    /// and runs [`MeasuredTree::infer`], retained as the validation oracle
+    /// for the flat kernel of [`Hierarchy::measure_and_infer_with`]. Used
+    /// only by tests.
+    ///
+    /// [`MeasuredTree`]: dpbench_transforms::tree_ls::MeasuredTree
+    /// [`MeasuredTree::infer`]: dpbench_transforms::tree_ls::MeasuredTree::infer
+    pub fn measure_and_infer_naive(
+        &self,
+        x: &DataVector,
+        level_eps: &[f64],
+        rng: &mut dyn RngCore,
+    ) -> Vec<f64> {
+        use dpbench_transforms::tree_ls::{MeasuredTree, Measurement};
+        assert_eq!(level_eps.len(), self.height(), "one ε per level");
+        let table = PrefixTable::build(x);
+        let mut tree = MeasuredTree::new();
         // Tree node ids correspond 1:1 with hierarchy ids (same insertion
         // order), then leaf-cell nodes follow.
         for node in &self.nodes {
             let eps = level_eps[node.level];
             let measurement = if eps > 0.0 {
-                let noisy =
-                    table.eval(&node.query) + dpbench_core::primitives::laplace(1.0 / eps, rng);
+                let noisy = table.eval(&node.query) + laplace(1.0 / eps, rng);
                 Some(Measurement {
                     value: noisy,
                     variance: 2.0 / (eps * eps),
@@ -219,19 +364,19 @@ impl Hierarchy {
             };
             tree.add_node(measurement);
         }
-        for (id, node) in self.nodes.iter().enumerate() {
-            if !node.children.is_empty() {
-                tree.set_children(id, &node.children);
+        for id in 0..self.nodes.len() {
+            let children: Vec<usize> = self.children(id).collect();
+            if !children.is_empty() {
+                tree.set_children(id, &children);
             }
         }
         // Expand unresolved leaves with unmeasured per-cell children so the
         // inference's uniform-discrepancy rule spreads their mass.
         let mut cell_owner: Vec<(usize, RangeQuery)> = Vec::new();
-        let mut expansion = ws.take_usize(0);
         for &leaf in self.leaf_ids() {
             let q = self.nodes[leaf].query;
             if q.size() > 1 {
-                expansion.clear();
+                let mut expansion = Vec::new();
                 for r in q.lo.0..=q.hi.0 {
                     for c in q.lo.1..=q.hi.1 {
                         let cell_node = tree.add_node(None);
@@ -248,15 +393,13 @@ impl Hierarchy {
                 tree.set_children(leaf, &expansion);
             }
         }
-        ws.give_usize(expansion);
         tree.set_root(0);
-        let mut scratch: Box<TreeScratch> = ws.take_typed();
-        let fin = tree.infer_into(&mut scratch);
+        let fin = tree.infer();
 
         // Scatter into the cell vector.
-        let mut cells = ws.take_f64(x.n_cells());
+        let mut cells = vec![0.0; x.n_cells()];
         for (id, node) in self.nodes.iter().enumerate() {
-            if node.children.is_empty() && node.query.size() == 1 {
+            if self.children(id).is_empty() && node.query.size() == 1 {
                 let idx = x.domain().index(node.query.lo);
                 cells[idx] = fin[id];
             }
@@ -265,10 +408,28 @@ impl Hierarchy {
             let idx = x.domain().index(q.lo);
             cells[idx] = fin[*tree_id];
         }
-        ws.store_table(table);
-        ws.store_typed(scratch);
-        ws.store_typed(tree);
         cells
+    }
+}
+
+/// A node's upward-pass estimate and variance: its measurement
+/// `(value, variance)` fused with its children's summed estimates
+/// `(sum, child_var)` by inverse-variance weighting; an exact side wins
+/// and an uninformed (infinite-variance) side is ignored.
+fn fuse(value: f64, variance: f64, sum: f64, child_var: f64) -> (f64, f64) {
+    if variance == 0.0 {
+        (value, 0.0)
+    } else if child_var == 0.0 {
+        (sum, 0.0)
+    } else if child_var.is_infinite() {
+        (value, variance)
+    } else {
+        let w_own = 1.0 / variance;
+        let w_kids = 1.0 / child_var;
+        (
+            (w_own * value + w_kids * sum) / (w_own + w_kids),
+            1.0 / (w_own + w_kids),
+        )
     }
 }
 
@@ -330,22 +491,15 @@ impl HierPool {
 
 /// Split an inclusive axis range into up to `branching` contiguous,
 /// (nearly) equal, non-empty parts.
-fn split_axis(lo: usize, hi: usize, branching: usize) -> Vec<(usize, usize)> {
+fn split_axis(lo: usize, hi: usize, branching: usize) -> impl Iterator<Item = (usize, usize)> {
     let len = hi - lo + 1;
-    if len == 1 {
-        return vec![(lo, hi)];
-    }
     let parts = branching.min(len);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = lo;
-    for i in 0..parts {
+    let (base, extra) = (len / parts, len % parts);
+    (0..parts).scan(lo, move |start, i| {
         let size = base + usize::from(i < extra);
-        out.push((start, start + size - 1));
-        start += size;
-    }
-    out
+        *start += size;
+        Some((*start - size, *start - 1))
+    })
 }
 
 /// Hb's variance-optimal branching factor for a 1-D domain of size `n`
@@ -420,7 +574,7 @@ mod tests {
         // Within a level, nodes are pairwise disjoint.
         for level in &h.levels {
             let mut seen = [false; 5];
-            for &id in level {
+            for id in level.clone() {
                 let q = h.nodes[id].query;
                 for s in seen.iter_mut().take(q.hi.0 + 1).skip(q.lo.0) {
                     assert!(!*s);
@@ -554,17 +708,17 @@ mod tests {
         assert_eq!(pool.len(), 3);
         // Pooled hierarchy has identical node boxes to a fresh build.
         let pooled = pool.get_1d(48, 2);
-        for (p, f) in pooled.nodes.iter().zip(&fresh.nodes) {
-            assert_eq!(p.query, f.query);
-            assert_eq!(p.level, f.level);
-            assert_eq!(p.children, f.children);
+        assert_eq!(pooled.nodes, fresh.nodes);
+        for id in 0..fresh.nodes.len() {
+            assert_eq!(pooled.children(id), fresh.children(id));
         }
     }
 
     #[test]
     fn split_axis_partitions() {
-        assert_eq!(split_axis(0, 9, 3), vec![(0, 3), (4, 6), (7, 9)]);
-        assert_eq!(split_axis(5, 5, 4), vec![(5, 5)]);
-        assert_eq!(split_axis(0, 1, 4), vec![(0, 0), (1, 1)]);
+        let split = |lo, hi, b| split_axis(lo, hi, b).collect::<Vec<_>>();
+        assert_eq!(split(0, 9, 3), vec![(0, 3), (4, 6), (7, 9)]);
+        assert_eq!(split(5, 5, 4), vec![(5, 5)]);
+        assert_eq!(split(0, 1, 4), vec![(0, 0), (1, 1)]);
     }
 }

@@ -20,6 +20,8 @@ use rand::Rng;
 pub struct Workload {
     domain: Domain,
     queries: Vec<RangeQuery>,
+    /// [`Workload::fingerprint`], computed once at construction.
+    fingerprint: u64,
 }
 
 impl Workload {
@@ -29,16 +31,48 @@ impl Workload {
             queries.iter().all(|q| q.fits(&domain)),
             "workload contains a query outside domain {domain}"
         );
-        Self { domain, queries }
+        Self::from_parts(domain, queries)
+    }
+
+    /// The constructor every public one goes through: a workload never
+    /// changes after construction, so its fingerprint — FNV-1a over the
+    /// coordinate stream — is computed here, once.
+    fn from_parts(domain: Domain, queries: Vec<RangeQuery>) -> Self {
+        let mut h = 0xcbf29ce484222325_u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        };
+        match domain {
+            Domain::D1(n) => {
+                mix(1);
+                mix(n as u64);
+            }
+            Domain::D2(r, c) => {
+                mix(2);
+                mix(r as u64);
+                mix(c as u64);
+            }
+        }
+        for q in &queries {
+            mix(q.lo.0 as u64);
+            mix(q.lo.1 as u64);
+            mix(q.hi.0 as u64);
+            mix(q.hi.1 as u64);
+        }
+        Self {
+            domain,
+            queries,
+            fingerprint: h,
+        }
     }
 
     /// The **Prefix** workload over a 1-D domain of size `n`.
     pub fn prefix_1d(n: usize) -> Self {
         let queries = (0..n).map(|i| RangeQuery::d1(0, i)).collect();
-        Self {
-            domain: Domain::D1(n),
-            queries,
-        }
+        Self::from_parts(Domain::D1(n), queries)
     }
 
     /// The **Identity** workload: one singleton query per cell.
@@ -52,7 +86,7 @@ impl Workload {
                 }
             })
             .collect();
-        Self { domain, queries }
+        Self::from_parts(domain, queries)
     }
 
     /// All `n(n+1)/2` ranges of a 1-D domain. Quadratic — intended for small
@@ -64,10 +98,7 @@ impl Workload {
                 queries.push(RangeQuery::d1(lo, hi));
             }
         }
-        Self {
-            domain: Domain::D1(n),
-            queries,
-        }
+        Self::from_parts(Domain::D1(n), queries)
     }
 
     /// All ranges of a fixed width `w` over a 1-D domain (sliding-window
@@ -77,10 +108,7 @@ impl Workload {
         let queries = (0..=n - width)
             .map(|lo| RangeQuery::d1(lo, lo + width - 1))
             .collect();
-        Self {
-            domain: Domain::D1(n),
-            queries,
-        }
+        Self::from_parts(Domain::D1(n), queries)
     }
 
     /// The two 1-D marginals of a 2-D domain: one query per full row and
@@ -93,10 +121,7 @@ impl Workload {
         for c in 0..cols {
             queries.push(RangeQuery::d2(0, c, rows - 1, c));
         }
-        Self {
-            domain: Domain::D2(rows, cols),
-            queries,
-        }
+        Self::from_parts(Domain::D2(rows, cols), queries)
     }
 
     /// `count` uniformly random range queries (the paper's 2-D workload with
@@ -126,7 +151,7 @@ impl Workload {
                 }
             }
         }
-        Self { domain, queries }
+        Self::from_parts(domain, queries)
     }
 
     /// The workload's domain.
@@ -151,34 +176,11 @@ impl Workload {
 
     /// A 64-bit content fingerprint over the domain and every query, for
     /// keying plan caches: two workloads over the same domain with
-    /// different query sets must not share cached plans.
+    /// different query sets must not share cached plans. Computed once at
+    /// construction, so the plan-cache, noise and SLO keys that read it on
+    /// every lookup cost nothing.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the coordinate stream.
-        let mut h = 0xcbf29ce484222325_u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        match self.domain {
-            Domain::D1(n) => {
-                mix(1);
-                mix(n as u64);
-            }
-            Domain::D2(r, c) => {
-                mix(2);
-                mix(r as u64);
-                mix(c as u64);
-            }
-        }
-        for q in &self.queries {
-            mix(q.lo.0 as u64);
-            mix(q.lo.1 as u64);
-            mix(q.hi.0 as u64);
-            mix(q.hi.1 as u64);
-        }
-        h
+        self.fingerprint
     }
 
     /// Evaluate all queries against a data vector: `y = W x`.

@@ -15,7 +15,8 @@
 //!
 //! The data vector, workload, and true answers `y_true` shared by the
 //! mechanisms of one (setting, sample) cell are built exactly once in a
-//! memoized [`DataCache`] keyed by their coordinates — now with **LRU
+//! memoized [`DataCache`] keyed by their coordinates (each cell samples
+//! from a dataset shape built once per (dataset, domain)) — now with **LRU
 //! eviction under a configurable byte budget**
 //! ([`Runner::data_cache_bytes`]), safe precisely because sinks stream
 //! results out instead of holding the whole grid alive. Every trial
@@ -46,12 +47,12 @@ use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
     scaled_per_query_error, DataVector, Domain, MechError, Mechanism, Plan, Workload, Workspace,
 };
-use dpbench_datasets::DataGenerator;
+use dpbench_datasets::{DataGenerator, Dataset};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cache key: mechanism name × configuration fingerprint × domain ×
 /// workload content fingerprint. The configuration fingerprint
@@ -207,6 +208,9 @@ type DataKey = (u64, u64, Domain, usize);
 /// Per-key build slot of the [`DataCache`].
 type DataSlot = Arc<Mutex<Option<Arc<UnitData>>>>;
 
+/// Per-(dataset, domain) build slot of the [`DataCache`]'s shapes.
+type ShapeSlot = Arc<OnceLock<Arc<Vec<f64>>>>;
+
 /// Counters of the [`DataCache`] (exposed through [`RunStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataCacheStats {
@@ -251,6 +255,12 @@ struct DataCache {
     /// Workloads depend only on the domain; memoized separately so the
     /// grid holds one query list per domain instead of one per cell.
     workloads: Mutex<HashMap<Domain, Arc<Workload>>>,
+    /// Dataset shapes depend only on (dataset-name hash, domain): every
+    /// (scale, sample) cell of one dataset and domain draws from one shape
+    /// built once per run (a 2-D shape costs tens of milliseconds, the
+    /// multinomial draw from it well under one). Like the workloads, they
+    /// stay outside the byte budget.
+    shapes: Mutex<HashMap<(u64, Domain), ShapeSlot>>,
     /// LRU clock.
     tick: AtomicU64,
     budget_bytes: usize,
@@ -264,6 +274,7 @@ impl DataCache {
         Self {
             inner: Mutex::default(),
             workloads: Mutex::default(),
+            shapes: Mutex::default(),
             tick: AtomicU64::new(0),
             budget_bytes,
             hits: AtomicU64::new(0),
@@ -287,6 +298,16 @@ impl DataCache {
             map.entry(domain)
                 .or_insert_with(|| Arc::new(cfg.workload.build(domain))),
         )
+    }
+
+    /// The shape `dataset` takes on `domain`, built on first use. Workers
+    /// asking for a shape that is being built wait for it.
+    fn shape_for(&self, dataset: &Dataset, domain: Domain) -> Arc<Vec<f64>> {
+        let slot = {
+            let mut shapes = self.shapes.lock().expect("shape cache poisoned");
+            Arc::clone(shapes.entry((hash_str(dataset.name), domain)).or_default())
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(dataset.shape(domain))))
     }
 
     fn unit_data(&self, cfg: &ExperimentConfig, setting: &Setting, sample: usize) -> Arc<UnitData> {
@@ -328,8 +349,9 @@ impl DataCache {
                 sample as u64,
             ],
         );
+        let shape = self.shape_for(dataset, setting.domain);
         let x: DataVector =
-            DataGenerator::new().generate(dataset, setting.domain, setting.scale, &mut data_rng);
+            DataGenerator::new().from_shape(&shape, setting.domain, setting.scale, &mut data_rng);
         let workload = self.workload_for(cfg, setting.domain);
         let y_true = workload.evaluate(&x);
         let scale = x.scale();

@@ -37,27 +37,15 @@ pub struct Measurement {
     pub variance: f64,
 }
 
-/// Reusable scratch of [`MeasuredTree::infer_into`]: the per-node
-/// estimate/variance/final arrays and the traversal buffers. Pool one per
-/// worker (e.g. in a `Workspace` typed slot) so repeated inferences on
-/// same-shaped trees never touch the allocator.
-#[derive(Debug, Clone, Default)]
-pub struct TreeScratch {
-    est: Vec<f64>,
-    var: Vec<f64>,
-    fin: Vec<f64>,
-    order: Vec<usize>,
-    stack: Vec<(usize, usize)>,
-}
-
 /// A tree of (optionally) measured nodes supporting exact GLS inference.
 ///
 /// Nodes live in a flat arena: measurements in one vector, child ids in a
-/// shared pool indexed by per-node `(start, len)` spans. Rebuilding the
-/// same-shaped tree after [`MeasuredTree::clear`] therefore performs no
-/// allocation at all — hierarchical mechanisms rebuild one tree per trial,
-/// which made the old one-`Vec`-of-children-per-node layout the hottest
-/// remaining allocator path in the grid runner.
+/// shared pool indexed by per-node `(start, len)` spans, so building a tree
+/// allocates a handful of vectors rather than one per node. DPCUBE and
+/// UGRID/AGRID build one per execution; the fixed hierarchies of
+/// `dpbench_algorithms::hierarchy` run the same per-node arithmetic over a
+/// layout compiled once per hierarchy and keep this tree as their test
+/// oracle.
 #[derive(Debug, Clone, Default)]
 pub struct MeasuredTree {
     measurements: Vec<Option<Measurement>>,
@@ -72,24 +60,6 @@ impl MeasuredTree {
     /// Empty tree.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pre-allocate for `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            measurements: Vec::with_capacity(n),
-            child_span: Vec::with_capacity(n),
-            child_ids: Vec::with_capacity(n),
-            root: None,
-        }
-    }
-
-    /// Remove all nodes, keeping every allocation for reuse.
-    pub fn clear(&mut self) {
-        self.measurements.clear();
-        self.child_span.clear();
-        self.child_ids.clear();
-        self.root = None;
     }
 
     /// Add a node (initially childless); returns its id.
@@ -139,64 +109,41 @@ impl MeasuredTree {
 
     /// Ids of all leaves in post-order of the tree walk.
     pub fn leaves(&self) -> Vec<usize> {
-        let mut scratch = TreeScratch::default();
-        self.post_order_into(&mut scratch);
-        scratch
-            .order
-            .iter()
-            .copied()
+        self.post_order()
+            .into_iter()
             .filter(|&id| self.children(id).is_empty())
             .collect()
     }
 
-    /// Iterative post-order into `scratch.order` (cleared first).
-    fn post_order_into(&self, scratch: &mut TreeScratch) {
+    /// Iterative post-order walk from the root.
+    fn post_order(&self) -> Vec<usize> {
         let root = self.root.expect("root not set");
-        scratch.order.clear();
-        scratch.stack.clear();
+        let mut order = Vec::with_capacity(self.len());
         // Stack of (node, child cursor).
-        scratch.stack.push((root, 0));
-        while let Some(&mut (node, ref mut cursor)) = scratch.stack.last_mut() {
+        let mut stack = vec![(root, 0)];
+        while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
             let kids = self.children(node);
             if *cursor < kids.len() {
                 let child = kids[*cursor];
                 *cursor += 1;
-                scratch.stack.push((child, 0));
+                stack.push((child, 0));
             } else {
-                scratch.order.push(node);
-                scratch.stack.pop();
+                order.push(node);
+                stack.pop();
             }
         }
+        order
     }
 
     /// Exact GLS inference. Returns the consistent estimate for every node
     /// (indexed by node id); for every internal node the returned value
     /// equals the sum of its children's values.
     pub fn infer(&self) -> Vec<f64> {
-        let mut scratch = TreeScratch::default();
-        self.infer_into(&mut scratch);
-        scratch.fin
-    }
-
-    /// [`MeasuredTree::infer`] into caller-owned scratch (the
-    /// allocation-free hot path); the result slice borrows `scratch.fin`.
-    pub fn infer_into<'a>(&self, scratch: &'a mut TreeScratch) -> &'a [f64] {
         let root = self.root.expect("root not set");
         let n = self.measurements.len();
-        self.post_order_into(scratch);
-        // Disjoint field borrows: the traversal order is read while the
-        // estimate arrays are written.
-        let TreeScratch {
-            est,
-            var,
-            fin,
-            order,
-            ..
-        } = scratch;
-        est.clear();
-        est.resize(n, 0.0); // fused (upward) estimates
-        var.clear();
-        var.resize(n, f64::INFINITY); // fused variances
+        let order = self.post_order();
+        let mut est = vec![0.0; n]; // fused (upward) estimates
+        let mut var = vec![f64::INFINITY; n]; // fused variances
 
         // Upward pass in post-order.
         for &id in order.iter() {
@@ -243,8 +190,7 @@ impl MeasuredTree {
         }
 
         // Downward pass in reverse post-order (parents before children).
-        fin.clear();
-        fin.resize(n, 0.0);
+        let mut fin = vec![0.0; n];
         fin[root] = est[root];
         for &id in order.iter().rev() {
             let kids = self.children(id);
@@ -275,7 +221,7 @@ impl MeasuredTree {
                 }
             }
         }
-        &*fin
+        fin
     }
 }
 

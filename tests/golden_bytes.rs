@@ -5,15 +5,25 @@
 //! writers must keep reproducing them byte for byte and the readers must
 //! recover the same values, so a codec change can never re-encode a file
 //! someone already has.
+//!
+//! The hierarchical mechanisms' estimate bits, a workload fingerprint and
+//! a 2-D `Runner` ledger are pinned the same way, captured before the
+//! flat hierarchy kernel and the per-run shape memo replaced the code that
+//! produced them.
 
+use dpbench::algorithms::quadtree::QuadTree;
 use dpbench::core::budget::SpendRecord;
 use dpbench::core::json::{self, Value};
+use dpbench::core::mechanism::execute_eps_with;
+use dpbench::core::Workspace;
 use dpbench::core::{PlanDiagnostics, Release};
 use dpbench::harness::manifest::{ManifestUnit, UnitId};
 use dpbench::harness::serve::{self, http, journal, JournalOp, ServeConfig, SpendJournal};
 use dpbench::harness::sink::{self, AggregatingSink, JsonlSink, ResultSink};
 use dpbench::harness::{config::Setting, RunManifest, SelectionProfile};
 use dpbench::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 /// `1e-300` as the writers print it (`Display` never switches to an
@@ -374,4 +384,171 @@ fn error_body_escapes_quotes_backslashes_and_control_bytes() {
     let fields = http::parse_object(&resp).unwrap();
     assert_eq!(fields["error"].as_str(), Some("unknown_dataset"));
     assert_eq!(fields["detail"].as_str(), Some("a\"b\\c\nd\u{1}"));
+}
+
+/// FNV-1a over the bit patterns of `values`: one word that pins every bit
+/// of an estimate.
+fn bits_digest(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Estimate digests of every mechanism that measures and infers over a
+/// `Hierarchy` (GREEDY_H and DAWA flatten 2-D grids along the Hilbert
+/// curve; QUADTREE at height 3 leaves unresolved leaves; SF runs one
+/// hierarchy per bucket), two trials each on seeded integer counts.
+const HIERARCHY_DIGESTS: [(&str, u64); 11] = [
+    ("H 1000", 0xa9f0_198b_9fcf_fc38),
+    ("HB 1000", 0xf970_1029_bb3f_7473),
+    ("HB 24x40", 0xa9a4_c1d1_6802_ed04),
+    ("GREEDY_H 1000", 0xc553_1026_03e4_944b),
+    ("GREEDY_H 32x32", 0x661a_085b_2ee5_53d9),
+    ("QUADTREE 24x40", 0xb3cc_929b_2d74_2f1a),
+    ("QUADTREE/3 40x24", 0xd563_4586_49dc_1ef5),
+    ("DAWA 1000", 0x223f_6d6f_2126_0094),
+    ("DAWA 32x32", 0xea38_a57f_ee59_9224),
+    ("SF 1000", 0x5d55_600b_a0e1_19cc),
+    ("SF 4096", 0xce24_4faf_a23b_45f9),
+];
+
+#[test]
+fn hierarchical_estimate_bits_are_pinned() {
+    let cases: [(&str, Box<dyn Mechanism>, Domain); 11] = [
+        ("H 1000", mechanism_by_name("H").unwrap(), Domain::D1(1000)),
+        (
+            "HB 1000",
+            mechanism_by_name("HB").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "HB 24x40",
+            mechanism_by_name("HB").unwrap(),
+            Domain::D2(24, 40),
+        ),
+        (
+            "GREEDY_H 1000",
+            mechanism_by_name("GREEDY_H").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "GREEDY_H 32x32",
+            mechanism_by_name("GREEDY_H").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "QUADTREE 24x40",
+            mechanism_by_name("QUADTREE").unwrap(),
+            Domain::D2(24, 40),
+        ),
+        (
+            "QUADTREE/3 40x24",
+            Box::new(QuadTree::with_height(3)),
+            Domain::D2(40, 24),
+        ),
+        (
+            "DAWA 1000",
+            mechanism_by_name("DAWA").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "DAWA 32x32",
+            mechanism_by_name("DAWA").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "SF 1000",
+            mechanism_by_name("SF").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "SF 4096",
+            mechanism_by_name("SF").unwrap(),
+            Domain::D1(4096),
+        ),
+    ];
+    let mut ws = Workspace::new();
+    let got: Vec<(&str, u64)> = cases
+        .iter()
+        .enumerate()
+        .map(|(i, (label, mech, domain))| {
+            let mut rng = StdRng::seed_from_u64(2016 + i as u64);
+            let counts = (0..domain.n_cells())
+                .map(|c| {
+                    let spike = if c % 97 == 3 { 5_000.0 } else { 0.0 };
+                    spike + f64::from(rng.gen_range(0_u32..40))
+                })
+                .collect();
+            let x = DataVector::new(counts, *domain);
+            let workload = match domain {
+                Domain::D1(n) => Workload::prefix_1d(*n),
+                Domain::D2(..) => Workload::random_ranges(*domain, 200, &mut rng),
+            };
+            let plan = mech.plan(domain, &workload).unwrap();
+            let mut bits = Vec::new();
+            for _ in 0..2 {
+                let release = execute_eps_with(plan.as_ref(), &x, 0.1, &mut ws, &mut rng).unwrap();
+                bits.extend_from_slice(&release.estimate);
+                ws.give_f64(release.into_estimate());
+            }
+            (*label, bits_digest(&bits))
+        })
+        .collect();
+    assert_eq!(got, HIERARCHY_DIGESTS);
+}
+
+/// The content fingerprint of the 64-cell Prefix workload.
+const PREFIX_64_FINGERPRINT: u64 = 0x14af_69c4_06ed_1464;
+
+#[test]
+fn workload_fingerprint_is_pinned() {
+    assert_eq!(Workload::prefix_1d(64).fingerprint(), PREFIX_64_FINGERPRINT);
+}
+
+/// A `Runner` ledger that draws one 2-D dataset at two scales and two
+/// samples each, so four data cells share one shape.
+const GRID_2D_LEDGER: &str = r#"{"t":"run","fp":"08463e125db2679f","n_trials":1,"cfg":"datasets=BJ-CABS-S;scales=10000+1000000;domains=32x32;eps=0.1;algorithms=HB+QUADTREE;samples=2;trials=1;workload=random:100;loss=l2"}
+{"t":"s","unit":"cbb8eff18167807f","pos":0,"alg":"HB","dataset":"BJ-CABS-S","scale":10000,"domain":"32x32","eps":0.1,"sample":0,"trial":0,"err":0.0023958248646093194}
+{"t":"u","unit":"cbb8eff18167807f","pos":0}
+{"t":"s","unit":"be24469f5bd331c8","pos":1,"alg":"QUADTREE","dataset":"BJ-CABS-S","scale":10000,"domain":"32x32","eps":0.1,"sample":0,"trial":0,"err":0.00221308611596286}
+{"t":"u","unit":"be24469f5bd331c8","pos":1}
+{"t":"s","unit":"fd6d01d08f749662","pos":2,"alg":"HB","dataset":"BJ-CABS-S","scale":10000,"domain":"32x32","eps":0.1,"sample":1,"trial":0,"err":0.002551727629678801}
+{"t":"u","unit":"fd6d01d08f749662","pos":2}
+{"t":"s","unit":"4d1df08ce8767ebd","pos":3,"alg":"QUADTREE","dataset":"BJ-CABS-S","scale":10000,"domain":"32x32","eps":0.1,"sample":1,"trial":0,"err":0.0022306732801874946}
+{"t":"u","unit":"4d1df08ce8767ebd","pos":3}
+{"t":"s","unit":"d05e8c09c154c30f","pos":4,"alg":"HB","dataset":"BJ-CABS-S","scale":1000000,"domain":"32x32","eps":0.1,"sample":0,"trial":0,"err":0.000026578122461529156}
+{"t":"u","unit":"d05e8c09c154c30f","pos":4}
+{"t":"s","unit":"c9ecd7e71e251958","pos":5,"alg":"QUADTREE","dataset":"BJ-CABS-S","scale":1000000,"domain":"32x32","eps":0.1,"sample":0,"trial":0,"err":0.000022800638866474654}
+{"t":"u","unit":"c9ecd7e71e251958","pos":5}
+{"t":"s","unit":"02131de8cf62b272","pos":6,"alg":"HB","dataset":"BJ-CABS-S","scale":1000000,"domain":"32x32","eps":0.1,"sample":1,"trial":0,"err":0.00003018490544838091}
+{"t":"u","unit":"02131de8cf62b272","pos":6}
+{"t":"s","unit":"52652dbd23118b8d","pos":7,"alg":"QUADTREE","dataset":"BJ-CABS-S","scale":1000000,"domain":"32x32","eps":0.1,"sample":1,"trial":0,"err":0.00002877122617788089}
+{"t":"u","unit":"52652dbd23118b8d","pos":7}
+"#;
+
+#[test]
+fn runner_ledger_over_a_repeated_2d_dataset_is_pinned() {
+    let dataset = dpbench::datasets::catalog::by_name("BJ-CABS-S").unwrap();
+    let config = ExperimentConfig {
+        datasets: vec![dataset],
+        scales: vec![10_000, 1_000_000],
+        domains: vec![Domain::D2(32, 32)],
+        epsilons: vec![0.1],
+        algorithms: vec!["HB".into(), "QUADTREE".into()],
+        n_samples: 2,
+        n_trials: 1,
+        workload: WorkloadSpec::RandomRanges(100),
+        loss: Loss::L2,
+    };
+    let mut runner = Runner::new(config);
+    runner.threads = 2;
+    let mut bytes = Vec::new();
+    {
+        let mut sink = JsonlSink::from_writer(&mut bytes);
+        runner.run_with_sink(&runner.manifest(), &mut sink).unwrap();
+    }
+    assert_eq!(String::from_utf8(bytes).unwrap(), GRID_2D_LEDGER);
 }

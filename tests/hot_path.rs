@@ -1,12 +1,14 @@
 //! Hot-path integration tests: the O(n log² n) DAWA partition must return
 //! exactly the partition of the retained O(n²) DP, SF's cost-table DP and
 //! PHP's cached bisection must match their retained full-rescan oracles
-//! bit for bit, MWEM's lazy-scale kernel must pass the kernel gate against
-//! its retained full-rescale kernel, and executions drawing scratch from a
-//! reused [`Workspace`] must be bit-identical to executions with fresh
-//! scratch.
+//! bit for bit, the flat hierarchy kernel must match the retained
+//! `MeasuredTree` pipeline bit for bit, MWEM's lazy-scale kernel must pass
+//! the kernel gate against its retained full-rescale kernel, and
+//! executions drawing scratch from a reused [`Workspace`] must be
+//! bit-identical to executions with fresh scratch.
 
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
+use dpbench_algorithms::hierarchy::Hierarchy;
 use dpbench_algorithms::mwem::Mwem;
 use dpbench_algorithms::php::Php;
 use dpbench_algorithms::registry::mechanism_by_name;
@@ -95,6 +97,85 @@ fn test_counts(rng: &mut StdRng, n: usize, kind: usize) -> Vec<f64> {
                 .collect()
         }
     }
+}
+
+/// The flat two-pass kernel behind every hierarchical mechanism (H, HB,
+/// GREEDY_H, QUADTREE, DAWA's stage 2, SF's buckets) must reproduce the
+/// `MeasuredTree` pipeline it replaced, cell by cell and bit for bit:
+/// 1-D and 2-D domains of awkward sizes, branching factors 2–16, height
+/// caps that leave unresolved leaves, and level budgets with unmeasured
+/// (ε = 0) levels — an unmeasured root, and every level but one at zero.
+#[test]
+fn flat_hierarchy_equals_tree_reference() {
+    let mut rng = StdRng::seed_from_u64(0x41E2);
+    let domains = [1, 2, 3, 5, 17, 100, 1000, 4096]
+        .map(Domain::D1)
+        .into_iter()
+        .chain(
+            [
+                (1, 7),
+                (3, 5),
+                (6, 10),
+                (9, 9),
+                (16, 16),
+                (24, 40),
+                (33, 17),
+            ]
+            .map(|(r, c)| Domain::D2(r, c)),
+        );
+    let mut ws = Workspace::new();
+    let mut cases = 0;
+    for (kind, domain) in domains.enumerate() {
+        let x = DataVector::new(test_counts(&mut rng, domain.n_cells(), kind), domain);
+        for branching in [2, 3, 4, 7, 16] {
+            for max_levels in [usize::MAX, 1, 2, 3] {
+                let hier = Hierarchy::build(domain, branching, max_levels);
+                let h = hier.height();
+                let only = rng.gen_range(0..h);
+                let budgets = [
+                    vec![0.1 / h as f64; h],
+                    (0..h).map(|l| if l == 0 { 0.0 } else { 0.1 }).collect(),
+                    (0..h).map(|l| if l == only { 0.5 } else { 0.0 }).collect(),
+                    (0..h)
+                        .map(|l| {
+                            if l % 2 == 1 {
+                                0.0
+                            } else {
+                                rng.gen_range(0.001..2.0)
+                            }
+                        })
+                        .collect::<Vec<f64>>(),
+                ];
+                for level_eps in &budgets {
+                    let seed = rng.gen();
+                    let flat = hier.measure_and_infer_with(
+                        &x,
+                        level_eps,
+                        &mut ws,
+                        &mut StdRng::seed_from_u64(seed),
+                    );
+                    let naive = hier.measure_and_infer_naive(
+                        &x,
+                        level_eps,
+                        &mut StdRng::seed_from_u64(seed),
+                    );
+                    assert_eq!(flat.len(), naive.len());
+                    if let Some(c) =
+                        (0..flat.len()).find(|&c| flat[c].to_bits() != naive[c].to_bits())
+                    {
+                        panic!(
+                            "{domain} b={branching} max_levels={max_levels} ε={level_eps:?}: \
+                             cell {c} is {} (flat) vs {} (tree)",
+                            flat[c], naive[c]
+                        );
+                    }
+                    ws.give_f64(flat);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 15 * 5 * 4 * 4);
 }
 
 /// SF's V-optimal DP fills its table from a precomputed bucket-cost table

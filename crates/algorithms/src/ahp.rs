@@ -117,7 +117,7 @@ impl Mechanism for Ahp {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent(self.name.clone()),
-            move |x, budget, rng| mech.cluster_and_measure(x, budget, rng),
+            move |x, _ws, budget, rng| mech.cluster_and_measure(x, budget, rng),
         ))
     }
 

@@ -82,7 +82,7 @@ impl Mechanism for DpCube {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("DPCUBE"),
-            move |x, budget, rng| mech.partition_and_fuse(x, budget, rng),
+            move |x, _ws, budget, rng| mech.partition_and_fuse(x, budget, rng),
         ))
     }
 

@@ -57,7 +57,7 @@ impl Mechanism for Efpa {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("EFPA"),
-            move |x, budget, rng| mech.perturb_spectrum(x, budget, rng),
+            move |x, _ws, budget, rng| mech.perturb_spectrum(x, budget, rng),
         ))
     }
 }

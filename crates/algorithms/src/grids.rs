@@ -95,7 +95,7 @@ impl Mechanism for UGrid {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("UGRID"),
-            move |x, budget, rng| mech.grid_and_measure(x, budget, rng),
+            move |x, _ws, budget, rng| mech.grid_and_measure(x, budget, rng),
         ))
     }
 
@@ -201,7 +201,7 @@ impl Mechanism for AGrid {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("AGRID"),
-            move |x, budget, rng| mech.grid_and_measure(x, budget, rng),
+            move |x, _ws, budget, rng| mech.grid_and_measure(x, budget, rng),
         ))
     }
 

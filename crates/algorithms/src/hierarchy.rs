@@ -436,16 +436,17 @@ fn fuse(value: f64, variance: f64, sum: f64, child_var: f64) -> (f64, f64) {
 /// A per-worker pool of built hierarchies, bucketed by (branching factor,
 /// domain size).
 ///
-/// DAWA's second stage runs GREEDY_H over the *reduced* bucket domain
-/// whose size `k` is data-dependent, so the plan cache cannot hold its
-/// hierarchy — before this pool it was rebuilt on every trial. Because a
-/// `Hierarchy` is fully determined by `(domain, branching)`, serving a
-/// pooled instance is bit-identical to rebuilding. DAWA pads its reduced
-/// domain to the next power of two before asking, so the pool holds at
-/// most ~log₂(n) sizes per branching factor even when noise perturbs `k`
-/// on every trial. Stash one pool per worker in a `Workspace` typed slot
-/// (no locks); the grid runner drains the hit/miss counters into its
-/// `--verbose` stats.
+/// Two mechanisms measure hierarchies over data-dependent domains, which
+/// the plan cache cannot hold: DAWA's second stage runs GREEDY_H over the
+/// *reduced* bucket domain of noisy size `k`, and SF runs an H hierarchy
+/// inside each of its sampled buckets. Because a `Hierarchy` is fully
+/// determined by `(domain, branching)`, serving a pooled instance is
+/// bit-identical to rebuilding. DAWA pads its reduced domain to the next
+/// power of two before asking, so it adds at most ~log₂(n) sizes per
+/// branching factor; SF's bucket widths are capped at 16·n/k (about 160
+/// cells), so it adds at most that many. Stash one pool per worker in a
+/// `Workspace` typed slot (no locks); the grid runner drains the hit/miss
+/// counters into its `--verbose` stats.
 #[derive(Default)]
 pub struct HierPool {
     map: HashMap<(usize, usize), Hierarchy>,
@@ -457,9 +458,9 @@ pub struct HierPool {
 
 impl HierPool {
     /// Distinct size buckets retained; reaching the cap flushes the pool
-    /// (simpler than LRU, and a grid's reduced-domain sizes cluster far
-    /// below this in practice).
-    const CAP: usize = 128;
+    /// (simpler than LRU). SF's ~160 bucket widths plus DAWA's padded
+    /// sizes stay below it, so a worker running both never flushes.
+    const CAP: usize = 256;
 
     /// Fetch (building on first use) the full-resolution 1-D hierarchy
     /// over `n` cells with the given branching factor.

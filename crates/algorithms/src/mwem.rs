@@ -225,7 +225,7 @@ impl Mwem {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent(self.name.clone()),
-            move |x, budget, rng| mech.iterate::<E>(x, &w, budget, rng),
+            move |x, _ws, budget, rng| mech.iterate::<E>(x, &w, budget, rng),
         ))
     }
 

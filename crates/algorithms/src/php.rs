@@ -18,7 +18,10 @@
 //! rescores only the two halves of the bucket it just split, and the
 //! cached scores are concatenated in bucket order, so the exponential
 //! mechanism sees the same score vector (and draws the same randomness)
-//! as the full per-iteration rescan ([`Php::plan_naive`]).
+//! as the full per-iteration rescan ([`Php::plan_naive`]). A bucket is
+//! scored eight split points per pass, one add chain per split point, each
+//! adding the same cells in the same order as the per-split formula, so
+//! every score is bit-identical to it.
 
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
@@ -90,7 +93,7 @@ impl Php {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("PHP"),
-            move |x, budget, rng| mech.bisect_and_measure(x, budget, rng, bisect),
+            move |x, _ws, budget, rng| mech.bisect_and_measure(x, budget, rng, bisect),
         ))
     }
 
@@ -136,15 +139,85 @@ impl Bucket {
         }
     }
 
-    /// Improvement of splitting at each `s` in `lo+1..hi`, in order.
+    /// Improvement of splitting at each `s` in `lo+1..hi`, in order:
+    /// `cost − l1_deviation(lo, s) − l1_deviation(s, hi)`.
+    ///
+    /// Scores [`LANES`] consecutive split points per pass over the bucket
+    /// with one add chain per lane, so the chains run side by side instead
+    /// of one after another. Each lane adds the cells [`l1_deviation`]
+    /// adds, in the same order and from the same [`SUM_ZERO`]; the left
+    /// sums come from one running prefix, which is that fold's own
+    /// sequence of partial sums. Every score is bit-identical to the
+    /// per-split formula.
     fn split_scores(&self, counts: &[f64]) -> Vec<f64> {
-        (self.lo + 1..self.hi)
-            .map(|s| {
-                self.cost - l1_deviation(counts, self.lo, s) - l1_deviation(counts, s, self.hi)
-            })
-            .collect()
+        let (lo, hi) = (self.lo, self.hi);
+        let mut scores = Vec::with_capacity(hi - lo - 1);
+        // Σ counts[lo..s0] at the start of each block.
+        let mut prefix = SUM_ZERO + counts[lo];
+        for s0 in (lo + 1..hi).step_by(LANES) {
+            // Lane j scores split point s0 + j; lanes from `m` on are
+            // padding whose values are never read.
+            let m = LANES.min(hi - s0);
+            let block = &counts[s0..s0 + m];
+
+            let mut lmean = [0.0; LANES];
+            for (j, (mean, &c)) in lmean.iter_mut().zip(block).enumerate() {
+                *mean = prefix / (s0 + j - lo) as f64;
+                prefix += c;
+            }
+            let mut ldev = [SUM_ZERO; LANES];
+            for &c in &counts[lo..s0] {
+                for (d, &mean) in ldev.iter_mut().zip(&lmean) {
+                    *d += (c - mean).abs();
+                }
+            }
+            // Cell s0 + t lies left of split points s0 + t + 1 and on.
+            for (t, &c) in block.iter().enumerate() {
+                for (d, &mean) in ldev[t + 1..m].iter_mut().zip(&lmean[t + 1..m]) {
+                    *d += (c - mean).abs();
+                }
+            }
+
+            // Cell s0 + t lies right of split points s0 ..= s0 + t.
+            let mut rsum = [SUM_ZERO; LANES];
+            for (t, &c) in block.iter().enumerate() {
+                for r in &mut rsum[..=t] {
+                    *r += c;
+                }
+            }
+            for &c in &counts[s0 + m..hi] {
+                for r in &mut rsum {
+                    *r += c;
+                }
+            }
+            let mut rmean = [0.0; LANES];
+            for (j, (mean, &sum)) in rmean[..m].iter_mut().zip(&rsum).enumerate() {
+                *mean = sum / (hi - s0 - j) as f64;
+            }
+            let mut rdev = [SUM_ZERO; LANES];
+            for (t, &c) in block.iter().enumerate() {
+                for (d, &mean) in rdev[..=t].iter_mut().zip(&rmean) {
+                    *d += (c - mean).abs();
+                }
+            }
+            for &c in &counts[s0 + m..hi] {
+                for (d, &mean) in rdev.iter_mut().zip(&rmean) {
+                    *d += (c - mean).abs();
+                }
+            }
+
+            scores.extend((0..m).map(|j| self.cost - ldev[j] - rdev[j]));
+        }
+        scores
     }
 }
+
+/// Split points [`Bucket::split_scores`] scores per pass.
+const LANES: usize = 8;
+
+/// The value `Iterator::sum` folds `f64`s from: −0.0, the identity of
+/// IEEE addition.
+const SUM_ZERO: f64 = -0.0;
 
 /// Recursive bisection with each bucket's split scores cached: an
 /// iteration rescores only the two halves of the bucket it split. The
@@ -283,6 +356,46 @@ mod tests {
     fn l1_deviation_known() {
         assert_eq!(l1_deviation(&[1.0, 3.0], 0, 2), 2.0);
         assert_eq!(l1_deviation(&[5.0, 5.0, 5.0], 0, 3), 0.0);
+    }
+
+    #[test]
+    fn lane_scores_equal_per_split_formula() {
+        // Every bucket up to 40 cells wide at every offset: each lane
+        // count from 1 to 8 and several full passes, over counts with
+        // negative cells, −0.0, +0.0 and fractions.
+        let counts: Vec<f64> = (0..96)
+            .map(|i| match i % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => -((i * 37 % 101) as f64),
+                3 => (i * i % 89) as f64 * 0.37,
+                4 => 5_000.0,
+                _ => (i % 5) as f64,
+            })
+            .collect();
+        for lo in 0..counts.len() {
+            for hi in lo + 1..=(lo + 40).min(counts.len()) {
+                let b = Bucket::new(&counts, lo, hi);
+                let lanes: Vec<u64> = b
+                    .split_scores(&counts)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let formula: Vec<u64> = (lo + 1..hi)
+                    .map(|s| {
+                        (b.cost - l1_deviation(&counts, lo, s) - l1_deviation(&counts, s, hi))
+                            .to_bits()
+                    })
+                    .collect();
+                assert_eq!(lanes, formula, "bucket [{lo}, {hi})");
+            }
+        }
+    }
+
+    #[test]
+    fn sum_zero_is_iterator_sums_identity() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(empty.to_bits(), SUM_ZERO.to_bits());
     }
 
     #[test]

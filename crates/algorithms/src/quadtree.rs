@@ -185,7 +185,7 @@ impl Mechanism for HybridTree {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("HYBRIDTREE"),
-            move |x, budget, rng| mech.split_and_measure(x, budget, rng),
+            move |x, _ws, budget, rng| mech.split_and_measure(x, budget, rng),
         ))
     }
 

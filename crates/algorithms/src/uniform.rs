@@ -30,7 +30,7 @@ impl Mechanism for Uniform {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent("UNIFORM"),
-            move |x, budget, rng| {
+            move |x, _ws, budget, rng| {
                 let eps = budget.spend_all_as("scale-estimate");
                 let n = x.n_cells() as f64;
                 let noisy_total = x.scale() + laplace(1.0 / eps, rng);

@@ -320,7 +320,8 @@ pub fn check_planned_domain(
 /// data arrives. The closure captures the mechanism's configuration and
 /// the workload; domain checking, trace slicing, and [`Release`] assembly
 /// are handled here so algorithm code stays a plain
-/// `(x, budget, rng) -> estimate` function.
+/// `(x, ws, budget, rng) -> estimate` function, with `ws` the caller's
+/// [`Workspace`] for scratch buffers and per-worker memos.
 pub struct FnPlan<F> {
     domain: Domain,
     diagnostics: PlanDiagnostics,
@@ -329,7 +330,12 @@ pub struct FnPlan<F> {
 
 impl<F> FnPlan<F>
 where
-    F: Fn(&DataVector, &mut BudgetLedger, &mut dyn RngCore) -> Result<Vec<f64>, MechError>
+    F: Fn(
+            &DataVector,
+            &mut Workspace,
+            &mut BudgetLedger,
+            &mut dyn RngCore,
+        ) -> Result<Vec<f64>, MechError>
         + Send
         + Sync
         + 'static,
@@ -346,7 +352,12 @@ where
 
 impl<F> Plan for FnPlan<F>
 where
-    F: Fn(&DataVector, &mut BudgetLedger, &mut dyn RngCore) -> Result<Vec<f64>, MechError>
+    F: Fn(
+            &DataVector,
+            &mut Workspace,
+            &mut BudgetLedger,
+            &mut dyn RngCore,
+        ) -> Result<Vec<f64>, MechError>
         + Send
         + Sync,
 {
@@ -357,13 +368,13 @@ where
     fn execute(
         &self,
         x: &DataVector,
-        _ws: &mut Workspace,
+        ws: &mut Workspace,
         budget: &mut BudgetLedger,
         rng: &mut dyn RngCore,
     ) -> Result<Release, MechError> {
         check_planned_domain(&self.diagnostics.mechanism, self.domain, x.domain())?;
         let mark = budget.mark();
-        let estimate = (self.f)(x, budget, rng)?;
+        let estimate = (self.f)(x, ws, budget, rng)?;
         Ok(Release::from_ledger(
             estimate,
             budget,
@@ -599,7 +610,7 @@ mod tests {
             Ok(FnPlan::boxed(
                 *domain,
                 PlanDiagnostics::data_independent("NULL", n, 1.0),
-                move |_x, budget, _rng| {
+                move |_x, _ws, budget, _rng| {
                     budget.spend_all_as("null");
                     Ok(vec![0.0; n])
                 },
@@ -617,7 +628,7 @@ mod tests {
             Ok(FnPlan::boxed(
                 *domain,
                 PlanDiagnostics::data_dependent("OVERDRAW"),
-                move |x, budget, _rng| {
+                move |x, _ws, budget, _rng| {
                     // Pretend to spend twice the grant by draining the
                     // ledger and then forging an extra record.
                     budget.spend_all();

@@ -16,8 +16,9 @@
 //! e.g. an estimate carried out in a [`Release`](crate::mechanism::Release)
 //! — is simply dropped or, better, given back by the harness after it has
 //! computed errors, closing the recycling loop. Mechanisms with richer
-//! scratch state (DAWA's sliding-window order-statistic structure) stash it
-//! in the typed slot via [`Workspace::take_typed`]/[`Workspace::store_typed`].
+//! scratch state (DAWA's sliding-window order-statistic structure, the
+//! pooled hierarchies, SF's memo of its last V-optimal table) stash it in
+//! the typed slot via [`Workspace::take_typed`]/[`Workspace::store_typed`].
 
 use crate::query::PrefixTable;
 use std::any::{Any, TypeId};

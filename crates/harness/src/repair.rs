@@ -79,7 +79,7 @@ impl Mechanism for SideInfoRepair {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent(name),
-            move |x, budget, rng| {
+            move |x, _ws, budget, rng| {
                 let eps_scale = budget.spend_fraction_as("scale-estimate", rho_total)?;
                 let noisy_scale = (x.scale() + laplace(1.0 / eps_scale, rng)).max(1.0);
                 let inner: Box<dyn Mechanism> = match inner_name.as_str() {

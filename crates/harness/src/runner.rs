@@ -32,9 +32,9 @@
 //! exactly once per key instead of `n_samples × n_trials` times. Each
 //! worker thread owns a [`Workspace`], so steady-state trials recycle
 //! their estimate, scratch, and prefix-table buffers instead of touching
-//! the allocator; DAWA's data-dependent stage-2 hierarchies come from the
-//! workspace's size-bucketed `HierPool`, whose hit counters the runner
-//! aggregates into [`RunStats`].
+//! the allocator; the data-dependent hierarchies of DAWA's stage 2 and
+//! SF's buckets come from the workspace's size-bucketed `HierPool`, whose
+//! hit counters the runner aggregates into [`RunStats`].
 
 use crate::config::{ExperimentConfig, Setting};
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
@@ -400,7 +400,7 @@ impl DataCache {
 }
 
 /// Aggregated per-run counters of the workers' size-bucketed `HierPool`s
-/// (DAWA's stage-2 hierarchy cache).
+/// (the hierarchy cache of DAWA's stage 2 and SF's buckets).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierCacheStats {
     /// Hierarchy requests served from a worker's pool.
@@ -432,7 +432,7 @@ pub struct RunStats {
     pub skipped: usize,
     /// Data-generation cache counters.
     pub data_cache: DataCacheStats,
-    /// Aggregated DAWA stage-2 hierarchy pool counters.
+    /// Aggregated hierarchy pool counters (DAWA's stage 2, SF's buckets).
     pub hier_cache: HierCacheStats,
 }
 

@@ -400,8 +400,10 @@ fn bits_digest(values: &[f64]) -> u64 {
 /// Estimate digests of every mechanism that measures and infers over a
 /// `Hierarchy` (GREEDY_H and DAWA flatten 2-D grids along the Hilbert
 /// curve; QUADTREE at height 3 leaves unresolved leaves; SF runs one
-/// hierarchy per bucket), two trials each on seeded integer counts.
-const HIERARCHY_DIGESTS: [(&str, u64); 11] = [
+/// hierarchy per bucket, and its second trial reuses the first's
+/// V-optimal table), plus PHP's bisection, two trials each on seeded
+/// integer counts.
+const ESTIMATE_DIGESTS: [(&str, u64); 13] = [
     ("H 1000", 0xa9f0_198b_9fcf_fc38),
     ("HB 1000", 0xf970_1029_bb3f_7473),
     ("HB 24x40", 0xa9a4_c1d1_6802_ed04),
@@ -413,11 +415,13 @@ const HIERARCHY_DIGESTS: [(&str, u64); 11] = [
     ("DAWA 32x32", 0xea38_a57f_ee59_9224),
     ("SF 1000", 0x5d55_600b_a0e1_19cc),
     ("SF 4096", 0xce24_4faf_a23b_45f9),
+    ("PHP 1000", 0x9aef_1279_6994_3648),
+    ("PHP 4096", 0x9562_8b09_e2f0_1651),
 ];
 
 #[test]
 fn hierarchical_estimate_bits_are_pinned() {
-    let cases: [(&str, Box<dyn Mechanism>, Domain); 11] = [
+    let cases: [(&str, Box<dyn Mechanism>, Domain); 13] = [
         ("H 1000", mechanism_by_name("H").unwrap(), Domain::D1(1000)),
         (
             "HB 1000",
@@ -469,6 +473,16 @@ fn hierarchical_estimate_bits_are_pinned() {
             mechanism_by_name("SF").unwrap(),
             Domain::D1(4096),
         ),
+        (
+            "PHP 1000",
+            mechanism_by_name("PHP").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "PHP 4096",
+            mechanism_by_name("PHP").unwrap(),
+            Domain::D1(4096),
+        ),
     ];
     let mut ws = Workspace::new();
     let got: Vec<(&str, u64)> = cases
@@ -497,7 +511,7 @@ fn hierarchical_estimate_bits_are_pinned() {
             (*label, bits_digest(&bits))
         })
         .collect();
-    assert_eq!(got, HIERARCHY_DIGESTS);
+    assert_eq!(got, ESTIMATE_DIGESTS);
 }
 
 /// The content fingerprint of the 64-cell Prefix workload.

@@ -1,7 +1,7 @@
 //! Hot-path integration tests: the O(n log² n) DAWA partition must return
 //! exactly the partition of the retained O(n²) DP, SF's cost-table DP and
-//! PHP's cached bisection must match their retained full-rescan oracles
-//! bit for bit, the flat hierarchy kernel must match the retained
+//! PHP's cached, eight-lane bisection must match their retained
+//! full-rescan oracles bit for bit, the flat hierarchy kernel must match the retained
 //! `MeasuredTree` pipeline bit for bit, MWEM's lazy-scale kernel must pass
 //! the kernel gate against its retained full-rescale kernel, and
 //! executions drawing scratch from a reused [`Workspace`] must be
@@ -11,7 +11,7 @@ use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
 use dpbench_algorithms::hierarchy::Hierarchy;
 use dpbench_algorithms::mwem::Mwem;
 use dpbench_algorithms::php::Php;
-use dpbench_algorithms::registry::mechanism_by_name;
+use dpbench_algorithms::registry::{mechanism_by_name, NAMES_1D};
 use dpbench_algorithms::sf::{StructureFirst, VOptDp};
 use dpbench_core::mechanism::{execute_eps_with, Mechanism};
 use dpbench_core::rng::rng_for;
@@ -217,15 +217,16 @@ fn fast_vopt_dp_equals_naive_on_random_vectors() {
     );
 }
 
-/// PHP's cached bisection must release exactly what the full
+/// PHP's cached, eight-lane bisection must release exactly what the full
 /// per-iteration rescan releases: bit-identical estimates and budget
-/// traces over seeds and vector shapes, and at tiny n — n = 1 (no split
+/// traces over seeds and vector shapes; at tiny n — n = 1 (no split
 /// exists), n = 2 and 3 (every bucket is a single cell when the
-/// iterations end) and n = 5.
+/// iterations end) and n = 5; around the lane width (n = 7–9, 15–17); and
+/// on vectors with negative cells and −0.0.
 #[test]
 fn cached_php_equals_full_rescan() {
     let mut rng = StdRng::seed_from_u64(0x9A9);
-    let mut sizes: Vec<usize> = vec![1, 2, 3, 5];
+    let mut sizes: Vec<usize> = vec![1, 2, 3, 5, 7, 8, 9, 15, 16, 17];
     for round in 0..16 {
         sizes.push(match round % 4 {
             0 => rng.gen_range(6_usize..=64),
@@ -234,10 +235,29 @@ fn cached_php_equals_full_rescan() {
             _ => rng.gen_range(300_usize..=1100),
         });
     }
-    for (case, &n) in sizes.iter().enumerate() {
+    let mut vectors: Vec<Vec<f64>> = sizes
+        .iter()
+        .enumerate()
+        .map(|(case, &n)| test_counts(&mut rng, n, case))
+        .collect();
+    for n in [7, 8, 9, 16, 17, 64, 301] {
+        vectors.push(
+            (0..n)
+                .map(|i| match i % 4 {
+                    0 => -0.0,
+                    1 => -f64::from(rng.gen_range(0_u32..1000)),
+                    2 => rng.gen_range(-5.0..5.0),
+                    _ => 0.0,
+                })
+                .collect(),
+        );
+    }
+    vectors.push(vec![-0.0; 9]);
+    for counts in vectors {
+        let n = counts.len();
         let domain = Domain::D1(n);
         let workload = Workload::prefix_1d(n);
-        let x = DataVector::new(test_counts(&mut rng, n, case), domain);
+        let x = DataVector::new(counts, domain);
         let php = Php::new();
         let fast = php.plan(&domain, &workload).unwrap();
         let naive = php.plan_naive(&domain).unwrap();
@@ -390,49 +410,56 @@ fn lazy_mwem_survives_saturated_updates() {
 /// Executing any mechanism with a freshly created workspace per trial and
 /// with one workspace reused across trials (and across mechanisms) must
 /// produce bit-identical releases: pooled buffers are zero-filled on take,
-/// so recycled scratch can never leak state into results.
+/// so recycled scratch can never leak state into results. Every 1-D
+/// mechanism runs on two vectors of one length in the order x₁, x₂, x₁,
+/// so a per-worker memo (SF's V-optimal table) that served a stale entry
+/// would diverge.
 #[test]
 fn workspace_reuse_is_bit_identical_to_fresh_scratch() {
     let domain = Domain::D1(256);
     let workload = Workload::prefix_1d(256);
     let mut data_rng = StdRng::seed_from_u64(7);
-    let counts: Vec<f64> = (0..256)
-        .map(|i| {
-            let base = if i > 100 && i < 140 { 80.0 } else { 4.0 };
-            base + data_rng.gen_range(0.0_f64..8.0).floor()
-        })
-        .collect();
-    let x = DataVector::new(counts, domain);
+    let mut vector = |(from, to): (usize, usize)| {
+        let counts: Vec<f64> = (0..256)
+            .map(|i| {
+                let base = if i > from && i < to { 80.0 } else { 4.0 };
+                base + data_rng.gen_range(0.0_f64..8.0).floor()
+            })
+            .collect();
+        DataVector::new(counts, domain)
+    };
+    let (x1, x2) = (vector((100, 140)), vector((20, 90)));
 
     let mut reused = Workspace::new();
-    for name in [
-        "IDENTITY", "H", "HB", "GREEDY_H", "PRIVELET", "UNIFORM", "DAWA", "PHP", "EFPA", "MWEM",
-    ] {
+    for &name in NAMES_1D {
         let mech = mechanism_by_name(name).unwrap();
         let plan = mech.plan(&domain, &workload).unwrap();
-        for trial in 0..3_u64 {
-            let mut fresh = Workspace::new();
-            let a = execute_eps_with(
-                plan.as_ref(),
-                &x,
-                0.1,
-                &mut fresh,
-                &mut rng_for(name, &[trial]),
-            )
-            .unwrap();
-            let b = execute_eps_with(
-                plan.as_ref(),
-                &x,
-                0.1,
-                &mut reused,
-                &mut rng_for(name, &[trial]),
-            )
-            .unwrap();
-            assert_eq!(
-                a.estimate, b.estimate,
-                "{name} trial {trial} diverges under workspace reuse"
-            );
-            assert_eq!(a.budget_trace, b.budget_trace);
+        for (v, x) in [&x1, &x2, &x1].into_iter().enumerate() {
+            for trial in 0..3_u64 {
+                let coords = [v as u64, trial];
+                let mut fresh = Workspace::new();
+                let a = execute_eps_with(
+                    plan.as_ref(),
+                    x,
+                    0.1,
+                    &mut fresh,
+                    &mut rng_for(name, &coords),
+                )
+                .unwrap();
+                let b = execute_eps_with(
+                    plan.as_ref(),
+                    x,
+                    0.1,
+                    &mut reused,
+                    &mut rng_for(name, &coords),
+                )
+                .unwrap();
+                assert_eq!(
+                    a.estimate, b.estimate,
+                    "{name} vector {v} trial {trial} diverges under workspace reuse"
+                );
+                assert_eq!(a.budget_trace, b.budget_trace);
+            }
         }
     }
 }

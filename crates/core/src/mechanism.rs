@@ -461,21 +461,6 @@ pub trait Mechanism: Send + Sync {
         0
     }
 
-    /// One-shot plan + execute on a shared ledger, keeping only the
-    /// estimate (the composition entry point sub-mechanisms use).
-    fn run(
-        &self,
-        x: &DataVector,
-        workload: &Workload,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<f64>, MechError> {
-        let plan = self.plan(&x.domain(), workload)?;
-        Ok(plan
-            .execute(x, &mut Workspace::new(), budget, rng)?
-            .estimate)
-    }
-
     /// One-shot plan + execute with a fresh ledger of budget ε, returning
     /// the full structured [`Release`]. Overdraws are rejected
     /// unconditionally.
@@ -581,15 +566,6 @@ impl<M: Mechanism + ?Sized> Mechanism for Box<M> {
     }
     fn config_fingerprint(&self) -> u64 {
         (**self).config_fingerprint()
-    }
-    fn run(
-        &self,
-        x: &DataVector,
-        workload: &Workload,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Vec<f64>, MechError> {
-        (**self).run(x, workload, budget, rng)
     }
 }
 

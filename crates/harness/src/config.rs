@@ -4,9 +4,13 @@
 use dpbench_core::rng::rng_for;
 use dpbench_core::{Domain, Fingerprint, Loss, Workload};
 use dpbench_datasets::Dataset;
+use std::fmt;
 
-/// How workload queries are generated for each domain.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How workload queries are generated for each domain. One codec for the
+/// `prefix | identity | random:N` token: [`WorkloadSpec::parse`] reads it
+/// (for `run`, `fleet` and serve's `"workload"` field) and `Display`
+/// writes it (the ledger header's `cfg`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadSpec {
     /// The 1-D Prefix workload (paper Section 6.2).
     Prefix,
@@ -18,6 +22,48 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
+    /// The most ranges a `random:N` workload may ask for. The paper's
+    /// 2-D workload is 2,000 ranges; an unbounded N would let one
+    /// request allocate without limit.
+    const MAX_RANDOM_RANGES: usize = 100_000;
+
+    /// Parse a workload token for `domain`. `None` picks the paper's
+    /// default: Prefix in 1-D, 2,000 random ranges in 2-D. A token that
+    /// parses but cannot run there is refused too: Prefix off 1-D, and
+    /// `random:N` outside 1..=100,000.
+    pub fn parse(token: Option<&str>, domain: Domain) -> Result<Self, String> {
+        let spec = match token {
+            None if domain.dims() == 1 => WorkloadSpec::Prefix,
+            None => WorkloadSpec::RandomRanges(2000),
+            Some("prefix") => WorkloadSpec::Prefix,
+            Some("identity") => WorkloadSpec::Identity,
+            Some(s) => match s.strip_prefix("random:") {
+                Some(n) => {
+                    WorkloadSpec::RandomRanges(n.parse().map_err(|_| format!("bad workload {s}"))?)
+                }
+                None => return Err(format!("unknown workload {s} (prefix|identity|random:N)")),
+            },
+        };
+        spec.check(domain)?;
+        Ok(spec)
+    }
+
+    /// Refuse a workload that cannot run on `domain`: Prefix is 1-D only,
+    /// and `random:N` needs 1 to [`Self::MAX_RANDOM_RANGES`] ranges (zero
+    /// ranges would score every trial as `-0`).
+    fn check(&self, domain: Domain) -> Result<(), String> {
+        match *self {
+            WorkloadSpec::Prefix if domain.dims() != 1 => {
+                Err(format!("prefix workload is 1-D only (domain {domain})"))
+            }
+            WorkloadSpec::RandomRanges(n) if n == 0 || n > Self::MAX_RANDOM_RANGES => Err(format!(
+                "workload random:{n} is out of range (1 to {} ranges)",
+                Self::MAX_RANDOM_RANGES
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Mix this spec into a content fingerprint (variant tag + parameters).
     pub fn mix_fingerprint(&self, f: Fingerprint) -> Fingerprint {
         match *self {
@@ -41,6 +87,16 @@ impl WorkloadSpec {
                 let mut rng = rng_for("workload", &[domain.n_cells() as u64, count as u64]);
                 Workload::random_ranges(domain, count, &mut rng)
             }
+        }
+    }
+}
+
+impl fmt::Display for WorkloadSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkloadSpec::Prefix => f.write_str("prefix"),
+            WorkloadSpec::Identity => f.write_str("identity"),
+            WorkloadSpec::RandomRanges(n) => write!(f, "random:{n}"),
         }
     }
 }
@@ -185,9 +241,10 @@ impl ExperimentConfig {
     /// cannot represent: dataset and algorithm identifiers must match
     /// `[A-Za-z0-9_*-]+` (see [`is_valid_identifier`]), every ε must be
     /// positive and finite, every dataset must coarsen to each domain of
-    /// its dimensionality, and the grid needs a trial, a sample and a
-    /// setting. Called by the runner before any unit runs or any ledger
-    /// byte is written.
+    /// its dimensionality, the workload must run on each of those
+    /// domains (the rule [`WorkloadSpec::parse`] applies), and the grid
+    /// needs a trial, a sample and a setting. Called by the runner before
+    /// any unit runs or any ledger byte is written.
     pub fn validate(&self) -> Result<(), String> {
         for d in &self.datasets {
             if !is_valid_identifier(d.name) {
@@ -215,6 +272,7 @@ impl ExperimentConfig {
                         d.name, d.base_domain
                     ));
                 }
+                self.workload.check(*domain)?;
             }
         }
         if self.n_trials == 0 {
@@ -242,18 +300,13 @@ impl ExperimentConfig {
         let scales: Vec<String> = self.scales.iter().map(|s| s.to_string()).collect();
         let domains: Vec<String> = self.domains.iter().map(|d| d.to_string()).collect();
         let epsilons: Vec<String> = self.epsilons.iter().map(|e| e.to_string()).collect();
-        let workload = match self.workload {
-            WorkloadSpec::Prefix => "prefix".to_string(),
-            WorkloadSpec::Identity => "identity".to_string(),
-            WorkloadSpec::RandomRanges(n) => format!("random:{n}"),
-        };
         let loss = match self.loss {
             Loss::L1 => "l1",
             Loss::L2 => "l2",
             Loss::LInf => "linf",
         };
         format!(
-            "datasets={};scales={};domains={};eps={};algorithms={};samples={};trials={};workload={workload};loss={loss}",
+            "datasets={};scales={};domains={};eps={};algorithms={};samples={};trials={};workload={};loss={loss}",
             datasets.join("+"),
             scales.join("+"),
             domains.join("+"),
@@ -261,6 +314,7 @@ impl ExperimentConfig {
             self.algorithms.join("+"),
             self.n_samples,
             self.n_trials,
+            self.workload,
         )
     }
 

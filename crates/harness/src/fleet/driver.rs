@@ -15,22 +15,35 @@
 //!    *failed* defers the shard without burning one of its launch
 //!    attempts;
 //! 3. launch every shard that is not yet complete and **poll** the
-//!    handles: exit status is advisory (the ledger is the truth), a
-//!    shard that stops making ledger progress for longer than
-//!    [`FleetOptions::stall_timeout`] is killed and retried, and
-//!    [`FleetOptions::progress`] tails the (fetched) ledgers into live
-//!    per-shard `done/total` lines. When some shards finish while a
-//!    straggler is still grinding, the driver **steals** the
-//!    straggler's unfinished tail — re-dealing it to the idle slots as
-//!    fresh sub-shard launches (`shard(victim, k).span(from, until)`).
-//!    Every poll releases any attempt whose units are all covered — a
-//!    victim whose tail the steals finished, or a thief whose victim got
-//!    there first — so a round never waits on duplicate work;
+//!    attempts. Every ledger the fleet watches is one *track*: tracks
+//!    `0..k` are the shard ledgers, and each steal appends one. A track
+//!    holds the shard whose units it covers, the slot and artifact it is
+//!    fetched from, its local path, a [`ProgressTailer`] and its unit
+//!    ids, so a shard attempt and a stolen tail share one lifecycle. One
+//!    *sync* step — run by the round refresh, on an attempt's exit, and
+//!    on every probe tick — copies a track back (ranged where the
+//!    transport can), counts the bytes moved, refuses a ledger from a
+//!    different run, and adds the units it shows for the first time to
+//!    its shard's coverage set. Exit status is advisory (the ledger is
+//!    the truth); an attempt that makes no ledger progress for longer
+//!    than [`FleetOptions::stall_timeout`] is killed, and
+//!    [`FleetOptions::progress`] prints each track's live `done/total`.
+//!    When some shards finish while a straggler is still grinding, the
+//!    driver **steals** the straggler's uncovered tail — re-dealing it
+//!    to the idle slots as fresh sub-shard launches
+//!    (`shard(victim, k).span(from, until)`), one new track each. Every
+//!    poll releases any attempt whose track is fully covered — a victim
+//!    whose tail the steals finished, or a thief whose victim got there
+//!    first — so a round never waits on duplicate work. Only shards
+//!    resume, spend launch attempts, defer and count stall kills; only a
+//!    steal can die (exit short of its range, which makes the range
+//!    eligible again) and count as a tail stolen from its victim;
 //! 4. once every shard's units are covered (by its own ledger and/or
-//!    steal ledgers), stream-merge the ledgers into the canonical
-//!    output ([`merge_jsonl`]), verify the merged ledger covers the
-//!    manifest exactly, then let the transport clean up its remote
-//!    scratch space.
+//!    steal ledgers), stream-merge every track that strict-reads as this
+//!    run's — the inclusion rule the completeness check uses too — into
+//!    the canonical output ([`merge_jsonl`](crate::sink::merge_jsonl)), verify the merged ledger
+//!    covers the manifest exactly, then let the transport clean up its
+//!    remote scratch space.
 //!
 //! Because per-trial RNG streams derive from unit coordinates, the merged
 //! fleet output is **byte-identical** to an uninterrupted single-process
@@ -233,19 +246,29 @@ pub fn steal_ledger_path(out: &Path, seq: usize) -> PathBuf {
     out.with_file_name(format!("{base}.steal{seq}.jsonl"))
 }
 
-/// Where one shard stands before (re)launching.
+/// What a shard's ledger says before (re)launching.
 enum ShardState {
     /// No usable ledger — launch fresh.
     Fresh,
-    /// A matching partial ledger exists — launch with resume.
-    Partial,
-    /// Every unit of the shard is already in the ledger.
-    Complete,
+    /// A ledger of this run: the units it holds (resume from it).
+    Ledger(HashSet<UnitId>),
+}
+
+/// The hard error for a ledger from a different run: the fleet never
+/// silently discards, overwrites, or merges data that is not its own.
+fn foreign(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "shard ledger {} belongs to a different run (fingerprint mismatch); \
+             move it aside before launching this fleet",
+            path.display()
+        ),
+    )
 }
 
 /// Inspect a shard ledger. Corruption and foreign-run ledgers are hard
-/// errors (the fleet never silently discards or overwrites data that
-/// does not belong to this run); an empty/absent file means fresh.
+/// errors; an empty/absent file means fresh.
 fn shard_state(path: &Path, shard: &RunManifest) -> io::Result<ShardState> {
     match std::fs::metadata(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ShardState::Fresh),
@@ -268,68 +291,34 @@ fn shard_state(path: &Path, shard: &RunManifest) -> io::Result<ShardState> {
         }
     };
     if ledger.fingerprint != shard.fingerprint {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "shard ledger {} belongs to a different run (fingerprint mismatch); \
-                 move it aside before launching this fleet",
-                path.display()
-            ),
-        ));
+        return Err(foreign(path));
     }
-    let complete = shard.units.iter().all(|u| ledger.done.contains(&u.id));
-    Ok(if complete {
-        ShardState::Complete
-    } else {
-        ShardState::Partial
-    })
+    Ok(ShardState::Ledger(ledger.done))
+}
+
+/// The units a ledger holds, if it strict-reads as this run's — the
+/// inclusion rule the completeness check and the final merge share, so
+/// they can never disagree (a dead steal's partial ledger still
+/// contributes the units it did finish).
+fn strict_done(path: &Path, fingerprint: u64) -> Option<HashSet<UnitId>> {
+    read_ledger(path)
+        .ok()
+        .filter(|l| l.fingerprint == fingerprint)
+        .map(|l| l.done)
 }
 
 /// One copy-back, ranged when the transport supports it.
 enum Synced {
     /// The artifact was delivered (possibly zero new bytes).
     Delivered {
-        /// Bytes actually transferred.
-        bytes: u64,
         /// True when the ranged path delivered it.
         ranged: bool,
     },
     /// Confirmed absence of the remote artifact.
     Missing,
-}
-
-/// Fetch one artifact, preferring the transport's ranged path (from the
-/// caller's validated complete-line offset) and falling back to a full
-/// copy when the transport cannot range.
-fn sync_artifact(
-    transport: &dyn ShardTransport,
-    slot: usize,
-    artifact: Artifact,
-    dest: &Path,
-    from: u64,
-) -> io::Result<Synced> {
-    match transport.fetch_ranged(slot, artifact, dest, from)? {
-        RangedFetch::Unsupported => match transport.fetch(slot, artifact, dest)? {
-            FetchOutcome::Missing => Ok(Synced::Missing),
-            FetchOutcome::InPlace => Ok(Synced::Delivered {
-                bytes: 0,
-                ranged: false,
-            }),
-            FetchOutcome::Copied => Ok(Synced::Delivered {
-                bytes: std::fs::metadata(dest).map(|m| m.len()).unwrap_or(0),
-                ranged: false,
-            }),
-        },
-        RangedFetch::Missing => Ok(Synced::Missing),
-        RangedFetch::Unchanged => Ok(Synced::Delivered {
-            bytes: 0,
-            ranged: true,
-        }),
-        RangedFetch::Appended { bytes } | RangedFetch::Rewound { bytes } => Ok(Synced::Delivered {
-            bytes,
-            ranged: true,
-        }),
-    }
+    /// The fetch *failed* (as opposed to confirming absence): the remote
+    /// is unobservable right now.
+    Failed(io::Error),
 }
 
 /// What the round loop should do with one shard after a copy-back.
@@ -342,24 +331,93 @@ enum Refresh {
         /// Resume from the partial local ledger.
         resume: bool,
     },
-    /// The fetch *failed* (as opposed to confirming absence): the
-    /// remote is unobservable right now. Neither resuming (maybe
-    /// nothing to resume from) nor restarting fresh (maybe discarding
-    /// finished remote work) is safe — wait a round and re-fetch,
-    /// **without** burning a launch attempt.
+    /// The fetch failed and a partial ledger may be out there. Neither
+    /// resuming (maybe nothing to resume from) nor restarting fresh
+    /// (maybe discarding finished remote work) is safe — wait a round
+    /// and re-fetch, **without** burning a launch attempt.
     Defer(io::Error),
+}
+
+/// One ledger the fleet watches. Tracks `0..procs` are the shard
+/// ledgers; every steal launch appends one for its stolen tail.
+struct Track {
+    /// The shard whose units the ledger covers (a steal's victim).
+    shard: usize,
+    /// The slot the ledger is written on and fetched from.
+    slot: usize,
+    /// The steal's re-deal, for a steal ledger.
+    steal: Option<StealSpec>,
+    /// The driver-side copy.
+    path: PathBuf,
+    tailer: ProgressTailer,
+    /// The units the ledger is responsible for.
+    unit_ids: Vec<UnitId>,
+    /// Exited and finally fetched (rendered for steals: `"active"`).
+    finalized: bool,
+    /// A steal that exited without covering its range — the range is
+    /// eligible again.
+    dead: bool,
+}
+
+impl Track {
+    fn new(
+        shard: usize,
+        slot: usize,
+        steal: Option<StealSpec>,
+        path: PathBuf,
+        unit_ids: Vec<UnitId>,
+    ) -> Self {
+        Self {
+            shard,
+            slot,
+            steal,
+            path,
+            tailer: ProgressTailer::new(unit_ids.len()),
+            unit_ids,
+            finalized: false,
+            dead: false,
+        }
+    }
+
+    /// The artifact the transport fetches this ledger as.
+    fn artifact(&self) -> Artifact {
+        match self.steal {
+            None => Artifact::Ledger,
+            Some(st) => Artifact::Steal { seq: st.seq },
+        }
+    }
+
+    /// `shard 3` or `steal 2`: how `[fleet]` lines name the attempt.
+    fn name(&self) -> String {
+        match self.steal {
+            None => format!("shard {}", self.shard),
+            Some(st) => format!("steal {}", st.seq),
+        }
+    }
+
+    /// The live `done/total` line.
+    fn progress_line(&self) -> String {
+        let whose = match self.steal {
+            None => String::new(),
+            Some(_) => format!(" (shard {} tail on slot {})", self.shard, self.slot),
+        };
+        format!(
+            "[fleet] {}: {}/{} units{whose}",
+            self.name(),
+            self.tailer.count(),
+            self.tailer.total()
+        )
+    }
 }
 
 /// One launched attempt (primary shard or stolen tail) being watched by
 /// the poll loop.
 struct Running {
-    /// `None` — primary shard `slot`; `Some(i)` — index into the steal
-    /// records.
-    steal: Option<usize>,
-    slot: usize,
+    /// Index of the attempt's ledger in [`Fleet::tracks`].
+    track: usize,
     handle: Box<dyn ShardHandle>,
     exited: bool,
-    /// Finalized after exit: last fetch + observe done.
+    /// Finalized after exit: last sync done.
     reaped: bool,
     /// When the attempt's units-done count last moved (or the attempt
     /// started) — the stall clock.
@@ -368,33 +426,31 @@ struct Running {
     killed: bool,
 }
 
-/// Bookkeeping for one steal launch.
-struct StealRec {
-    spec: StealSpec,
-    slot: usize,
-    ledger: PathBuf,
-    tailer: ProgressTailer,
-    /// The victim units inside the stolen range.
-    unit_ids: Vec<UnitId>,
-    /// Exited and finally fetched.
-    finalized: bool,
-    /// Exited without covering its range — the range is eligible again.
-    dead: bool,
+impl Running {
+    fn new(track: usize, handle: Box<dyn ShardHandle>) -> Self {
+        Self {
+            track,
+            handle,
+            exited: false,
+            reaped: false,
+            last_change: Instant::now(),
+            killed: false,
+        }
+    }
 }
 
 /// Everything the status-file serializer needs for one snapshot.
 struct StatusInput<'a> {
     fingerprint: u64,
     elapsed_ms: u128,
-    units_total: usize,
     units_done: usize,
     launches: usize,
-    steal_launches: usize,
     deferred: usize,
     complete: bool,
     shards: &'a [ShardOutcome],
     shard_done: &'a [usize],
-    steals: &'a [StealRec],
+    /// The steal tracks, in launch order.
+    steals: &'a [Track],
 }
 
 /// Render the single-line fleet-status JSON (hand-built like every other
@@ -408,10 +464,10 @@ fn render_status(s: &StatusInput) -> String {
          \"complete\":{},\"shards\":[",
         s.fingerprint,
         s.elapsed_ms,
-        s.units_total,
+        s.shards.iter().map(|o| o.units).sum::<usize>(),
         s.units_done,
         s.launches,
-        s.steal_launches,
+        s.steals.len(),
         s.shards.iter().map(|o| o.stall_kills).sum::<usize>(),
         s.deferred,
         s.complete,
@@ -426,25 +482,295 @@ fn render_status(s: &StatusInput) -> String {
         ));
     }
     out.push_str("],\"steals\":[");
-    for (i, r) in s.steals.iter().enumerate() {
+    for (i, t) in s.steals.iter().enumerate() {
+        let st = t.steal.expect("steal tracks carry their spec");
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
             "{{\"seq\":{},\"victim\":{},\"slot\":{},\"from_pos\":{},\"until_pos\":{},\
              \"units\":{},\"done\":{},\"active\":{}}}",
-            r.spec.seq,
-            r.spec.victim,
-            r.slot,
-            r.spec.from_pos,
-            r.spec.until_pos,
-            r.unit_ids.len(),
-            r.tailer.count(),
-            !r.finalized,
+            st.seq,
+            st.victim,
+            t.slot,
+            st.from_pos,
+            st.until_pos,
+            t.unit_ids.len(),
+            t.tailer.count(),
+            !t.finalized,
         ));
     }
     out.push_str("]}\n");
     out
+}
+
+/// The driver's state across rounds.
+struct Fleet<'a> {
+    transport: &'a dyn ShardTransport,
+    fingerprint: u64,
+    /// Shard `i`'s block of the manifest.
+    shards: Vec<RunManifest>,
+    tracks: Vec<Track>,
+    /// Unioned coverage per shard: its own ledger's observations plus
+    /// every steal ledger targeting it. Sets only grow, which is what
+    /// keeps the fleet-level progress count (and the status file's
+    /// `units_done`) monotone across steals and relaunches.
+    covered: Vec<HashSet<UnitId>>,
+    outcomes: Vec<ShardOutcome>,
+    /// Consecutive deferred rounds per shard.
+    defers: Vec<usize>,
+    launches: usize,
+    fetch_full_bytes: u64,
+    fetch_ranged_bytes: u64,
+    /// The highest fleet-level units-done count reported so far.
+    done_floor: usize,
+    started: Instant,
+}
+
+impl Fleet<'_> {
+    /// Copy track `t`'s ledger back — from the tailer's validated
+    /// complete-line offset when `ranged` and the transport can range,
+    /// whole otherwise — and count the bytes moved. A delivered ledger
+    /// from a different run is the stale-scratch hard error, never
+    /// something to observe and quietly heal over; any other delivered
+    /// ledger is observed, and the units it shows for the first time
+    /// join its shard's coverage.
+    fn sync(&mut self, t: usize, ranged: bool) -> io::Result<Synced> {
+        let track = &mut self.tracks[t];
+        let (slot, artifact) = (track.slot, track.artifact());
+        let fetched = if ranged {
+            self.transport
+                .fetch_ranged(slot, artifact, &track.path, track.tailer.offset())
+        } else {
+            Ok(RangedFetch::Unsupported)
+        };
+        let delivered = match fetched {
+            Ok(RangedFetch::Unsupported) => match self.transport.fetch(slot, artifact, &track.path)
+            {
+                Ok(FetchOutcome::Missing) => None,
+                Ok(FetchOutcome::InPlace) => Some((0, false)),
+                Ok(FetchOutcome::Copied) => {
+                    Some((std::fs::metadata(&track.path).map_or(0, |m| m.len()), false))
+                }
+                Err(e) => return Ok(Synced::Failed(e)),
+            },
+            Ok(RangedFetch::Missing) => None,
+            Ok(RangedFetch::Unchanged) => Some((0, true)),
+            Ok(RangedFetch::Appended { bytes } | RangedFetch::Rewound { bytes }) => {
+                Some((bytes, true))
+            }
+            Err(e) => return Ok(Synced::Failed(e)),
+        };
+        let Some((bytes, ranged)) = delivered else {
+            return Ok(Synced::Missing);
+        };
+        if ranged {
+            self.fetch_ranged_bytes += bytes;
+        } else {
+            self.fetch_full_bytes += bytes;
+        }
+        if header_fingerprint(&track.path).is_some_and(|fp| fp != self.fingerprint) {
+            return Err(foreign(&track.path));
+        }
+        let _ = track
+            .tailer
+            .observe_into(&track.path, &mut self.covered[track.shard]);
+        Ok(Synced::Delivered { ranged })
+    }
+
+    /// Units of track `t` its shard's coverage holds.
+    fn covered_units(&self, t: usize) -> usize {
+        let track = &self.tracks[t];
+        let covered = &self.covered[track.shard];
+        track
+            .unit_ids
+            .iter()
+            .filter(|id| covered.contains(id))
+            .count()
+    }
+
+    /// Whether every unit of track `t` is covered.
+    fn covers(&self, t: usize) -> bool {
+        self.covered_units(t) == self.tracks[t].unit_ids.len()
+    }
+
+    /// Re-fetch shard `i`'s ledger, validate it with the strict reader,
+    /// and decide what this round does with the shard. (Re-checked every
+    /// round: a child that died *after* finishing its ledger counts as
+    /// complete, and a torn copy-back just means fetch again.)
+    fn refresh(&mut self, i: usize) -> io::Result<Refresh> {
+        let synced = self.sync(i, true)?;
+        let state = match shard_state(&self.tracks[i].path, &self.shards[i]) {
+            // Defensive: if a ranged splice diverged (a relaunch raced
+            // the offset), one full re-fetch repairs it before we give up.
+            Err(_) if matches!(synced, Synced::Delivered { ranged: true }) => {
+                self.sync(i, false)?;
+                shard_state(&self.tracks[i].path, &self.shards[i])?
+            }
+            other => other?,
+        };
+        let (has_own, mut done) = match state {
+            ShardState::Fresh => (false, HashSet::new()),
+            ShardState::Ledger(done) => (true, done),
+        };
+        for t in &self.tracks[self.shards.len()..] {
+            if t.shard == i {
+                done.extend(strict_done(&t.path, self.fingerprint).unwrap_or_default());
+            }
+        }
+        Ok(
+            if self.tracks[i].unit_ids.iter().all(|id| done.contains(id)) {
+                // Its own ledger, or steals that finished its tail: even an
+                // unreachable shard no longer blocks the fleet.
+                Refresh::Complete
+            } else {
+                match synced {
+                    Synced::Failed(e) if has_own => Refresh::Defer(e),
+                    // Nothing anywhere we can see: nothing to lose by
+                    // launching (this is also round 0 of a fetch template
+                    // that errors on a not-yet-created file).
+                    Synced::Failed(_) => Refresh::Launch { resume: false },
+                    // A confirmed-absent remote downgrades a leftover partial
+                    // local copy to fresh: resuming would be doomed, and
+                    // deterministic units make the rerun identical.
+                    Synced::Missing => Refresh::Launch { resume: false },
+                    Synced::Delivered { .. } => Refresh::Launch { resume: has_own },
+                }
+            },
+        )
+    }
+
+    /// Raise the fleet-level done floor to the current coverage (sets
+    /// only grow, and the max-clamp absorbs any tailer rewind). True
+    /// when it rose.
+    fn raise_done_floor(&mut self) -> bool {
+        let done: usize = (0..self.shards.len()).map(|i| self.covered_units(i)).sum();
+        let rose = done > self.done_floor;
+        self.done_floor = self.done_floor.max(done);
+        rose
+    }
+
+    /// Atomically replace the status file (if any) with one snapshot.
+    fn write_status(&self, path: Option<&PathBuf>, complete: bool) {
+        let Some(path) = path else {
+            return;
+        };
+        let procs = self.shards.len();
+        let shard_done: Vec<usize> = (0..procs).map(|i| self.covered_units(i)).collect();
+        let line = render_status(&StatusInput {
+            fingerprint: self.fingerprint,
+            elapsed_ms: self.started.elapsed().as_millis(),
+            units_done: self.done_floor,
+            launches: self.launches,
+            deferred: self.defers.iter().filter(|d| **d > 0).count(),
+            complete,
+            shards: &self.outcomes,
+            shard_done: &shard_done,
+            steals: &self.tracks[procs..],
+        });
+        let _ = atomic_write(path, line.as_bytes());
+    }
+
+    /// Steal decision, once per probe tick: re-deal the biggest uncovered
+    /// tail of a still-running shard across every idle slot, as contiguous
+    /// position ranges launched as fresh sub-shards. Steals are
+    /// opportunistic: a failed steal launch is a warning, never a failed
+    /// self.
+    fn steal(&mut self, running: &mut Vec<Running>, out: &Path, opts: &FleetOptions) {
+        let procs = self.shards.len();
+        let busy: HashSet<usize> = running
+            .iter()
+            .filter(|r| !r.exited)
+            .map(|r| self.tracks[r.track].slot)
+            .collect();
+        let idle: Vec<usize> = (0..procs)
+            .filter(|j| !busy.contains(j) && self.covers(*j))
+            .collect();
+        let mut victim: Option<(usize, Vec<usize>)> = None;
+        // Victims are running shard attempts (tracks below `procs`) whose
+        // units are not all covered yet.
+        for v in running
+            .iter()
+            .filter(|r| !r.exited && r.track < procs)
+            .map(|r| r.track)
+        {
+            let active: Vec<(usize, usize)> = self.tracks[procs..]
+                .iter()
+                .filter(|t| t.shard == v && !t.dead)
+                .filter_map(|t| t.steal)
+                .map(|st| (st.from_pos, st.until_pos))
+                .collect();
+            let eligible: Vec<usize> = self.shards[v]
+                .units
+                .iter()
+                .filter(|u| !self.covered[v].contains(&u.id))
+                .filter(|u| !active.iter().any(|(f, ul)| u.pos >= *f && u.pos < *ul))
+                .map(|u| u.pos)
+                .collect();
+            if eligible.len() >= opts.steal_min_units.max(1)
+                && victim
+                    .as_ref()
+                    .is_none_or(|(_, b)| eligible.len() > b.len())
+            {
+                victim = Some((v, eligible));
+            }
+        }
+        let Some((v, eligible)) = victim else {
+            return;
+        };
+        // Split the whole eligible tail into contiguous position ranges, one
+        // per idle slot.
+        let n = idle.len().min(eligible.len());
+        if n == 0 {
+            return;
+        }
+        let per = eligible.len() / n;
+        let extra = eligible.len() % n;
+        let mut start = 0usize;
+        for (k, &slot) in idle.iter().take(n).enumerate() {
+            let take = per + usize::from(k < extra);
+            let chunk = &eligible[start..start + take];
+            start += take;
+            let seq = self.tracks.len() - procs;
+            let spec = StealSpec {
+                victim: v,
+                from_pos: chunk[0],
+                until_pos: chunk[chunk.len() - 1] + 1,
+                seq,
+            };
+            let ledger = steal_ledger_path(out, seq);
+            let _ = std::fs::remove_file(&ledger);
+            let unit_ids: Vec<UnitId> = self.shards[v]
+                .units
+                .iter()
+                .filter(|u| u.pos >= spec.from_pos && u.pos < spec.until_pos)
+                .map(|u| u.id)
+                .collect();
+            eprintln!(
+                "[fleet] steal {seq}: re-dealing {} unit(s) of shard {v} (pos {}..{}) to slot {slot}",
+                unit_ids.len(),
+                spec.from_pos,
+                spec.until_pos
+            );
+            let launch = LaunchSpec {
+                index: slot,
+                procs,
+                ledger: ledger.clone(),
+                resume: false,
+                attempt: 0,
+                steal: Some(spec),
+            };
+            match self.transport.launch(&launch) {
+                Ok(handle) => {
+                    let track = Track::new(v, slot, Some(spec), ledger, unit_ids);
+                    self.tracks.push(track);
+                    self.outcomes[v].tails_stolen += 1;
+                    running.push(Running::new(self.tracks.len() - 1, handle));
+                }
+                Err(e) => eprintln!("[fleet] warning: steal {seq} failed to launch: {e}"),
+            }
+        }
+    }
 }
 
 /// Run the whole fleet over an arbitrary transport: launch `k` shards,
@@ -468,40 +794,42 @@ pub fn run_fleet_with(
     }
     let procs = opts.procs;
     let shards: Vec<RunManifest> = (0..procs).map(|i| manifest.shard(i, procs)).collect();
-    let paths: Vec<PathBuf> = (0..procs).map(|i| shard_ledger_path(out, i)).collect();
-    let ids: Vec<HashSet<UnitId>> = shards
-        .iter()
-        .map(|s| s.units.iter().map(|u| u.id).collect())
-        .collect();
-    let mut outcomes: Vec<ShardOutcome> = (0..procs)
-        .map(|i| ShardOutcome {
-            index: i,
-            ledger: paths[i].clone(),
-            attempts: 0,
-            resumed: false,
-            units: shards[i].len(),
-            stall_kills: 0,
-            tails_stolen: 0,
-        })
-        .collect();
-    let mut tailers: Vec<ProgressTailer> = shards
-        .iter()
-        .map(|s| ProgressTailer::new(s.len()))
-        .collect();
-    // Unioned coverage per shard: own ledger observations plus every
-    // steal ledger targeting it. Sets only grow, which is what keeps the
-    // fleet-level progress count (and the status file's `units_done`)
-    // monotone across steals and relaunches.
-    let mut covered: Vec<HashSet<UnitId>> = vec![HashSet::new(); procs];
+    let mut fleet = Fleet {
+        transport,
+        fingerprint: manifest.fingerprint,
+        tracks: shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let ids = s.units.iter().map(|u| u.id).collect();
+                Track::new(i, i, None, shard_ledger_path(out, i), ids)
+            })
+            .collect(),
+        outcomes: shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardOutcome {
+                index: i,
+                ledger: shard_ledger_path(out, i),
+                attempts: 0,
+                resumed: false,
+                units: s.len(),
+                stall_kills: 0,
+                tails_stolen: 0,
+            })
+            .collect(),
+        shards,
+        covered: vec![HashSet::new(); procs],
+        defers: vec![0; procs],
+        launches: 0,
+        fetch_full_bytes: 0,
+        fetch_ranged_bytes: 0,
+        done_floor: 0,
+        started: Instant::now(),
+    };
     let mut complete = vec![false; procs];
-    let mut defers = vec![0usize; procs];
-    let mut launches = 0usize;
-    let mut steals: Vec<StealRec> = Vec::new();
-    let mut fetch_full_bytes = 0u64;
-    let mut fetch_ranged_bytes = 0u64;
     let mut probe_fetch_bytes: Vec<u64> = Vec::new();
-    let mut fleet_done_floor = 0usize;
-    let started = Instant::now();
+    let status_file = opts.status_file.as_ref();
 
     // The merged output (and the shard ledgers beside it) may live in a
     // directory that does not exist yet.
@@ -511,157 +839,43 @@ pub fn run_fleet_with(
         }
     }
 
-    // Union of every *valid* steal ledger targeting shard `i` — the
-    // strict-read inclusion rule shared by the completeness check and
-    // the final merge, so they can never disagree.
-    let steal_done_for = |i: usize, steals: &[StealRec]| -> HashSet<UnitId> {
-        let mut done = HashSet::new();
-        for r in steals.iter().filter(|r| r.spec.victim == i) {
-            if let Ok(l) = read_ledger(&r.ledger) {
-                if l.fingerprint == manifest.fingerprint {
-                    done.extend(l.done);
-                }
-            }
-        }
-        done
-    };
-
-    let count_covered = |ids: &HashSet<UnitId>, covered: &HashSet<UnitId>| -> usize {
-        ids.iter().filter(|id| covered.contains(*id)).count()
-    };
-
-    // The probe-path twin of `shard_state`'s fingerprint check: a fetch
-    // that delivers a *foreign* ledger mid-poll is the same stale-scratch
-    // hard error, not something to observe and quietly heal over.
-    let foreign = |dest: &Path| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "shard ledger {} belongs to a different run (fingerprint mismatch); \
-                 move it aside before launching this fleet",
-                dest.display()
-            ),
-        )
-    };
-
     let mut round = 0usize;
     loop {
         round += 1;
-        // Which shards still need work? (Re-fetched and re-checked every
-        // round: a child that died *after* finishing its ledger counts
-        // as complete, and a torn copy-back just means fetch again.)
+        // Which shards still need work?
         let mut pending: Vec<(usize, bool)> = Vec::new(); // (shard, resume)
         let mut any_defer = false;
-        for i in 0..procs {
-            if complete[i] {
+        for (i, complete) in complete.iter_mut().enumerate() {
+            if *complete {
                 continue;
             }
-            let steal_done = steal_done_for(i, &steals);
-            let all_covered = |own: &HashSet<UnitId>| {
-                ids[i]
-                    .iter()
-                    .all(|id| own.contains(id) || steal_done.contains(id))
-            };
-            let refresh = match sync_artifact(
-                transport,
-                i,
-                Artifact::Ledger,
-                &paths[i],
-                tailers[i].offset(),
-            ) {
-                Err(e) => match shard_state(&paths[i], &shards[i])? {
-                    // A validated local copy needs no fetch to merge.
-                    ShardState::Complete => Refresh::Complete,
-                    // Nothing anywhere we can see: nothing to lose by
-                    // launching (this is also round 0 of a fetch
-                    // template that errors on a not-yet-created file).
-                    ShardState::Fresh => Refresh::Launch { resume: false },
-                    ShardState::Partial => {
-                        let own = read_ledger(&paths[i]).map(|l| l.done).unwrap_or_default();
-                        if all_covered(&own) {
-                            // Steals finished the tail; the unreachable
-                            // victim no longer blocks the fleet.
-                            Refresh::Complete
-                        } else {
-                            Refresh::Defer(e)
-                        }
-                    }
-                },
-                Ok(synced) => {
-                    let (missing, was_ranged) = match synced {
-                        Synced::Delivered { bytes, ranged } => {
-                            if ranged {
-                                fetch_ranged_bytes += bytes;
-                            } else {
-                                fetch_full_bytes += bytes;
-                            }
-                            (false, ranged)
-                        }
-                        Synced::Missing => (true, false),
-                    };
-                    let state = match shard_state(&paths[i], &shards[i]) {
-                        // Defensive: if a ranged splice diverged (a
-                        // relaunch raced the offset), one full re-fetch
-                        // repairs it before we give up.
-                        Err(_) if was_ranged => {
-                            if let Ok(FetchOutcome::Copied) =
-                                transport.fetch(i, Artifact::Ledger, &paths[i])
-                            {
-                                fetch_full_bytes +=
-                                    std::fs::metadata(&paths[i]).map(|m| m.len()).unwrap_or(0);
-                            }
-                            shard_state(&paths[i], &shards[i])?
-                        }
-                        other => other?,
-                    };
-                    match state {
-                        ShardState::Complete => Refresh::Complete,
-                        ShardState::Fresh if all_covered(&HashSet::new()) => Refresh::Complete,
-                        ShardState::Fresh => Refresh::Launch { resume: false },
-                        ShardState::Partial => {
-                            let own = read_ledger(&paths[i]).map(|l| l.done).unwrap_or_default();
-                            if all_covered(&own) {
-                                Refresh::Complete
-                            } else if missing {
-                                // Confirmed-absent remote downgrades a
-                                // leftover Partial local copy to fresh:
-                                // resuming would be doomed, and
-                                // deterministic units make the rerun
-                                // identical.
-                                Refresh::Launch { resume: false }
-                            } else {
-                                Refresh::Launch { resume: true }
-                            }
-                        }
-                    }
-                }
-            };
-            match refresh {
+            match fleet.refresh(i)? {
                 Refresh::Complete => {
-                    complete[i] = true;
-                    covered[i].extend(ids[i].iter().copied());
-                    defers[i] = 0;
+                    *complete = true;
+                    let ids = fleet.tracks[i].unit_ids.iter().copied();
+                    fleet.covered[i].extend(ids);
+                    fleet.defers[i] = 0;
                 }
                 Refresh::Launch { resume } => {
-                    defers[i] = 0;
-                    if outcomes[i].attempts >= opts.max_attempts {
+                    fleet.defers[i] = 0;
+                    let attempts = fleet.outcomes[i].attempts;
+                    if attempts >= opts.max_attempts {
                         return Err(io::Error::other(format!(
-                            "shard {i} did not complete after {} attempt(s); its partial \
+                            "shard {i} did not complete after {attempts} attempt(s); its partial \
                              ledger is at {} (re-run the fleet to continue from it)",
-                            outcomes[i].attempts,
-                            paths[i].display()
+                            fleet.tracks[i].path.display()
                         )));
                     }
                     pending.push((i, resume));
                 }
                 Refresh::Defer(e) => {
-                    defers[i] += 1;
+                    fleet.defers[i] += 1;
                     any_defer = true;
-                    if defers[i] > opts.max_defer_rounds {
+                    if fleet.defers[i] > opts.max_defer_rounds {
                         return Err(io::Error::other(format!(
                             "shard {i}: copy-back failed {} consecutive round(s) \
                              (last error: {e}); its remote ledger is unreachable",
-                            defers[i]
+                            fleet.defers[i]
                         )));
                     }
                     if opts.verbose {
@@ -677,30 +891,8 @@ pub fn run_fleet_with(
             // Every remaining shard is waiting on fetch recovery; give
             // the transport a beat (a deferral burns time, never a
             // launch attempt).
-            if let Some(sf) = &opts.status_file {
-                let shard_done: Vec<usize> = (0..procs)
-                    .map(|i| count_covered(&ids[i], &covered[i]))
-                    .collect();
-                let done_now: usize = shard_done.iter().sum();
-                fleet_done_floor = fleet_done_floor.max(done_now);
-                let _ = atomic_write(
-                    sf,
-                    render_status(&StatusInput {
-                        fingerprint: manifest.fingerprint,
-                        elapsed_ms: started.elapsed().as_millis(),
-                        units_total: manifest.len(),
-                        units_done: fleet_done_floor,
-                        launches,
-                        steal_launches: steals.len(),
-                        deferred: defers.iter().filter(|d| **d > 0).count(),
-                        complete: false,
-                        shards: &outcomes,
-                        shard_done: &shard_done,
-                        steals: &steals,
-                    })
-                    .as_bytes(),
-                );
-            }
+            fleet.raise_done_floor();
+            fleet.write_status(status_file, false);
             std::thread::sleep(opts.progress_interval);
             continue;
         }
@@ -711,30 +903,22 @@ pub fn run_fleet_with(
                 eprintln!(
                     "[fleet] round {round}: launching shard {i}/{} ({} units{})",
                     procs,
-                    shards[i].len(),
+                    fleet.shards[i].len(),
                     if resume { ", resuming" } else { "" }
                 );
             }
             let spec = LaunchSpec {
                 index: i,
                 procs,
-                ledger: paths[i].clone(),
+                ledger: fleet.tracks[i].path.clone(),
                 resume,
-                attempt: outcomes[i].attempts,
+                attempt: fleet.outcomes[i].attempts,
                 steal: None,
             };
-            outcomes[i].attempts += 1;
-            outcomes[i].resumed |= resume;
-            launches += 1;
-            running.push(Running {
-                steal: None,
-                slot: i,
-                handle: transport.launch(&spec)?,
-                exited: false,
-                reaped: false,
-                last_change: Instant::now(),
-                killed: false,
-            });
+            fleet.outcomes[i].attempts += 1;
+            fleet.outcomes[i].resumed |= resume;
+            fleet.launches += 1;
+            running.push(Running::new(i, transport.launch(&spec)?));
         }
 
         // Poll every attempt to completion. Exit status is advisory (the
@@ -755,86 +939,36 @@ pub fn run_fleet_with(
                         ShardStatus::Exited { success } => {
                             r.exited = true;
                             if opts.verbose && !success {
-                                match r.steal {
-                                    None => eprintln!(
-                                        "[fleet] shard {} exited abnormally; will verify its ledger",
-                                        r.slot
-                                    ),
-                                    Some(si) => eprintln!(
-                                        "[fleet] steal {} exited abnormally; will verify its ledger",
-                                        steals[si].spec.seq
-                                    ),
-                                }
+                                eprintln!(
+                                    "[fleet] {} exited abnormally; will verify its ledger",
+                                    fleet.tracks[r.track].name()
+                                );
                             }
                         }
                         ShardStatus::Running => all_exited = false,
                     }
                 }
                 if r.exited && !r.reaped {
-                    // Finalize on exit: one last fetch + observe, so the
-                    // coverage sets (which gate idleness, release kills,
-                    // and steal deadness) see the attempt's full ledger
-                    // even when it outran the probe interval.
+                    // Finalize on exit: one last sync, so the coverage
+                    // sets (which gate idleness, release kills, and
+                    // steal deadness) see the attempt's full ledger even
+                    // when it outran the probe interval.
                     r.reaped = true;
-                    match r.steal {
-                        None => {
-                            let i = r.slot;
-                            if let Ok(Synced::Delivered { bytes, ranged }) = sync_artifact(
-                                transport,
-                                i,
-                                Artifact::Ledger,
-                                &paths[i],
-                                tailers[i].offset(),
-                            ) {
-                                if ranged {
-                                    fetch_ranged_bytes += bytes;
-                                } else {
-                                    fetch_full_bytes += bytes;
-                                }
-                            }
-                            if header_fingerprint(&paths[i])
-                                .is_some_and(|fp| fp != manifest.fingerprint)
-                            {
-                                return Err(foreign(&paths[i]));
-                            }
-                            let _ = tailers[i].observe(&paths[i]);
-                            covered[i].extend(tailers[i].done().iter().copied());
-                        }
-                        Some(si) => {
-                            let rec = &mut steals[si];
-                            if let Ok(Synced::Delivered { bytes, ranged }) = sync_artifact(
-                                transport,
-                                r.slot,
-                                Artifact::Steal { seq: rec.spec.seq },
-                                &rec.ledger,
-                                rec.tailer.offset(),
-                            ) {
-                                if ranged {
-                                    fetch_ranged_bytes += bytes;
-                                } else {
-                                    fetch_full_bytes += bytes;
-                                }
-                            }
-                            if header_fingerprint(&rec.ledger)
-                                .is_some_and(|fp| fp != manifest.fingerprint)
-                            {
-                                return Err(foreign(&rec.ledger));
-                            }
-                            let _ = rec.tailer.observe(&rec.ledger);
-                            let v = rec.spec.victim;
-                            covered[v].extend(rec.tailer.done().iter().copied());
-                            rec.finalized = true;
-                            // A thief released because its victim got
-                            // there first covered nothing, yet left no
-                            // gap: only an uncovered range is dead.
-                            rec.dead = !rec.unit_ids.iter().all(|id| covered[v].contains(id));
-                            if rec.dead && opts.verbose {
-                                eprintln!(
-                                    "[fleet] steal {} died before covering its range; \
-                                     the range is eligible again",
-                                    rec.spec.seq
-                                );
-                            }
+                    fleet.sync(r.track, true)?;
+                    let covers = fleet.covers(r.track);
+                    let track = &mut fleet.tracks[r.track];
+                    track.finalized = true;
+                    if let Some(st) = track.steal {
+                        // A thief released because its victim got there
+                        // first covered nothing, yet left no gap: only
+                        // an uncovered range is dead.
+                        track.dead = !covers;
+                        if track.dead && opts.verbose {
+                            eprintln!(
+                                "[fleet] steal {} died before covering its range; \
+                                 the range is eligible again",
+                                st.seq
+                            );
                         }
                     }
                 }
@@ -846,25 +980,19 @@ pub fn run_fleet_with(
             // completes coverage frees the round at once, not at the
             // next probe tick. Not a stall kill.
             for r in running.iter_mut().filter(|r| !r.exited && !r.killed) {
-                match r.steal {
-                    None if !ids[r.slot].is_empty() && ids[r.slot].is_subset(&covered[r.slot]) => {
-                        eprintln!(
-                            "[fleet] shard {}: released — remaining tail covered by steals",
-                            r.slot
-                        )
-                    }
-                    Some(si) => {
-                        let rec = &steals[si];
-                        let v = rec.spec.victim;
-                        if !rec.unit_ids.iter().all(|id| covered[v].contains(id)) {
-                            continue;
-                        }
-                        eprintln!(
-                            "[fleet] steal {}: released — shard {v} already covered its range",
-                            rec.spec.seq
-                        )
-                    }
-                    None => continue,
+                let track = &fleet.tracks[r.track];
+                if track.unit_ids.is_empty() || !fleet.covers(r.track) {
+                    continue;
+                }
+                match track.steal {
+                    None => eprintln!(
+                        "[fleet] shard {}: released — remaining tail covered by steals",
+                        track.shard
+                    ),
+                    Some(st) => eprintln!(
+                        "[fleet] steal {}: released — shard {} already covered its range",
+                        st.seq, track.shard
+                    ),
                 }
                 r.handle.kill()?;
                 r.killed = true;
@@ -874,301 +1002,79 @@ pub fn run_fleet_with(
             }
             if watch && last_probe.is_none_or(|t| t.elapsed() >= opts.progress_interval) {
                 last_probe = Some(Instant::now());
-                let mut tick_bytes = 0u64;
-                // Probe every running attempt: fetch (ranged when the
-                // transport supports it), observe, update coverage,
-                // stall-kill. Progress is advisory: a failed mid-run
-                // fetch or probe must not abort the fleet. An errored
-                // probe leaves the stall clock exactly as it was — it
-                // neither counts as progress (resetting it would let a
-                // hung shard behind a dead network evade the timeout
-                // forever) nor accelerates the kill.
+                let bytes_before = fleet.fetch_full_bytes + fleet.fetch_ranged_bytes;
+                // Probe every running attempt: sync, then stall-kill.
+                // Progress is advisory: a failed mid-run fetch or probe
+                // must not abort the fleet. An errored probe leaves the
+                // stall clock exactly as it was — it neither counts as
+                // progress (resetting it would let a hung shard behind a
+                // dead network evade the timeout forever) nor
+                // accelerates the kill.
                 for r in &mut running {
                     if r.exited {
                         continue;
                     }
-                    let (artifact, before) = match r.steal {
-                        None => (Artifact::Ledger, tailers[r.slot].count()),
-                        Some(si) => (
-                            Artifact::Steal {
-                                seq: steals[si].spec.seq,
-                            },
-                            steals[si].tailer.count(),
-                        ),
-                    };
-                    let (dest, from) = match r.steal {
-                        None => (paths[r.slot].clone(), tailers[r.slot].offset()),
-                        Some(si) => (steals[si].ledger.clone(), steals[si].tailer.offset()),
-                    };
-                    match sync_artifact(transport, r.slot, artifact, &dest, from) {
-                        Ok(Synced::Delivered { bytes, ranged }) => {
-                            if ranged {
-                                fetch_ranged_bytes += bytes;
-                            } else {
-                                fetch_full_bytes += bytes;
-                            }
-                            tick_bytes += bytes;
-                            if header_fingerprint(&dest)
-                                .is_some_and(|fp| fp != manifest.fingerprint)
-                            {
-                                return Err(foreign(&dest));
-                            }
-                            let observed = match r.steal {
-                                None => tailers[r.slot].observe(&dest).map(|n| {
-                                    covered[r.slot].extend(tailers[r.slot].done().iter().copied());
-                                    (n, tailers[r.slot].total())
-                                }),
-                                Some(si) => {
-                                    let rec = &mut steals[si];
-                                    rec.tailer.observe(&dest).map(|n| {
-                                        covered[rec.spec.victim]
-                                            .extend(rec.tailer.done().iter().copied());
-                                        (n, rec.tailer.total())
-                                    })
-                                }
-                            };
-                            if let Ok((now_done, total)) = observed {
-                                if now_done > before {
-                                    r.last_change = Instant::now();
-                                    if opts.progress {
-                                        match r.steal {
-                                            None => eprintln!(
-                                                "[fleet] shard {}: {now_done}/{total} units",
-                                                r.slot
-                                            ),
-                                            Some(si) => eprintln!(
-                                                "[fleet] steal {}: {now_done}/{total} units \
-                                                 (shard {} tail on slot {})",
-                                                steals[si].spec.seq, steals[si].spec.victim, r.slot
-                                            ),
-                                        }
-                                    }
-                                }
-                            }
+                    let before = fleet.tracks[r.track].tailer.count();
+                    fleet.sync(r.track, true)?;
+                    let track = &fleet.tracks[r.track];
+                    if track.tailer.count() > before {
+                        r.last_change = Instant::now();
+                        if opts.progress {
+                            eprintln!("{}", track.progress_line());
                         }
-                        Ok(Synced::Missing) | Err(_) => {}
                     }
                     if let Some(limit) = opts.stall_timeout {
                         if !r.killed && r.last_change.elapsed() >= limit {
-                            match r.steal {
-                                None => {
-                                    eprintln!(
-                                        "[fleet] shard {}: no ledger progress for {:.1}s; \
-                                         killing for retry",
-                                        r.slot,
-                                        limit.as_secs_f64()
-                                    );
-                                    outcomes[r.slot].stall_kills += 1;
-                                }
-                                Some(si) => eprintln!(
-                                    "[fleet] steal {}: no ledger progress for {:.1}s; killing",
-                                    steals[si].spec.seq,
-                                    limit.as_secs_f64()
-                                ),
+                            // A shard is retried (and counts the kill); a
+                            // steal's range just becomes eligible again.
+                            let retry = track.steal.is_none();
+                            eprintln!(
+                                "[fleet] {}: no ledger progress for {:.1}s; killing{}",
+                                track.name(),
+                                limit.as_secs_f64(),
+                                if retry { " for retry" } else { "" }
+                            );
+                            if retry {
+                                fleet.outcomes[track.shard].stall_kills += 1;
                             }
                             r.handle.kill()?;
                             r.killed = true;
                         }
                     }
                 }
-                // Steal decision: re-deal the biggest uncovered tail of
-                // a still-running shard across every idle slot.
-                if opts.steal && steals.len() < procs * opts.max_attempts {
-                    let busy: HashSet<usize> = running
-                        .iter()
-                        .filter(|r| !r.exited)
-                        .map(|r| r.slot)
-                        .collect();
-                    let idle: Vec<usize> = (0..procs)
-                        .filter(|j| {
-                            !busy.contains(j)
-                                && (complete[*j]
-                                    || count_covered(&ids[*j], &covered[*j]) == ids[*j].len())
-                        })
-                        .collect();
-                    let mut victim: Option<(usize, Vec<usize>)> = None;
-                    for r in &running {
-                        if r.exited || r.steal.is_some() || complete[r.slot] {
-                            continue;
-                        }
-                        let v = r.slot;
-                        let active: Vec<(usize, usize)> = steals
-                            .iter()
-                            .filter(|s| s.spec.victim == v && !s.dead)
-                            .map(|s| (s.spec.from_pos, s.spec.until_pos))
-                            .collect();
-                        let eligible: Vec<usize> = shards[v]
-                            .units
-                            .iter()
-                            .filter(|u| !covered[v].contains(&u.id))
-                            .filter(|u| !active.iter().any(|(f, ul)| u.pos >= *f && u.pos < *ul))
-                            .map(|u| u.pos)
-                            .collect();
-                        if eligible.len() >= opts.steal_min_units.max(1)
-                            && victim
-                                .as_ref()
-                                .is_none_or(|(_, b)| eligible.len() > b.len())
-                        {
-                            victim = Some((v, eligible));
-                        }
-                    }
-                    if let (Some((v, eligible)), false) = (victim, idle.is_empty()) {
-                        // Split the whole eligible tail into contiguous
-                        // position ranges, one per idle slot.
-                        let n = idle.len().min(eligible.len());
-                        let per = eligible.len() / n;
-                        let extra = eligible.len() % n;
-                        let mut start = 0usize;
-                        for (k, &slot) in idle.iter().take(n).enumerate() {
-                            let take = per + usize::from(k < extra);
-                            let chunk = &eligible[start..start + take];
-                            start += take;
-                            let seq = steals.len();
-                            let spec = StealSpec {
-                                victim: v,
-                                from_pos: chunk[0],
-                                until_pos: chunk[chunk.len() - 1] + 1,
-                                seq,
-                            };
-                            let ledger = steal_ledger_path(out, seq);
-                            let _ = std::fs::remove_file(&ledger);
-                            let unit_ids: Vec<UnitId> = shards[v]
-                                .units
-                                .iter()
-                                .filter(|u| u.pos >= spec.from_pos && u.pos < spec.until_pos)
-                                .map(|u| u.id)
-                                .collect();
-                            eprintln!(
-                                "[fleet] steal {seq}: re-dealing {} unit(s) of shard {v} \
-                                 (pos {}..{}) to slot {slot}",
-                                unit_ids.len(),
-                                spec.from_pos,
-                                spec.until_pos
-                            );
-                            let lspec = LaunchSpec {
-                                index: slot,
-                                procs,
-                                ledger: ledger.clone(),
-                                resume: false,
-                                attempt: 0,
-                                steal: Some(spec),
-                            };
-                            // Steals are opportunistic: a failed steal
-                            // launch is a warning, never a failed fleet.
-                            match transport.launch(&lspec) {
-                                Ok(handle) => {
-                                    let units = unit_ids.len();
-                                    steals.push(StealRec {
-                                        spec,
-                                        slot,
-                                        ledger,
-                                        tailer: ProgressTailer::new(units),
-                                        unit_ids,
-                                        finalized: false,
-                                        dead: false,
-                                    });
-                                    outcomes[v].tails_stolen += 1;
-                                    running.push(Running {
-                                        steal: Some(seq),
-                                        slot,
-                                        handle,
-                                        exited: false,
-                                        reaped: false,
-                                        last_change: Instant::now(),
-                                        killed: false,
-                                    });
-                                }
-                                Err(e) => {
-                                    eprintln!("[fleet] warning: steal {seq} failed to launch: {e}");
-                                }
-                            }
-                        }
-                    }
+                if opts.steal && fleet.tracks.len() - procs < procs * opts.max_attempts {
+                    fleet.steal(&mut running, out, opts);
                 }
-                // Fleet-level progress: the floor only rises (sets only
-                // grow, and the max-clamp absorbs any tailer rewind).
-                let shard_done: Vec<usize> = (0..procs)
-                    .map(|i| count_covered(&ids[i], &covered[i]))
-                    .collect();
-                let done_now: usize = shard_done.iter().sum();
-                if done_now > fleet_done_floor {
-                    fleet_done_floor = done_now;
-                    if opts.progress {
-                        eprintln!(
-                            "[fleet] progress: {fleet_done_floor}/{} units",
-                            manifest.len()
-                        );
-                    }
-                }
-                if let Some(sf) = &opts.status_file {
-                    let _ = atomic_write(
-                        sf,
-                        render_status(&StatusInput {
-                            fingerprint: manifest.fingerprint,
-                            elapsed_ms: started.elapsed().as_millis(),
-                            units_total: manifest.len(),
-                            units_done: fleet_done_floor,
-                            launches,
-                            steal_launches: steals.len(),
-                            deferred: defers.iter().filter(|d| **d > 0).count(),
-                            complete: false,
-                            shards: &outcomes,
-                            shard_done: &shard_done,
-                            steals: &steals,
-                        })
-                        .as_bytes(),
+                if fleet.raise_done_floor() && opts.progress {
+                    eprintln!(
+                        "[fleet] progress: {}/{} units",
+                        fleet.done_floor,
+                        manifest.len()
                     );
                 }
-                probe_fetch_bytes.push(tick_bytes);
+                fleet.write_status(status_file, false);
+                probe_fetch_bytes
+                    .push(fleet.fetch_full_bytes + fleet.fetch_ranged_bytes - bytes_before);
             }
             std::thread::sleep(opts.poll_interval);
         }
-        // Round epilogue: report final per-shard counts, so even a run
+        // Round epilogue: report final per-attempt counts, so even a run
         // faster than the probe interval prints a final line.
         if opts.progress {
             for r in &running {
-                match r.steal {
-                    None => eprintln!(
-                        "[fleet] shard {}: {}/{} units",
-                        r.slot,
-                        tailers[r.slot].count(),
-                        tailers[r.slot].total()
-                    ),
-                    Some(si) => eprintln!(
-                        "[fleet] steal {}: {}/{} units (shard {} tail on slot {})",
-                        steals[si].spec.seq,
-                        steals[si].tailer.count(),
-                        steals[si].tailer.total(),
-                        steals[si].spec.victim,
-                        r.slot
-                    ),
-                }
+                eprintln!("{}", fleet.tracks[r.track].progress_line());
             }
         }
     }
 
-    // Stream-merge the shard ledgers and every valid steal ledger into
-    // the canonical output, then prove coverage. Inclusion rule matches
-    // the completeness check exactly: a ledger merges iff it strict-reads
-    // with this run's fingerprint (a dead steal's partial ledger still
-    // contributes the units it did finish).
-    let mut inputs: Vec<PathBuf> = paths
+    // Stream-merge every ledger that passes the strict-read inclusion
+    // rule into the canonical output, then prove coverage.
+    let inputs: Vec<&Path> = fleet
+        .tracks
         .iter()
-        .filter(|p| match read_ledger(p) {
-            Ok(l) => l.fingerprint == manifest.fingerprint && !l.done.is_empty(),
-            Err(_) => false,
-        })
-        .cloned()
+        .map(|t| t.path.as_path())
+        .filter(|p| strict_done(p, manifest.fingerprint).is_some_and(|d| !d.is_empty()))
         .collect();
-    inputs.extend(
-        steals
-            .iter()
-            .filter(|r| match read_ledger(&r.ledger) {
-                Ok(l) => l.fingerprint == manifest.fingerprint && !l.done.is_empty(),
-                Err(_) => false,
-            })
-            .map(|r| r.ledger.clone()),
-    );
     merge_jsonl_file(&inputs, out)?;
     let merged = read_ledger(out)?;
     if merged.fingerprint != manifest.fingerprint {
@@ -1204,59 +1110,41 @@ pub fn run_fleet_with(
     // Only now, with the merged output verified on disk, may the
     // transport drop its remote scratch space. Failure to clean up is a
     // warning, not a failed fleet.
-    for i in 0..procs {
-        if let Err(e) = transport.cleanup(i) {
-            eprintln!("[fleet] warning: cleanup of shard {i} failed: {e}");
-        }
-    }
-    for r in &steals {
-        if let Err(e) = transport.cleanup_steal(r.spec.seq, r.slot) {
-            eprintln!(
-                "[fleet] warning: cleanup of steal {} failed: {e}",
-                r.spec.seq
-            );
+    for t in &fleet.tracks {
+        let cleaned = match t.steal {
+            None => transport.cleanup(t.shard),
+            Some(st) => transport.cleanup_steal(st.seq, t.slot),
+        };
+        if let Err(e) = cleaned {
+            eprintln!("[fleet] warning: cleanup of {} failed: {e}", t.name());
         }
     }
     // Final status snapshot: complete, with the full unit count.
-    if let Some(sf) = &opts.status_file {
-        let shard_done: Vec<usize> = outcomes.iter().map(|o| o.units).collect();
-        let _ = atomic_write(
-            sf,
-            render_status(&StatusInput {
-                fingerprint: manifest.fingerprint,
-                elapsed_ms: started.elapsed().as_millis(),
-                units_total: manifest.len(),
-                units_done: manifest.len(),
-                launches,
-                steal_launches: steals.len(),
-                deferred: 0,
-                complete: true,
-                shards: &outcomes,
-                shard_done: &shard_done,
-                steals: &steals,
-            })
-            .as_bytes(),
-        );
-    }
+    fleet.raise_done_floor();
+    fleet.write_status(status_file, true);
+    let steals = &fleet.tracks[procs..];
     Ok(FleetReport {
-        shards: outcomes,
         merged_units: manifest.len(),
-        launches,
+        launches: fleet.launches,
         steal_launches: steals.len(),
         steals: steals
             .iter()
-            .map(|r| StealEvent {
-                seq: r.spec.seq,
-                victim: r.spec.victim,
-                slot: r.slot,
-                from_pos: r.spec.from_pos,
-                until_pos: r.spec.until_pos,
-                units: r.unit_ids.len(),
+            .filter_map(|t| {
+                let st = t.steal?;
+                Some(StealEvent {
+                    seq: st.seq,
+                    victim: st.victim,
+                    slot: t.slot,
+                    from_pos: st.from_pos,
+                    until_pos: st.until_pos,
+                    units: t.unit_ids.len(),
+                })
             })
             .collect(),
-        fetch_full_bytes,
-        fetch_ranged_bytes,
+        fetch_full_bytes: fleet.fetch_full_bytes,
+        fetch_ranged_bytes: fleet.fetch_ranged_bytes,
         probe_fetch_bytes,
+        shards: fleet.outcomes,
     })
 }
 
@@ -1320,10 +1208,8 @@ mod tests {
         let s = render_status(&StatusInput {
             fingerprint: 0xabcd,
             elapsed_ms: 12,
-            units_total: 4,
             units_done: 2,
             launches: 1,
-            steal_launches: 0,
             deferred: 0,
             complete: false,
             shards: &outcomes,
@@ -1337,6 +1223,75 @@ mod tests {
         assert!(s.contains("\"units_done\":2"));
         assert!(s.contains("\"shards\":[{\"index\":0,\"units\":4,\"done\":2"));
         assert!(s.contains("\"steals\":[]"));
+        assert_eq!(
+            s,
+            "{\"t\":\"fleet-status\",\"fp\":\"000000000000abcd\",\"elapsed_ms\":12,\
+             \"units_total\":4,\"units_done\":2,\"launches\":1,\"steal_launches\":0,\
+             \"stall_kills\":0,\"deferred\":0,\"complete\":false,\"shards\":[{\"index\":0,\
+             \"units\":4,\"done\":2,\"attempts\":1,\"stall_kills\":0}],\"steals\":[]}\n"
+        );
+
+        // Two shards and two steals of shard 1's tail: steal 0 finished
+        // (4/4, inactive), steal 1 still running (1/2, active). The
+        // whole line is pinned byte for byte.
+        let outcomes: Vec<ShardOutcome> = (0..2)
+            .map(|i| ShardOutcome {
+                index: i,
+                ledger: PathBuf::from(format!("x.shard{i}.jsonl")),
+                attempts: 1 + i,
+                resumed: i == 1,
+                units: 8,
+                stall_kills: i,
+                tails_stolen: 2 * i,
+            })
+            .collect();
+        let ledger = tmp("golden-steal.jsonl");
+        let steal = |seq: usize, slot: usize, from: usize, until: usize, done: usize| {
+            let mut text =
+                "{\"t\":\"run\",\"fp\":\"000000000000abcd\",\"n_trials\":1}\n".to_string();
+            for pos in from..from + done {
+                text.push_str(&format!(
+                    "{{\"t\":\"u\",\"unit\":\"{:016x}\",\"pos\":{pos}}}\n",
+                    pos + 1
+                ));
+            }
+            std::fs::write(&ledger, text).unwrap();
+            let spec = StealSpec {
+                victim: 1,
+                from_pos: from,
+                until_pos: until,
+                seq,
+            };
+            let ids = (from..until).map(|p| UnitId(p as u64 + 1)).collect();
+            let mut track = Track::new(1, slot, Some(spec), ledger.clone(), ids);
+            track.tailer.observe(&ledger).unwrap();
+            track.finalized = seq == 0;
+            track
+        };
+        let steals = vec![steal(0, 0, 12, 16, 4), steal(1, 0, 10, 12, 1)];
+        let _ = std::fs::remove_file(&ledger);
+        let s = render_status(&StatusInput {
+            fingerprint: 0xabcd,
+            elapsed_ms: 345,
+            units_done: 13,
+            launches: 3,
+            deferred: 1,
+            complete: false,
+            shards: &outcomes,
+            shard_done: &[8, 5],
+            steals: &steals,
+        });
+        assert_eq!(
+            s,
+            "{\"t\":\"fleet-status\",\"fp\":\"000000000000abcd\",\"elapsed_ms\":345,\
+             \"units_total\":16,\"units_done\":13,\"launches\":3,\"steal_launches\":2,\
+             \"stall_kills\":1,\"deferred\":1,\"complete\":false,\"shards\":[{\"index\":0,\
+             \"units\":8,\"done\":8,\"attempts\":1,\"stall_kills\":0},{\"index\":1,\"units\":8,\
+             \"done\":5,\"attempts\":2,\"stall_kills\":1}],\"steals\":[{\"seq\":0,\"victim\":1,\
+             \"slot\":0,\"from_pos\":12,\"until_pos\":16,\"units\":4,\"done\":4,\"active\":false},\
+             {\"seq\":1,\"victim\":1,\"slot\":0,\"from_pos\":10,\"until_pos\":12,\"units\":2,\
+             \"done\":1,\"active\":true}]}\n"
+        );
     }
 
     /// A launcher that never spawns anything — exercises the driver's

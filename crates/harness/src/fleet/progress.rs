@@ -68,25 +68,35 @@ impl ProgressTailer {
         self.offset
     }
 
-    /// Every completed-unit id observed so far. The fleet driver unions
-    /// these across a victim's own ledger and its steal ledgers to decide
-    /// coverage (and to keep the fleet-level progress count monotone
-    /// across re-deals: sets only grow).
-    pub fn done(&self) -> &HashSet<UnitId> {
-        &self.done
-    }
-
     /// Read any new complete lines of `path` and return the updated
     /// count. A missing file (shard not started, fetch not landed yet)
     /// reports the existing count; read errors are surfaced but leave
     /// the accumulated state intact, so a later observation recovers.
     pub fn observe(&mut self, path: &Path) -> io::Result<usize> {
+        self.observe_into(path, &mut HashSet::new())
+    }
+
+    /// [`Self::observe`], also inserting into `seen` every completed-unit
+    /// id this observation is the first to report. The fleet driver
+    /// keeps its per-shard coverage union this way — a victim's own
+    /// ledger and its steal ledgers all feed one set that only grows,
+    /// which keeps the fleet-level progress count monotone across
+    /// re-deals — without re-copying each tailer's whole done set.
+    pub(crate) fn observe_into(
+        &mut self,
+        path: &Path,
+        seen: &mut HashSet<UnitId>,
+    ) -> io::Result<usize> {
         let probe = match probe_ledger(path, self.offset) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(self.count()),
             other => other?,
         };
         self.offset = probe.offset;
-        self.done.extend(probe.units);
+        for id in probe.units {
+            if self.done.insert(id) {
+                seen.insert(id);
+            }
+        }
         Ok(self.count())
     }
 }

@@ -773,8 +773,8 @@ pub enum LaunchFault {
     LieAboutExit,
 }
 
-/// A copy-back fault, keyed by `(shard, nth ledger fetch that found a
-/// remote artifact)`.
+/// A copy-back fault, keyed by `(shard or steal, nth fetch of its ledger
+/// that found a remote artifact)`.
 #[derive(Debug, Clone, Copy)]
 pub enum FetchFault {
     /// Deliver only a prefix, dropping the last `drop_bytes` bytes (a
@@ -803,17 +803,18 @@ pub enum FetchFault {
 /// byte-identical to a one-shot run in every survivable case.
 ///
 /// The "remote" side is a local workdir: shard `i` writes
-/// `<workdir>/shard<i>.jsonl`, and `fetch` copies it back — faithfully,
-/// torn, empty, or stale, per the configured fault script.
+/// `<workdir>/shard<i>.jsonl`, steal `s` writes `<workdir>/steal<s>.jsonl`,
+/// and `fetch` copies either back — faithfully, torn, empty, or stale,
+/// per the configured fault script.
 pub struct FaultyTransport {
     config: ExperimentConfig,
     workdir: PathBuf,
     launch_faults: Mutex<HashMap<(usize, usize), LaunchFault>>,
-    fetch_faults: Mutex<HashMap<(usize, usize), FetchFault>>,
-    /// Ledger-fetch occurrence counter per shard (only fetches that
+    fetch_faults: Mutex<HashMap<(Remote, usize), FetchFault>>,
+    /// Fetch occurrence counter per remote ledger (only fetches that
     /// found a remote artifact count, so fault scripts stay independent
     /// of how many early-round fetches saw nothing).
-    fetch_seen: Mutex<HashMap<usize, usize>>,
+    fetch_seen: Mutex<HashMap<Remote, usize>>,
     /// Shard indexes whose scratch space was cleaned up, in call order.
     cleanups: Mutex<Vec<usize>>,
     /// Per-unit delay by *slot* — a property of the (simulated) machine,
@@ -827,6 +828,15 @@ pub struct FaultyTransport {
     /// (seek + append) instead of reporting `Unsupported`. The ranged
     /// path bypasses the fetch-fault script and its occurrence counters.
     ranged: bool,
+}
+
+/// The remote ledger one [`FaultyTransport`] fetch reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Remote {
+    /// Primary shard `i`'s ledger.
+    Shard(usize),
+    /// Steal `seq`'s ledger.
+    Steal(usize),
 }
 
 impl FaultyTransport {
@@ -873,7 +883,17 @@ impl FaultyTransport {
         self.fetch_faults
             .lock()
             .unwrap()
-            .insert((shard, occurrence), fault);
+            .insert((Remote::Shard(shard), occurrence), fault);
+        self
+    }
+
+    /// Script a copy-back fault for the `occurrence`-th fetch of steal
+    /// `seq`'s ledger that finds a remote artifact (0-based).
+    pub fn fail_steal_fetch(self, seq: usize, occurrence: usize, fault: FetchFault) -> Self {
+        self.fetch_faults
+            .lock()
+            .unwrap()
+            .insert((Remote::Steal(seq), occurrence), fault);
         self
     }
 
@@ -882,18 +902,17 @@ impl FaultyTransport {
         self.cleanups.lock().unwrap().clone()
     }
 
-    fn remote_ledger(&self, index: usize) -> PathBuf {
-        self.workdir.join(format!("shard{index}.jsonl"))
-    }
-
-    fn remote_steal_ledger(&self, seq: usize) -> PathBuf {
-        self.workdir.join(format!("steal{seq}.jsonl"))
-    }
-
-    fn remote_ledger_for(&self, spec: &LaunchSpec) -> PathBuf {
-        match &spec.steal {
-            Some(st) => self.remote_steal_ledger(st.seq),
-            None => self.remote_ledger(spec.index),
+    /// Which remote ledger `artifact` of slot `index` names, and its path.
+    fn remote(&self, index: usize, artifact: Artifact) -> (Remote, PathBuf) {
+        match artifact {
+            Artifact::Ledger => (
+                Remote::Shard(index),
+                self.workdir.join(format!("shard{index}.jsonl")),
+            ),
+            Artifact::Steal { seq } => (
+                Remote::Steal(seq),
+                self.workdir.join(format!("steal{seq}.jsonl")),
+            ),
         }
     }
 }
@@ -1042,7 +1061,11 @@ impl ShardTransport for FaultyTransport {
         if matches!(fault, Some(LaunchFault::Hang)) {
             return Ok(Box::new(HangHandle { killed: false }));
         }
-        let remote = self.remote_ledger_for(spec);
+        let artifact = match spec.steal {
+            Some(st) => Artifact::Steal { seq: st.seq },
+            None => Artifact::Ledger,
+        };
+        let (_, remote) = self.remote(spec.index, artifact);
         let delay = self.slow_slots.lock().unwrap().get(&spec.index).copied();
         if delay.is_none() && spec.steal.is_none() {
             // Fast primary launches run synchronously inside launch — the
@@ -1082,23 +1105,13 @@ impl ShardTransport for FaultyTransport {
     }
 
     fn fetch(&self, index: usize, artifact: Artifact, dest: &Path) -> io::Result<FetchOutcome> {
-        // Steal ledgers fetch plainly — the fault script (and its
-        // occurrence counters) stays keyed to primary shard ledgers.
-        if let Artifact::Steal { seq } = artifact {
-            let src = self.remote_steal_ledger(seq);
-            if !src.exists() {
-                return Ok(FetchOutcome::Missing);
-            }
-            std::fs::copy(&src, dest)?;
-            return Ok(FetchOutcome::Copied);
-        }
-        let src = self.remote_ledger(index);
+        let (remote, src) = self.remote(index, artifact);
         if !src.exists() {
             return Ok(FetchOutcome::Missing);
         }
         let occurrence = {
             let mut seen = self.fetch_seen.lock().unwrap();
-            let n = seen.entry(index).or_insert(0);
+            let n = seen.entry(remote).or_insert(0);
             let occ = *n;
             *n += 1;
             occ
@@ -1107,7 +1120,7 @@ impl ShardTransport for FaultyTransport {
             .fetch_faults
             .lock()
             .unwrap()
-            .get(&(index, occurrence))
+            .get(&(remote, occurrence))
             .copied();
         match fault {
             None => {
@@ -1131,7 +1144,7 @@ impl ShardTransport for FaultyTransport {
                 // A transport failure, not an absence claim: dest is
                 // untouched and the driver must defer, not relaunch.
                 return Err(io::Error::other(format!(
-                    "injected fault: shard {index} unreachable"
+                    "injected fault: {remote:?} unreachable"
                 )));
             }
         }
@@ -1148,11 +1161,7 @@ impl ShardTransport for FaultyTransport {
         if !self.ranged {
             return Ok(RangedFetch::Unsupported);
         }
-        let src = match artifact {
-            Artifact::Steal { seq } => self.remote_steal_ledger(seq),
-            Artifact::Ledger => self.remote_ledger(index),
-        };
-        ranged_copy(&src, dest, from)
+        ranged_copy(&self.remote(index, artifact).1, dest, from)
     }
 
     fn cleanup(&self, index: usize) -> io::Result<()> {

@@ -79,7 +79,7 @@ impl Mechanism for SideInfoRepair {
         Ok(FnPlan::boxed(
             *domain,
             PlanDiagnostics::data_dependent(name),
-            move |x, _ws, budget, rng| {
+            move |x, ws, budget, rng| {
                 let eps_scale = budget.spend_fraction_as("scale-estimate", rho_total)?;
                 let noisy_scale = (x.scale() + laplace(1.0 / eps_scale, rng)).max(1.0);
                 let inner: Box<dyn Mechanism> = match inner_name.as_str() {
@@ -101,7 +101,11 @@ impl Mechanism for SideInfoRepair {
                         )))
                     }
                 };
-                inner.run(x, &w, budget, rng)
+                // In the caller's workspace, so the inner mechanism's
+                // per-worker memos and pools (SF's V-optimal table and
+                // bucket hierarchies) serve repeated executions.
+                let plan = inner.plan(&x.domain(), &w)?;
+                Ok(plan.execute(x, ws, budget, rng)?.estimate)
             },
         ))
     }
@@ -152,6 +156,42 @@ mod tests {
         let r = SideInfoRepair::new("SF").unwrap();
         let est = r.run_eps(&x, &w, 0.5, &mut rng).unwrap();
         assert_eq!(est.len(), 128);
+    }
+
+    #[test]
+    fn repaired_sf_reuses_the_callers_hier_pool() {
+        // Repeated SF(Rside) executions through one workspace reach SF's
+        // pooled bucket hierarchies, as plain SF's do.
+        use dpbench_algorithms::hierarchy::HierPool;
+        use dpbench_core::Workspace;
+        let n = 1000;
+        let counts: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 97 == 3 {
+                    5_000.0
+                } else {
+                    ((i * 31) % 17) as f64
+                }
+            })
+            .collect();
+        let x = DataVector::new(counts, Domain::D1(n));
+        let plan = SideInfoRepair::new("SF")
+            .unwrap()
+            .plan(&Domain::D1(n), &Workload::prefix_1d(n))
+            .unwrap();
+        let mut ws = Workspace::new();
+        for trial in 0..8 {
+            let mut budget = dpbench_core::BudgetLedger::new(0.1);
+            let mut rng = StdRng::seed_from_u64(144 + trial);
+            plan.execute(&x, &mut ws, &mut budget, &mut rng).unwrap();
+        }
+        let pool: Box<HierPool> = ws.take_typed();
+        assert!(
+            pool.hits > pool.misses,
+            "SF(Rside) should hit the caller's pool (hits={}, misses={})",
+            pool.hits,
+            pool.misses
+        );
     }
 
     #[test]

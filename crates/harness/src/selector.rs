@@ -24,7 +24,6 @@
 //! extrapolated one.
 
 use crate::config::Setting;
-use crate::results::parse_domain;
 use crate::sink::{read_summary, AggregatingSink};
 use crate::tuning::tuned_params_for;
 use dpbench_core::json::{self, Value};
@@ -701,11 +700,6 @@ fn parse_cell(line: &str, lineno: usize) -> io::Result<(CellKey, Cell)> {
         return Err(bad(lineno, "cell with no mechanisms"));
     }
     Ok((key, Cell { ranked, settings }))
-}
-
-/// Parse the `--domain` form used across the CLI (`4096` or `128x128`).
-pub fn parse_query_domain(s: &str) -> Option<Domain> {
-    parse_domain(s)
 }
 
 #[cfg(test)]

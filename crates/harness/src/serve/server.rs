@@ -281,7 +281,7 @@ pub struct ServerState {
     ewma_us: AtomicU64,
     stopping: AtomicBool,
     mech_counts: Mutex<HashMap<String, u64>>,
-    workload_memo: Mutex<HashMap<(u8, usize), Arc<Workload>>>,
+    workload_memo: Mutex<HashMap<WorkloadSpec, Arc<Workload>>>,
     y_true_memo: YTrueMemo,
     /// Profile file `auto` routing resolves through; kept for hot reload.
     profile_path: Option<PathBuf>,
@@ -1433,40 +1433,16 @@ impl Drop for Gauge<'_> {
 }
 
 /// Resolve (and memoize) the workload for a request's `workload` field.
+/// Parsing refuses what cannot run (an unknown token, `prefix` off 1-D,
+/// `random:N` outside its cap) before anything is built or reserved.
 fn workload_for(state: &ServerState, spec: Option<&str>) -> Result<Arc<Workload>, String> {
-    let spec = match spec {
-        None => {
-            if state.domain.dims() == 1 {
-                WorkloadSpec::Prefix
-            } else {
-                WorkloadSpec::RandomRanges(2000)
-            }
-        }
-        Some("prefix") => {
-            if state.domain.dims() != 1 {
-                return Err("prefix workload is 1-D only".into());
-            }
-            WorkloadSpec::Prefix
-        }
-        Some("identity") => WorkloadSpec::Identity,
-        Some(s) if s.starts_with("random:") => WorkloadSpec::RandomRanges(
-            s["random:".len()..]
-                .parse()
-                .map_err(|_| format!("bad workload {s:?}"))?,
-        ),
-        Some(s) => return Err(format!("unknown workload {s:?} (prefix|identity|random:N)")),
-    };
-    let key = match spec {
-        WorkloadSpec::Prefix => (1_u8, 0_usize),
-        WorkloadSpec::Identity => (2, 0),
-        WorkloadSpec::RandomRanges(n) => (3, n),
-    };
+    let spec = WorkloadSpec::parse(spec, state.domain)?;
     let mut memo = state.workload_memo.lock().expect("workload memo poisoned");
-    if let Some(w) = memo.get(&key) {
+    if let Some(w) = memo.get(&spec) {
         return Ok(Arc::clone(w));
     }
     let w = Arc::new(spec.build(state.domain));
-    memo.insert(key, Arc::clone(&w));
+    memo.insert(spec, Arc::clone(&w));
     Ok(w)
 }
 

@@ -471,18 +471,7 @@ fn grid_runner(a: &Args) -> Result<Runner, String> {
         ));
     }
     let domain = a.domain()?.unwrap_or(dataset.base_domain);
-    let workload = match a.str("workload") {
-        None if domain.dims() == 1 => WorkloadSpec::Prefix,
-        None => WorkloadSpec::RandomRanges(2000),
-        Some("prefix") => WorkloadSpec::Prefix,
-        Some("identity") => WorkloadSpec::Identity,
-        Some(s) => match s.strip_prefix("random:") {
-            Some(n) => {
-                WorkloadSpec::RandomRanges(n.parse().map_err(|_| format!("bad workload {s}"))?)
-            }
-            None => return Err(format!("unknown workload {s}")),
-        },
-    };
+    let workload = WorkloadSpec::parse(a.str("workload"), domain)?;
     let loss = match a.str("loss") {
         None | Some("l2") => Loss::L2,
         Some("l1") => Loss::L1,

@@ -4,6 +4,22 @@
 
 use dpbench::prelude::*;
 use dpbench_core::rng::rng_for;
+use dpbench_core::Workspace;
+
+/// Plan `mech` and execute it once on a shared ledger, keeping the
+/// estimate.
+fn estimate(
+    mech: &dyn Mechanism,
+    x: &DataVector,
+    workload: &Workload,
+    ledger: &mut BudgetLedger,
+    rng: &mut dyn rand::RngCore,
+) -> Result<Vec<f64>, MechError> {
+    let plan = mech.plan(&x.domain(), workload)?;
+    Ok(plan
+        .execute(x, &mut Workspace::new(), ledger, rng)?
+        .estimate)
+}
 
 fn check_budget(name: &str, x: &DataVector, workload: &Workload, eps: f64) {
     let mech = mechanism_by_name(name).expect("registered");
@@ -12,8 +28,7 @@ fn check_budget(name: &str, x: &DataVector, workload: &Workload, eps: f64) {
         "budget-test",
         &[dpbench_core::rng::hash_str(name), x.n_cells() as u64],
     );
-    let est = mech
-        .run(x, workload, &mut ledger, &mut rng)
+    let est = estimate(mech.as_ref(), x, workload, &mut ledger, &mut rng)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(est.len(), x.n_cells(), "{name}: wrong estimate length");
     assert!(
@@ -142,7 +157,7 @@ fn repaired_mechanisms_respect_budget() {
     for name in ["UGRID", "AGRID"] {
         let repaired = SideInfoRepair::new(name).unwrap();
         let mut ledger = BudgetLedger::new(0.5);
-        let est = repaired.run(&x, &w, &mut ledger, &mut rng).unwrap();
+        let est = estimate(&repaired, &x, &w, &mut ledger, &mut rng).unwrap();
         assert_eq!(est.len(), x.n_cells());
         assert!(ledger.spent() <= ledger.total() * (1.0 + 1e-9));
     }

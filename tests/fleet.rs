@@ -660,12 +660,33 @@ fn unrunnable_grids_fail_at_parse_time() {
         (&["--trials", "0"], "at least one trial"),
         (&["--samples", "0"], "at least one sample"),
         (&["--threads", "0"], "bad --threads value"),
+        (
+            &["--workload", "random:0"],
+            "workload random:0 is out of range",
+        ),
     ];
     for (extra, expected) in grid_rows {
         let mut run = argv(&["run", "--dataset", "MEDCOST"]);
         run.extend(argv(extra));
         cases.push((run, *expected));
     }
+    // The Prefix workload is 1-D only: on a 2-D grid it panicked a worker.
+    let run = argv(&[
+        "run",
+        "--dataset",
+        "BJ-CABS-S",
+        "--domain",
+        "32x32",
+        "--workload",
+        "prefix",
+        "--trials",
+        "1",
+        "--samples",
+        "1",
+        "--algorithms",
+        "IDENTITY",
+    ]);
+    cases.push((run, "prefix workload is 1-D only"));
     let mut fleet = argv(&["fleet", "--procs", "2", "--eps", "0", "--out", never]);
     fleet.extend(argv(GRID));
     cases.push((fleet, "is not positive and finite"));

@@ -12,7 +12,7 @@ use dpbench::harness::fleet::{
 };
 use dpbench::harness::sink::JsonlSink;
 use dpbench::prelude::*;
-use dpbench_core::Loss;
+use dpbench_core::{json, Loss};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -508,6 +508,52 @@ fn slow_thief_is_released_when_its_victim_finishes_first() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shard 0 finishes inside its launch and shard 1 runs on a slow slot,
+/// so the first probe tick re-deals shard 1's whole two-unit tail to
+/// slot 0 as steal 0, whose copy-backs carry `fault` at `occurrence`.
+fn steal_with_fetch_fault(dir: &Path, occurrence: usize, fault: FetchFault) -> FaultyTransport {
+    FaultyTransport::new(tiny_config(), dir.join("remote"))
+        .slow_slot(1, Duration::from_millis(300))
+        .fail_steal_fetch(0, occurrence, fault)
+}
+
+#[test]
+fn torn_steal_copy_back_still_merges_byte_identically() {
+    let dir = tmp_dir("torn-steal");
+    let oracle = reference(&dir);
+    let manifest = Runner::new(tiny_config()).manifest();
+    // Steal 0's first copy-back loses its last 37 bytes (a torn unit
+    // marker). Either a later copy-back heals it, or the victim covers
+    // the unit itself; the merge must not care which.
+    let transport = steal_with_fetch_fault(&dir, 0, FetchFault::TornCopy { drop_bytes: 37 });
+    let out = dir.join("fleet.jsonl");
+    let report = run_fleet_with(&manifest, &transport, &out, &opts()).unwrap();
+    assert_eq!(report.steal_launches, 1, "{report:?}");
+    assert_eq!(report.steals[0].victim, 1);
+    assert_eq!(std::fs::read(&out).unwrap(), oracle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_steal_copy_back_is_the_same_hard_error_as_a_stale_shard() {
+    let dir = tmp_dir("stale-steal");
+    let manifest = Runner::new(tiny_config()).manifest();
+    // Steal 0's first copy-back delivers another run's ledger: the same
+    // stale-scratch hard error as a stale shard ledger, never a merge.
+    let transport = steal_with_fetch_fault(&dir, 0, FetchFault::StaleLedger);
+    let out = dir.join("fleet.jsonl");
+    let err = run_fleet_with(&manifest, &transport, &out, &opts()).unwrap_err();
+    assert!(
+        err.to_string().contains("belongs to a different run"),
+        "unexpected error: {err}"
+    );
+    assert!(
+        transport.cleanups().is_empty(),
+        "failed fleets must not clean up remote evidence"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pull one `"key":<int>` field out of a status line without a JSON
 /// parser (the harness deliberately has no JSON dependency).
 fn field_usize(s: &str, key: &str) -> Option<usize> {
@@ -563,7 +609,7 @@ fn status_file_is_atomic_monotone_and_reaches_complete() {
     };
 
     let out = dir.join("fleet.jsonl");
-    run_fleet_with(&manifest, &t, &out, &o).unwrap();
+    let report = run_fleet_with(&manifest, &t, &out, &o).unwrap();
     stop.store(true, Ordering::Relaxed);
     let reads = poller
         .join()
@@ -576,6 +622,37 @@ fn status_file_is_atomic_monotone_and_reaches_complete() {
     assert!(last.contains("\"complete\":true"), "{last}");
     assert_eq!(field_usize(&last, "units_done"), Some(total));
     assert_eq!(field_usize(&last, "units_total"), Some(total));
+    // …and its steal half is the report's: every steal, in launch
+    // order, none of them still active.
+    let snapshot = json::Object::parse(last.trim_end()).unwrap();
+    assert_eq!(
+        snapshot.num::<usize>("steal_launches"),
+        Some(report.steal_launches)
+    );
+    let Some(json::Value::Arr(steals)) = snapshot.get("steals") else {
+        panic!("no steals array in {last}");
+    };
+    let steals = json::parse_array(steals).unwrap();
+    assert_eq!(steals.len(), report.steals.len(), "{last}");
+    for (entry, ev) in steals.iter().zip(&report.steals) {
+        let json::Value::Obj(text) = entry else {
+            panic!("steal entry is not an object: {entry:?}");
+        };
+        let st = json::Object::parse(text).unwrap();
+        let fields =
+            ["seq", "victim", "slot", "from_pos", "until_pos", "units"].map(|k| st.num::<usize>(k));
+        let expected = [
+            ev.seq,
+            ev.victim,
+            ev.slot,
+            ev.from_pos,
+            ev.until_pos,
+            ev.units,
+        ]
+        .map(Some);
+        assert_eq!(fields, expected, "{text}");
+        assert_eq!(st.get("active"), Some(&json::Value::Bool(false)), "{text}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

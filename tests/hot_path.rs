@@ -19,6 +19,7 @@ use dpbench_core::{
     scaled_per_query_error, DataVector, Domain, Loss, Plan, Release, Workload, Workspace,
 };
 use dpbench_harness::competitive::kernel_gate;
+use dpbench_harness::repair::SideInfoRepair;
 use dpbench_harness::{ErrorSample, ResultStore, Setting};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -431,8 +432,8 @@ fn workspace_reuse_is_bit_identical_to_fresh_scratch() {
     let (x1, x2) = (vector((100, 140)), vector((20, 90)));
 
     let mut reused = Workspace::new();
-    for &name in NAMES_1D {
-        let mech = mechanism_by_name(name).unwrap();
+    for (name, mech) in with_rside(NAMES_1D, &["SF"]) {
+        let name = name.as_str();
         let plan = mech.plan(&domain, &workload).unwrap();
         for (v, x) in [&x1, &x2, &x1].into_iter().enumerate() {
             for trial in 0..3_u64 {
@@ -464,6 +465,21 @@ fn workspace_reuse_is_bit_identical_to_fresh_scratch() {
     }
 }
 
+/// The registry mechanisms `names`, then the `Rside` repairs of
+/// `repaired` (which run their inner mechanism in the caller's
+/// workspace), each with its display name.
+fn with_rside(names: &[&str], repaired: &[&str]) -> Vec<(String, Box<dyn Mechanism>)> {
+    let mut mechs: Vec<(String, Box<dyn Mechanism>)> = names
+        .iter()
+        .map(|&n| (n.to_string(), mechanism_by_name(n).unwrap()))
+        .collect();
+    for &inner in repaired {
+        let mech = SideInfoRepair::new(inner).unwrap();
+        mechs.push((mech.info().name, Box::new(mech)));
+    }
+    mechs
+}
+
 /// 2-D spot check of the same property (exercises the Hilbert flatten
 /// buffers DAWA and GREEDY_H draw from the workspace).
 #[test]
@@ -477,8 +493,9 @@ fn workspace_reuse_is_bit_identical_in_2d() {
     let x = DataVector::new(counts, domain);
 
     let mut reused = Workspace::new();
-    for name in ["DAWA", "GREEDY_H", "QUADTREE", "HB", "MWEM*"] {
-        let mech = mechanism_by_name(name).unwrap();
+    let names = ["DAWA", "GREEDY_H", "QUADTREE", "HB", "MWEM*"];
+    for (name, mech) in with_rside(&names, &["UGRID", "AGRID"]) {
+        let name = name.as_str();
         let plan = mech.plan(&domain, &workload).unwrap();
         for trial in 0..2_u64 {
             let mut fresh = Workspace::new();

@@ -274,6 +274,41 @@ fn rate_limit_429_is_distinct_from_budget_exhausted() {
     handle.shutdown().unwrap();
 }
 
+/// A `random:N` workload outside 1..=100,000 ranges is a 400
+/// `bad_request` refused before any ε is reserved. (An unbounded N used
+/// to panic a worker while it held the workload memo's lock, poisoning
+/// it for every later release.)
+#[test]
+fn random_workload_outside_its_cap_is_a_400_that_charges_nothing() {
+    let handle = server_with(Limits::default(), &[("t", 1.0)]);
+    let addr = handle.addr().to_string();
+    let body = |workload: &str| {
+        format!(
+            "{{\"tenant\":\"t\",\"dataset\":\"MEDCOST\",\"mechanism\":\"IDENTITY\",\
+             \"eps\":0.01,\"workload\":\"{workload}\"}}"
+        )
+    };
+    for workload in ["random:0", "random:100001", "random:18446744073709551615"] {
+        let (status, resp) =
+            http::request(&addr, "POST", "/v1/release", Some(&body(workload))).unwrap();
+        assert_eq!(status, 400, "{workload}: {resp}");
+        assert!(
+            resp.contains("\"error\":\"bad_request\""),
+            "{workload}: {resp}"
+        );
+        let snap = handle.state().accountant.snapshot("t").unwrap();
+        assert_eq!(
+            (snap.spent, snap.releases),
+            (0.0, 0),
+            "{workload} charged ε: {snap:?}"
+        );
+    }
+    let (status, resp) =
+        http::request(&addr, "POST", "/v1/release", Some(&body("random:100"))).unwrap();
+    assert_eq!(status, 200, "{resp}");
+    handle.shutdown().unwrap();
+}
+
 /// Hot tenant reload via `POST /v1/admin/reload`: grants are re-read
 /// from the config file — new tenants appear, grown grants extend, and
 /// a grant shrunk below its spent clamps to exhausted, exactly as a

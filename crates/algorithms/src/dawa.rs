@@ -15,7 +15,7 @@
 //!    a reduced domain (zero-padded to the next power of two so the
 //!    per-worker hierarchy pool sees only ~log₂(n) distinct sizes), map
 //!    the workload onto bucket indices, and run
-//!    [`GreedyH`](crate::greedy_h::GreedyH) over the reduced vector;
+//!    [`GreedyH`] over the reduced vector;
 //!    bucket estimates are spread uniformly over their cells.
 //!
 //! The partition DP's interval costs are computed by the sliding-window
@@ -183,7 +183,7 @@ impl Dawa {
 ///
 /// Interval deviations come from the O(n log² n) sliding-window
 /// order-statistic engine; the DP visits candidate lengths in the same
-/// ascending order with the same [`IMPROVEMENT_TOL`] rule as
+/// ascending order with the same `IMPROVEMENT_TOL` rule as
 /// [`l1_partition_naive`], so both return the same argmin partition (the
 /// equivalence suite in `tests/hot_path.rs` asserts bucket-for-bucket
 /// equality).
@@ -263,7 +263,7 @@ pub fn l1_partition_with(
 /// The original O(n²) partition DP, retained as the validation oracle for
 /// [`l1_partition`]: every interval's deviation is recomputed by a full
 /// rescan. The only change from the pre-optimization code is the shared
-/// [`IMPROVEMENT_TOL`] near-tie rule (both DPs must break fp-level cost
+/// `IMPROVEMENT_TOL` near-tie rule (both DPs must break fp-level cost
 /// ties identically to be comparable at all). Used only by tests.
 pub fn l1_partition_naive(noisy: &[f64], eps1: f64, eps2: f64) -> Vec<(usize, usize)> {
     let n = noisy.len();
@@ -314,9 +314,9 @@ pub fn l1_partition_naive(noisy: &[f64], eps1: f64, eps2: f64) -> Vec<(usize, us
 /// configuration. Only the partition and measurement touch the data.
 struct DawaPlan {
     domain: Domain,
-    /// `Some(side)` when the plan flattens a 2-D grid along the Hilbert
-    /// curve.
-    hilbert_side: Option<usize>,
+    /// The Hilbert curve a 2-D plan flattens its grid along, built once
+    /// with the plan.
+    curve: Option<hilbert::Curve>,
     queries: Vec<RangeQuery>,
     mech: Dawa,
     diagnostics: PlanDiagnostics,
@@ -336,15 +336,15 @@ impl Plan for DawaPlan {
     ) -> Result<Release, MechError> {
         check_planned_domain("DAWA", self.domain, x.domain())?;
         let mark = budget.mark();
-        let estimate = match self.hilbert_side {
+        let estimate = match &self.curve {
             None => self
                 .mech
                 .run_1d(x.counts(), &self.queries, ws, budget, rng)?,
-            Some(side) => {
-                let mut flat = ws.take_f64(side * side);
-                hilbert::flatten_into(x.counts(), side, &mut flat);
+            Some(curve) => {
+                let mut flat = ws.take_f64(x.n_cells());
+                curve.flatten_into(x.counts(), &mut flat);
                 let est_flat = self.mech.run_1d(&flat, &self.queries, ws, budget, rng)?;
-                hilbert::unflatten_into(&est_flat, side, &mut flat);
+                curve.unflatten_into(&est_flat, &mut flat);
                 ws.give_f64(est_flat);
                 flat
             }
@@ -380,7 +380,7 @@ impl Mechanism for Dawa {
     }
 
     fn plan(&self, domain: &Domain, workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
-        let (hilbert_side, queries) = match *domain {
+        let (curve, queries) = match *domain {
             Domain::D1(_) => (None, workload.queries().to_vec()),
             Domain::D2(r, c) => {
                 if r != c || !r.is_power_of_two() {
@@ -397,12 +397,12 @@ impl Mechanism for Dawa {
                         RangeQuery::d1(lo, hi)
                     })
                     .collect();
-                (Some(r), intervals)
+                (Some(hilbert::Curve::new(r)), intervals)
             }
         };
         Ok(Box::new(DawaPlan {
             domain: *domain,
-            hilbert_side,
+            curve,
             queries,
             mech: *self,
             diagnostics: PlanDiagnostics::data_dependent("DAWA"),

@@ -103,9 +103,8 @@ impl GreedyH {
     }
 
     /// Map a 2-D range to its covering interval along the Hilbert curve of
-    /// a `side × side` grid. The perimeter-only scan in
-    /// [`hilbert::box_cover`] is exact (the curve enters and leaves a box
-    /// through its boundary), so no full-area fallback is needed.
+    /// a `side × side` grid ([`hilbert::box_cover`]'s exact quadrant
+    /// descent).
     fn hilbert_interval(q: &RangeQuery, side: usize) -> RangeQuery {
         let (lo, hi) = hilbert::box_cover(side, q.lo.0, q.lo.1, q.hi.0, q.hi.1);
         RangeQuery::d1(lo, hi)
@@ -136,7 +135,7 @@ impl Mechanism for GreedyH {
         // All of GREEDY_H's workload adaptation — hierarchy layout, query
         // decomposition, Hilbert interval mapping, and the cube-root budget
         // allocation — is data-independent, so it happens here, once.
-        let (hilbert_side, hier, usage) = match *domain {
+        let (curve, hier, usage) = match *domain {
             Domain::D1(_) => {
                 let hier = Hierarchy::build(*domain, self.branching, usize::MAX);
                 let usage = Self::level_usage(&hier, workload.queries());
@@ -157,7 +156,7 @@ impl Mechanism for GreedyH {
                     .map(|q| Self::hilbert_interval(q, r))
                     .collect();
                 let usage = Self::level_usage(&hier, &intervals);
-                (Some(r), hier, usage)
+                (Some(hilbert::Curve::new(r)), hier, usage)
             }
         };
         // The allocation is linear in ε: precompute the unit (ε = 1)
@@ -168,7 +167,7 @@ impl Mechanism for GreedyH {
             PlanDiagnostics::data_independent("GREEDY_H", hier.nodes.len(), measured_levels as f64);
         Ok(Box::new(GreedyHPlan {
             domain: *domain,
-            hilbert_side,
+            curve,
             hier,
             alloc_unit,
             diagnostics,
@@ -177,12 +176,12 @@ impl Mechanism for GreedyH {
 }
 
 /// GREEDY_H's reusable plan: hierarchy, per-level unit budget allocation,
-/// and (for 2-D) the Hilbert flattening side.
+/// and (for 2-D) the Hilbert curve it flattens the grid along.
 struct GreedyHPlan {
     domain: Domain,
-    /// `Some(side)` when the plan flattens a 2-D grid along the Hilbert
-    /// curve.
-    hilbert_side: Option<usize>,
+    /// The Hilbert curve a 2-D plan flattens its grid along, built once
+    /// with the plan.
+    curve: Option<hilbert::Curve>,
     hier: Hierarchy,
     /// Per-level ε allocation at unit budget (`ε_l` for ε = 1).
     alloc_unit: Vec<f64>,
@@ -205,17 +204,18 @@ impl Plan for GreedyHPlan {
         let mark = budget.mark();
         let eps = budget.spend_all_as("levels");
         let level_eps: Vec<f64> = self.alloc_unit.iter().map(|&u| u * eps).collect();
-        let estimate = match self.hilbert_side {
+        let estimate = match &self.curve {
             None => self.hier.measure_and_infer_with(x, &level_eps, ws, rng),
-            Some(side) => {
-                let mut flat = ws.take_f64(side * side);
-                hilbert::flatten_into(x.counts(), side, &mut flat);
-                let flat_x = DataVector::new(flat, Domain::D1(side * side));
+            Some(curve) => {
+                let n = x.n_cells();
+                let mut flat = ws.take_f64(n);
+                curve.flatten_into(x.counts(), &mut flat);
+                let flat_x = DataVector::new(flat, Domain::D1(n));
                 let est_flat = self
                     .hier
                     .measure_and_infer_with(&flat_x, &level_eps, ws, rng);
-                let mut grid = ws.take_f64(side * side);
-                hilbert::unflatten_into(&est_flat, side, &mut grid);
+                let mut grid = ws.take_f64(n);
+                curve.unflatten_into(&est_flat, &mut grid);
                 ws.give_f64(est_flat);
                 ws.give_f64(flat_x.into_counts());
                 grid

@@ -15,15 +15,13 @@
 //! * the building-block mechanisms every algorithm is composed of: the
 //!   [Laplace mechanism](primitives::laplace_vec) and the
 //!   [exponential mechanism](primitives::exponential_mechanism);
-//! * a [`BudgetLedger`](budget::BudgetLedger) that *enforces* end-to-end
-//!   privacy accounting at runtime (paper Principles 5–7);
-//! * the two-phase [`Mechanism`](mechanism::Mechanism) trait implemented
-//!   by every algorithm in `dpbench-algorithms`: [`Mechanism::plan`](mechanism::Mechanism::plan)
-//!   (data-independent setup, cacheable across trials) and
-//!   [`Plan::execute`](mechanism::Plan::execute) (the private part,
-//!   producing a structured [`Release`](mechanism::Release) with estimate,
-//!   budget trace, and strategy diagnostics), with metadata mirroring the
-//!   paper's Table 1;
+//! * a [`BudgetLedger`] that *enforces* end-to-end privacy accounting at
+//!   runtime (paper Principles 5–7);
+//! * the two-phase [`Mechanism`] trait implemented by every algorithm in
+//!   `dpbench-algorithms`: [`Mechanism::plan`] (data-independent setup,
+//!   cacheable across trials) and [`Plan::execute`] (the private part,
+//!   producing a structured [`Release`] with estimate, budget trace, and
+//!   strategy diagnostics), with metadata mirroring the paper's Table 1;
 //! * the error standard `E_M` (Definition 3: *scaled average per-query
 //!   error*);
 //! * the workspace's one JSON codec ([`json`]): the string escaper, the

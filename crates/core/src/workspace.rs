@@ -56,7 +56,7 @@ impl Workspace {
 
     /// Return an `f64` buffer to the pool. Buffers without capacity are
     /// dropped (pooling them would never save an allocation), as is
-    /// anything beyond [`POOL_CAP`] buffers — callers routinely give back
+    /// anything beyond `POOL_CAP` buffers — callers routinely give back
     /// buffers they did not take (e.g. the runner recycling estimates from
     /// mechanisms that allocate their own), and without a cap the pool
     /// would grow by one domain-sized vector per trial for the lifetime of
@@ -75,7 +75,7 @@ impl Workspace {
         buf
     }
 
-    /// Return a `usize` buffer to the pool (same [`POOL_CAP`] bound as
+    /// Return a `usize` buffer to the pool (same `POOL_CAP` bound as
     /// [`Workspace::give_f64`]).
     pub fn give_usize(&mut self, buf: Vec<usize>) {
         if buf.capacity() > 0 && self.usize_pool.len() < POOL_CAP {

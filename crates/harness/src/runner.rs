@@ -15,8 +15,8 @@
 //!
 //! The data vector, workload, and true answers `y_true` shared by the
 //! mechanisms of one (setting, sample) cell are built exactly once in a
-//! memoized [`DataCache`] keyed by their coordinates (each cell samples
-//! from a dataset shape built once per (dataset, domain)) — now with **LRU
+//! memoized data cache keyed by their coordinates (each cell samples from
+//! a dataset shape built once per (dataset, domain)) — with **LRU
 //! eviction under a configurable byte budget**
 //! ([`Runner::data_cache_bytes`]), safe precisely because sinks stream
 //! results out instead of holding the whole grid alive. Every trial
@@ -25,18 +25,33 @@
 //! sharding, and of eviction (an evicted vector regenerates
 //! bit-identically).
 //!
+//! **Claim rule.** The units of one cell are contiguous in the manifest,
+//! and the worker that claims a cell's first unit builds the cell (and
+//! its shape, when no worker has built or started that). A worker never
+//! waits on a build another worker is doing: it passes over (defers)
+//! every unit whose cell, or whose shape, is being built and claims the
+//! earliest unit whose data is built or not yet started. Deferred units go
+//! first once their data is built, and a worker blocks only when every
+//! unit left waits on a build in progress. With one thread nothing is
+//! ever in progress at a claim, so units run in manifest order. While one
+//! worker builds a 2-D shape, the others build the next dataset's shape
+//! or run cells that are ready. Units therefore finish out of order, and
+//! a completion that arrives ahead of an earlier unit waits in the
+//! consumer until that unit arrives.
+//!
 //! Mechanisms run through the two-phase plan/execute API: the runner keeps
 //! a [`PlanCache`] keyed by `(mechanism, domain, workload)` so each
 //! strategy — in particular the data-independent matrix-mechanism
 //! instances (IDENTITY, H, HB, GREEDY_H, PRIVELET) — is constructed
-//! exactly once per key instead of `n_samples × n_trials` times. Each
+//! exactly once per key instead of `n_samples × n_trials` times (a worker
+//! needing a plan another worker is building waits for it). Each
 //! worker thread owns a [`Workspace`], so steady-state trials recycle
 //! their estimate, scratch, and prefix-table buffers instead of touching
 //! the allocator; the data-dependent hierarchies of DAWA's stage 2 and
 //! SF's buckets come from the workspace's size-bucketed `HierPool`, whose
 //! hit counters the runner aggregates into [`RunStats`].
 
-use crate::config::{ExperimentConfig, Setting};
+use crate::config::ExperimentConfig;
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
 use crate::results::{ErrorSample, ResultStore};
 use crate::sink::{MemorySink, ResultSink};
@@ -47,12 +62,13 @@ use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
     scaled_per_query_error, DataVector, Domain, MechError, Mechanism, Plan, Workload, Workspace,
 };
-use dpbench_datasets::{DataGenerator, Dataset};
+use dpbench_datasets::DataGenerator;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Cache key: mechanism name × configuration fingerprint × domain ×
 /// workload content fingerprint. The configuration fingerprint
@@ -205,13 +221,19 @@ impl UnitData {
 /// domain, sample index).
 type DataKey = (u64, u64, Domain, usize);
 
-/// Per-key build slot of the [`DataCache`].
-type DataSlot = Arc<Mutex<Option<Arc<UnitData>>>>;
+/// Cache key of one dataset shape: (dataset-name hash, domain).
+type ShapeKey = (u64, Domain);
 
-/// Per-(dataset, domain) build slot of the [`DataCache`]'s shapes.
-type ShapeSlot = Arc<OnceLock<Arc<Vec<f64>>>>;
+/// The data cell a unit reads and the dataset shape beneath it.
+fn cell_keys(unit: &ManifestUnit) -> (DataKey, ShapeKey) {
+    let (name, domain) = (hash_str(&unit.setting.dataset), unit.setting.domain);
+    (
+        (name, unit.setting.scale, domain, unit.sample),
+        (name, domain),
+    )
+}
 
-/// Counters of the [`DataCache`] (exposed through [`RunStats`]).
+/// Counters of the runner's data cache (exposed through [`RunStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DataCacheStats {
     /// Lookups served by an already-generated vector.
@@ -224,63 +246,104 @@ pub struct DataCacheStats {
     pub resident_bytes: usize,
 }
 
-/// One [`DataCache`] entry: the build slot plus LRU bookkeeping.
+/// One [`DataCache`] entry: the cell's data plus LRU bookkeeping.
 struct DataEntry {
-    slot: DataSlot,
+    /// `None` while a worker builds the cell.
+    data: Option<Arc<UnitData>>,
     /// Monotonic access tick (bigger = more recent).
     last_used: u64,
-    /// Resident bytes; 0 until the slot is built.
+    /// Resident bytes; 0 until the cell is built.
     bytes: usize,
 }
 
-/// Map + total-byte accounting behind one lock (the lock is only held to
-/// resolve keys, record sizes, and pick eviction victims — generation
-/// itself happens under the per-key slot lock).
+/// Everything behind the [`DataCache`]'s one lock. The claim queue lives
+/// here too, so that claiming a unit and marking the build it starts are
+/// one step: no other worker can see the cell as unclaimed in between.
 #[derive(Default)]
 struct DataMap {
-    map: HashMap<DataKey, DataEntry>,
+    cells: HashMap<DataKey, DataEntry>,
+    /// Dataset shapes depend only on (dataset, domain): every (scale,
+    /// sample) cell of one dataset and domain draws from one shape built
+    /// once per run (a 2-D shape costs tens of milliseconds, the
+    /// multinomial draw from it well under one). `None` while a worker
+    /// builds it. Like the workloads, they stay outside the byte budget.
+    shapes: HashMap<ShapeKey, Option<Arc<Vec<f64>>>>,
     total_bytes: usize,
+    /// LRU clock.
+    tick: u64,
+    /// First manifest position no worker has looked at yet.
+    next: usize,
+    /// Positions passed over because their cell or shape was being built,
+    /// ascending.
+    deferred: Vec<usize>,
 }
 
+impl DataMap {
+    /// Whether `unit` waits on a build in progress: its cell's, or (for a
+    /// cell not yet started) its shape's.
+    fn busy(&self, unit: &ManifestUnit) -> bool {
+        let (key, shape) = cell_keys(unit);
+        match self.cells.get(&key) {
+            Some(entry) => entry.data.is_none(),
+            None => matches!(self.shapes.get(&shape), Some(None)),
+        }
+    }
+}
+
+/// How a claimed unit gets its data.
+enum CellClaim {
+    /// The cell is built; the claim holds it (a cache hit).
+    Ready(Arc<UnitData>),
+    /// The claiming worker builds the cell, and the shape too when this
+    /// holds none.
+    Build(Option<Arc<Vec<f64>>>),
+}
+
+/// A test's hook into a cell build (see `DataCache::before_build`).
+#[cfg(test)]
+type BuildHook = Box<dyn Fn(&DataCache, &DataKey) + Sync>;
+
 /// Memoized `(dataset, scale, domain, sample)` → [`UnitData`] map with
-/// LRU eviction under a byte budget. Note ε is *not* part of the key: the
-/// data vector never depends on the privacy budget, so an ε sweep shares
-/// one generated vector per sample. Eviction is safe for correctness
-/// because generation is deterministic per coordinates — an evicted entry
-/// regenerates bit-identically — and in-flight users hold their own
-/// `Arc`, so a victim's memory is reclaimed when the last unit using it
-/// finishes.
+/// LRU eviction under a byte budget, and the queue workers claim units
+/// from. Note ε is *not* part of the key: the data vector never depends on
+/// the privacy budget, so an ε sweep shares one generated vector per
+/// sample. Eviction is safe for correctness because generation is
+/// deterministic per coordinates — an evicted entry regenerates
+/// bit-identically — and in-flight users hold their own `Arc`, so a
+/// victim's memory is reclaimed when the last unit using it finishes.
 struct DataCache {
     inner: Mutex<DataMap>,
+    /// Signalled whenever a cell or a shape is built (or a build unwinds).
+    built: Condvar,
     /// Workloads depend only on the domain; memoized separately so the
     /// grid holds one query list per domain instead of one per cell.
     workloads: Mutex<HashMap<Domain, Arc<Workload>>>,
-    /// Dataset shapes depend only on (dataset-name hash, domain): every
-    /// (scale, sample) cell of one dataset and domain draws from one shape
-    /// built once per run (a 2-D shape costs tens of milliseconds, the
-    /// multinomial draw from it well under one). Like the workloads, they
-    /// stay outside the byte budget.
-    shapes: Mutex<HashMap<(u64, Domain), ShapeSlot>>,
-    /// LRU clock.
-    tick: AtomicU64,
     budget_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// Called by a worker about to build a cell, once its shape is built.
+    #[cfg(test)]
+    before_build: Option<BuildHook>,
 }
 
 impl DataCache {
     fn new(budget_bytes: usize) -> Self {
         Self {
             inner: Mutex::default(),
+            built: Condvar::new(),
             workloads: Mutex::default(),
-            shapes: Mutex::default(),
-            tick: AtomicU64::new(0),
             budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            #[cfg(test)]
+            before_build: None,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, DataMap> {
+        self.inner.lock().expect("data cache poisoned")
     }
 
     fn stats(&self) -> DataCacheStats {
@@ -288,7 +351,7 @@ impl DataCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.inner.lock().expect("data cache poisoned").total_bytes,
+            resident_bytes: self.lock().total_bytes,
         }
     }
 
@@ -300,45 +363,104 @@ impl DataCache {
         )
     }
 
-    /// The shape `dataset` takes on `domain`, built on first use. Workers
-    /// asking for a shape that is being built wait for it.
-    fn shape_for(&self, dataset: &Dataset, domain: Domain) -> Arc<Vec<f64>> {
-        let slot = {
-            let mut shapes = self.shapes.lock().expect("shape cache poisoned");
-            Arc::clone(shapes.entry((hash_str(dataset.name), domain)).or_default())
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(dataset.shape(domain))))
+    /// Claim the next unit of `units` to run: the earliest one, deferred or
+    /// not yet looked at, that does not wait on a build in progress. Units
+    /// passed over are deferred; the caller blocks only when every unit
+    /// left waits on one. `None` once nothing is left or `halt()` holds.
+    fn claim(&self, units: &[ManifestUnit], halt: &dyn Fn() -> bool) -> Option<(usize, CellClaim)> {
+        let mut map = self.lock();
+        loop {
+            if halt() {
+                return None;
+            }
+            let m = &mut *map;
+            let found = match m.deferred.iter().position(|&i| !m.busy(&units[i])) {
+                Some(at) => Some(m.deferred.remove(at)),
+                None => loop {
+                    let Some(unit) = units.get(m.next) else {
+                        break None;
+                    };
+                    m.next += 1;
+                    if !m.busy(unit) {
+                        break Some(m.next - 1);
+                    }
+                    m.deferred.push(m.next - 1);
+                },
+            };
+            if let Some(i) = found {
+                return Some((i, self.take(m, &units[i])));
+            }
+            if m.deferred.is_empty() {
+                return None;
+            }
+            map = self.built.wait(map).expect("data cache poisoned");
+        }
     }
 
-    fn unit_data(&self, cfg: &ExperimentConfig, setting: &Setting, sample: usize) -> Arc<UnitData> {
-        let key = (
-            hash_str(&setting.dataset),
-            setting.scale,
-            setting.domain,
-            sample,
-        );
-        let slot = {
-            let mut inner = self.inner.lock().expect("data cache poisoned");
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-            let entry = inner.map.entry(key).or_insert_with(|| DataEntry {
-                slot: DataSlot::default(),
-                last_used: tick,
-                bytes: 0,
-            });
-            entry.last_used = tick;
-            Arc::clone(&entry.slot)
-        };
-        let mut built = slot.lock().expect("data slot poisoned");
-        if let Some(data) = built.as_ref() {
+    /// The data of a unit that does not wait on a build: a hit, or a miss
+    /// that marks its cell (and a missing shape) as being built.
+    fn take(&self, map: &mut DataMap, unit: &ManifestUnit) -> CellClaim {
+        let (key, shape) = cell_keys(unit);
+        map.tick += 1;
+        if let Some(entry) = map.cells.get_mut(&key) {
+            entry.last_used = map.tick;
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(data);
+            return CellClaim::Ready(Arc::clone(entry.data.as_ref().expect("cell is built")));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
+        map.cells.insert(
+            key,
+            DataEntry {
+                data: None,
+                last_used: map.tick,
+                bytes: 0,
+            },
+        );
+        CellClaim::Build(match map.shapes.entry(shape) {
+            Entry::Occupied(built) => {
+                Some(Arc::clone(built.get().as_ref().expect("shape is built")))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(None);
+                None
+            }
+        })
+    }
+
+    /// Build the cell of a unit claimed with [`CellClaim::Build`] (and its
+    /// shape, when the claim held none), publish both, and wake waiting
+    /// workers.
+    fn build(
+        &self,
+        cfg: &ExperimentConfig,
+        unit: &ManifestUnit,
+        shape: Option<Arc<Vec<f64>>>,
+    ) -> Arc<UnitData> {
+        let (key, shape_key) = cell_keys(unit);
+        let setting = &unit.setting;
+        let mut marks = BuildMarks {
+            cache: self,
+            cell: Some(key),
+            shape: shape.is_none().then_some(shape_key),
+        };
         let dataset = cfg
             .datasets
             .iter()
             .find(|d| d.name == setting.dataset)
             .expect("setting references a configured dataset");
+        let shape = shape.unwrap_or_else(|| {
+            let built = Arc::new(dataset.shape(setting.domain));
+            self.lock()
+                .shapes
+                .insert(shape_key, Some(Arc::clone(&built)));
+            marks.shape = None;
+            self.built.notify_all();
+            built
+        });
+        #[cfg(test)]
+        if let Some(hook) = &self.before_build {
+            hook(self, &key);
+        }
         // Generate the data vector (deterministic per coordinates).
         let mut data_rng = rng_for(
             "datagen",
@@ -346,10 +468,9 @@ impl DataCache {
                 hash_str(dataset.name),
                 setting.scale,
                 setting.domain.n_cells() as u64,
-                sample as u64,
+                unit.sample as u64,
             ],
         );
-        let shape = self.shape_for(dataset, setting.domain);
         let x: DataVector =
             DataGenerator::new().from_shape(&shape, setting.domain, setting.scale, &mut data_rng);
         let workload = self.workload_for(cfg, setting.domain);
@@ -361,41 +482,67 @@ impl DataCache {
             y_true,
             scale,
         });
-        *built = Some(Arc::clone(&data));
-        drop(built);
-        self.account_and_evict(key, data.bytes());
+        self.publish(key, &data);
+        marks.cell = None;
+        self.built.notify_all();
         data
     }
 
-    /// Record the freshly built entry's size and evict least-recently-used
-    /// built entries until the budget holds. The just-built key is exempt
-    /// (guaranteed progress even under a budget smaller than one vector).
-    fn account_and_evict(&self, just_built: DataKey, bytes: usize) {
-        let mut inner = self.inner.lock().expect("data cache poisoned");
-        if let Some(entry) = inner.map.get_mut(&just_built) {
-            // Racing eviction may already have dropped the key; then the
-            // data lives only with its in-flight users and owes no budget.
-            if entry.bytes == 0 {
-                entry.bytes = bytes;
-                inner.total_bytes += bytes;
-            }
-        }
-        while inner.total_bytes > self.budget_bytes {
-            let victim = inner
-                .map
+    /// Store a freshly built cell, record its size, and evict
+    /// least-recently-used built entries until the budget holds. The
+    /// just-built key is exempt (guaranteed progress even under a budget
+    /// smaller than one vector).
+    fn publish(&self, just_built: DataKey, data: &Arc<UnitData>) {
+        let mut map = self.lock();
+        let map = &mut *map;
+        let entry = map
+            .cells
+            .get_mut(&just_built)
+            .expect("a claimed cell stays");
+        entry.data = Some(Arc::clone(data));
+        entry.bytes = data.bytes();
+        map.total_bytes += entry.bytes;
+        while map.total_bytes > self.budget_bytes {
+            let victim = map
+                .cells
                 .iter()
                 .filter(|(k, e)| e.bytes > 0 && **k != just_built)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
-                    let e = inner.map.remove(&k).expect("victim exists");
-                    inner.total_bytes -= e.bytes;
+                    let e = map.cells.remove(&k).expect("victim exists");
+                    map.total_bytes -= e.bytes;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 None => break,
             }
         }
+    }
+}
+
+/// The in-progress marks of one build. A build that unwinds drops them
+/// here, so workers waiting on them claim the cell afresh instead of
+/// waiting forever.
+struct BuildMarks<'a> {
+    cache: &'a DataCache,
+    cell: Option<DataKey>,
+    shape: Option<ShapeKey>,
+}
+
+impl Drop for BuildMarks<'_> {
+    fn drop(&mut self) {
+        if self.cell.is_none() && self.shape.is_none() {
+            return;
+        }
+        let mut map = self.cache.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(key) = self.cell {
+            map.cells.remove(&key);
+        }
+        if let Some(key) = self.shape {
+            map.shapes.remove(&key);
+        }
+        self.cache.built.notify_all();
     }
 }
 
@@ -523,6 +670,16 @@ impl Runner {
         manifest: &RunManifest,
         sink: &mut dyn ResultSink,
     ) -> io::Result<RunStats> {
+        self.run_on(manifest, sink, &DataCache::new(self.data_cache_bytes))
+    }
+
+    /// [`Runner::run_with_sink`] over a given data cache.
+    fn run_on(
+        &self,
+        manifest: &RunManifest,
+        sink: &mut dyn ResultSink,
+        data_cache: &DataCache,
+    ) -> io::Result<RunStats> {
         self.config
             .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -549,8 +706,6 @@ impl Runner {
         sink.begin(manifest)?;
 
         let units = &manifest.units;
-        let data_cache = DataCache::new(self.data_cache_bytes);
-        let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let hier_hits = AtomicU64::new(0);
         let hier_misses = AtomicU64::new(0);
@@ -566,10 +721,18 @@ impl Runner {
         let mut emitted_samples = 0_usize;
         let mut sink_err: Option<io::Error> = None;
 
+        let halt = || {
+            stop.load(Ordering::Relaxed)
+                || self
+                    .cancel
+                    .as_ref()
+                    .is_some_and(|c| c.load(Ordering::Relaxed))
+        };
+
         std::thread::scope(|scope| {
-            let (next, stop) = (&next, &stop);
+            let (halt, stop) = (&halt, &stop);
             let (hier_hits, hier_misses) = (&hier_hits, &hier_misses);
-            let (data_cache, mechs) = (&data_cache, &mechs);
+            let mechs = &mechs;
             for _ in 0..threads {
                 let tx = tx.clone();
                 scope.spawn(move || {
@@ -577,20 +740,13 @@ impl Runner {
                     // hierarchies, and mechanism scratch recycle across all
                     // trials this worker runs.
                     let mut ws = Workspace::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(cancel) = &self.cancel {
-                            if cancel.load(Ordering::Relaxed) {
-                                break;
-                            }
-                        }
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= units.len() {
-                            break;
-                        }
-                        let samples = self.run_trials(&units[idx], mechs, data_cache, &mut ws);
+                    while let Some((idx, claim)) = data_cache.claim(units, halt) {
+                        let unit = &units[idx];
+                        let data = match claim {
+                            CellClaim::Ready(data) => data,
+                            CellClaim::Build(shape) => data_cache.build(&self.config, unit, shape),
+                        };
+                        let samples = self.run_trials(unit, mechs, &data, &mut ws);
                         if tx.send((idx, samples)).is_err() {
                             break; // consumer gone (stopped early)
                         }
@@ -607,8 +763,9 @@ impl Runner {
 
             // Consumer (this thread): re-order completions into manifest
             // order and feed the sink. Out-of-order completions wait in
-            // `pending`; the buffer stays small because workers claim
-            // units in order and the channel is bounded.
+            // `pending`: a worker that claims past a cell under
+            // construction finishes later units first, and they are held
+            // here until every earlier unit has arrived.
             let mut pending: BTreeMap<usize, Vec<ErrorSample>> = BTreeMap::new();
             let mut next_emit = 0_usize;
             while let Ok((idx, samples)) = rx.recv() {
@@ -668,13 +825,12 @@ impl Runner {
         &self,
         unit: &ManifestUnit,
         mechs: &HashMap<&str, Box<dyn Mechanism>>,
-        data_cache: &DataCache,
+        data: &UnitData,
         ws: &mut Workspace,
     ) -> Vec<ErrorSample> {
         let cfg = &self.config;
         let alg_name = unit.algorithm.as_str();
         let mech = &mechs[alg_name];
-        let data = data_cache.unit_data(cfg, &unit.setting, unit.sample);
         let plan = self
             .plan_cache
             .plan_for(mech, &unit.setting.domain, &data.workload)
@@ -793,17 +949,114 @@ mod tests {
         assert!(runner.run_with_sink(&foreign, &mut sink).is_err());
     }
 
+    /// Two 2-D datasets at two scales and two samples each: eight cells
+    /// over two shapes, four mechanisms per cell.
+    fn grid_2d_config() -> ExperimentConfig {
+        ExperimentConfig {
+            datasets: vec![
+                catalog::by_name("BJ-CABS-S").unwrap(),
+                catalog::by_name("STROKE").unwrap(),
+            ],
+            scales: vec![10_000, 1_000_000],
+            domains: vec![Domain::D2(32, 32)],
+            epsilons: vec![0.1],
+            algorithms: ["HB", "GREEDY_H", "DAWA", "QUADTREE"]
+                .map(String::from)
+                .to_vec(),
+            n_samples: 2,
+            n_trials: 2,
+            workload: WorkloadSpec::RandomRanges(100),
+            loss: Loss::L2,
+        }
+    }
+
+    /// The ledger bytes and data-cache counters of one run.
+    fn ledger_of(runner: &Runner, data_cache: &DataCache) -> (String, DataCacheStats) {
+        let mut bytes = Vec::new();
+        let stats = {
+            let mut sink = crate::sink::JsonlSink::from_writer(&mut bytes);
+            runner
+                .run_on(&runner.manifest(), &mut sink, data_cache)
+                .unwrap()
+        };
+        (String::from_utf8(bytes).unwrap(), stats.data_cache)
+    }
+
     #[test]
     fn max_units_stops_after_a_prefix_of_the_manifest() {
-        let mut runner = Runner::new(tiny_config());
-        runner.threads = 4;
-        runner.max_units = Some(4);
+        for cfg in [tiny_config(), grid_2d_config()] {
+            let mut runner = Runner::new(cfg);
+            runner.threads = 4;
+            runner.max_units = Some(4);
+            let manifest = runner.manifest();
+            let mut sink = MemorySink::new();
+            let stats = runner.run_with_sink(&manifest, &mut sink).unwrap();
+            assert_eq!(stats.units, 4);
+            let expected: Vec<UnitId> = manifest.units.iter().take(4).map(|u| u.id).collect();
+            assert_eq!(sink.completed(), expected.as_slice());
+        }
+    }
+
+    #[test]
+    fn threads_write_the_same_2d_ledger_and_build_each_cell_once() {
+        let mut reference = None;
+        for threads in [1, 2, 4] {
+            let mut runner = Runner::new(grid_2d_config());
+            runner.threads = threads;
+            let (ledger, stats) = ledger_of(&runner, &DataCache::new(runner.data_cache_bytes));
+            assert_eq!(stats.misses, 8, "{threads} threads: {stats:?}");
+            assert_eq!(stats.hits, 24, "{threads} threads: {stats:?}");
+            match &reference {
+                None => reference = Some(ledger),
+                Some(r) => assert!(ledger == *r, "{threads} threads wrote other bytes"),
+            }
+        }
+    }
+
+    /// While one worker's build of the first cell is held open, the other
+    /// worker must claim past that cell's second unit and finish the next
+    /// cell's units: the held build waits until the cell after that is
+    /// built. A worker that blocked on the held cell instead would never
+    /// get there, so the wait is bounded and the test fails rather than
+    /// hangs.
+    #[test]
+    fn a_worker_claims_past_a_cell_another_worker_is_building() {
+        let mut cfg = tiny_config();
+        cfg.scales = vec![1_000, 2_000, 3_000];
+        cfg.algorithms = vec!["IDENTITY".into(), "UNIFORM".into()];
+        cfg.n_samples = 1;
+        let mut runner = Runner::new(cfg);
+        runner.threads = 2;
         let manifest = runner.manifest();
-        let mut sink = MemorySink::new();
-        let stats = runner.run_with_sink(&manifest, &mut sink).unwrap();
-        assert_eq!(stats.units, 4);
-        let expected: Vec<UnitId> = manifest.units.iter().take(4).map(|u| u.id).collect();
-        assert_eq!(sink.completed(), expected.as_slice());
+        let (held, third) = (
+            cell_keys(&manifest.units[0]).0,
+            cell_keys(&manifest.units[4]).0,
+        );
+        let overtaken = Arc::new(AtomicBool::new(false));
+        let mut cache = DataCache::new(runner.data_cache_bytes);
+        let flag = Arc::clone(&overtaken);
+        cache.before_build = Some(Box::new(move |cache, key| {
+            if *key != held {
+                return;
+            }
+            let (map, wait) = cache
+                .built
+                .wait_timeout_while(cache.lock(), std::time::Duration::from_secs(30), |m| {
+                    m.cells.get(&third).is_none_or(|e| e.data.is_none())
+                })
+                .unwrap();
+            drop(map);
+            flag.store(!wait.timed_out(), Ordering::Relaxed);
+        }));
+        let (ledger, stats) = ledger_of(&runner, &cache);
+        assert!(
+            overtaken.load(Ordering::Relaxed),
+            "no worker finished a later cell while the first was being built"
+        );
+        assert_eq!(stats.misses, 3, "{stats:?}");
+        runner.threads = 1;
+        let (serial, _) = ledger_of(&runner, &DataCache::new(runner.data_cache_bytes));
+        assert_eq!(ledger, serial);
     }
 
     #[test]

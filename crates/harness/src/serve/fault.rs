@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the spend journal.
 //!
-//! [`FaultyIo`] is an in-memory [`JournalIo`](super::journal::JournalIo)
+//! [`FaultyIo`] is an in-memory [`JournalIo`]
 //! whose failures are scheduled by operation index, mirroring the
 //! `FaultyTransport` design from the fleet layer: a test declares
 //! *exactly* which append tears at which byte and which fsync fails, so

@@ -25,7 +25,8 @@
 //! record templates and parsed by the shared strict reader in
 //! [`dpbench_core::json`] (field order is fixed, strings are never
 //! escaped — dataset and algorithm names are validated identifiers,
-//! enforced at write time by [`ExperimentConfig::validate`] and
+//! enforced at write time by
+//! [`ExperimentConfig::validate`](crate::config::ExperimentConfig::validate) and
 //! [`JsonlSink`]'s `begin`):
 //!
 //! ```text

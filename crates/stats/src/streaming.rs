@@ -1,6 +1,6 @@
 //! Constant-space streaming summaries for sink-based result pipelines.
 //!
-//! The batch [`Summary`](crate::describe::Summary) needs every observation
+//! The batch [`Summary`] needs every observation
 //! in memory to compute percentiles; a grid streamed through an
 //! aggregating sink cannot afford that. [`StreamingSummary`] keeps O(δ)
 //! state per (algorithm, setting) group: a Welford accumulator for

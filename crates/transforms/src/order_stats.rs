@@ -20,13 +20,13 @@
 //! * [`RankedFenwick`] — the textbook O(log n)-update / O(log n)-query
 //!   Fenwick tree over ranks; exported for reuse and as the reference the
 //!   engine is cross-validated against.
-//! * [`RankBlocks`] — a sqrt-decomposition over rank space with **O(1)**
+//! * `RankBlocks` — a sqrt-decomposition over rank space with **O(1)**
 //!   insert/remove and an O(√n) query that reads two short contiguous
 //!   runs (block aggregates, then one block's ranks). The sliding loop
 //!   does two updates and one query per window, so trading query
 //!   pointer-chasing for sequential scans wins on real hardware: the
 //!   engine's hot path uses this structure. For windows shorter than
-//!   [`RESCAN_MAX`] a direct rescan is cheaper than any index and is used
+//!   `RESCAN_MAX` a direct rescan is cheaper than any index and is used
 //!   instead.
 
 use std::cmp::Ordering;

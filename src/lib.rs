@@ -22,7 +22,7 @@
 //!
 //! ## Quickstart
 //!
-//! Mechanisms run in two phases: [`Mechanism::plan`] does all
+//! Mechanisms run in two phases: [`Mechanism::plan`](core::Mechanism::plan) does all
 //! data-independent setup (strategy matrices, hierarchy layouts — cache
 //! it across trials), and [`Plan::execute`](core::Plan::execute) performs
 //! the private part, returning a structured [`Release`](core::Release)

@@ -9,7 +9,8 @@
 //! The hierarchical mechanisms' estimate bits, a workload fingerprint and
 //! a 2-D `Runner` ledger are pinned the same way, captured before the
 //! flat hierarchy kernel and the per-run shape memo replaced the code that
-//! produced them.
+//! produced them; so is every catalog dataset's shape, captured before
+//! workers built shapes concurrently.
 
 use dpbench::algorithms::quadtree::QuadTree;
 use dpbench::core::budget::SpendRecord;
@@ -512,6 +513,57 @@ fn hierarchical_estimate_bits_are_pinned() {
         })
         .collect();
     assert_eq!(got, ESTIMATE_DIGESTS);
+}
+
+/// FNV digests of `Dataset::shape` for every catalog dataset, at its base
+/// domain and at 1,024 cells (1-D) or 128 × 128 (2-D).
+const SHAPE_DIGESTS: [(&str, u64, u64); 27] = [
+    ("ADULT", 0x30c2_2aa0_f26d_066f, 0x1d47_bc6c_17b3_39af),
+    ("HEPTH", 0x2ec1_c68d_8649_e04d, 0x202b_9c25_cc16_c406),
+    ("INCOME", 0x6b22_bd2d_2879_81fb, 0x2e24_6d41_6579_107f),
+    ("MEDCOST", 0x3af2_887c_9aa8_9151, 0x96d2_e2da_fd3d_2723),
+    ("TRACE", 0xc69e_529e_d2c6_d254, 0x2468_8ed2_c138_f178),
+    ("PATENT", 0xaa47_5b6f_1165_07d7, 0xe513_e11e_cd82_bee9),
+    ("SEARCH", 0xc261_7f07_fdec_e499, 0x8bff_7b03_8620_1407),
+    ("BIDS-FJ", 0x4e49_31b4_c9c9_c652, 0x4c82_148e_3a6f_7b92),
+    ("BIDS-FM", 0x848e_a990_efed_8f1c, 0x9003_c844_cb21_c19d),
+    ("BIDS-ALL", 0x86ab_128e_0cac_495a, 0x9192_f34c_7dad_bc07),
+    ("MD-SAL", 0x8f34_0f2d_89ff_0b49, 0x9dd7_0a9c_69b5_317b),
+    ("MD-SAL-FA", 0x41c3_bcae_8395_6a66, 0x3389_da74_924c_cf63),
+    ("LC-REQ-F1", 0x2c2d_b15f_e443_99a1, 0xcb1b_7f95_7cf8_0ef7),
+    ("LC-REQ-F2", 0xf57e_3870_a8a9_1cdc, 0x44e4_b64a_86c4_9aa6),
+    ("LC-REQ-ALL", 0x3421_92c7_89c7_8345, 0xc0e2_032b_0a75_77f1),
+    ("LC-DTIR-F1", 0x9cc2_ecec_961d_3b76, 0x1746_22e1_264f_a7a4),
+    ("LC-DTIR-F2", 0x3413_03d8_f5cc_f91c, 0xf4cc_169f_55b4_6391),
+    ("LC-DTIR-ALL", 0xff30_4c34_b830_4b7f, 0x1bc9_22b6_cc2c_9c28),
+    ("BJ-CABS-S", 0xbcdf_4580_c8da_3fd2, 0x0701_53a1_2794_9d1e),
+    ("BJ-CABS-E", 0x2651_4257_72f1_d079, 0x4692_f3ac_e41a_d9fc),
+    ("GOWALLA", 0x4b64_f6a1_72d7_8253, 0x5cf8_bb4c_8f2b_e164),
+    ("ADULT-2D", 0xb01d_5680_271a_9344, 0xfae8_e36a_49ce_7078),
+    ("SF-CABS-S", 0xfe67_4bc1_a0b5_e871, 0x51e8_5f36_8ebb_6846),
+    ("SF-CABS-E", 0x0924_83ec_67fe_1e7a, 0xa868_4de0_17ad_c371),
+    ("MD-SAL-2D", 0x8247_5789_e347_ddb2, 0x631c_0574_d989_7279),
+    ("LC-2D", 0xc977_63f8_b239_2adf, 0x6d7e_83af_960b_efae),
+    ("STROKE", 0xaf71_0ab9_1399_524a, 0xac3f_45d1_29db_b9b7),
+];
+
+#[test]
+fn catalog_shape_bits_are_pinned() {
+    let got: Vec<(&str, u64, u64)> = dpbench::datasets::catalog::all_datasets()
+        .iter()
+        .map(|d| {
+            let coarse = match d.base_domain {
+                Domain::D1(_) => Domain::D1(1024),
+                Domain::D2(..) => Domain::D2(128, 128),
+            };
+            (
+                d.name,
+                bits_digest(&d.shape(d.base_domain)),
+                bits_digest(&d.shape(coarse)),
+            )
+        })
+        .collect();
+    assert_eq!(got, SHAPE_DIGESTS);
 }
 
 /// The content fingerprint of the 64-cell Prefix workload.

@@ -2,7 +2,9 @@
 //! exactly the partition of the retained O(n²) DP, SF's cost-table DP and
 //! PHP's cached, eight-lane bisection must match their retained
 //! full-rescan oracles bit for bit, the flat hierarchy kernel must match the retained
-//! `MeasuredTree` pipeline bit for bit, MWEM's lazy-scale kernel must pass
+//! `MeasuredTree` pipeline bit for bit, the Hilbert quadrant descent and
+//! curve gather/scatter must match the retained perimeter scan and `d2xy`
+//! loops, MWEM's lazy-scale kernel must pass
 //! the kernel gate against its retained full-rescale kernel, and
 //! executions drawing scratch from a reused [`Workspace`] must be
 //! bit-identical to executions with fresh scratch.
@@ -19,8 +21,10 @@ use dpbench_core::{
     scaled_per_query_error, DataVector, Domain, Loss, Plan, Release, Workload, Workspace,
 };
 use dpbench_harness::competitive::kernel_gate;
+use dpbench_harness::config::WorkloadSpec;
 use dpbench_harness::repair::SideInfoRepair;
 use dpbench_harness::{ErrorSample, ResultStore, Setting};
+use dpbench_transforms::hilbert::{box_cover, box_cover_naive, d2xy, Curve};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -291,6 +295,78 @@ fn cached_php_equals_full_rescan() {
             };
             assert_eq!(bits(&a), bits(&b), "n={n} seed={seed} ε={eps}");
         }
+    }
+}
+
+/// The Hilbert quadrant descent must return the retained perimeter scan's
+/// interval on every box of the grid at sides 1, 2, 4, 8 and 16, on 10,000
+/// seeded random boxes at each of sides 128 and 256, and on the 2,000
+/// ranges of the `random:2000` workload DAWA and GREEDY_H plan at
+/// 128 × 128.
+#[test]
+fn hilbert_box_cover_equals_perimeter_scan() {
+    let check = |side: usize, r1: usize, c1: usize, r2: usize, c2: usize| {
+        assert_eq!(
+            box_cover(side, r1, c1, r2, c2),
+            box_cover_naive(side, r1, c1, r2, c2),
+            "side {side} box [{r1},{r2}]x[{c1},{c2}]"
+        );
+    };
+    for side in [1_usize, 2, 4, 8, 16] {
+        for r1 in 0..side {
+            for r2 in r1..side {
+                for c1 in 0..side {
+                    for c2 in c1..side {
+                        check(side, r1, c1, r2, c2);
+                    }
+                }
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x4B11);
+    for side in [128_usize, 256] {
+        for _ in 0..10_000 {
+            let (r1, c1) = (rng.gen_range(0..side), rng.gen_range(0..side));
+            let (r2, c2) = (rng.gen_range(r1..side), rng.gen_range(c1..side));
+            check(side, r1, c1, r2, c2);
+        }
+    }
+    let workload = WorkloadSpec::RandomRanges(2000).build(Domain::D2(128, 128));
+    for q in workload.queries() {
+        check(128, q.lo.0, q.lo.1, q.hi.0, q.hi.1);
+    }
+}
+
+/// A plan's curve must gather a grid into exactly the values, bit for
+/// bit, that the per-cell `d2xy` loop it replaced reads, and scatter them
+/// back exactly where that loop writes them.
+#[test]
+fn hilbert_curve_gather_scatter_equal_d2xy_loops() {
+    let mut rng = StdRng::seed_from_u64(0xC0_5E);
+    for side in [1_usize, 2, 4, 8, 16, 32, 64, 128] {
+        let n = side * side;
+        let curve = Curve::new(side);
+        let mut grid: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
+        grid[n / 2] = -0.0;
+        let mut want = vec![0.0; n];
+        for (d, slot) in want.iter_mut().enumerate() {
+            let (x, y) = d2xy(side, d);
+            *slot = grid[y * side + x];
+        }
+        let mut line = vec![0.0; n];
+        curve.flatten_into(&grid, &mut line);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&line), bits(&want), "gather at side {side}");
+
+        let line: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
+        let mut want = vec![0.0; n];
+        for (d, &v) in line.iter().enumerate() {
+            let (x, y) = d2xy(side, d);
+            want[y * side + x] = v;
+        }
+        let mut back = vec![f64::NAN; n];
+        curve.unflatten_into(&line, &mut back);
+        assert_eq!(bits(&back), bits(&want), "scatter at side {side}");
     }
 }
 

@@ -79,15 +79,6 @@ impl Ahp {
         }
     }
 
-    /// AHP★ with a custom trained schedule.
-    pub fn star_with_schedule(schedule: Vec<(f64, f64, f64)>) -> Self {
-        assert!(!schedule.is_empty());
-        Self {
-            name: "AHP*".into(),
-            params: AhpParams::Tuned(schedule),
-        }
-    }
-
     /// The (ρ, η) this mechanism runs at signal ε·scale. AHP★ must fix ρ
     /// before it spends any budget, so it runs its schedule's first ρ at
     /// every signal; only η follows the signal.

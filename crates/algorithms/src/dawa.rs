@@ -31,13 +31,11 @@
 //! DAWA is consistent (Theorem 3) and scale-ε exchangeable (Theorem 11).
 
 use crate::greedy_h::GreedyH;
-use dpbench_core::mechanism::{
-    check_planned_domain, fingerprint_words, DimSupport, Plan, PlanDiagnostics,
-};
+use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::laplace;
 use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Release,
-    Workload, Workspace,
+    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Workload,
+    Workspace,
 };
 use dpbench_transforms::hilbert;
 use dpbench_transforms::order_stats::SlidingDeviation;
@@ -309,55 +307,6 @@ pub fn l1_partition_naive(noisy: &[f64], eps1: f64, eps2: f64) -> Vec<(usize, us
     buckets
 }
 
-/// DAWA's reusable plan: the (data-independent) workload mapping —
-/// identity in 1-D, Hilbert covering intervals in 2-D — plus the stage
-/// configuration. Only the partition and measurement touch the data.
-struct DawaPlan {
-    domain: Domain,
-    /// The Hilbert curve a 2-D plan flattens its grid along, built once
-    /// with the plan.
-    curve: Option<hilbert::Curve>,
-    queries: Vec<RangeQuery>,
-    mech: Dawa,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for DawaPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain("DAWA", self.domain, x.domain())?;
-        let mark = budget.mark();
-        let estimate = match &self.curve {
-            None => self
-                .mech
-                .run_1d(x.counts(), &self.queries, ws, budget, rng)?,
-            Some(curve) => {
-                let mut flat = ws.take_f64(x.n_cells());
-                curve.flatten_into(x.counts(), &mut flat);
-                let est_flat = self.mech.run_1d(&flat, &self.queries, ws, budget, rng)?;
-                curve.unflatten_into(&est_flat, &mut flat);
-                ws.give_f64(est_flat);
-                flat
-            }
-        };
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
-    }
-}
-
 impl Mechanism for Dawa {
     fn info(&self) -> MechInfo {
         let mut info = MechInfo::new("DAWA", DimSupport::OneAndTwoD);
@@ -380,6 +329,9 @@ impl Mechanism for Dawa {
     }
 
     fn plan(&self, domain: &Domain, workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
+        // The workload mapping is data-independent: the queries themselves
+        // in 1-D, their Hilbert covering intervals (and the curve) in 2-D.
+        // Only the partition and the measurement touch the data.
         let (curve, queries) = match *domain {
             Domain::D1(_) => (None, workload.queries().to_vec()),
             Domain::D2(r, c) => {
@@ -400,13 +352,24 @@ impl Mechanism for Dawa {
                 (Some(hilbert::Curve::new(r)), intervals)
             }
         };
-        Ok(Box::new(DawaPlan {
-            domain: *domain,
-            curve,
-            queries,
-            mech: *self,
-            diagnostics: PlanDiagnostics::data_dependent("DAWA"),
-        }))
+        let mech = *self;
+        Ok(FnPlan::boxed(
+            *domain,
+            PlanDiagnostics::data_dependent("DAWA"),
+            move |x, ws, budget, rng| {
+                let Some(curve) = &curve else {
+                    return mech.run_1d(x.counts(), &queries, ws, budget, rng);
+                };
+                // 2-D: partition and measure the grid flattened along the
+                // plan's curve.
+                let mut flat = ws.take_f64(x.n_cells());
+                curve.flatten_into(x.counts(), &mut flat);
+                let est_flat = mech.run_1d(&flat, &queries, ws, budget, rng)?;
+                curve.unflatten_into(&est_flat, &mut flat);
+                ws.give_f64(est_flat);
+                Ok(flat)
+            },
+        ))
     }
 }
 

@@ -14,12 +14,9 @@
 //! budget allocation.
 
 use crate::hierarchy::{HierPool, Hierarchy};
-use dpbench_core::mechanism::{
-    check_planned_domain, fingerprint_words, DimSupport, Plan, PlanDiagnostics,
-};
+use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Release,
-    Workload, Workspace,
+    DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Workload, Workspace,
 };
 use dpbench_transforms::hilbert;
 use rand::RngCore;
@@ -165,67 +162,27 @@ impl Mechanism for GreedyH {
         let measured_levels = alloc_unit.iter().filter(|&&e| e > 0.0).count();
         let diagnostics =
             PlanDiagnostics::data_independent("GREEDY_H", hier.nodes.len(), measured_levels as f64);
-        Ok(Box::new(GreedyHPlan {
-            domain: *domain,
-            curve,
-            hier,
-            alloc_unit,
+        Ok(FnPlan::boxed(
+            *domain,
             diagnostics,
-        }))
-    }
-}
-
-/// GREEDY_H's reusable plan: hierarchy, per-level unit budget allocation,
-/// and (for 2-D) the Hilbert curve it flattens the grid along.
-struct GreedyHPlan {
-    domain: Domain,
-    /// The Hilbert curve a 2-D plan flattens its grid along, built once
-    /// with the plan.
-    curve: Option<hilbert::Curve>,
-    hier: Hierarchy,
-    /// Per-level ε allocation at unit budget (`ε_l` for ε = 1).
-    alloc_unit: Vec<f64>,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for GreedyHPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain("GREEDY_H", self.domain, x.domain())?;
-        let mark = budget.mark();
-        let eps = budget.spend_all_as("levels");
-        let level_eps: Vec<f64> = self.alloc_unit.iter().map(|&u| u * eps).collect();
-        let estimate = match &self.curve {
-            None => self.hier.measure_and_infer_with(x, &level_eps, ws, rng),
-            Some(curve) => {
+            move |x, ws, budget, rng| {
+                let eps = budget.spend_all_as("levels");
+                let level_eps: Vec<f64> = alloc_unit.iter().map(|&u| u * eps).collect();
+                let Some(curve) = &curve else {
+                    return Ok(hier.measure_and_infer_with(x, &level_eps, ws, rng));
+                };
+                // 2-D: measure the grid flattened along the plan's curve.
                 let n = x.n_cells();
                 let mut flat = ws.take_f64(n);
                 curve.flatten_into(x.counts(), &mut flat);
                 let flat_x = DataVector::new(flat, Domain::D1(n));
-                let est_flat = self
-                    .hier
-                    .measure_and_infer_with(&flat_x, &level_eps, ws, rng);
+                let est_flat = hier.measure_and_infer_with(&flat_x, &level_eps, ws, rng);
                 let mut grid = ws.take_f64(n);
                 curve.unflatten_into(&est_flat, &mut grid);
                 ws.give_f64(est_flat);
                 ws.give_f64(flat_x.into_counts());
-                grid
-            }
-        };
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
+                Ok(grid)
+            },
         ))
     }
 }

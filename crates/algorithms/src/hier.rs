@@ -17,63 +17,24 @@
 //! DPBench reference code does for its hierarchical methods.
 
 use crate::hierarchy::{optimal_branching_1d, optimal_branching_2d, Hierarchy};
-use dpbench_core::mechanism::{
-    check_planned_domain, fingerprint_words, DimSupport, Plan, PlanDiagnostics,
-};
-use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, Release, Workload, Workspace,
-};
-use rand::RngCore;
+use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
+use dpbench_core::{Domain, MechError, MechInfo, Mechanism, Workload};
 
 /// Shared plan for H and Hb: the hierarchy layout is fully determined by
 /// (domain, branching), so it is built once at plan time; execute only
 /// measures and infers. Budget is split uniformly across levels.
-pub(crate) struct HierPlan {
-    domain: Domain,
-    hier: Hierarchy,
-    diagnostics: PlanDiagnostics,
-}
-
-impl HierPlan {
-    pub(crate) fn build(name: &str, domain: Domain, branching: usize) -> Self {
-        let hier = Hierarchy::build(domain, branching, usize::MAX);
-        // Per level every record is counted at most once, so the
-        // measurement set's L1 sensitivity is the tree height.
-        let diagnostics =
-            PlanDiagnostics::data_independent(name, hier.nodes.len(), hier.height() as f64);
-        Self {
-            domain,
-            hier,
-            diagnostics,
-        }
-    }
-}
-
-impl Plan for HierPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain(&self.diagnostics.mechanism, self.domain, x.domain())?;
-        let mark = budget.mark();
+fn hier_plan(name: &str, domain: Domain, branching: usize) -> Box<dyn Plan> {
+    let hier = Hierarchy::build(domain, branching, usize::MAX);
+    // Per level every record is counted at most once, so the
+    // measurement set's L1 sensitivity is the tree height.
+    let diagnostics =
+        PlanDiagnostics::data_independent(name, hier.nodes.len(), hier.height() as f64);
+    FnPlan::boxed(domain, diagnostics, move |x, ws, budget, rng| {
         let eps = budget.spend_all_as("levels");
-        let per_level = eps / self.hier.height() as f64;
-        let level_eps = vec![per_level; self.hier.height()];
-        let estimate = self.hier.measure_and_infer_with(x, &level_eps, ws, rng);
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
-    }
+        let per_level = eps / hier.height() as f64;
+        let level_eps = vec![per_level; hier.height()];
+        Ok(hier.measure_and_infer_with(x, &level_eps, ws, rng))
+    })
 }
 
 /// The H mechanism (binary hierarchy, uniform budget, consistency).
@@ -110,7 +71,7 @@ impl Mechanism for H {
                 reason: format!("domain {domain} is not 1-D"),
             });
         }
-        Ok(Box::new(HierPlan::build("H", *domain, self.branching)))
+        Ok(hier_plan("H", *domain, self.branching))
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -147,14 +108,14 @@ impl Mechanism for Hb {
 
     fn plan(&self, domain: &Domain, _workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
         let b = Self::branching_for(domain);
-        Ok(Box::new(HierPlan::build("HB", *domain, b)))
+        Ok(hier_plan("HB", *domain, b))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpbench_core::{Loss, Workload};
+    use dpbench_core::{DataVector, Loss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

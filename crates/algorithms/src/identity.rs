@@ -7,52 +7,13 @@
 //! cannot beat IDENTITY does not justify its complexity (Principle 10,
 //! Finding 10).
 
-use dpbench_core::mechanism::{check_planned_domain, DimSupport, Plan, PlanDiagnostics};
+use dpbench_core::mechanism::{DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::laplace;
-use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, Release, Workload, Workspace,
-};
-use rand::RngCore;
+use dpbench_core::{Domain, MechError, MechInfo, Mechanism, Workload};
 
 /// The IDENTITY mechanism.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Identity;
-
-/// IDENTITY's plan: the strategy is the identity matrix — measure every
-/// cell once at sensitivity 1.
-struct IdentityPlan {
-    domain: Domain,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for IdentityPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain("IDENTITY", self.domain, x.domain())?;
-        let mark = budget.mark();
-        let eps = budget.spend_all_as("laplace-cells");
-        // Same noise stream as `laplace_vec`, but into a recycled buffer.
-        let mut estimate = ws.take_f64(x.n_cells());
-        for (e, &c) in estimate.iter_mut().zip(x.counts()) {
-            *e = c + laplace(1.0 / eps, rng);
-        }
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
-    }
-}
 
 impl Mechanism for Identity {
     fn info(&self) -> MechInfo {
@@ -62,17 +23,28 @@ impl Mechanism for Identity {
     }
 
     fn plan(&self, domain: &Domain, _workload: &Workload) -> Result<Box<dyn Plan>, MechError> {
-        Ok(Box::new(IdentityPlan {
-            domain: *domain,
-            diagnostics: PlanDiagnostics::data_independent("IDENTITY", domain.n_cells(), 1.0),
-        }))
+        // The strategy is the identity matrix: measure every cell once at
+        // sensitivity 1.
+        Ok(FnPlan::boxed(
+            *domain,
+            PlanDiagnostics::data_independent("IDENTITY", domain.n_cells(), 1.0),
+            |x, ws, budget, rng| {
+                let eps = budget.spend_all_as("laplace-cells");
+                // Same noise stream as `laplace_vec`, but into a recycled buffer.
+                let mut estimate = ws.take_f64(x.n_cells());
+                for (e, &c) in estimate.iter_mut().zip(x.counts()) {
+                    *e = c + laplace(1.0 / eps, rng);
+                }
+                Ok(estimate)
+            },
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpbench_core::{Domain, Loss};
+    use dpbench_core::{DataVector, Loss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -16,16 +16,10 @@
 //! "public error bounds" desideratum for data-independent algorithms, and
 //! the oracle against which the fast tree inference is cross-validated.
 
-use dpbench_core::mechanism::{
-    check_planned_domain, fingerprint_words, DimSupport, Plan, PlanDiagnostics,
-};
+use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::laplace;
-use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Release,
-    Workload, Workspace,
-};
+use dpbench_core::{Domain, MechError, MechInfo, Mechanism, Workload};
 use dpbench_transforms::matrix::{cholesky_solve_in_place, Matrix};
-use rand::RngCore;
 
 /// An explicit matrix-mechanism instance over a 1-D domain of size `n`.
 #[derive(Debug, Clone)]
@@ -144,19 +138,6 @@ impl MatrixMechanism {
         }
         Some(total)
     }
-
-    /// Per-query variance of a single range query (helper for bounds).
-    pub fn query_variance(&self, q: &RangeQuery, eps: f64) -> Option<f64> {
-        let n = self.strategy.cols();
-        let st = self.strategy.transpose();
-        let sts = st.matmul(&self.strategy);
-        let delta = self.sensitivity();
-        let mut w = vec![0.0; n];
-        w[q.lo.0..=q.hi.0].fill(1.0);
-        let z = sts.solve_spd(&w)?;
-        let quad: f64 = w.iter().zip(&z).map(|(a, b)| a * b).sum();
-        Some(2.0 * delta * delta / (eps * eps) * quad)
-    }
 }
 
 impl Mechanism for MatrixMechanism {
@@ -190,14 +171,27 @@ impl Mechanism for MatrixMechanism {
         let delta = self.sensitivity();
         let diagnostics =
             PlanDiagnostics::data_independent(self.name.clone(), self.strategy.rows(), delta);
-        Ok(Box::new(MatrixPlan {
-            domain: *domain,
-            strategy: self.strategy.clone(),
-            transpose: st,
-            factor,
-            delta,
+        let strategy = self.strategy.clone();
+        Ok(FnPlan::boxed(
+            *domain,
             diagnostics,
-        }))
+            move |x, ws, budget, rng| {
+                let eps = budget.spend_all_as("strategy-rows");
+                let mut answers = ws.take_f64(strategy.rows());
+                strategy.matvec_into(x.counts(), &mut answers);
+                for a in answers.iter_mut() {
+                    *a += laplace(delta / eps, rng);
+                }
+                // Least squares via the cached factorization: SᵀS·x̂ =
+                // Sᵀ·answers; the solve runs in place, so the rhs buffer
+                // becomes the estimate.
+                let mut estimate = ws.take_f64(st.rows());
+                st.matvec_into(&answers, &mut estimate);
+                cholesky_solve_in_place(&factor, &mut estimate);
+                ws.give_f64(answers);
+                Ok(estimate)
+            },
+        ))
     }
 
     fn config_fingerprint(&self) -> u64 {
@@ -205,56 +199,10 @@ impl Mechanism for MatrixMechanism {
     }
 }
 
-/// A matrix-mechanism plan: the strategy, its transpose, and the Cholesky
-/// factor of the normal matrix, ready for repeated least-squares solves.
-struct MatrixPlan {
-    domain: Domain,
-    strategy: Matrix,
-    transpose: Matrix,
-    factor: Matrix,
-    delta: f64,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for MatrixPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain(&self.diagnostics.mechanism, self.domain, x.domain())?;
-        let mark = budget.mark();
-        let eps = budget.spend_all_as("strategy-rows");
-        let mut answers = ws.take_f64(self.strategy.rows());
-        self.strategy.matvec_into(x.counts(), &mut answers);
-        for a in answers.iter_mut() {
-            *a += laplace(self.delta / eps, rng);
-        }
-        // Least squares via the cached factorization: SᵀS·x̂ = Sᵀ·answers;
-        // the solve runs in place, so the rhs buffer becomes the estimate.
-        let mut estimate = ws.take_f64(self.transpose.rows());
-        self.transpose.matvec_into(&answers, &mut estimate);
-        cholesky_solve_in_place(&self.factor, &mut estimate);
-        ws.give_f64(answers);
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpbench_core::{Domain, Loss};
+    use dpbench_core::{DataVector, Loss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -134,17 +134,6 @@ impl Mwem {
         }
     }
 
-    /// MWEM★ with a custom trained schedule.
-    pub fn star_with_schedule(schedule: Vec<(f64, usize)>) -> Self {
-        assert!(!schedule.is_empty());
-        Self {
-            name: "MWEM*".into(),
-            rounds: Rounds::Tuned(schedule),
-            scale_source: ScaleSource::Estimate(0.05),
-            mw_sweeps: 3,
-        }
-    }
-
     /// The number of rounds `T` this mechanism runs at signal ε·scale.
     pub fn pick_rounds(&self, signal: f64) -> usize {
         match &self.rounds {

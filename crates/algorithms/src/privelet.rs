@@ -11,16 +11,12 @@
 //! 2-D inputs use the standard (separable) decomposition with sensitivity
 //! `(log₂ r + 1)(log₂ c + 1)` and product weights.
 
-use dpbench_core::mechanism::{check_planned_domain, DimSupport, Plan, PlanDiagnostics};
+use dpbench_core::mechanism::{DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::laplace;
-use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, Release, Workload, Workspace,
-};
+use dpbench_core::{Domain, MechError, MechInfo, Mechanism, Workload};
 use dpbench_transforms::wavelet::{
     haar_forward, haar_forward_2d, haar_inverse, haar_inverse_2d, weight_for, weight_for_2d,
-    HaarCoeffs,
 };
-use rand::RngCore;
 
 /// The PRIVELET mechanism.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,80 +66,37 @@ impl Mechanism for Privelet {
             }
         };
         let diagnostics = PlanDiagnostics::data_independent("PRIVELET", domain.n_cells(), rho);
-        Ok(Box::new(PriveletPlan {
-            domain: *domain,
-            weights,
-            rho,
+        let domain = *domain;
+        Ok(FnPlan::boxed(
+            domain,
             diagnostics,
-        }))
-    }
-}
-
-/// PRIVELET's plan: the per-coefficient weight table and the weighted
-/// sensitivity of the Haar strategy.
-struct PriveletPlan {
-    domain: Domain,
-    weights: Vec<f64>,
-    rho: f64,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for PriveletPlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        _ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain("PRIVELET", self.domain, x.domain())?;
-        let mark = budget.mark();
-        let eps = budget.spend_all_as("coefficients");
-        let estimate = match self.domain {
-            Domain::D1(_) => {
-                let mut coeffs = haar_forward(x.counts());
-                for (c, &w) in coeffs.coeffs.iter_mut().zip(&self.weights) {
-                    *c += laplace(self.rho / (eps * w), rng);
-                }
-                haar_inverse(&coeffs)
-            }
-            Domain::D2(r, c) => {
-                let mut coeffs = haar_forward_2d(x.counts(), r, c);
-                for (v, &w) in coeffs.iter_mut().zip(&self.weights) {
-                    *v += laplace(self.rho / (eps * w), rng);
-                }
-                haar_inverse_2d(&coeffs, r, c)
-            }
-        };
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
+            move |x, _ws, budget, rng| {
+                let eps = budget.spend_all_as("coefficients");
+                Ok(match domain {
+                    Domain::D1(_) => {
+                        let mut coeffs = haar_forward(x.counts());
+                        for (c, &w) in coeffs.coeffs.iter_mut().zip(&weights) {
+                            *c += laplace(rho / (eps * w), rng);
+                        }
+                        haar_inverse(&coeffs)
+                    }
+                    Domain::D2(r, c) => {
+                        let mut coeffs = haar_forward_2d(x.counts(), r, c);
+                        for (v, &w) in coeffs.iter_mut().zip(&weights) {
+                            *v += laplace(rho / (eps * w), rng);
+                        }
+                        haar_inverse_2d(&coeffs, r, c)
+                    }
+                })
+            },
         ))
     }
-}
-
-/// Noise a pre-computed 1-D coefficient vector (exposed for tests and for
-/// composing PRIVELET-style measurement inside other pipelines).
-pub fn noisy_coeffs(coeffs: &HaarCoeffs, eps: f64, rng: &mut dyn RngCore) -> HaarCoeffs {
-    let mut out = coeffs.clone();
-    let rho = coeffs.sensitivity();
-    for i in 0..out.coeffs.len() {
-        let w = out.weight(i);
-        out.coeffs[i] += laplace(rho / (eps * w), rng);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpbench_core::{Loss, Workload};
+    use dpbench_core::{DataVector, Loss};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -15,14 +15,11 @@
 //!   but does not include it in the main evaluation).
 
 use crate::hierarchy::Hierarchy;
-use dpbench_core::mechanism::{
-    check_planned_domain, fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics,
-};
+use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::exponential_mechanism;
 use dpbench_core::query::PrefixTable;
 use dpbench_core::{
-    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Release,
-    Workload, Workspace,
+    BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Workload,
 };
 use rand::RngCore;
 
@@ -86,51 +83,21 @@ impl Mechanism for QuadTree {
         let hier = Hierarchy::build(*domain, 2, self.max_height);
         let diagnostics =
             PlanDiagnostics::data_independent("QUADTREE", hier.nodes.len(), hier.height() as f64);
-        Ok(Box::new(QuadTreePlan {
-            domain: *domain,
-            alloc_unit: Self::level_budgets(1.0, hier.height()),
-            hier,
+        // Geometric per-level allocation at unit budget.
+        let alloc_unit = Self::level_budgets(1.0, hier.height());
+        Ok(FnPlan::boxed(
+            *domain,
             diagnostics,
-        }))
+            move |x, ws, budget, rng| {
+                let eps = budget.spend_all_as("levels");
+                let level_eps: Vec<f64> = alloc_unit.iter().map(|&u| u * eps).collect();
+                Ok(hier.measure_and_infer_with(x, &level_eps, ws, rng))
+            },
+        ))
     }
 
     fn config_fingerprint(&self) -> u64 {
         fingerprint_words(&[self.max_height as u64])
-    }
-}
-
-/// QUADTREE's plan: the fixed spatial tree and its per-level allocation.
-struct QuadTreePlan {
-    domain: Domain,
-    hier: Hierarchy,
-    /// Geometric per-level allocation at unit budget.
-    alloc_unit: Vec<f64>,
-    diagnostics: PlanDiagnostics,
-}
-
-impl Plan for QuadTreePlan {
-    fn diagnostics(&self) -> &PlanDiagnostics {
-        &self.diagnostics
-    }
-
-    fn execute(
-        &self,
-        x: &DataVector,
-        ws: &mut Workspace,
-        budget: &mut BudgetLedger,
-        rng: &mut dyn RngCore,
-    ) -> Result<Release, MechError> {
-        check_planned_domain("QUADTREE", self.domain, x.domain())?;
-        let mark = budget.mark();
-        let eps = budget.spend_all_as("levels");
-        let level_eps: Vec<f64> = self.alloc_unit.iter().map(|&u| u * eps).collect();
-        let estimate = self.hier.measure_and_infer_with(x, &level_eps, ws, rng);
-        Ok(Release::from_ledger(
-            estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
     }
 }
 

@@ -44,11 +44,6 @@ impl DataVector {
         &self.counts
     }
 
-    /// Mutable access to the raw cell counts.
-    pub fn counts_mut(&mut self) -> &mut [f64] {
-        &mut self.counts
-    }
-
     /// Consume and return the raw counts.
     pub fn into_counts(self) -> Vec<f64> {
         self.counts

@@ -16,6 +16,12 @@
 //!    [`Release`] carrying the estimate, the per-step budget trace, and the
 //!    plan's strategy diagnostics.
 //!
+//! Every plan has one shape, [`FnPlan`]: a closure over whatever the plan
+//! phase precomputed (a hierarchy, a Cholesky factor, or just the
+//! configuration) that maps the data to an estimate. [`FnPlan`]'s
+//! `execute` is the one place that checks the planned domain, marks the
+//! ledger, slices the budget trace and assembles the [`Release`].
+//!
 //! [`Mechanism::run_eps`] remains as a one-line convenience shim for
 //! examples and tests; it plans, executes against a fresh ledger, and
 //! *unconditionally* rejects budget overdraws (Principle 5).
@@ -196,20 +202,6 @@ pub struct Release {
 }
 
 impl Release {
-    /// Assemble a release from the ledger records accumulated since `mark`.
-    pub fn from_ledger(
-        estimate: Vec<f64>,
-        ledger: &BudgetLedger,
-        mark: crate::budget::TraceMark,
-        diagnostics: PlanDiagnostics,
-    ) -> Self {
-        Self {
-            estimate,
-            budget_trace: ledger.trace_since(mark).to_vec(),
-            diagnostics,
-        }
-    }
-
     /// Total ε consumed by this execution (sum of the budget trace).
     pub fn spent(&self) -> f64 {
         self.budget_trace.iter().map(|r| r.epsilon).sum()
@@ -271,7 +263,8 @@ impl Release {
 }
 
 /// The executable second phase of a mechanism: all data-independent setup
-/// is done; `execute` performs only the private computation.
+/// is done; `execute` performs only the private computation. Every
+/// mechanism's plan is an [`FnPlan`], returned as `Box<dyn Plan>`.
 ///
 /// Plans hold no private data and no RNG state, so one plan can serve any
 /// number of concurrent executions (`Send + Sync`) and repeated executions
@@ -299,29 +292,15 @@ pub trait Plan: Send + Sync {
     ) -> Result<Release, MechError>;
 }
 
-/// Reject executions whose data vector does not match the planned domain.
-pub fn check_planned_domain(
-    mechanism: &str,
-    planned: Domain,
-    got: Domain,
-) -> Result<(), MechError> {
-    if planned == got {
-        Ok(())
-    } else {
-        Err(MechError::Unsupported {
-            mechanism: mechanism.to_string(),
-            reason: format!("plan was built for domain {planned}, data has domain {got}"),
-        })
-    }
-}
-
-/// A [`Plan`] wrapping a closure — the thin-plan adapter for
-/// **data-dependent** mechanisms, whose real work cannot happen before the
-/// data arrives. The closure captures the mechanism's configuration and
-/// the workload; domain checking, trace slicing, and [`Release`] assembly
-/// are handled here so algorithm code stays a plain
-/// `(x, ws, budget, rng) -> estimate` function, with `ws` the caller's
-/// [`Workspace`] for scratch buffers and per-worker memos.
+/// The one [`Plan`] shape: a closure from `(x, ws, budget, rng)` to the
+/// estimate, over whatever the mechanism precomputed at plan time (a
+/// hierarchy and its unit level allocation, a Hilbert curve, wavelet
+/// weights, a Cholesky factor, a mapped query list, or only its
+/// configuration). [`Plan::execute`] checks the planned domain, marks the
+/// ledger, runs the closure, and assembles the [`Release`] from the trace
+/// records drawn since the mark, so mechanism code is only the estimate
+/// computation; `ws` is the caller's [`Workspace`] for scratch buffers and
+/// per-worker memos.
 pub struct FnPlan<F> {
     domain: Domain,
     diagnostics: PlanDiagnostics,
@@ -372,15 +351,23 @@ where
         budget: &mut BudgetLedger,
         rng: &mut dyn RngCore,
     ) -> Result<Release, MechError> {
-        check_planned_domain(&self.diagnostics.mechanism, self.domain, x.domain())?;
+        if x.domain() != self.domain {
+            return Err(MechError::Unsupported {
+                mechanism: self.diagnostics.mechanism.clone(),
+                reason: format!(
+                    "plan was built for domain {}, data has domain {}",
+                    self.domain,
+                    x.domain()
+                ),
+            });
+        }
         let mark = budget.mark();
         let estimate = (self.f)(x, ws, budget, rng)?;
-        Ok(Release::from_ledger(
+        Ok(Release {
             estimate,
-            budget,
-            mark,
-            self.diagnostics.clone(),
-        ))
+            budget_trace: budget.trace_since(mark).to_vec(),
+            diagnostics: self.diagnostics.clone(),
+        })
     }
 }
 

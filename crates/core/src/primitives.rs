@@ -35,20 +35,6 @@ pub fn laplace_vec<R: Rng + ?Sized>(
     values.iter().map(|&v| v + laplace(scale, rng)).collect()
 }
 
-/// In-place variant of [`laplace_vec`].
-pub fn laplace_vec_inplace<R: Rng + ?Sized>(
-    values: &mut [f64],
-    sensitivity: f64,
-    epsilon: f64,
-    rng: &mut R,
-) {
-    assert!(epsilon > 0.0, "ε must be positive");
-    let scale = sensitivity / epsilon;
-    for v in values.iter_mut() {
-        *v += laplace(scale, rng);
-    }
-}
-
 /// The exponential mechanism: select an index `i` with probability
 /// proportional to `exp(ε·score[i] / (2·sensitivity))`.
 ///

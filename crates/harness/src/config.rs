@@ -178,37 +178,6 @@ pub fn is_valid_identifier(s: &str) -> bool {
 }
 
 impl ExperimentConfig {
-    /// The paper's 1-D defaults: Prefix workload, L2 loss, 5 samples × 10
-    /// trials (callers shrink those for quick runs).
-    pub fn defaults_1d(datasets: Vec<Dataset>, algorithms: Vec<String>) -> Self {
-        Self {
-            datasets,
-            scales: vec![1_000, 100_000, 10_000_000],
-            domains: vec![Domain::D1(4096)],
-            epsilons: vec![0.1],
-            algorithms,
-            n_samples: 5,
-            n_trials: 10,
-            workload: WorkloadSpec::Prefix,
-            loss: Loss::L2,
-        }
-    }
-
-    /// The paper's 2-D defaults: 2000 random ranges, 128×128 domain.
-    pub fn defaults_2d(datasets: Vec<Dataset>, algorithms: Vec<String>) -> Self {
-        Self {
-            datasets,
-            scales: vec![10_000, 1_000_000, 100_000_000],
-            domains: vec![Domain::D2(128, 128)],
-            epsilons: vec![0.1],
-            algorithms,
-            n_samples: 5,
-            n_trials: 10,
-            workload: WorkloadSpec::RandomRanges(2000),
-            loss: Loss::L2,
-        }
-    }
-
     /// All settings in the grid.
     pub fn settings(&self) -> Vec<Setting> {
         let mut out = Vec::new();

@@ -4,7 +4,8 @@
 //!
 //! The workspace is offline-vendored (no hyper, no serde), so this layer
 //! implements exactly the subset the server needs: `GET`/`POST`, header
-//! parsing, `Content-Length` bodies, persistent connections, and JSON
+//! parsing, bodies framed by one `Content-Length` (a repeated one or any
+//! `Transfer-Encoding` is refused), persistent connections, and JSON
 //! bodies that are a single flat object of string / number / boolean /
 //! null values.
 //!
@@ -152,7 +153,19 @@ pub fn try_parse_with(buf: &mut Vec<u8>, scratch: &mut Vec<u8>) -> Result<Option
                 format!("bad header line {line:?}"),
             ));
         };
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+        let name = name.trim().to_ascii_lowercase();
+        // One body framing: a single `Content-Length`. A second one, or a
+        // `Transfer-Encoding`, is how request smuggling makes two parsers
+        // disagree about where a body ends.
+        if name == "transfer-encoding" || (name == "content-length" && headers.contains_key(&name))
+        {
+            return Err(Reject::new(
+                400,
+                "bad_content_length",
+                format!("{line:?}: a body is framed by exactly one Content-Length"),
+            ));
+        }
+        headers.insert(name, value.trim().to_string());
     }
     let content_length: usize = match headers.get("content-length") {
         None => 0,
@@ -203,46 +216,13 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Write one `application/json` response; `close` controls the
-/// `Connection` header (and whether the caller should drop the stream).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    close: bool,
-) -> io::Result<()> {
-    write_response_ex(stream, status, body, close, None)
-}
-
-/// [`write_response`] with an optional `Retry-After: N` header — the
-/// contractual half of load shedding and rate limiting: a 429/503
-/// without a retry hint just teaches clients to hammer.
-pub fn write_response_ex<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &str,
-    close: bool,
-    retry_after_s: Option<u64>,
-) -> io::Result<()> {
-    let retry = match retry_after_s {
-        Some(s) => format!("Retry-After: {s}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry}Connection: {}\r\n\r\n",
-        body.len(),
-        if close { "close" } else { "keep-alive" },
-        reason = reason(status),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
-/// Serialize one complete response (head + body) into `out` without any
-/// I/O — the event-driven scheduler appends into a per-connection output
-/// buffer it flushes nonblockingly, so responses survive a peer that
-/// stalls mid-read.
+/// Serialize one complete `application/json` response (head + body) into
+/// `out` without any I/O — the event-driven scheduler appends into a
+/// per-connection output buffer it flushes nonblockingly, so responses
+/// survive a peer that stalls mid-read. `close` sets the `Connection`
+/// header; `retry_after_s` adds `Retry-After: N`, the contractual half of
+/// load shedding and rate limiting (a 429/503 without a retry hint just
+/// teaches clients to hammer).
 pub fn write_response_into(
     out: &mut Vec<u8>,
     status: u16,
@@ -554,7 +534,16 @@ mod tests {
 
     #[test]
     fn hostile_content_length_values_are_400s() {
-        for bad in ["-1", "+5", "4e2", "0x10", "", "9999999999999999999999999"] {
+        for bad in [
+            "-1",
+            "+5",
+            "4e2",
+            "0x10",
+            "",
+            "9999999999999999999999999",
+            "5\r\nContent-Length: 12",
+            "2\r\nTransfer-Encoding: chunked",
+        ] {
             let mut buf = format!("POST /x HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n").into_bytes();
             let rej = try_parse(&mut buf).unwrap_err();
             assert_eq!(rej.status, 400, "Content-Length {bad:?}");
@@ -625,21 +614,6 @@ mod tests {
         // The serve loop hands the allocation back for the next request.
         scratch = std::mem::take(&mut req.body);
         assert_eq!(scratch.capacity(), cap_before, "allocation is recycled");
-    }
-
-    #[test]
-    fn write_response_into_matches_the_streaming_writer() {
-        for (status, close, retry) in [(200, false, None), (503, true, Some(3_u64))] {
-            let mut streamed = Vec::new();
-            write_response_ex(&mut streamed, status, "{\"x\":1}", close, retry).unwrap();
-            let mut buffered = Vec::new();
-            write_response_into(&mut buffered, status, "{\"x\":1}", close, retry);
-            assert_eq!(
-                String::from_utf8_lossy(&buffered),
-                String::from_utf8_lossy(&streamed),
-                "status {status}"
-            );
-        }
     }
 
     #[test]

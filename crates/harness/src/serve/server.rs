@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -332,58 +332,92 @@ impl ServerState {
         self.poller.stats()
     }
 
-    /// Read and parse the tenant-config file without applying anything
-    /// — the commit half is [`TenantAccountant::reload`].
-    fn stage_tenants(&self) -> io::Result<Vec<(String, f64)>> {
-        let Some(path) = &self.tenant_config else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "no --tenant-config file to reload from",
-            ));
+    /// Re-read the tenant-config file and the selection profile
+    /// (whichever are configured) and apply both: the one reload path
+    /// behind SIGHUP and `POST /v1/admin/reload`. Both files are parsed
+    /// before either is applied, so a bad profile cannot leave freshly
+    /// committed tenant grants behind as a partial reload. Returns the
+    /// grant changes and, when a profile was loaded, its cell count.
+    pub fn reload(&self) -> Result<(ReloadOutcome, Option<usize>), ReloadError> {
+        if self.tenant_config.is_none() && self.profile_path.is_none() {
+            return Err(ReloadError {
+                status: 409,
+                code: "no_tenant_config",
+                error: io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "nothing to reload: neither --tenant-config nor --profile configured",
+                ),
+            });
+        }
+        // A file that does not parse is the caller's 400; failing to
+        // read or apply one is the server's 500.
+        let refused = |bad: &'static str, error: io::Error| {
+            let invalid = error.kind() == io::ErrorKind::InvalidData;
+            ReloadError {
+                status: if invalid { 400 } else { 500 },
+                code: if invalid { bad } else { "reload_failed" },
+                error,
+            }
         };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        parse_tenant_grants(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Read and parse the selection-profile file without applying
-    /// anything — the commit half is [`apply_profile`](Self::apply_profile).
-    fn stage_profile(&self) -> io::Result<SelectionProfile> {
-        let Some(path) = &self.profile_path else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "no --profile file to reload from",
-            ));
+        let grants = match &self.tenant_config {
+            Some(path) => Some(stage_tenants(path).map_err(|e| refused("bad_tenant_config", e))?),
+            None => None,
         };
-        SelectionProfile::read_file(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
-    }
-
-    /// Swap a staged profile in.
-    fn apply_profile(&self, profile: SelectionProfile) {
-        *self.selector.lock().expect("selector poisoned") = Some(Arc::new(profile));
-        self.selector_stats.reloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Re-read the tenant-config file and apply the grants (see
-    /// [`TenantAccountant::reload`]).
-    pub fn reload_tenants(&self) -> io::Result<ReloadOutcome> {
-        let grants = self.stage_tenants()?;
-        self.accountant.reload(&grants)
-    }
-
-    /// Re-read the selection-profile file and swap it in. Errors leave
-    /// the previously-loaded profile serving.
-    pub fn reload_profile(&self) -> io::Result<()> {
-        let profile = self.stage_profile()?;
-        self.apply_profile(profile);
-        Ok(())
+        let profile = match &self.profile_path {
+            Some(path) => Some(stage_profile(path).map_err(|e| refused("bad_profile", e))?),
+            None => None,
+        };
+        let outcome = match grants {
+            Some(grants) => self
+                .accountant
+                .reload(&grants)
+                .map_err(|error| ReloadError {
+                    status: 500,
+                    code: "reload_failed",
+                    error,
+                })?,
+            None => ReloadOutcome::default(),
+        };
+        let profile_cells = profile.map(|profile| {
+            let cells = profile.cells.len();
+            *self.selector.lock().expect("selector poisoned") = Some(Arc::new(profile));
+            self.selector_stats.reloads.fetch_add(1, Ordering::Relaxed);
+            cells
+        });
+        Ok((outcome, profile_cells))
     }
 
     /// The currently-loaded selection profile, if any.
     fn current_profile(&self) -> Option<Arc<SelectionProfile>> {
         self.selector.lock().expect("selector poisoned").clone()
     }
+}
+
+/// Read and parse a tenant-config file without applying anything — the
+/// commit half is [`TenantAccountant::reload`].
+fn stage_tenants(path: &Path) -> io::Result<Vec<(String, f64)>> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+    parse_tenant_grants(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// Read and parse a selection-profile file, as startup and every reload
+/// do.
+fn stage_profile(path: &Path) -> io::Result<SelectionProfile> {
+    SelectionProfile::read_file(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+}
+
+/// A refused reload, of which nothing was applied: the status and error
+/// code `POST /v1/admin/reload` answers with, and the cause SIGHUP logs.
+#[derive(Debug)]
+pub struct ReloadError {
+    /// HTTP status: 409, 400 or 500.
+    pub(crate) status: u16,
+    /// Stable machine-readable error code for the JSON body.
+    pub(crate) code: &'static str,
+    /// What went wrong.
+    pub error: io::Error,
 }
 
 /// Handle to a started server: address, state, and shutdown.
@@ -403,41 +437,6 @@ impl ServerHandle {
     /// The live server state (counters, accountant, plan cache).
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
-    }
-
-    /// True once shutdown has been requested.
-    pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Hot-reload from the configured files (the SIGHUP handler path):
-    /// tenant grants if `--tenant-config` was given, and the selection
-    /// profile if `--profile` was. Both files are parsed before either
-    /// is applied, so an error from one aborts the whole reload without
-    /// leaving the other half-committed.
-    pub fn reload(&self) -> io::Result<ReloadOutcome> {
-        if self.state.tenant_config.is_none() && self.state.profile_path.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "nothing to reload: neither --tenant-config nor --profile configured",
-            ));
-        }
-        let grants = match self.state.tenant_config {
-            Some(_) => Some(self.state.stage_tenants()?),
-            None => None,
-        };
-        let profile = match self.state.profile_path {
-            Some(_) => Some(self.state.stage_profile()?),
-            None => None,
-        };
-        let outcome = match grants {
-            Some(g) => self.state.accountant.reload(&g)?,
-            None => ReloadOutcome::default(),
-        };
-        if let Some(p) = profile {
-            self.state.apply_profile(p);
-        }
-        Ok(outcome)
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests, join
@@ -500,11 +499,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         datasets.insert(name.clone(), LoadedDataset { x, shape });
     }
     let selector = match &config.profile {
-        Some(path) => {
-            let profile = SelectionProfile::read_file(path)
-                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-            Some(Arc::new(profile))
-        }
+        Some(path) => Some(Arc::new(stage_profile(path)?)),
         None => None,
     };
     let accountant = TenantAccountant::new(&config.tenants, config.journal.as_deref())?;
@@ -748,9 +743,9 @@ fn admit_conn(stream: TcpStream, state: &ServerState) {
         // Best-effort one-shot 503: a short write deadline so a client
         // that refuses to read can't stall the accepting worker.
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-        let mut s = &stream;
-        let _ = http::write_response_ex(
-            &mut s,
+        let mut wire = Vec::new();
+        http::write_response_into(
+            &mut wire,
             503,
             &error_json(
                 "overloaded",
@@ -763,6 +758,7 @@ fn admit_conn(stream: TcpStream, state: &ServerState) {
             true,
             Some(1),
         );
+        let _ = (&stream).write_all(&wire);
         return; // dropped, never parked
     }
     state.conn_count.fetch_add(1, Ordering::Relaxed);
@@ -1090,53 +1086,12 @@ fn handle_readyz(state: &ServerState, stopping: bool, out: &mut String) -> RespM
     RespMeta::new(200)
 }
 
-/// `POST /v1/admin/reload`: parse the tenant-config file and the
-/// selection profile (whichever are configured), then apply both —
-/// staging before applying so a bad profile can't leave freshly
-/// committed tenant grants behind as a partial reload.
+/// `POST /v1/admin/reload`: [`ServerState::reload`], answered as JSON.
 fn handle_reload(state: &ServerState, out: &mut String) -> RespMeta {
-    if state.tenant_config.is_none() && state.profile_path.is_none() {
-        return err_meta(
-            out,
-            409,
-            "no_tenant_config",
-            "server was started without --tenant-config or --profile; nothing to reload",
-        );
-    }
-    let grants = if state.tenant_config.is_some() {
-        match state.stage_tenants() {
-            Ok(grants) => Some(grants),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return err_meta(out, 400, "bad_tenant_config", &e.to_string())
-            }
-            Err(e) => return err_meta(out, 500, "reload_failed", &e.to_string()),
-        }
-    } else {
-        None
+    let (outcome, profile_cells) = match state.reload() {
+        Ok(reloaded) => reloaded,
+        Err(e) => return err_meta(out, e.status, e.code, &e.error.to_string()),
     };
-    let profile = if state.profile_path.is_some() {
-        match state.stage_profile() {
-            Ok(profile) => Some(profile),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return err_meta(out, 400, "bad_profile", &e.to_string())
-            }
-            Err(e) => return err_meta(out, 500, "reload_failed", &e.to_string()),
-        }
-    } else {
-        None
-    };
-    let outcome = match grants {
-        Some(grants) => match state.accountant.reload(&grants) {
-            Ok(outcome) => outcome,
-            Err(e) => return err_meta(out, 500, "reload_failed", &e.to_string()),
-        },
-        None => ReloadOutcome::default(),
-    };
-    let mut profile_cells = None;
-    if let Some(profile) = profile {
-        profile_cells = Some(profile.cells.len());
-        state.apply_profile(profile);
-    }
     let _ = write!(
         out,
         "{{\"reloaded\":true,\"added\":{},\"extended\":{},\"shrunk\":{},\"unchanged\":{},\"tenants\":{}",

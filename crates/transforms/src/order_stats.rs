@@ -215,12 +215,6 @@ impl SlidingDeviation {
         }
     }
 
-    /// Prefix sums of the prepared vector (`prefix[i] = Σ values[..i]`),
-    /// accumulated left to right exactly like a scalar loop.
-    pub fn prefix_sums(&self) -> &[f64] {
-        &self.prefix
-    }
-
     /// Write into `out[i]` (for `i ∈ [window, n]`) the L1 deviation of
     /// `values[i-window..i]` around that window's mean; entries below
     /// `window` are left untouched. `values` must be the slice passed to

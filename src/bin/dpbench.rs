@@ -925,12 +925,12 @@ fn serve_cmd(a: &Args) -> Result<ExitCode, String> {
         if shutdown::take_reload() {
             // SIGHUP: re-read the tenant config (and selection profile,
             // when one is configured) and apply them in place.
-            match handle.reload() {
-                Ok(o) => eprintln!(
+            match handle.state().reload() {
+                Ok((o, _)) => eprintln!(
                     "config reloaded: {} added, {} extended, {} shrunk, {} unchanged",
                     o.added, o.extended, o.shrunk, o.unchanged
                 ),
-                Err(e) => eprintln!("reload failed (config unchanged): {e}"),
+                Err(e) => eprintln!("reload failed (config unchanged): {}", e.error),
             }
         }
         std::thread::sleep(Duration::from_millis(50));

@@ -10,8 +10,11 @@
 //! a 2-D `Runner` ledger are pinned the same way, captured before the
 //! flat hierarchy kernel and the per-run shape memo replaced the code that
 //! produced them; so is every catalog dataset's shape, captured before
-//! workers built shapes concurrently.
+//! workers built shapes concurrently, and every plan-precomputing
+//! mechanism's estimates, `PlanDiagnostics` and first release body,
+//! captured before their hand-written plans became `FnPlan` closures.
 
+use dpbench::algorithms::matrix_mechanism::MatrixMechanism;
 use dpbench::algorithms::quadtree::QuadTree;
 use dpbench::core::budget::SpendRecord;
 use dpbench::core::json::{self, Value};
@@ -390,21 +393,31 @@ fn error_body_escapes_quotes_backslashes_and_control_bytes() {
 /// FNV-1a over the bit patterns of `values`: one word that pins every bit
 /// of an estimate.
 fn bits_digest(values: &[f64]) -> u64 {
-    values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        v.to_bits()
-            .to_le_bytes()
-            .iter()
-            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-    })
+    values
+        .iter()
+        .fold(FNV_BASIS, |h, v| fnv(h, &v.to_bits().to_le_bytes()))
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a state `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// Estimate digests of every mechanism that measures and infers over a
 /// `Hierarchy` (GREEDY_H and DAWA flatten 2-D grids along the Hilbert
 /// curve; QUADTREE at height 3 leaves unresolved leaves; SF runs one
 /// hierarchy per bucket, and its second trial reuses the first's
-/// V-optimal table), plus PHP's bisection, two trials each on seeded
-/// integer counts.
-const ESTIMATE_DIGESTS: [(&str, u64); 13] = [
+/// V-optimal table), plus PHP's bisection, IDENTITY's noisy cells,
+/// PRIVELET's noisy wavelet coefficients and the matrix mechanism's
+/// least-squares solve, two trials each on seeded integer counts. H's
+/// per-level `ε / height` equals `(1 / height)·ε` bit for bit at the
+/// heights of 1,000 cells (11) and HB's trees, but not at 512 cells (10),
+/// so "H 512" pins H's own division.
+const ESTIMATE_DIGESTS: [(&str, u64); 19] = [
     ("H 1000", 0xa9f0_198b_9fcf_fc38),
     ("HB 1000", 0xf970_1029_bb3f_7473),
     ("HB 24x40", 0xa9a4_c1d1_6802_ed04),
@@ -418,11 +431,69 @@ const ESTIMATE_DIGESTS: [(&str, u64); 13] = [
     ("SF 4096", 0xce24_4faf_a23b_45f9),
     ("PHP 1000", 0x9aef_1279_6994_3648),
     ("PHP 4096", 0x9562_8b09_e2f0_1651),
+    ("IDENTITY 1000", 0xc830_bd02_5f27_8bbf),
+    ("IDENTITY 24x40", 0x4695_928f_5bea_05a9),
+    ("PRIVELET 1024", 0xc00c_35d5_da9d_ee11),
+    ("PRIVELET 32x32", 0xe78c_c515_171f_25c9),
+    ("MM-H2 64", 0x9825_5224_9fb7_d7cf),
+    ("H 512", 0x1230_fb24_9fa7_5014),
+];
+
+/// A case label and its plan's `PlanDiagnostics` fields.
+type DiagnosticsRow = (&'static str, &'static str, bool, Option<usize>, Option<f64>);
+
+/// Each case's `PlanDiagnostics`: mechanism, `data_independent`,
+/// measurements and sensitivity.
+const PLAN_DIAGNOSTICS: [DiagnosticsRow; 19] = [
+    ("H 1000", "H", true, Some(1999), Some(11.0)),
+    ("HB 1000", "HB", true, Some(1111), Some(4.0)),
+    ("HB 24x40", "HB", true, Some(1010), Some(3.0)),
+    ("GREEDY_H 1000", "GREEDY_H", true, Some(1999), Some(11.0)),
+    ("GREEDY_H 32x32", "GREEDY_H", true, Some(2047), Some(10.0)),
+    ("QUADTREE 24x40", "QUADTREE", true, Some(1493), Some(7.0)),
+    ("QUADTREE/3 40x24", "QUADTREE", true, Some(21), Some(3.0)),
+    ("DAWA 1000", "DAWA", false, None, None),
+    ("DAWA 32x32", "DAWA", false, None, None),
+    ("SF 1000", "SF", false, None, None),
+    ("SF 4096", "SF", false, None, None),
+    ("PHP 1000", "PHP", false, None, None),
+    ("PHP 4096", "PHP", false, None, None),
+    ("IDENTITY 1000", "IDENTITY", true, Some(1000), Some(1.0)),
+    ("IDENTITY 24x40", "IDENTITY", true, Some(960), Some(1.0)),
+    ("PRIVELET 1024", "PRIVELET", true, Some(1024), Some(11.0)),
+    ("PRIVELET 32x32", "PRIVELET", true, Some(1024), Some(36.0)),
+    ("MM-H2 64", "MM-H2", true, Some(127), Some(7.0)),
+    ("H 512", "H", true, Some(1023), Some(10.0)),
+];
+
+/// FNV digests of each case's first `Release::to_json()` body, which
+/// carries the name, the `data_independent` bit, every trace label and ε,
+/// and the estimate.
+const RELEASE_JSON_DIGESTS: [(&str, u64); 19] = [
+    ("H 1000", 0x511f_cf6e_ff2e_6eb5),
+    ("HB 1000", 0xf4f3_64a0_57cb_4d47),
+    ("HB 24x40", 0xb540_3631_9e17_7fbb),
+    ("GREEDY_H 1000", 0x8d24_7e15_882d_b235),
+    ("GREEDY_H 32x32", 0x8fb6_ec53_66b4_8586),
+    ("QUADTREE 24x40", 0x27ae_bbea_ac7c_c870),
+    ("QUADTREE/3 40x24", 0xcd98_68a3_03ec_4568),
+    ("DAWA 1000", 0x7d6c_212c_a455_bf57),
+    ("DAWA 32x32", 0xced9_f679_185d_c758),
+    ("SF 1000", 0x37c9_7415_ea7d_91de),
+    ("SF 4096", 0x5478_9075_005f_4cf6),
+    ("PHP 1000", 0x7bda_1f67_b992_a31c),
+    ("PHP 4096", 0x0077_0c9c_537d_fa0f),
+    ("IDENTITY 1000", 0xc7d4_d18c_ef86_8e8c),
+    ("IDENTITY 24x40", 0xd293_2dd6_a801_a8d9),
+    ("PRIVELET 1024", 0x86e7_e865_0eb6_6af5),
+    ("PRIVELET 32x32", 0xd33f_1a66_8856_5426),
+    ("MM-H2 64", 0xd2cb_6783_ea67_8ddb),
+    ("H 512", 0x0e1d_95ad_1646_e9ff),
 ];
 
 #[test]
 fn hierarchical_estimate_bits_are_pinned() {
-    let cases: [(&str, Box<dyn Mechanism>, Domain); 13] = [
+    let cases: [(&str, Box<dyn Mechanism>, Domain); 19] = [
         ("H 1000", mechanism_by_name("H").unwrap(), Domain::D1(1000)),
         (
             "HB 1000",
@@ -484,8 +555,36 @@ fn hierarchical_estimate_bits_are_pinned() {
             mechanism_by_name("PHP").unwrap(),
             Domain::D1(4096),
         ),
+        (
+            "IDENTITY 1000",
+            mechanism_by_name("IDENTITY").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "IDENTITY 24x40",
+            mechanism_by_name("IDENTITY").unwrap(),
+            Domain::D2(24, 40),
+        ),
+        (
+            "PRIVELET 1024",
+            mechanism_by_name("PRIVELET").unwrap(),
+            Domain::D1(1024),
+        ),
+        (
+            "PRIVELET 32x32",
+            mechanism_by_name("PRIVELET").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "MM-H2 64",
+            Box::new(MatrixMechanism::hierarchical(64, 2)),
+            Domain::D1(64),
+        ),
+        ("H 512", mechanism_by_name("H").unwrap(), Domain::D1(512)),
     ];
     let mut ws = Workspace::new();
+    let mut diagnostics = Vec::new();
+    let mut json_digests = Vec::new();
     let got: Vec<(&str, u64)> = cases
         .iter()
         .enumerate()
@@ -504,8 +603,19 @@ fn hierarchical_estimate_bits_are_pinned() {
             };
             let plan = mech.plan(domain, &workload).unwrap();
             let mut bits = Vec::new();
-            for _ in 0..2 {
+            for trial in 0..2 {
                 let release = execute_eps_with(plan.as_ref(), &x, 0.1, &mut ws, &mut rng).unwrap();
+                if trial == 0 {
+                    let d = plan.diagnostics();
+                    diagnostics.push((
+                        *label,
+                        d.mechanism.clone(),
+                        d.data_independent,
+                        d.measurements,
+                        d.sensitivity,
+                    ));
+                    json_digests.push((*label, fnv(FNV_BASIS, release.to_json().as_bytes())));
+                }
                 bits.extend_from_slice(&release.estimate);
                 ws.give_f64(release.into_estimate());
             }
@@ -513,6 +623,20 @@ fn hierarchical_estimate_bits_are_pinned() {
         })
         .collect();
     assert_eq!(got, ESTIMATE_DIGESTS);
+    let pinned: Vec<_> = PLAN_DIAGNOSTICS
+        .iter()
+        .map(|&(label, name, independent, measurements, sensitivity)| {
+            (
+                label,
+                name.to_string(),
+                independent,
+                measurements,
+                sensitivity,
+            )
+        })
+        .collect();
+    assert_eq!(diagnostics, pinned);
+    assert_eq!(json_digests, RELEASE_JSON_DIGESTS);
 }
 
 /// FNV digests of `Dataset::shape` for every catalog dataset, at its base

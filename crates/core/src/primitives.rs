@@ -43,6 +43,20 @@ pub fn laplace_vec<R: Rng + ?Sized>(
 /// `argmaxᵢ(ε·uᵢ/(2Δ) + Gᵢ)` with i.i.d. standard Gumbel noise `Gᵢ` is
 /// distributed exactly as the exponential mechanism.
 ///
+/// Returns the index [`exponential_mechanism_naive`] returns and leaves
+/// `rng` in the same state: it draws one uniform `u` per candidate, in
+/// order, but takes the two logarithms of `G = −ln(−ln u)` only for a
+/// candidate that could still win. Since `ln u ≤ u − 1`, `−ln u ≥ 1 − u`
+/// and so `G ≤ −ln(1 − u)`. The uniform is a multiple of `2⁻⁵³` in
+/// `[0, 1)`, so `1 − u` is computed exactly, and if its binary exponent is
+/// `−k` then `1 − u ≥ 2⁻ᵏ` and `G ≤ k·ln 2`. Adding a margin far above
+/// libm's few-ulp error in the two logarithms (`|G| < 37`) gives a bound
+/// `b ≥ Ĝ` on the computed Gumbel value, and because rounding is monotone,
+/// `fl(f·s + b) ≤ best` implies `fl(f·s + Ĝ) ≤ best`: the full loop would
+/// not have taken that candidate either. The running time therefore
+/// depends on the scores (how many candidates pass the bound), like AHP's
+/// and DAWA's already do.
+///
 /// Higher scores are better. Panics on an empty score slice.
 pub fn exponential_mechanism<R: Rng + ?Sized>(
     scores: &[f64],
@@ -50,18 +64,16 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     epsilon: f64,
     rng: &mut R,
 ) -> usize {
-    assert!(
-        !scores.is_empty(),
-        "exponential mechanism over empty choice set"
-    );
-    assert!(sensitivity > 0.0, "sensitivity must be positive");
-    assert!(epsilon >= 0.0, "ε must be non-negative");
-    let factor = epsilon / (2.0 * sensitivity);
+    let factor = gumbel_max_factor(scores, sensitivity, epsilon);
     let mut best = 0;
     let mut best_val = f64::NEG_INFINITY;
     for (i, &s) in scores.iter().enumerate() {
-        let g = gumbel(rng);
-        let v = factor * s + g;
+        let u = positive_uniform(rng);
+        let base = factor * s;
+        if base + gumbel_bound(u) <= best_val {
+            continue;
+        }
+        let v = base + gumbel_of(u);
         if v > best_val {
             best_val = v;
             best = i;
@@ -70,11 +82,62 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     best
 }
 
-/// One standard Gumbel(0, 1) sample.
+/// The reference Gumbel-max loop [`exponential_mechanism`] must match: it
+/// computes every candidate's Gumbel value.
+pub fn exponential_mechanism_naive<R: Rng + ?Sized>(
+    scores: &[f64],
+    sensitivity: f64,
+    epsilon: f64,
+    rng: &mut R,
+) -> usize {
+    let factor = gumbel_max_factor(scores, sensitivity, epsilon);
+    let mut best = 0;
+    let mut best_val = f64::NEG_INFINITY;
+    for (i, &s) in scores.iter().enumerate() {
+        let v = factor * s + gumbel_of(positive_uniform(rng));
+        if v > best_val {
+            best_val = v;
+            best = i;
+        }
+    }
+    best
+}
+
+/// Check the exponential mechanism's arguments and return the score
+/// factor `ε / (2·sensitivity)`.
+fn gumbel_max_factor(scores: &[f64], sensitivity: f64, epsilon: f64) -> f64 {
+    assert!(
+        !scores.is_empty(),
+        "exponential mechanism over empty choice set"
+    );
+    assert!(sensitivity > 0.0, "sensitivity must be positive");
+    assert!(epsilon >= 0.0, "ε must be non-negative");
+    epsilon / (2.0 * sensitivity)
+}
+
+/// One uniform draw in `(0, 1)`: a multiple of `2⁻⁵³`, or the smallest
+/// normal float in place of 0.
 #[inline]
-fn gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+fn positive_uniform<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    rng.gen::<f64>().max(f64::MIN_POSITIVE)
+}
+
+/// The standard Gumbel(0, 1) sample of uniform `u`.
+#[inline]
+fn gumbel_of(u: f64) -> f64 {
     -(-u.ln()).ln()
+}
+
+/// An upper bound on [`gumbel_of`]`(u)` for a [`positive_uniform`] `u`,
+/// read off the exponent of `1 − u` (see [`exponential_mechanism`]). For
+/// `u` = `MIN_POSITIVE`, `1 − u` rounds to 1 and the bound is the margin,
+/// which still exceeds `gumbel_of(u) ≈ −6.56`.
+#[inline]
+fn gumbel_bound(u: f64) -> f64 {
+    /// Far above the error of the two logarithms (below `10⁻¹⁴`).
+    const MARGIN: f64 = 1e-9;
+    let k = 1023 - ((1.0 - u).to_bits() >> 52) as i32;
+    f64::from(k) * std::f64::consts::LN_2 + MARGIN
 }
 
 /// The geometric mechanism: the discrete analogue of Laplace, adding
@@ -186,6 +249,28 @@ mod tests {
                 "index {i}: empirical {emp} vs exact {}",
                 probs[i]
             );
+        }
+    }
+
+    #[test]
+    fn gumbel_bound_covers_every_gumbel_value() {
+        let ulp = 1.0 / (1_u64 << 53) as f64;
+        // Where 1 − u is a power of two, −ln(1 − u) = k·ln 2 and near
+        // u = 1 the Gumbel value is within an ulp of it: only the margin
+        // keeps the bound above.
+        let edges = (0..=53).flat_map(|k| {
+            let w = 1.0 / (1_u64 << k) as f64;
+            [1.0 - w, 1.0 - w + ulp, 1.0 - w - ulp]
+        });
+        let mut rng = StdRng::seed_from_u64(17);
+        let draws = (0..100_000).map(|_| positive_uniform(&mut rng));
+        for u in [f64::MIN_POSITIVE, ulp, 2.0 * ulp, 0.5]
+            .into_iter()
+            .chain(edges)
+            .chain(draws)
+            .filter(|u| (f64::MIN_POSITIVE..1.0).contains(u))
+        {
+            assert!(gumbel_of(u) <= gumbel_bound(u), "u = {u:e}");
         }
     }
 

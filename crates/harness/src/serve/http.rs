@@ -153,7 +153,19 @@ pub fn try_parse_with(buf: &mut Vec<u8>, scratch: &mut Vec<u8>) -> Result<Option
                 format!("bad header line {line:?}"),
             ));
         };
-        let name = name.trim().to_ascii_lowercase();
+        // RFC 7230 §3.2.4: no whitespace between a field name and its
+        // colon, and no folded line; a fold starts with SP or HTAB, so its
+        // name holds whitespace too. A front proxy that reads
+        // `Content-Length ` as another header, or a fold as part of the
+        // previous value, frames the body differently.
+        if name.contains([' ', '\t']) {
+            return Err(Reject::new(
+                400,
+                "bad_header",
+                format!("{line:?}: whitespace in a header name or a folded line"),
+            ));
+        }
+        let name = name.to_ascii_lowercase();
         // One body framing: a single `Content-Length`. A second one, or a
         // `Transfer-Encoding`, is how request smuggling makes two parsers
         // disagree about where a body ends.
@@ -556,6 +568,25 @@ mod tests {
         )
         .into_bytes();
         assert_eq!(try_parse(&mut buf).unwrap_err().status, 413);
+    }
+
+    #[test]
+    fn whitespace_before_a_colon_or_a_folded_line_is_a_400() {
+        for head in [
+            "Content-Length : 5",
+            "Content-Length\t: 5",
+            "Content Length: 5",
+            "X-A: 1\r\n folded: 5",
+            "X-A: 1\r\n\tContent-Length: 5",
+            " Content-Length: 5",
+        ] {
+            let mut buf = format!("POST /x HTTP/1.1\r\n{head}\r\n\r\nhello").into_bytes();
+            let rej = try_parse(&mut buf).unwrap_err();
+            assert_eq!((rej.status, rej.code), (400, "bad_header"), "{head:?}");
+        }
+        // Whitespace around the value is optional and still allowed.
+        let mut buf = b"POST /x HTTP/1.1\r\nContent-Length:5 \r\n\r\nhello".to_vec();
+        assert_eq!(try_parse(&mut buf).unwrap().unwrap().body, b"hello");
     }
 
     #[test]

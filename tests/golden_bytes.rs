@@ -13,6 +13,9 @@
 //! workers built shapes concurrently, and every plan-precomputing
 //! mechanism's estimates, `PlanDiagnostics` and first release body,
 //! captured before their hand-written plans became `FnPlan` closures.
+//! The rest of the registry (UNIFORM through AGRID) is pinned the same
+//! way, captured before AHP's clustering stopped rescanning its runs and
+//! the exponential mechanism stopped taking logarithms that cannot win.
 
 use dpbench::algorithms::matrix_mechanism::MatrixMechanism;
 use dpbench::algorithms::quadtree::QuadTree;
@@ -416,8 +419,12 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// least-squares solve, two trials each on seeded integer counts. H's
 /// per-level `ε / height` equals `(1 / height)·ε` bit for bit at the
 /// heights of 1,000 cells (11) and HB's trees, but not at 512 cells (10),
-/// so "H 512" pins H's own division.
-const ESTIMATE_DIGESTS: [(&str, u64); 19] = [
+/// so "H 512" pins H's own division. The rows after it cover the other
+/// nine registry mechanisms, at a 1-D and a 2-D size where they support
+/// both: MWEM, MWEM* and EFPA select through the exponential mechanism,
+/// and at 128 × 128 AHP's and AHP*'s clusters grow to over 1,000 and
+/// 9,000 cells.
+const ESTIMATE_DIGESTS: [(&str, u64); 34] = [
     ("H 1000", 0xa9f0_198b_9fcf_fc38),
     ("HB 1000", 0xf970_1029_bb3f_7473),
     ("HB 24x40", 0xa9a4_c1d1_6802_ed04),
@@ -437,6 +444,21 @@ const ESTIMATE_DIGESTS: [(&str, u64); 19] = [
     ("PRIVELET 32x32", 0xe78c_c515_171f_25c9),
     ("MM-H2 64", 0x9825_5224_9fb7_d7cf),
     ("H 512", 0x1230_fb24_9fa7_5014),
+    ("UNIFORM 1000", 0x866a_3ed7_b249_9f85),
+    ("UNIFORM 24x40", 0x4264_60e5_d29c_2225),
+    ("MWEM 1000", 0x090c_1a0b_3fb7_4f4e),
+    ("MWEM 32x32", 0xe2b7_a9a0_c7fd_80f1),
+    ("MWEM* 1000", 0x2e54_98fb_c2d4_b613),
+    ("MWEM* 32x32", 0x1832_51df_4e2b_9aea),
+    ("AHP 1000", 0x5e2c_1d3b_98e3_2fe6),
+    ("AHP 128x128", 0x0fc0_ff84_97cc_f558),
+    ("AHP* 1000", 0x9aaf_4daf_ffce_d9e8),
+    ("AHP* 128x128", 0x9ae7_f445_8422_3c2e),
+    ("DPCUBE 1000", 0x922a_f973_3315_7459),
+    ("DPCUBE 32x32", 0x4ca0_245c_0281_afc8),
+    ("EFPA 1024", 0xc54b_4f70_a894_0c37),
+    ("UGRID 32x32", 0x5b3a_9c8f_46c7_3e4e),
+    ("AGRID 32x32", 0x845d_703a_b911_2cf6),
 ];
 
 /// A case label and its plan's `PlanDiagnostics` fields.
@@ -444,7 +466,7 @@ type DiagnosticsRow = (&'static str, &'static str, bool, Option<usize>, Option<f
 
 /// Each case's `PlanDiagnostics`: mechanism, `data_independent`,
 /// measurements and sensitivity.
-const PLAN_DIAGNOSTICS: [DiagnosticsRow; 19] = [
+const PLAN_DIAGNOSTICS: [DiagnosticsRow; 34] = [
     ("H 1000", "H", true, Some(1999), Some(11.0)),
     ("HB 1000", "HB", true, Some(1111), Some(4.0)),
     ("HB 24x40", "HB", true, Some(1010), Some(3.0)),
@@ -464,12 +486,27 @@ const PLAN_DIAGNOSTICS: [DiagnosticsRow; 19] = [
     ("PRIVELET 32x32", "PRIVELET", true, Some(1024), Some(36.0)),
     ("MM-H2 64", "MM-H2", true, Some(127), Some(7.0)),
     ("H 512", "H", true, Some(1023), Some(10.0)),
+    ("UNIFORM 1000", "UNIFORM", false, None, None),
+    ("UNIFORM 24x40", "UNIFORM", false, None, None),
+    ("MWEM 1000", "MWEM", false, None, None),
+    ("MWEM 32x32", "MWEM", false, None, None),
+    ("MWEM* 1000", "MWEM*", false, None, None),
+    ("MWEM* 32x32", "MWEM*", false, None, None),
+    ("AHP 1000", "AHP", false, None, None),
+    ("AHP 128x128", "AHP", false, None, None),
+    ("AHP* 1000", "AHP*", false, None, None),
+    ("AHP* 128x128", "AHP*", false, None, None),
+    ("DPCUBE 1000", "DPCUBE", false, None, None),
+    ("DPCUBE 32x32", "DPCUBE", false, None, None),
+    ("EFPA 1024", "EFPA", false, None, None),
+    ("UGRID 32x32", "UGRID", false, None, None),
+    ("AGRID 32x32", "AGRID", false, None, None),
 ];
 
 /// FNV digests of each case's first `Release::to_json()` body, which
 /// carries the name, the `data_independent` bit, every trace label and ε,
 /// and the estimate.
-const RELEASE_JSON_DIGESTS: [(&str, u64); 19] = [
+const RELEASE_JSON_DIGESTS: [(&str, u64); 34] = [
     ("H 1000", 0x511f_cf6e_ff2e_6eb5),
     ("HB 1000", 0xf4f3_64a0_57cb_4d47),
     ("HB 24x40", 0xb540_3631_9e17_7fbb),
@@ -489,11 +526,26 @@ const RELEASE_JSON_DIGESTS: [(&str, u64); 19] = [
     ("PRIVELET 32x32", 0xd33f_1a66_8856_5426),
     ("MM-H2 64", 0xd2cb_6783_ea67_8ddb),
     ("H 512", 0x0e1d_95ad_1646_e9ff),
+    ("UNIFORM 1000", 0xf79d_c7dc_fd7d_26cc),
+    ("UNIFORM 24x40", 0x646f_6dc0_5230_bf4c),
+    ("MWEM 1000", 0x29a1_c5e2_812c_1c9f),
+    ("MWEM 32x32", 0xfacd_5ef4_8b4d_c087),
+    ("MWEM* 1000", 0xb141_32f5_cc7d_bba1),
+    ("MWEM* 32x32", 0x749a_fc07_0e8e_0409),
+    ("AHP 1000", 0x5c7c_14f3_32cb_fc7e),
+    ("AHP 128x128", 0xc5d1_1838_7976_ba39),
+    ("AHP* 1000", 0x0870_74f2_c17a_3fcd),
+    ("AHP* 128x128", 0xd136_661b_254b_1e8a),
+    ("DPCUBE 1000", 0x79d7_7c2b_3650_4c2b),
+    ("DPCUBE 32x32", 0x9179_80a4_20d8_1372),
+    ("EFPA 1024", 0xcd1e_5f3d_b01b_9113),
+    ("UGRID 32x32", 0xeaee_877b_665b_5f26),
+    ("AGRID 32x32", 0x1d84_e8dc_6aff_434c),
 ];
 
 #[test]
 fn hierarchical_estimate_bits_are_pinned() {
-    let cases: [(&str, Box<dyn Mechanism>, Domain); 19] = [
+    let cases: [(&str, Box<dyn Mechanism>, Domain); 34] = [
         ("H 1000", mechanism_by_name("H").unwrap(), Domain::D1(1000)),
         (
             "HB 1000",
@@ -581,6 +633,81 @@ fn hierarchical_estimate_bits_are_pinned() {
             Domain::D1(64),
         ),
         ("H 512", mechanism_by_name("H").unwrap(), Domain::D1(512)),
+        (
+            "UNIFORM 1000",
+            mechanism_by_name("UNIFORM").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "UNIFORM 24x40",
+            mechanism_by_name("UNIFORM").unwrap(),
+            Domain::D2(24, 40),
+        ),
+        (
+            "MWEM 1000",
+            mechanism_by_name("MWEM").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "MWEM 32x32",
+            mechanism_by_name("MWEM").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "MWEM* 1000",
+            mechanism_by_name("MWEM*").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "MWEM* 32x32",
+            mechanism_by_name("MWEM*").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "AHP 1000",
+            mechanism_by_name("AHP").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "AHP 128x128",
+            mechanism_by_name("AHP").unwrap(),
+            Domain::D2(128, 128),
+        ),
+        (
+            "AHP* 1000",
+            mechanism_by_name("AHP*").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "AHP* 128x128",
+            mechanism_by_name("AHP*").unwrap(),
+            Domain::D2(128, 128),
+        ),
+        (
+            "DPCUBE 1000",
+            mechanism_by_name("DPCUBE").unwrap(),
+            Domain::D1(1000),
+        ),
+        (
+            "DPCUBE 32x32",
+            mechanism_by_name("DPCUBE").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "EFPA 1024",
+            mechanism_by_name("EFPA").unwrap(),
+            Domain::D1(1024),
+        ),
+        (
+            "UGRID 32x32",
+            mechanism_by_name("UGRID").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "AGRID 32x32",
+            mechanism_by_name("AGRID").unwrap(),
+            Domain::D2(32, 32),
+        ),
     ];
     let mut ws = Workspace::new();
     let mut diagnostics = Vec::new();

@@ -5,10 +5,13 @@
 //! `MeasuredTree` pipeline bit for bit, the Hilbert quadrant descent and
 //! curve gather/scatter must match the retained perimeter scan and `d2xy`
 //! loops, MWEM's lazy-scale kernel must pass
-//! the kernel gate against its retained full-rescale kernel, and
+//! the kernel gate against its retained full-rescale kernel, the bounded
+//! exponential mechanism and AHP's one-pass clustering must match their
+//! retained full loops, and
 //! executions drawing scratch from a reused [`Workspace`] must be
 //! bit-identical to executions with fresh scratch.
 
+use dpbench_algorithms::ahp::{greedy_clusters, greedy_clusters_naive};
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
 use dpbench_algorithms::hierarchy::Hierarchy;
 use dpbench_algorithms::mwem::Mwem;
@@ -16,6 +19,7 @@ use dpbench_algorithms::php::Php;
 use dpbench_algorithms::registry::{mechanism_by_name, NAMES_1D};
 use dpbench_algorithms::sf::{StructureFirst, VOptDp};
 use dpbench_core::mechanism::{execute_eps_with, Mechanism};
+use dpbench_core::primitives::{exponential_mechanism, exponential_mechanism_naive};
 use dpbench_core::rng::rng_for;
 use dpbench_core::{
     scaled_per_query_error, DataVector, Domain, Loss, Plan, Release, Workload, Workspace,
@@ -26,7 +30,7 @@ use dpbench_harness::repair::SideInfoRepair;
 use dpbench_harness::{ErrorSample, ResultStore, Setting};
 use dpbench_transforms::hilbert::{box_cover, box_cover_naive, d2xy, Curve};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Property-style equivalence suite: ≥ 200 random vectors across varied
 /// domain sizes and (ε₁, ε₂) pairs. The fast partition must return
@@ -594,4 +598,127 @@ fn workspace_reuse_is_bit_identical_in_2d() {
             assert_eq!(a.estimate, b.estimate, "{name} 2-D trial {trial}");
         }
     }
+}
+
+/// The exponential mechanism that skips Gumbel values which cannot win
+/// against the loop that computes every one, on cloned RNGs: both must
+/// pick the same index and leave the RNG at the same point in its stream.
+/// Covers one candidate, ties, −∞ scores (SF's infeasible boundaries),
+/// +∞ scores, ε = 0 and score spreads from 10⁻³ to 10⁶.
+#[test]
+fn exponential_mechanism_equals_naive_and_draws_the_same_stream() {
+    let mut rng = StdRng::seed_from_u64(0xE4E);
+    let mut cases: Vec<(Vec<f64>, f64, f64)> = vec![
+        (vec![3.0], 1.0, 1.0),
+        (vec![f64::NEG_INFINITY], 1.0, 1.0),
+        (vec![f64::INFINITY], 1.0, 1.0),
+        (vec![7.0; 64], 1.0, 0.5),
+        (vec![f64::NEG_INFINITY; 16], 4.0, 1.0),
+        (vec![1.0, f64::INFINITY, 2.0, f64::INFINITY, 0.5], 1.0, 1.0),
+        (vec![0.0, 5.0, 10.0], 1.0, 0.0),
+        (vec![f64::NEG_INFINITY, 5.0, f64::INFINITY], 1.0, 0.0),
+    ];
+    for &spread in &[1e-3, 1e-1, 1.0, 10.0, 1e3, 1e6] {
+        for &n in &[2, 10, 257, 2000] {
+            for &eps in &[0.0, 0.01, 0.1, 1.0, 10.0] {
+                let continuous: Vec<f64> = (0..n).map(|_| spread * rng.gen::<f64>()).collect();
+                // Few distinct values: many ties at and below the winner.
+                let coarse = (0..n)
+                    .map(|_| spread * f64::from(rng.gen_range(0_u32..4)))
+                    .collect();
+                let mut infeasible = continuous.clone();
+                for s in infeasible.iter_mut().step_by(3) {
+                    *s = f64::NEG_INFINITY;
+                }
+                cases.extend([
+                    (continuous, 1.0, eps),
+                    (coarse, 4.0, eps),
+                    (infeasible, 2.0, eps),
+                ]);
+            }
+        }
+    }
+    for (case, (scores, sensitivity, eps)) in cases.iter().enumerate() {
+        for draw in 0..4 {
+            let (mut fast_rng, mut naive_rng) = (rng.clone(), rng.clone());
+            let fast = exponential_mechanism(scores, *sensitivity, *eps, &mut fast_rng);
+            let naive = exponential_mechanism_naive(scores, *sensitivity, *eps, &mut naive_rng);
+            assert_eq!(
+                fast,
+                naive,
+                "case {case} draw {draw} (n = {})",
+                scores.len()
+            );
+            assert_eq!(
+                fast_rng.next_u64(),
+                naive_rng.next_u64(),
+                "case {case} draw {draw}"
+            );
+            rng.next_u64();
+        }
+    }
+}
+
+/// Sort `values` descending as AHP does and cluster them both ways.
+fn assert_clusters_equal(values: &[f64], noise_cost: f64, label: &str) -> usize {
+    let mut sorted: Vec<usize> = (0..values.len()).collect();
+    sorted.sort_by(|&a, &b| values[b].partial_cmp(&values[a]).unwrap());
+    let fast = greedy_clusters(&sorted, values, noise_cost);
+    let naive = greedy_clusters_naive(&sorted, values, noise_cost);
+    assert_eq!(fast, naive, "{label}, noise cost {noise_cost:e}");
+    fast.iter().map(|r| r.len()).max().unwrap_or(0)
+}
+
+/// The first run's deviation increases as the naive loop computes them
+/// (`Σ|v − mean|` added in order), for noise costs a decision sits on.
+fn first_run_increases(values: &[f64], upto: usize) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    let (mut sum, mut dev, mut out) = (sorted[0], 0.0, Vec::new());
+    for end in 1..sorted.len().min(upto) {
+        sum += sorted[end];
+        let mean = sum / (end + 1) as f64;
+        let candidate: f64 = sorted[..=end].iter().map(|&v| (v - mean).abs()).sum();
+        out.push(candidate - dev);
+        dev = candidate;
+    }
+    out
+}
+
+/// AHP's one-pass clustering against the rescanning loop: descending runs
+/// with duplicates, values on a coarse grid, Laplace-noised counts like
+/// AHP's survivors, and noise costs set exactly to a deviation increase,
+/// where only the exact fallback can decide as the naive loop does.
+#[test]
+fn greedy_clusters_equal_rescanning_loop() {
+    let mut rng = StdRng::seed_from_u64(0xA4B);
+    let mut longest = 0;
+    for round in 0..40 {
+        let n = [1, 2, 7, 64, 300, 1_200][round % 6];
+        let step = [1.0, 0.25, 0.1, 1e-3, 7.0, 1e6][round / 6 % 6];
+        let levels = [1_u32, 2, 5, 40][round % 4];
+        let coarse: Vec<f64> = (0..n)
+            .map(|_| step * f64::from(rng.gen_range(0..levels)))
+            .collect();
+        let noisy: Vec<f64> = (0..n)
+            .map(|_| {
+                let count = f64::from(rng.gen_range(0_u32..60));
+                (count + dpbench_core::primitives::laplace(12.0, &mut rng)).max(1e-3)
+            })
+            .collect();
+        for (label, values) in [("coarse", &coarse), ("noisy", &noisy)] {
+            let mut costs = vec![1e-9, 0.5, 2.0_f64.sqrt() / 0.015, 1e3, step];
+            // Exact ties with a decision: the fallback must run.
+            costs.extend(
+                first_run_increases(values, 50)
+                    .into_iter()
+                    .filter(|c| *c > 0.0),
+            );
+            for &cost in &costs {
+                let run = assert_clusters_equal(values, cost, &format!("{label} round {round}"));
+                longest = longest.max(run);
+            }
+        }
+    }
+    assert!(longest >= 300, "longest run {longest}");
 }

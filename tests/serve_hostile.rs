@@ -62,7 +62,7 @@ fn malformed_requests_get_clean_4xx_and_close() {
     let handle = server_with(Limits::default(), &[("t", 1.0)]);
     let addr = handle.addr().to_string();
 
-    let cases: Vec<(Vec<u8>, u16, &str)> = vec![
+    let mut cases: Vec<(Vec<u8>, u16, &str)> = vec![
         (b"GARBAGE\r\n\r\n".to_vec(), 400, "bad_request_line"),
         (
             b"GET /x HTTP/1.1 smuggled\r\n\r\n".to_vec(),
@@ -95,6 +95,18 @@ fn malformed_requests_get_clean_4xx_and_close() {
             "bad_request",
         ),
     ];
+    // A valid release whose length has whitespace before its colon, or
+    // sits on a folded line: a proxy could frame either body differently.
+    let release =
+        "{\"tenant\":\"t\",\"dataset\":\"MEDCOST\",\"mechanism\":\"IDENTITY\",\"eps\":0.1}";
+    for length in [
+        format!("Content-Length : {}", release.len()),
+        format!("X-A: 1\r\n Content-Length: {}", release.len()),
+        format!("X-A: 1\r\n\tContent-Length: {}", release.len()),
+    ] {
+        let payload = format!("POST /v1/release HTTP/1.1\r\n{length}\r\n\r\n{release}");
+        cases.push((payload.into_bytes(), 400, "bad_header"));
+    }
     for (payload, want_status, want_code) in &cases {
         let (status, text) = raw_exchange(&addr, payload);
         assert_eq!(status, *want_status, "{payload:?}: {text}");
@@ -102,7 +114,12 @@ fn malformed_requests_get_clean_4xx_and_close() {
             text.contains(&format!("\"error\":\"{want_code}\"")),
             "{payload:?}: {text}"
         );
+        assert!(text.contains("Connection: close"), "{payload:?}: {text}");
     }
+    // None of those releases was charged.
+    let (status, budget) = http::request(&addr, "GET", "/v1/tenants/t/budget", None).unwrap();
+    assert_eq!(status, 200, "{budget}");
+    assert!(budget.contains("\"spent\":0,"), "{budget}");
 
     // A flood of headers trips the header-count cap.
     let mut many = b"GET /v1/status HTTP/1.1\r\n".to_vec();

@@ -41,10 +41,12 @@
 //!   by `dpbench run`'s cancel hook so both drain and flush before exit;
 //!   plus the SIGHUP → tenant-reload flag for `dpbench serve`.
 //!
-//! The `PlanCache` is shared across requests (it was already concurrent
-//! and keyed by content), so a repeated release request skips strategy
-//! construction entirely — the response carries a per-request
-//! `plan_cache_hit` bit.
+//! - [`workload_cache`] — [`WorkloadCache`], the one cross-request
+//!   cache: at most [`WORKLOAD_CAPACITY`] workloads, least recently used
+//!   out first, each owning its queries, its true answers and its plans.
+//!   A repeated release request skips workload and strategy construction
+//!   entirely — the response carries a per-request `plan_cache_hit` bit —
+//!   and a flood of distinct workloads cannot grow the server.
 
 pub mod accountant;
 pub mod fault;
@@ -54,6 +56,7 @@ pub mod limits;
 pub mod poller;
 pub mod server;
 pub mod shutdown;
+pub mod workload_cache;
 
 pub use accountant::{
     parse_tenant_grants, AdmissionError, BudgetSnapshot, ReloadOutcome, TenantAccountant,
@@ -63,3 +66,4 @@ pub use journal::{FileIo, JournalIo, JournalOp, JournalRecord, SpendJournal};
 pub use limits::{Limits, RateLimit, RateLimiter};
 pub use poller::{Poller, TimerWheel};
 pub use server::{start, ServeConfig, ServerHandle};
+pub use workload_cache::{WorkloadCache, WORKLOAD_CAPACITY};

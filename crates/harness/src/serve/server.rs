@@ -5,7 +5,7 @@
 //! |---|---|
 //! | `POST /v1/release` | shed check → rate limit → reserve ε → `Plan::execute` → JSON release |
 //! | `GET /v1/tenants/:id/budget` | the tenant's live balance |
-//! | `GET /v1/status` | uptime, per-mechanism counts, plan-cache/poller/robustness counters |
+//! | `GET /v1/status` | uptime, per-mechanism counts, plan-cache/workload-cache/poller/robustness counters |
 //! | `GET /v1/healthz` | liveness: 200 whenever the process can answer |
 //! | `GET /v1/readyz` | readiness: 503 while draining, at the connection cap, or overloaded |
 //! | `POST /v1/admin/reload` | re-read `--tenant-config` and apply grants without restart |
@@ -29,11 +29,13 @@
 //!
 //! Release flow: load shedding and rate limiting run **before**
 //! admission ([`TenantAccountant::reserve`] — atomic check-and-reserve,
-//! journaled), so a shed request costs zero ε. A mechanism failure
-//! refunds, and the response's remaining balance is read back after
-//! settlement. Plans come from one [`PlanCache`] shared by all workers,
-//! and every release executes inline on its worker with its own noise
-//! draw. Per-connection buffers (read, body, response, output) are
+//! journaled), so a shed request costs zero ε. Nothing is built for a
+//! request until it is admitted: a refused release leaves no workload
+//! behind. A mechanism failure refunds, and the response's remaining
+//! balance is read back after settlement. Workloads, their true answers
+//! and their plans come from one bounded [`WorkloadCache`] shared by all
+//! workers, and every release executes inline on its worker with its own
+//! noise draw. Per-connection buffers (read, body, response, output) are
 //! pooled across keep-alive requests, so the steady-state request path
 //! allocates only inside the mechanism itself.
 
@@ -42,14 +44,14 @@ use super::http::{self, JsonValue, Request};
 use super::limits::{Limits, RateLimiter};
 use super::poller::{Event, Interest, Poller, TimerWheel};
 use super::shutdown;
+use super::workload_cache::{WorkloadCache, WORKLOAD_CAPACITY};
 use crate::config::WorkloadSpec;
-use crate::runner::PlanCache;
 use crate::selector::{Confidence, SelectionProfile, SelectorQuery, ShapeClass};
 use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
-    json, scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Workload, Workspace,
+    json, scaled_per_query_error, DataVector, Domain, Fingerprint, Loss, Workspace,
 };
 use dpbench_datasets::{catalog, DataGenerator};
 use std::collections::HashMap;
@@ -131,10 +133,6 @@ struct LoadedDataset {
     /// component that depends on *which* data is being released.
     shape: ShapeClass,
 }
-
-/// Memo of true workload answers, keyed by (dataset, workload
-/// fingerprint) — the SLO block evaluates `W x` once per pair.
-type YTrueMemo = Mutex<HashMap<(String, u64), Arc<Vec<f64>>>>;
 
 /// Robustness counters — every shed, timeout, and reject is counted so
 /// the chaos tests (and operators) can see exactly where hostile traffic
@@ -245,8 +243,10 @@ fn raw_fd<T>(_s: &T) -> i32 {
 pub struct ServerState {
     /// Per-tenant budgets (public: the CLI prints balances at shutdown).
     pub accountant: TenantAccountant,
-    /// The shared cross-request plan cache.
-    pub plan_cache: PlanCache,
+    /// The shared cross-request cache of workloads, their true answers
+    /// and their plans, named for the `plan_cache` status block its
+    /// lookup counters feed.
+    pub plan_cache: WorkloadCache,
     /// Robustness counters (sheds, timeouts, rejects).
     pub robust: Robustness,
     /// The caps and deadlines this server enforces.
@@ -281,8 +281,6 @@ pub struct ServerState {
     ewma_us: AtomicU64,
     stopping: AtomicBool,
     mech_counts: Mutex<HashMap<String, u64>>,
-    workload_memo: Mutex<HashMap<WorkloadSpec, Arc<Workload>>>,
-    y_true_memo: YTrueMemo,
     /// Profile file `auto` routing resolves through; kept for hot reload.
     profile_path: Option<PathBuf>,
     /// The loaded selection profile (swapped atomically on reload).
@@ -511,7 +509,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
 
     let state = Arc::new(ServerState {
         accountant,
-        plan_cache: PlanCache::new(),
+        plan_cache: WorkloadCache::new(config.domain),
         robust: Robustness::default(),
         rate_limiter: config.limits.rate_limit.map(RateLimiter::new),
         limits: config.limits.clone(),
@@ -536,8 +534,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         ewma_us: AtomicU64::new(0),
         stopping: AtomicBool::new(false),
         mech_counts: Mutex::new(HashMap::new()),
-        workload_memo: Mutex::new(HashMap::new()),
-        y_true_memo: Mutex::new(HashMap::new()),
         profile_path: config.profile.clone(),
         selector: Mutex::new(selector),
         selector_stats: SelectorStats::default(),
@@ -1259,8 +1255,11 @@ fn handle_release(
         *counts.entry(mech_name.clone()).or_insert(0) += 1;
     }
 
-    let workload = match workload_for(state, str_field("workload")) {
-        Ok(w) => w,
+    // Parsing refuses what cannot run (an unknown token, `prefix` off
+    // 1-D, `random:N` outside its cap); the workload itself is looked up
+    // or built only once the release is admitted.
+    let spec = match WorkloadSpec::parse(str_field("workload"), state.domain) {
+        Ok(spec) => spec,
         Err(e) => return err_meta(out, 400, "bad_request", &e),
     };
 
@@ -1294,17 +1293,15 @@ fn handle_release(
     state.inflight.fetch_add(1, Ordering::Relaxed);
     let _inflight = Gauge(&state.inflight);
 
-    let (plan, cache_hit) =
-        match state
-            .plan_cache
-            .plan_for_traced(mech.as_ref(), &state.domain, &workload)
-        {
-            Ok(pair) => pair,
-            Err(e) => {
-                refund();
-                return err_meta(out, 500, "plan_failed", &e.to_string());
-            }
-        };
+    let cached = state.plan_cache.entry(spec);
+    let workload = cached.workload();
+    let (plan, cache_hit) = match state.plan_cache.plan_for(&cached, mech.as_ref()) {
+        Ok(pair) => pair,
+        Err(e) => {
+            refund();
+            return err_meta(out, 500, "plan_failed", &e.to_string());
+        }
+    };
 
     let (dims, da, db) = match state.domain {
         Domain::D1(n) => (1, n as u64, 0),
@@ -1335,7 +1332,7 @@ fn handle_release(
     // Optional SLO block (operator opt-in): scaled per-query L1/L2 error
     // of this very release against the true workload answers.
     let slo = state.slo.then(|| {
-        let y_true = y_true_for(state, dataset_name, &workload, &data.x);
+        let y_true = cached.y_true(dataset_name, &data.x);
         let y_hat = workload.evaluate_cells(&release.estimate);
         let scale = state.scale as f64;
         (
@@ -1387,41 +1384,10 @@ impl Drop for Gauge<'_> {
     }
 }
 
-/// Resolve (and memoize) the workload for a request's `workload` field.
-/// Parsing refuses what cannot run (an unknown token, `prefix` off 1-D,
-/// `random:N` outside its cap) before anything is built or reserved.
-fn workload_for(state: &ServerState, spec: Option<&str>) -> Result<Arc<Workload>, String> {
-    let spec = WorkloadSpec::parse(spec, state.domain)?;
-    let mut memo = state.workload_memo.lock().expect("workload memo poisoned");
-    if let Some(w) = memo.get(&spec) {
-        return Ok(Arc::clone(w));
-    }
-    let w = Arc::new(spec.build(state.domain));
-    memo.insert(spec, Arc::clone(&w));
-    Ok(w)
-}
-
-/// True workload answers for the SLO block, memoized per (dataset,
-/// workload) — evaluating `W x` once per pair, not per request.
-fn y_true_for(
-    state: &ServerState,
-    dataset: &str,
-    workload: &Workload,
-    x: &DataVector,
-) -> Arc<Vec<f64>> {
-    let key = (dataset.to_string(), workload.fingerprint());
-    let mut memo = state.y_true_memo.lock().expect("y_true memo poisoned");
-    if let Some(y) = memo.get(&key) {
-        return Arc::clone(y);
-    }
-    let y = Arc::new(workload.evaluate(x));
-    memo.insert(key, Arc::clone(&y));
-    y
-}
-
 /// `GET /v1/status`.
 fn status_json(state: &ServerState) -> String {
     let plan = state.plan_cache.stats();
+    let cache = state.plan_cache.counts();
     let poll = state.poller.stats();
     let mut mechs: Vec<(String, u64)> = {
         let counts = state.mech_counts.lock().expect("counts poisoned");
@@ -1440,14 +1406,16 @@ fn status_json(state: &ServerState) -> String {
         None => (false, 0),
     };
     format!(
-        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"epoll\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
+        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"workload_cache\":{{\"resident\":{},\"capacity\":{WORKLOAD_CAPACITY},\"evicted\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"epoll\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
         json::Float(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.parked_len(),
         state.accountant.len(),
         plan.hits,
         plan.misses,
-        state.plan_cache.len(),
+        cache.plans,
+        cache.resident,
+        cache.evicted,
         state.conn_count.load(Ordering::Relaxed),
         poll.wakeups,
         poll.events,

@@ -571,7 +571,8 @@ fn run(a: &Args) -> Result<ExitCode, String> {
                     cancel.store(true, Ordering::Relaxed);
                     break;
                 }
-                std::thread::sleep(Duration::from_millis(25));
+                // `unpark` ends the wait as soon as the run is done.
+                std::thread::park_timeout(Duration::from_millis(25));
             }
         })
     };
@@ -641,6 +642,7 @@ fn run(a: &Args) -> Result<ExitCode, String> {
         &mut sink::Throttle::new(&mut Tee::new(sinks), unit_delay),
     );
     watcher_stop.store(true, Ordering::Relaxed);
+    watcher.thread().unpark();
     let _ = watcher.join();
     let stats = stats.map_err(|e| e.to_string())?;
     if shutdown::requested() && fail_after.is_none() {

@@ -423,8 +423,9 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// nine registry mechanisms, at a 1-D and a 2-D size where they support
 /// both: MWEM, MWEM* and EFPA select through the exponential mechanism,
 /// and at 128 × 128 AHP's and AHP*'s clusters grow to over 1,000 and
-/// 9,000 cells.
-const ESTIMATE_DIGESTS: [(&str, u64); 34] = [
+/// 9,000 cells. The last two rows pin HYBRIDTREE, the extension serve
+/// also accepts by name.
+const ESTIMATE_DIGESTS: [(&str, u64); 36] = [
     ("H 1000", 0xa9f0_198b_9fcf_fc38),
     ("HB 1000", 0xf970_1029_bb3f_7473),
     ("HB 24x40", 0xa9a4_c1d1_6802_ed04),
@@ -459,6 +460,8 @@ const ESTIMATE_DIGESTS: [(&str, u64); 34] = [
     ("EFPA 1024", 0xc54b_4f70_a894_0c37),
     ("UGRID 32x32", 0x5b3a_9c8f_46c7_3e4e),
     ("AGRID 32x32", 0x845d_703a_b911_2cf6),
+    ("HYBRIDTREE 24x40", 0xdc10_96b3_2192_70f9),
+    ("HYBRIDTREE 32x32", 0x2609_2e1b_9338_e617),
 ];
 
 /// A case label and its plan's `PlanDiagnostics` fields.
@@ -466,7 +469,7 @@ type DiagnosticsRow = (&'static str, &'static str, bool, Option<usize>, Option<f
 
 /// Each case's `PlanDiagnostics`: mechanism, `data_independent`,
 /// measurements and sensitivity.
-const PLAN_DIAGNOSTICS: [DiagnosticsRow; 34] = [
+const PLAN_DIAGNOSTICS: [DiagnosticsRow; 36] = [
     ("H 1000", "H", true, Some(1999), Some(11.0)),
     ("HB 1000", "HB", true, Some(1111), Some(4.0)),
     ("HB 24x40", "HB", true, Some(1010), Some(3.0)),
@@ -501,12 +504,14 @@ const PLAN_DIAGNOSTICS: [DiagnosticsRow; 34] = [
     ("EFPA 1024", "EFPA", false, None, None),
     ("UGRID 32x32", "UGRID", false, None, None),
     ("AGRID 32x32", "AGRID", false, None, None),
+    ("HYBRIDTREE 24x40", "HYBRIDTREE", false, None, None),
+    ("HYBRIDTREE 32x32", "HYBRIDTREE", false, None, None),
 ];
 
 /// FNV digests of each case's first `Release::to_json()` body, which
 /// carries the name, the `data_independent` bit, every trace label and ε,
 /// and the estimate.
-const RELEASE_JSON_DIGESTS: [(&str, u64); 34] = [
+const RELEASE_JSON_DIGESTS: [(&str, u64); 36] = [
     ("H 1000", 0x511f_cf6e_ff2e_6eb5),
     ("HB 1000", 0xf4f3_64a0_57cb_4d47),
     ("HB 24x40", 0xb540_3631_9e17_7fbb),
@@ -541,11 +546,13 @@ const RELEASE_JSON_DIGESTS: [(&str, u64); 34] = [
     ("EFPA 1024", 0xcd1e_5f3d_b01b_9113),
     ("UGRID 32x32", 0xeaee_877b_665b_5f26),
     ("AGRID 32x32", 0x1d84_e8dc_6aff_434c),
+    ("HYBRIDTREE 24x40", 0xb2ec_181a_c33e_18fb),
+    ("HYBRIDTREE 32x32", 0x25a1_e65b_3ee8_149d),
 ];
 
 #[test]
 fn hierarchical_estimate_bits_are_pinned() {
-    let cases: [(&str, Box<dyn Mechanism>, Domain); 34] = [
+    let cases: [(&str, Box<dyn Mechanism>, Domain); 36] = [
         ("H 1000", mechanism_by_name("H").unwrap(), Domain::D1(1000)),
         (
             "HB 1000",
@@ -706,6 +713,16 @@ fn hierarchical_estimate_bits_are_pinned() {
         (
             "AGRID 32x32",
             mechanism_by_name("AGRID").unwrap(),
+            Domain::D2(32, 32),
+        ),
+        (
+            "HYBRIDTREE 24x40",
+            mechanism_by_name("HYBRIDTREE").unwrap(),
+            Domain::D2(24, 40),
+        ),
+        (
+            "HYBRIDTREE 32x32",
+            mechanism_by_name("HYBRIDTREE").unwrap(),
             Domain::D2(32, 32),
         ),
     ];

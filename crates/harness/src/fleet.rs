@@ -30,8 +30,8 @@ pub mod progress;
 pub mod transport;
 
 pub use driver::{
-    run_fleet_with, shard_ledger_path, shard_summary_path, steal_ledger_path, FleetOptions,
-    FleetReport, ShardOutcome, StealEvent,
+    run_fleet_summarized, run_fleet_with, shard_ledger_path, shard_summary_path, steal_ledger_path,
+    FleetOptions, FleetReport, ShardOutcome, StealEvent,
 };
 pub use progress::ProgressTailer;
 pub use transport::{

@@ -15,7 +15,13 @@
 //!    *failed* defers the shard without burning one of its launch
 //!    attempts;
 //! 3. launch every shard that is not yet complete and **poll** the
-//!    attempts. Every ledger the fleet watches is one *track*: tracks
+//!    attempts. Between polls the driver waits at most
+//!    [`FleetOptions::poll_interval`], and an attempt's exit ends the
+//!    wait: a handle that names its process ([`ShardHandle::pid`]) is
+//!    watched through a pidfd, so the driver reaps it as soon as it
+//!    exits instead of at the next poll (handles without a pid, and
+//!    hosts without pidfd, keep the timed sleep). Every ledger the
+//!    fleet watches is one *track*: tracks
 //!    `0..k` are the shard ledgers, and each steal appends one. A track
 //!    holds the shard whose units it covers, the slot and artifact it is
 //!    fetched from, its local path, a [`ProgressTailer`] and its unit
@@ -39,10 +45,15 @@
 //!    steal can die (exit short of its range, which makes the range
 //!    eligible again) and count as a tail stolen from its victim;
 //! 4. once every shard's units are covered (by its own ledger and/or
-//!    steal ledgers), stream-merge every track that strict-reads as this
-//!    run's — the inclusion rule the completeness check uses too — into
-//!    the canonical output ([`merge_jsonl`](crate::sink::merge_jsonl)), verify the merged ledger
-//!    covers the manifest exactly, then let the transport clean up its
+//!    steal ledgers), stream-merge every track that strict-read as this
+//!    run's at its shard's last refresh — the inclusion rule the
+//!    completeness check uses, on the sets that check read — into the
+//!    canonical output
+//!    ([`merge_jsonl_into`](crate::sink::merge_jsonl_into)), which reads
+//!    each ledger once and validates it as it streams. The units the
+//!    merge reports writing must cover the manifest exactly (the merged
+//!    file is never read back; `--agg` folds the written samples as they
+//!    go, [`run_fleet_summarized`]); then the transport cleans up its
 //!    remote scratch space.
 //!
 //! Because per-trial RNG streams derive from unit coordinates, the merged
@@ -66,7 +77,10 @@ use super::transport::{
     StealSpec,
 };
 use crate::manifest::{RunManifest, UnitId};
-use crate::sink::{atomic_write, header_fingerprint, merge_jsonl_file, read_ledger};
+use crate::serve::poller::{Event, Interest, Poller};
+use crate::sink::{
+    atomic_write, header_fingerprint, merge_jsonl_file, read_ledger, AggregatingSink,
+};
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -87,7 +101,9 @@ pub struct FleetOptions {
     /// tailing local ledgers (or periodically fetched copies for remote
     /// transports).
     pub progress: bool,
-    /// How often running handles are polled.
+    /// The longest wait between polls of the running handles. A running
+    /// attempt's exit ends the wait early when its handle names a
+    /// process ([`ShardHandle::pid`]) and the host has pidfd.
     pub poll_interval: Duration,
     /// How often ledgers are probed (and, for remote transports,
     /// re-fetched) for progress, stall detection, and steal decisions.
@@ -225,7 +241,7 @@ pub fn shard_ledger_path(out: &Path, index: usize) -> PathBuf {
 /// Canonical shard *summary* (mergeable sketch) path: `out.jsonl` →
 /// `out.shard3.agg.jsonl` — where a launcher that asks its shards for a
 /// `run --agg` sketch puts it. (`dpbench fleet --agg` needs none: it
-/// summarizes the verified merged ledger.)
+/// summarizes the samples its merge writes, [`run_fleet_summarized`].)
 pub fn shard_summary_path(out: &Path, index: usize) -> PathBuf {
     let ledger = shard_ledger_path(out, index);
     let name = ledger
@@ -297,9 +313,10 @@ fn shard_state(path: &Path, shard: &RunManifest) -> io::Result<ShardState> {
 }
 
 /// The units a ledger holds, if it strict-reads as this run's — the
-/// inclusion rule the completeness check and the final merge share, so
-/// they can never disagree (a dead steal's partial ledger still
-/// contributes the units it did finish).
+/// inclusion rule the completeness check and the final merge share (the
+/// merge reuses the sets the last check read), so they can never
+/// disagree (a dead steal's partial ledger still contributes the units
+/// it did finish).
 fn strict_done(path: &Path, fingerprint: u64) -> Option<HashSet<UnitId>> {
     read_ledger(path)
         .ok()
@@ -352,6 +369,9 @@ struct Track {
     tailer: ProgressTailer,
     /// The units the ledger is responsible for.
     unit_ids: Vec<UnitId>,
+    /// The units the ledger held at its shard's last refresh, when it
+    /// strict-read as this run's: the merge's inclusion rule.
+    done: Option<HashSet<UnitId>>,
     /// Exited and finally fetched (rendered for steals: `"active"`).
     finalized: bool,
     /// A steal that exited without covering its range — the range is
@@ -374,6 +394,7 @@ impl Track {
             path,
             tailer: ProgressTailer::new(unit_ids.len()),
             unit_ids,
+            done: None,
             finalized: false,
             dead: false,
         }
@@ -424,6 +445,8 @@ struct Running {
     last_change: Instant,
     /// Whether this attempt was killed (stall or release) — kill once.
     killed: bool,
+    /// The attempt's process, watched by [`ExitWake`] while it runs.
+    exit_fd: Option<pidfd::PidFd>,
 }
 
 impl Running {
@@ -435,6 +458,116 @@ impl Running {
             reaped: false,
             last_change: Instant::now(),
             killed: false,
+            exit_fd: None,
+        }
+    }
+}
+
+/// The poll loop's wait: it ends when a running attempt's process exits,
+/// and lasts at most the poll interval. Each attempt whose handle names
+/// a [`ShardHandle::pid`] gets a pidfd (Linux 5.3 and later), registered
+/// on one [`Poller`]; the process's exit makes it readable. With no
+/// pidfd to wait on — handles without a pid, hosts without pidfd — the
+/// wait is a plain sleep. A wake only ends the wait early: the next
+/// `poll` still observes the exit, so a missed wake costs at most one
+/// poll interval.
+struct ExitWake {
+    poller: Option<Poller>,
+    events: Vec<Event>,
+}
+
+impl ExitWake {
+    fn new() -> Self {
+        Self {
+            poller: Poller::new().ok(),
+            events: Vec::new(),
+        }
+    }
+
+    fn wait(&mut self, running: &mut [Running], limit: Duration) {
+        let mut armed = false;
+        if let Some(poller) = &self.poller {
+            for (token, r) in running.iter_mut().enumerate() {
+                if r.exited {
+                    continue;
+                }
+                if r.exit_fd.is_none() {
+                    r.exit_fd = r.handle.pid().and_then(pidfd::PidFd::open).filter(|fd| {
+                        poller
+                            .register(fd.raw(), token as u64, Interest::READ)
+                            .is_ok()
+                    });
+                }
+                armed |= r.exit_fd.is_some();
+            }
+        }
+        self.events.clear();
+        match &self.poller {
+            Some(poller) if armed && poller.wait(&mut self.events, limit).is_ok() => {}
+            _ => std::thread::sleep(limit),
+        }
+    }
+
+    /// Stop watching an attempt whose exit `poll` has observed.
+    fn forget(&self, r: &mut Running) {
+        if let (Some(poller), Some(fd)) = (&self.poller, r.exit_fd.take()) {
+            poller.deregister(fd.raw());
+        }
+    }
+}
+
+/// `pidfd_open(2)`: a descriptor that turns readable when a process
+/// exits. Bound through `syscall(2)`, because libc wrappers for it are
+/// recent; elsewhere no pidfd exists and the wait sleeps.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod pidfd {
+    use std::ffi::c_long;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+
+    /// `SYS_pidfd_open` in the syscall table both architectures share.
+    const SYS_PIDFD_OPEN: c_long = 434;
+
+    extern "C" {
+        fn syscall(number: c_long, ...) -> c_long;
+    }
+
+    pub struct PidFd(OwnedFd);
+
+    impl PidFd {
+        /// `None` when the kernel has no pidfd or refuses the pid.
+        pub fn open(pid: u32) -> Option<PidFd> {
+            // SAFETY: pidfd_open takes a pid and a flags word and returns
+            // a new descriptor or -1; nothing else is read or written.
+            let fd = unsafe { syscall(SYS_PIDFD_OPEN, c_long::from(pid), 0 as c_long) };
+            // SAFETY: a non-negative return is a fresh descriptor that
+            // nothing else owns.
+            (fd >= 0).then(|| PidFd(unsafe { OwnedFd::from_raw_fd(fd as i32) }))
+        }
+
+        pub fn raw(&self) -> i32 {
+            self.0.as_raw_fd()
+        }
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod pidfd {
+    /// No pidfd here: `open` refuses, so no value of this type exists.
+    pub enum PidFd {}
+
+    impl PidFd {
+        pub fn open(_pid: u32) -> Option<PidFd> {
+            None
+        }
+
+        pub fn raw(&self) -> i32 {
+            match *self {}
         }
     }
 }
@@ -609,35 +742,41 @@ impl Fleet<'_> {
             }
             other => other?,
         };
-        let (has_own, mut done) = match state {
-            ShardState::Fresh => (false, HashSet::new()),
-            ShardState::Ledger(done) => (true, done),
+        let has_own = matches!(state, ShardState::Ledger(_));
+        self.tracks[i].done = match state {
+            ShardState::Fresh => None,
+            ShardState::Ledger(done) => Some(done),
         };
-        for t in &self.tracks[self.shards.len()..] {
+        let procs = self.shards.len();
+        for t in &mut self.tracks[procs..] {
             if t.shard == i {
-                done.extend(strict_done(&t.path, self.fingerprint).unwrap_or_default());
+                t.done = strict_done(&t.path, self.fingerprint);
             }
         }
-        Ok(
-            if self.tracks[i].unit_ids.iter().all(|id| done.contains(id)) {
-                // Its own ledger, or steals that finished its tail: even an
-                // unreachable shard no longer blocks the fleet.
-                Refresh::Complete
-            } else {
-                match synced {
-                    Synced::Failed(e) if has_own => Refresh::Defer(e),
-                    // Nothing anywhere we can see: nothing to lose by
-                    // launching (this is also round 0 of a fetch template
-                    // that errors on a not-yet-created file).
-                    Synced::Failed(_) => Refresh::Launch { resume: false },
-                    // A confirmed-absent remote downgrades a leftover partial
-                    // local copy to fresh: resuming would be doomed, and
-                    // deterministic units make the rerun identical.
-                    Synced::Missing => Refresh::Launch { resume: false },
-                    Synced::Delivered { .. } => Refresh::Launch { resume: has_own },
-                }
-            },
-        )
+        let holds = |id: &UnitId| {
+            self.tracks
+                .iter()
+                .filter(|t| t.shard == i)
+                .any(|t| t.done.as_ref().is_some_and(|d| d.contains(id)))
+        };
+        Ok(if self.tracks[i].unit_ids.iter().all(holds) {
+            // Its own ledger, or steals that finished its tail: even an
+            // unreachable shard no longer blocks the fleet.
+            Refresh::Complete
+        } else {
+            match synced {
+                Synced::Failed(e) if has_own => Refresh::Defer(e),
+                // Nothing anywhere we can see: nothing to lose by
+                // launching (this is also round 0 of a fetch template
+                // that errors on a not-yet-created file).
+                Synced::Failed(_) => Refresh::Launch { resume: false },
+                // A confirmed-absent remote downgrades a leftover partial
+                // local copy to fresh: resuming would be doomed, and
+                // deterministic units make the rerun identical.
+                Synced::Missing => Refresh::Launch { resume: false },
+                Synced::Delivered { .. } => Refresh::Launch { resume: has_own },
+            }
+        })
     }
 
     /// Raise the fleet-level done floor to the current coverage (sets
@@ -785,6 +924,21 @@ pub fn run_fleet_with(
     out: &Path,
     opts: &FleetOptions,
 ) -> io::Result<FleetReport> {
+    run_fleet_summarized(manifest, transport, out, opts, None)
+}
+
+/// [`run_fleet_with`], folding every merged sample, in manifest order,
+/// into `summary` as the merge writes it — the summary
+/// [`summary_from_ledger`](crate::sink::summary_from_ledger) would
+/// rebuild from `out`, byte for byte, without reading `out` back. This
+/// is `dpbench fleet --agg`.
+pub fn run_fleet_summarized(
+    manifest: &RunManifest,
+    transport: &dyn ShardTransport,
+    out: &Path,
+    opts: &FleetOptions,
+    summary: Option<&mut AggregatingSink>,
+) -> io::Result<FleetReport> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     if opts.procs == 0 {
         return Err(invalid("fleet needs at least one process".into()));
@@ -830,6 +984,7 @@ pub fn run_fleet_with(
     let mut complete = vec![false; procs];
     let mut probe_fetch_bytes: Vec<u64> = Vec::new();
     let status_file = opts.status_file.as_ref();
+    let mut wake = ExitWake::new();
 
     // The merged output (and the shard ledgers beside it) may live in a
     // directory that does not exist yet.
@@ -938,6 +1093,7 @@ pub fn run_fleet_with(
                     match r.handle.poll()? {
                         ShardStatus::Exited { success } => {
                             r.exited = true;
+                            wake.forget(r);
                             if opts.verbose && !success {
                                 eprintln!(
                                     "[fleet] {} exited abnormally; will verify its ledger",
@@ -1056,7 +1212,7 @@ pub fn run_fleet_with(
                 probe_fetch_bytes
                     .push(fleet.fetch_full_bytes + fleet.fetch_ranged_bytes - bytes_before);
             }
-            std::thread::sleep(opts.poll_interval);
+            wake.wait(&mut running, opts.poll_interval);
         }
         // Round epilogue: report final per-attempt counts, so even a run
         // faster than the probe interval prints a final line.
@@ -1067,16 +1223,17 @@ pub fn run_fleet_with(
         }
     }
 
-    // Stream-merge every ledger that passes the strict-read inclusion
-    // rule into the canonical output, then prove coverage.
+    // Stream-merge every ledger that passed the strict-read inclusion
+    // rule at its shard's last refresh into the canonical output, then
+    // prove coverage from the units the merge wrote.
     let inputs: Vec<&Path> = fleet
         .tracks
         .iter()
+        .filter(|t| t.done.as_ref().is_some_and(|d| !d.is_empty()))
         .map(|t| t.path.as_path())
-        .filter(|p| strict_done(p, manifest.fingerprint).is_some_and(|d| !d.is_empty()))
         .collect();
-    merge_jsonl_file(&inputs, out)?;
-    let merged = read_ledger(out)?;
+    let merged = merge_jsonl_file(&inputs, out, summary)?;
+    let written: HashSet<UnitId> = merged.units.iter().copied().collect();
     if merged.fingerprint != manifest.fingerprint {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -1086,7 +1243,7 @@ pub fn run_fleet_with(
     let missing: Vec<String> = manifest
         .units
         .iter()
-        .filter(|u| !merged.done.contains(&u.id))
+        .filter(|u| !written.contains(&u.id))
         .map(|u| u.id.to_string())
         .collect();
     if !missing.is_empty() {
@@ -1101,7 +1258,7 @@ pub fn run_fleet_with(
     }
     // Paranoia: the merge must not have invented units either.
     let known: HashSet<_> = manifest.units.iter().map(|u| u.id).collect();
-    if merged.done.iter().any(|id| !known.contains(id)) {
+    if written.iter().any(|id| !known.contains(id)) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "merged fleet output contains units outside the manifest",

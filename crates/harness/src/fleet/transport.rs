@@ -112,6 +112,14 @@ pub trait ShardHandle {
     /// Terminate the attempt (used when the driver declares a stall).
     /// After a kill, `poll` must eventually report `Exited`.
     fn kill(&mut self) -> io::Result<()>;
+    /// The id of the local process whose exit ends this attempt, while
+    /// that process is unreaped. The driver wakes from its wait between
+    /// polls when the process exits instead of sleeping out its poll
+    /// interval; `poll` stays the only place an exit is observed. `None`
+    /// (the default) keeps the timed sleep.
+    fn pid(&self) -> Option<u32> {
+        None
+    }
 }
 
 /// Which shard artifact to copy back.
@@ -345,6 +353,10 @@ impl ShardHandle for ProcessHandle {
         let status = self.child.wait()?;
         self.exited = Some(status.success());
         Ok(())
+    }
+
+    fn pid(&self) -> Option<u32> {
+        self.exited.is_none().then(|| self.child.id())
     }
 }
 
@@ -1173,6 +1185,31 @@ impl ShardTransport for FaultyTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A process handle names its child only while the child is unreaped:
+    /// once `poll` or `kill` has waited on it, the pid may belong to
+    /// another process, so the driver must not watch it.
+    #[test]
+    fn process_handle_names_its_pid_until_reaped() {
+        for kill in [false, true] {
+            let child = Command::new("sleep")
+                .arg(if kill { "30" } else { "0" })
+                .spawn()
+                .unwrap();
+            let pid = child.id();
+            let mut handle = ProcessHandle::new(child);
+            assert_eq!(handle.pid(), Some(pid));
+            if kill {
+                handle.kill().unwrap();
+            } else {
+                while handle.poll().unwrap() == ShardStatus::Running {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            assert!(matches!(handle.poll().unwrap(), ShardStatus::Exited { .. }));
+            assert_eq!(handle.pid(), None);
+        }
+    }
 
     #[test]
     fn sh_quote_passes_plain_words_and_quotes_the_rest() {

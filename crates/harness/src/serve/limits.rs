@@ -127,6 +127,12 @@ impl RateLimiter {
             Err((1.0 - bucket.tokens) / self.limit.rps)
         }
     }
+
+    /// Tenants holding a bucket.
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> usize {
+        self.buckets.lock().expect("rate limiter poisoned").len()
+    }
 }
 
 #[cfg(test)]

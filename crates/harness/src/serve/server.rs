@@ -1173,6 +1173,11 @@ fn handle_release(
         return RespMeta::retry(503, retry_after_s(est_wait_ms));
     }
     if let Some(rl) = &state.rate_limiter {
+        // The limiter keeps a bucket per tenant name for good, so a name
+        // no tenant holds is refused before it can make one.
+        if state.accountant.snapshot(tenant).is_none() {
+            return err_meta(out, 404, "unknown_tenant", tenant);
+        }
         if let Err(wait_s) = rl.admit(tenant, Instant::now()) {
             state.robust.rate_limited.fetch_add(1, Ordering::Relaxed);
             error_json_into("rate_limited", "per-tenant request rate exceeded", out);
@@ -1250,10 +1255,6 @@ fn handle_release(
             &format!("{mech_name} does not support domain {}", state.domain),
         );
     }
-    {
-        let mut counts = state.mech_counts.lock().expect("counts poisoned");
-        *counts.entry(mech_name.clone()).or_insert(0) += 1;
-    }
 
     // Parsing refuses what cannot run (an unknown token, `prefix` off
     // 1-D, `random:N` outside its cap); the workload itself is looked up
@@ -1328,6 +1329,11 @@ fn handle_release(
             return err_meta(out, 500, "mechanism_failed", &e.to_string());
         }
     };
+    // Only a release answered 200 counts as served.
+    {
+        let mut counts = state.mech_counts.lock().expect("counts poisoned");
+        *counts.entry(mech_name.clone()).or_insert(0) += 1;
+    }
 
     // Optional SLO block (operator opt-in): scaled per-query L1/L2 error
     // of this very release against the true workload answers.
@@ -1450,4 +1456,53 @@ fn error_json_into(code: &str, detail: &str, out: &mut String) {
     let _ = write!(out, "{{\"error\":\"{code}\",\"detail\":\"");
     json::escape_into(out, detail);
     out.push_str("\"}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::{http, RateLimit};
+
+    /// With a rate limit, a release naming a tenant nobody holds is a 404
+    /// before the limiter runs, so distinct unknown names leave no bucket
+    /// behind; a known tenant still gets one.
+    #[test]
+    fn unknown_tenants_leave_no_rate_limiter_bucket() {
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            datasets: vec!["MEDCOST".into()],
+            scale: 10_000,
+            domain: Domain::D1(64),
+            tenants: vec![("alice".into(), 1.0)],
+            threads: 2,
+            seed: 7,
+            limits: Limits {
+                rate_limit: Some(RateLimit {
+                    rps: 1000.0,
+                    burst: 1000.0,
+                }),
+                ..Limits::default()
+            },
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = handle.addr().to_string();
+        let release = |tenant: &str| {
+            let body = format!(
+                "{{\"tenant\":\"{tenant}\",\"dataset\":\"MEDCOST\",\"mechanism\":\"IDENTITY\",\"eps\":0.01}}"
+            );
+            http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap()
+        };
+        let limiter = handle.state().rate_limiter.as_ref().unwrap();
+        for n in 0..20 {
+            let (code, resp) = release(&format!("ghost{n}"));
+            assert_eq!(code, 404, "{resp}");
+            assert!(resp.contains("\"unknown_tenant\""), "{resp}");
+        }
+        assert_eq!(limiter.buckets(), 0, "unknown tenants left buckets");
+        let (code, resp) = release("alice");
+        assert_eq!(code, 200, "{resp}");
+        assert_eq!(limiter.buckets(), 1);
+        handle.shutdown().unwrap();
+    }
 }

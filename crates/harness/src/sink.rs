@@ -15,8 +15,9 @@
 //!   streaming Welford/t-digest [`StreamingSummary`] in `dpbench-stats`;
 //!   its summaries **merge** ([`AggregatingSink::merge_from`]) and
 //!   serialize to a compact sketch file. A fleet's `--agg` summary is
-//!   rebuilt from its verified merged ledger ([`summary_from_ledger`]),
-//!   so it matches a one-shot run's byte for byte;
+//!   folded from the samples its merge writes ([`merge_jsonl_into`]) —
+//!   the summary [`summary_from_ledger`] would rebuild from the merged
+//!   ledger — so it matches a one-shot run's byte for byte;
 //! * [`Tee`] — fan out to several sinks at once.
 //!
 //! ## The JSONL format
@@ -474,6 +475,31 @@ impl AggregatingSink {
         atomic_write(path.as_ref(), &buf)
     }
 
+    /// Start (or continue) aggregating the run `fingerprint`; refuses a
+    /// sink that already holds a different run's summaries.
+    fn begin_run(&mut self, fingerprint: u64, n_trials: usize) -> io::Result<()> {
+        if self.fingerprint.is_some_and(|fp| fp != fingerprint) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "aggregating sink already holds a different run's summaries",
+            ));
+        }
+        self.fingerprint = Some(fingerprint);
+        self.n_trials = n_trials;
+        Ok(())
+    }
+
+    /// Fold one merged unit's samples in the order
+    /// [`summary_from_ledger`] reads them back from the merged file:
+    /// by trial, ties in written order.
+    fn push_written_unit(&mut self, samples: &[ErrorSample]) {
+        let mut by_trial: Vec<&ErrorSample> = samples.iter().collect();
+        by_trial.sort_by_key(|s| s.trial);
+        for s in by_trial {
+            self.push_sample(s);
+        }
+    }
+
     /// Fold one sample into its (algorithm, setting) group — the
     /// rebuild path for [`summary_from_ledger`].
     fn push_sample(&mut self, s: &ErrorSample) {
@@ -491,7 +517,8 @@ impl AggregatingSink {
 /// so the written summary is byte-identical to the streamed one. This is
 /// how a **resumed** run produces its summary file (the streaming sink
 /// only saw the units run after the crash, but the ledger holds the
-/// union) and how a fleet summarizes its verified merged ledger.
+/// union). A fleet gets the same summary from its merge
+/// ([`merge_jsonl_into`]) without reading the merged ledger back.
 pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
     let path = path.as_ref();
     let ledger = read_ledger(path)?;
@@ -516,10 +543,10 @@ pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSin
 /// `merge` emit (the `--status-file` feed, summaries, merged ledgers);
 /// the append-only ledgers keep their flush-per-unit discipline instead,
 /// because their readers are torn-tail-aware by design.
-fn replace_file(
+fn replace_file<T>(
     path: &Path,
-    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
-) -> io::Result<()> {
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>,
+) -> io::Result<T> {
     let tmp = path.with_file_name(format!(
         "{}.tmp",
         path.file_name()
@@ -529,10 +556,11 @@ fn replace_file(
     let result = File::create(&tmp)
         .and_then(|f| {
             let mut w = BufWriter::new(f);
-            write(&mut w)?;
-            w.flush()
+            let written = write(&mut w)?;
+            w.flush()?;
+            Ok(written)
         })
-        .and_then(|()| std::fs::rename(&tmp, path));
+        .and_then(|written| std::fs::rename(&tmp, path).map(|()| written));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
@@ -622,8 +650,8 @@ pub fn ledger_is_effectively_empty<P: AsRef<Path>>(path: P) -> io::Result<bool> 
 /// [`AggregatingSink`], combining sketches instead of re-reading samples.
 /// Merged moments and digests agree with a single stream's within
 /// floating-point and digest tolerance, not bit for bit — which is why
-/// `fleet --agg` summarizes the merged ledger ([`summary_from_ledger`])
-/// instead.
+/// `fleet --agg` folds the merged samples in manifest order
+/// ([`merge_jsonl_into`]) instead.
 pub fn merge_summary_files<P: AsRef<Path>>(inputs: &[P]) -> io::Result<AggregatingSink> {
     if inputs.is_empty() {
         return Err(io::Error::new(
@@ -640,17 +668,7 @@ pub fn merge_summary_files<P: AsRef<Path>>(inputs: &[P]) -> io::Result<Aggregati
 
 impl ResultSink for AggregatingSink {
     fn begin(&mut self, manifest: &RunManifest) -> io::Result<()> {
-        if let Some(fp) = self.fingerprint {
-            if fp != manifest.fingerprint {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "aggregating sink already holds a different run's summaries",
-                ));
-            }
-        }
-        self.fingerprint = Some(manifest.fingerprint);
-        self.n_trials = manifest.n_trials;
-        Ok(())
+        self.begin_run(manifest.fingerprint, manifest.n_trials)
     }
 
     fn unit_complete(&mut self, unit: &ManifestUnit, samples: &[ErrorSample]) -> io::Result<()> {
@@ -1050,17 +1068,22 @@ pub struct LedgerProbe {
     pub rewound: bool,
 }
 
+/// How every unit-completion marker line starts ([`format_unit_done`]).
+const UNIT_MARKER_PREFIX: &[u8] = b"{\"t\":\"u\",";
+
 /// Incremental progress probe over a ledger that may be **live** (a
 /// shard is appending to it right now) or a **partial copy** (a fetched
 /// snapshot of a remote shard's ledger, possibly torn anywhere).
 ///
 /// Reads complete lines starting at `from_offset` and reports the
-/// completion markers among them. Deliberately *lenient* where
+/// completion markers among them, parsing only lines that start the way
+/// [`JsonlSink`] writes a marker. Deliberately *lenient* where
 /// [`read_ledger`] is strict: a probe races the writer by design, so an
 /// incomplete trailing line is simply left unconsumed (the returned
 /// offset stops before it) and a malformed line is skipped rather than
 /// fatal — progress reporting must never abort a healthy fleet. The
-/// strict readers remain the arbiters of ledger validity at merge time.
+/// probe is advisory: the strict readers remain the arbiters of ledger
+/// validity at merge time.
 pub fn probe_ledger(path: &Path, from_offset: u64) -> io::Result<LedgerProbe> {
     use std::io::{Read, Seek, SeekFrom};
     let mut file = File::open(path)?;
@@ -1091,8 +1114,12 @@ pub fn probe_ledger(path: &Path, from_offset: u64) -> io::Result<LedgerProbe> {
             // later probe; the offset stops before it.
             break;
         }
-        if let Line::UnitDone { id, .. } = classify(&String::from_utf8_lossy(&buf)) {
-            probe.units.push(id);
+        // Only marker lines are parsed: sample lines, nearly all of a
+        // ledger's bytes, are skipped by their tag.
+        if buf.starts_with(UNIT_MARKER_PREFIX) {
+            if let Line::UnitDone { id, .. } = classify(&String::from_utf8_lossy(&buf)) {
+                probe.units.push(id);
+            }
         }
         probe.offset += n as u64;
     }
@@ -1136,69 +1163,112 @@ pub fn read_store<P: AsRef<Path>>(path: P) -> io::Result<ResultStore> {
 // Streaming k-way merge
 // ---------------------------------------------------------------------------
 
-/// One input of the k-way merge: yields completed units in ascending
+/// One input of the k-way merge, read once: it applies the strict
+/// readers' rules as it streams (the torn-tail rule, one leading run
+/// header, ascending unit markers) and yields completed units in ascending
 /// manifest position, holding in memory only the samples of units whose
 /// completion marker has not streamed past yet (normally exactly one
-/// unit; more only for pre-crash orphans).
+/// unit; more only for pre-crash orphans and units in flight at a crash).
 struct UnitStream {
     lines: std::iter::Enumerate<std::io::Lines<BufReader<File>>>,
-    /// Completed units of this file (from the validating first pass).
-    done: HashSet<UnitId>,
+    /// The input's run header (fingerprint, `n_trials`, config summary),
+    /// once read.
+    header: Option<(u64, usize, Option<String>)>,
     /// Samples (with their claimed manifest position) awaiting their
     /// unit's completion marker.
     pending: HashMap<UnitId, Vec<(usize, ErrorSample)>>,
     /// Position of the last emitted unit (ascending-order guard — also
     /// rejects duplicate markers).
     last_pos: Option<usize>,
+    torn: TornTail,
     /// Display name for error messages.
     label: String,
     /// Lookahead: the next completed unit, if any.
     head: Option<(usize, UnitId, Vec<ErrorSample>)>,
 }
 
+/// Prefix an error with the name of the input it came from.
+fn named(label: &str, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{label}: {e}"))
+}
+
 impl UnitStream {
-    fn open(path: &Path, done: HashSet<UnitId>) -> io::Result<Self> {
+    /// Open `path` and read up to its first completed unit. The run
+    /// header must be the first record (every writer puts it there).
+    fn open(path: &Path) -> io::Result<Self> {
+        let label = path.display().to_string();
+        let file = File::open(path).map_err(|e| named(&label, e))?;
         let mut s = Self {
-            lines: BufReader::new(File::open(path)?).lines().enumerate(),
-            done,
+            lines: BufReader::new(file).lines().enumerate(),
+            header: None,
             pending: HashMap::new(),
             last_pos: None,
-            label: path.display().to_string(),
+            torn: TornTail::new(),
+            label,
             head: None,
         };
         s.head = s.next_unit()?;
+        if s.header.is_none() {
+            let e = io::Error::new(io::ErrorKind::InvalidData, "ledger has no run header");
+            return Err(named(&s.label, e));
+        }
         Ok(s)
     }
 
-    fn corrupt(&self, line_no: usize, what: &str) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: jsonl line {}: {what}", self.label, line_no + 1),
-        )
+    fn header(&self) -> &(u64, usize, Option<String>) {
+        self.header
+            .as_ref()
+            .expect("open refuses a ledger without a header")
     }
 
     /// Advance to the next completed unit: `(pos, id, samples)` with
     /// samples deduplicated (last occurrence wins) and in trial order.
     fn next_unit(&mut self) -> io::Result<Option<(usize, UnitId, Vec<ErrorSample>)>> {
         for (i, line) in self.lines.by_ref() {
-            let line = line?;
-            match classify(&line) {
-                Line::Blank | Line::Header { .. } => {}
-                // Mid-file malformed lines were rejected by the header
-                // pass; anything left is the tolerated torn tail.
-                Line::Malformed(_) => {}
-                Line::Sample { id, pos, sample } => {
-                    if !self.done.contains(&id) {
-                        continue; // in-flight at a crash; re-run elsewhere
+            let cls = classify(&line.map_err(|e| named(&self.label, e))?);
+            match cls {
+                Line::Blank => continue,
+                // Tolerated only as the file's final content.
+                Line::Malformed(what) => {
+                    self.torn.defer(i, what);
+                    continue;
+                }
+                _ => self.torn.check().map_err(|e| named(&self.label, e))?,
+            }
+            match cls {
+                Line::Header {
+                    fingerprint,
+                    n_trials,
+                    cfg,
+                } => {
+                    let header = (fingerprint, n_trials, cfg);
+                    match &self.header {
+                        None => self.header = Some(header),
+                        Some(first) if *first != header => {
+                            return Err(named(&self.label, bad(i, "conflicting run headers")));
+                        }
+                        Some(_) => {}
                     }
+                }
+                _ if self.header.is_none() => {
+                    return Err(named(&self.label, bad(i, "record before the run header")));
+                }
+                // Samples of a unit that never completes in this file
+                // (in flight at a crash) wait here until EOF and are
+                // dropped: the completing copy lives in another input or
+                // a future resume.
+                Line::Sample { id, pos, sample } => {
                     self.pending.entry(id).or_default().push((pos, sample));
                 }
                 Line::UnitDone { id, pos } => {
                     if self.last_pos.is_some_and(|last| pos <= last) {
-                        return Err(self.corrupt(
-                            i,
-                            "unit markers out of ascending manifest order \
-                             (corrupt or hand-concatenated file)",
+                        return Err(named(
+                            &self.label,
+                            bad(
+                                i,
+                                "unit markers out of ascending manifest order \
+                                 (corrupt or hand-concatenated file)",
+                            ),
                         ));
                     }
                     self.last_pos = Some(pos);
@@ -1210,21 +1280,22 @@ impl UnitStream {
                     let mut dedup: BTreeMap<(usize, usize), ErrorSample> = BTreeMap::new();
                     for (sample_pos, s) in samples {
                         if sample_pos != pos {
-                            return Err(self.corrupt(
-                                i,
-                                "sample and completion marker disagree on \
-                                 manifest position",
+                            return Err(named(
+                                &self.label,
+                                bad(
+                                    i,
+                                    "sample and completion marker disagree on \
+                                     manifest position",
+                                ),
                             ));
                         }
                         dedup.insert((s.sample, s.trial), s);
                     }
                     return Ok(Some((pos, id, dedup.into_values().collect())));
                 }
+                Line::Blank | Line::Malformed(_) => unreachable!("skipped above"),
             }
         }
-        // EOF: leftover pending samples belong to units that never
-        // completed in this file (in-flight at a crash) — dropped, the
-        // completing copy lives in another input or a future resume.
         Ok(None)
     }
 
@@ -1238,6 +1309,15 @@ impl UnitStream {
     }
 }
 
+/// What a merge wrote.
+#[derive(Debug, Clone)]
+pub struct Merged {
+    /// The run fingerprint of the written header.
+    pub fingerprint: u64,
+    /// Every unit written, in manifest order.
+    pub units: Vec<UnitId>,
+}
+
 /// Merge shard (or partial-run) JSONL files into one canonical file:
 /// header, then each completed unit's samples (trial order) followed by
 /// its completion marker, units ascending by manifest position — exactly
@@ -1246,49 +1326,69 @@ impl UnitStream {
 /// (e.g. overlapping resumes) must agree on every `(sample, trial)`
 /// coordinate and error bit, and are emitted once.
 ///
+/// Each input is read once, under the strict readers' rules (see
+/// [`merge_jsonl_into`]); a failed merge may leave partial output in
+/// `out` ([`merge_jsonl_file`] never does).
+///
 /// Memory: this is a **streaming k-way merge** — each input holds only
-/// its ledger id set and the samples of the unit currently in flight, so
-/// fleets scale to grids whose raw sample stream never fits in memory;
-/// the rendered output streams to `out` directly.
+/// the samples of the unit currently in flight, so fleets scale to grids
+/// whose raw sample stream never fits in memory; the rendered output
+/// streams to `out` directly.
 pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::Result<()> {
+    merge_jsonl_into(inputs, out, None).map(drop)
+}
+
+/// [`merge_jsonl`], reporting the units written and folding every written
+/// sample, in manifest order, into `summary` — the summary
+/// [`summary_from_ledger`] would rebuild from the output, byte for byte,
+/// without reading it back.
+///
+/// Each input is read once, and checked as [`read_ledger`] checks it
+/// while it streams: its first record must be its run header, and every
+/// input's header must agree on the fingerprint, `n_trials` and config
+/// summary; a malformed line is tolerated only as the input's final
+/// content; unit markers must ascend. Errors name the input and, for
+/// corruption, its line.
+pub fn merge_jsonl_into<P: AsRef<Path>, W: Write>(
+    inputs: &[P],
+    out: &mut W,
+    mut summary: Option<&mut AggregatingSink>,
+) -> io::Result<Merged> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     if inputs.is_empty() {
         return Err(invalid("no input files to merge".into()));
     }
-    // Validating first pass: headers must agree on fingerprint, trial
-    // count, and (when recorded) config summary.
-    let mut header: Option<(u64, usize, Option<String>)> = None;
     let mut streams: Vec<UnitStream> = Vec::with_capacity(inputs.len());
     for path in inputs {
         let path = path.as_ref();
-        let ledger = read_ledger(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        match &header {
-            None => header = Some((ledger.fingerprint, ledger.n_trials, ledger.cfg.clone())),
-            Some((fp, _, _)) if *fp != ledger.fingerprint => {
+        let stream = UnitStream::open(path)?;
+        if let Some(first) = streams.first() {
+            let ((fp, nt, cfg), (s_fp, s_nt, s_cfg)) = (first.header(), stream.header());
+            if fp != s_fp {
                 return Err(invalid(format!(
                     "{}: inputs come from different runs (fingerprint mismatch)",
                     path.display()
                 )));
             }
-            Some((_, nt, _)) if *nt != ledger.n_trials => {
+            if nt != s_nt {
                 return Err(invalid(format!(
-                    "{}: inputs disagree on n_trials ({} vs {nt})",
-                    path.display(),
-                    ledger.n_trials
+                    "{}: inputs disagree on n_trials ({s_nt} vs {nt})",
+                    path.display()
                 )));
             }
-            Some((_, _, cfg)) if *cfg != ledger.cfg => {
+            if cfg != s_cfg {
                 return Err(invalid(format!(
                     "{}: inputs disagree on the recorded config summary",
                     path.display()
                 )));
             }
-            Some(_) => {}
         }
-        streams.push(UnitStream::open(path, ledger.done)?);
+        streams.push(stream);
     }
-    let (fingerprint, n_trials, cfg) = header.expect("checked non-empty");
+    let (fingerprint, n_trials, cfg) = streams[0].header().clone();
+    if let Some(summary) = summary.as_deref_mut() {
+        summary.begin_run(fingerprint, n_trials)?;
+    }
     writeln!(
         out,
         "{}",
@@ -1297,6 +1397,7 @@ pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::R
 
     // K-way interleave by manifest position. k is small (one stream per
     // shard), so a linear min-scan beats heap bookkeeping.
+    let mut units = Vec::new();
     while let Some(min_pos) = streams
         .iter()
         .filter_map(|s| s.head.as_ref().map(|(p, _, _)| *p))
@@ -1336,12 +1437,20 @@ pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::R
             writeln!(out, "{}", format_sample(id, min_pos, s))?;
         }
         writeln!(out, "{}", format_unit_done(id, min_pos))?;
+        if let Some(summary) = summary.as_deref_mut() {
+            summary.push_written_unit(&samples);
+        }
+        units.push(id);
     }
-    Ok(())
+    Ok(Merged { fingerprint, units })
 }
 
-/// [`merge_jsonl`] into the file `out` through a sibling temp file, so
+/// [`merge_jsonl_into`] the file `out` through a sibling temp file, so
 /// an existing `out` is replaced only when the whole merge succeeds.
-pub fn merge_jsonl_file<P: AsRef<Path>>(inputs: &[P], out: &Path) -> io::Result<()> {
-    replace_file(out, |w| merge_jsonl(inputs, w))
+pub fn merge_jsonl_file<P: AsRef<Path>>(
+    inputs: &[P],
+    out: &Path,
+    summary: Option<&mut AggregatingSink>,
+) -> io::Result<Merged> {
+    replace_file(out, |w| merge_jsonl_into(inputs, w, summary))
 }

@@ -18,8 +18,8 @@
 //! (`--kill-shard i:N` is a built-in crash drill that kills shard `i`'s
 //! first attempt after `N` units), and stream-merges the shard ledgers
 //! into `--out` — byte-identical to a single-process run. With `--agg`,
-//! the fleet also writes the t-digest summary of that verified merged
-//! ledger — byte-identical to a one-shot `run --agg`, however the units
+//! the fleet also writes the t-digest summary of the samples that merge
+//! wrote — byte-identical to a one-shot `run --agg`, however the units
 //! were dealt, stolen or retried.
 //!
 //! By default shards are local child processes. `--launch-cmd` swaps in
@@ -1106,6 +1106,11 @@ fn run_fleet(a: &Args) -> Result<ExitCode, String> {
         ..FleetOptions::default()
     };
 
+    // The fleet summary is folded from the samples the merge writes, in
+    // manifest order, so it matches a one-shot `run --agg` byte for byte
+    // whichever shards, steals or retries produced the units.
+    let mut summary = a.str("agg").map(|_| AggregatingSink::new());
+
     // Pick the transport: local child processes by default; a templated
     // wrapper command line (ssh / docker run / sh -c) with per-shard
     // workdirs and copy-back when --launch-cmd is given.
@@ -1129,19 +1134,26 @@ fn run_fleet(a: &Args) -> Result<ExitCode, String> {
         if let Some(t) = a.str("cleanup-cmd") {
             transport = transport.with_cleanup_template(t);
         }
-        fleet::run_fleet_with(&manifest, &transport, Path::new(out), &opts)
+        fleet::run_fleet_summarized(
+            &manifest,
+            &transport,
+            Path::new(out),
+            &opts,
+            summary.as_mut(),
+        )
     } else {
         let launcher = CliShardLauncher {
             exe,
             args: shard_args,
         };
-        fleet::run_fleet_with(
+        fleet::run_fleet_summarized(
             &manifest,
             &LocalTransport {
                 launcher: &launcher,
             },
             Path::new(out),
             &opts,
+            summary.as_mut(),
         )
     };
     let report = report.map_err(|e| format!("fleet: {e}"))?;
@@ -1180,12 +1192,7 @@ fn run_fleet(a: &Args) -> Result<ExitCode, String> {
     }
     println!("merged {} units into {out}", report.merged_units);
 
-    // The fleet summary is the summary of the verified merged ledger,
-    // so it matches a one-shot `run --agg` byte for byte whichever
-    // shards, steals or retries produced the units.
-    if let Some(agg_path) = a.str("agg") {
-        let mut merged =
-            sink::summary_from_ledger(out).map_err(|e| format!("summarizing {out}: {e}"))?;
+    if let (Some(agg_path), Some(mut merged)) = (a.str("agg"), summary) {
         merged
             .write_summary_file(agg_path)
             .map_err(|e| format!("writing {agg_path}: {e}"))?;
@@ -1221,7 +1228,7 @@ fn merge(a: &Args) -> Result<ExitCode, String> {
             ));
         }
     }
-    sink::merge_jsonl_file(&a.inputs, Path::new(out))
+    sink::merge_jsonl_file(&a.inputs, Path::new(out), None)
         .map_err(|e| format!("merging into {out}: {e}"))?;
     println!("merged {} files into {out}", a.inputs.len());
     Ok(ExitCode::SUCCESS)

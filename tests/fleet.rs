@@ -841,3 +841,100 @@ fn slow_shard_fleet_with_status_file_converges_byte_identically() {
     assert!(s.contains("\"units_done\":6"), "{s}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A shard's exit wakes the driver: with a 10 s poll interval, the fleet
+/// over two real `dpbench run --shard i/2` children still returns within
+/// seconds, because the wait between polls ends when a child exits (a
+/// driver that slept out its interval would take at least 10 s), and
+/// its output is the one-shot ledger byte for byte.
+#[test]
+fn a_shard_exit_wakes_the_driver_before_its_poll_interval() {
+    use dpbench::harness::fleet::{
+        run_fleet_with, FleetOptions, LaunchSpec, LocalTransport, ShardLauncher,
+    };
+    use dpbench::harness::RunManifest;
+    use dpbench::prelude::*;
+    use std::process::{Child, Stdio};
+    use std::time::{Duration, Instant};
+
+    const FLAGS: &[&str] = &[
+        "--dataset",
+        "MEDCOST",
+        "--algorithms",
+        "IDENTITY,UNIFORM",
+        "--scale",
+        "10000",
+        "--domain",
+        "256",
+        "--eps",
+        "0.1",
+        "--trials",
+        "3",
+        "--samples",
+        "2",
+        "--workload",
+        "prefix",
+        "--loss",
+        "l2",
+    ];
+    struct Launcher;
+    impl ShardLauncher for Launcher {
+        fn launch(&self, spec: &LaunchSpec) -> std::io::Result<Child> {
+            Command::new(DPBENCH)
+                .arg("run")
+                .args(FLAGS)
+                .arg("--out")
+                .arg(&spec.ledger)
+                .arg("--shard")
+                .arg(format!("{}/{}", spec.index, spec.procs))
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+        }
+    }
+
+    let dir = tmp_dir("exit-wake");
+    let reference = dir.join("ref.jsonl");
+    let mut args = vec!["run"];
+    args.extend_from_slice(FLAGS);
+    args.extend_from_slice(&["--out", reference.to_str().unwrap()]);
+    run_ok(&args);
+    let manifest = RunManifest::from_config(&ExperimentConfig {
+        datasets: vec![dpbench::datasets::catalog::by_name("MEDCOST").unwrap()],
+        scales: vec![10_000],
+        domains: vec![Domain::D1(256)],
+        epsilons: vec![0.1],
+        algorithms: vec!["IDENTITY".into(), "UNIFORM".into()],
+        n_samples: 2,
+        n_trials: 3,
+        workload: WorkloadSpec::Prefix,
+        loss: Loss::L2,
+    });
+    let out = dir.join("fleet.jsonl");
+    let opts = FleetOptions {
+        procs: 2,
+        poll_interval: Duration::from_secs(10),
+        ..FleetOptions::default()
+    };
+    let started = Instant::now();
+    let report = run_fleet_with(
+        &manifest,
+        &LocalTransport {
+            launcher: &Launcher,
+        },
+        &out,
+        &opts,
+    )
+    .unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "the fleet slept out its poll interval: {took:?}"
+    );
+    assert_eq!(report.merged_units, manifest.len());
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        std::fs::read(&reference).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

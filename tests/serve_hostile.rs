@@ -529,3 +529,31 @@ fn pipelined_keepalive_requests_are_answered_in_order() {
     );
     handle.shutdown().unwrap();
 }
+
+/// `/v1/status` `"mechanisms"` counts releases answered 200 only: a
+/// release refused for a spent budget (429), an unknown tenant (404) or
+/// a workload that cannot run (400) is not a served one.
+#[test]
+fn status_counts_only_releases_answered_200() {
+    let handle = server_with(Limits::default(), &[("t", 0.1)]);
+    let addr = handle.addr().to_string();
+    let release = |tenant: &str, workload: &str| {
+        let body = format!(
+            "{{\"tenant\":\"{tenant}\",\"dataset\":\"MEDCOST\",\"mechanism\":\"HB\",\"eps\":0.1,\"workload\":\"{workload}\"}}"
+        );
+        http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap()
+    };
+    for (tenant, workload, code) in [
+        ("t", "prefix", 200),
+        ("t", "prefix", 429),
+        ("nobody", "prefix", 404),
+        ("t", "random:0", 400),
+    ] {
+        let (status, resp) = release(tenant, workload);
+        assert_eq!(status, code, "{tenant} {workload}: {resp}");
+    }
+    let (status, body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"mechanisms\":{\"HB\":1}"), "{body}");
+    handle.shutdown().unwrap();
+}

@@ -772,3 +772,132 @@ fn manifest_addresses_are_stable_across_processes() {
         "unit ids must be unique"
     );
 }
+
+/// The summary a merge folds as it writes is the one
+/// `summary_from_ledger` rebuilds from the merged file, byte for byte,
+/// and the one a one-shot run streams. The merged input is a resumed
+/// ledger holding pre-crash orphan samples (sentinel errors the resume's
+/// copy must supersede) that ends in a torn line; merged alone and next
+/// to the one-shot ledger (duplicate units, emitted and counted once).
+#[test]
+fn merge_summary_equals_the_summary_of_its_output() {
+    let ref_path = tmp("msum-ref");
+    let path = tmp("msum-dirty");
+    let merged_path = tmp("msum-merged");
+    for p in [&ref_path, &path, &merged_path] {
+        let _ = std::fs::remove_file(p);
+    }
+    let runner = Runner::new(tiny_config());
+    let manifest = runner.manifest();
+    let mut reference = JsonlSink::create(&ref_path).unwrap();
+    let mut streamed = AggregatingSink::new();
+    let mut tee = Tee::new(vec![&mut reference as &mut dyn ResultSink, &mut streamed]);
+    runner.run_with_sink(&manifest, &mut tee).unwrap();
+    drop(tee);
+    drop(reference);
+
+    let mut first = Runner::new(tiny_config());
+    first.max_units = Some(4);
+    let mut jsonl = JsonlSink::create(&path).unwrap();
+    first.run_with_sink(&manifest, &mut jsonl).unwrap();
+    drop(jsonl);
+    use std::io::Write;
+    let victim = &manifest.units[4];
+    let append_raw = |text: &str| {
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(text.as_bytes()).unwrap();
+    };
+    for trial in 0..2 {
+        let orphan = ErrorSample {
+            algorithm: victim.algorithm.clone(),
+            setting: victim.setting.clone(),
+            sample: victim.sample,
+            trial,
+            error: 999.0,
+        };
+        append_raw(&format!(
+            "{}\n",
+            sink::format_sample(victim.id, victim.pos, &orphan)
+        ));
+    }
+    let done = sink::read_ledger(&path).unwrap().done;
+    let mut append = JsonlSink::append(&path).unwrap();
+    Runner::new(tiny_config())
+        .resume(&manifest, &done, &mut append)
+        .unwrap();
+    drop(append);
+    append_raw(&format!(
+        "{{\"t\":\"s\",\"unit\":\"{}\",\"pos\":4,\"alg\":\"DA",
+        victim.id
+    ));
+
+    let summary_bytes = |sink: &mut AggregatingSink| {
+        let mut bytes = Vec::new();
+        sink.write_summary(&mut bytes).unwrap();
+        bytes
+    };
+    let expected = summary_bytes(&mut streamed);
+    let ids: Vec<UnitId> = manifest.units.iter().map(|u| u.id).collect();
+    for inputs in [vec![&path], vec![&path, &ref_path]] {
+        let mut folded = AggregatingSink::new();
+        let mut out = Vec::new();
+        let merged = sink::merge_jsonl_into(&inputs, &mut out, Some(&mut folded)).unwrap();
+        assert_eq!(out, std::fs::read(&ref_path).unwrap());
+        assert_eq!(merged.fingerprint, manifest.fingerprint);
+        assert_eq!(merged.units, ids, "the merge reports every unit it wrote");
+        std::fs::write(&merged_path, &out).unwrap();
+        let mut rebuilt = sink::summary_from_ledger(&merged_path).unwrap();
+        assert_eq!(summary_bytes(&mut folded), summary_bytes(&mut rebuilt));
+        assert_eq!(summary_bytes(&mut folded), expected);
+    }
+    for p in [&ref_path, &path, &merged_path] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// The merge reads each input once and applies the strict readers' rules
+/// itself: mid-file corruption and a record before the run header are
+/// errors naming the input and the line, and a failed file merge leaves
+/// an existing output alone.
+#[test]
+fn single_pass_merge_names_the_input_and_line_of_corruption() {
+    let path = tmp("merge-line");
+    let out_path = tmp("merge-line-out");
+    let _ = std::fs::remove_file(&path);
+    let runner = Runner::new(tiny_config());
+    let mut jsonl = JsonlSink::create(&path).unwrap();
+    runner
+        .run_with_sink(&runner.manifest(), &mut jsonl)
+        .unwrap();
+    drop(jsonl);
+    let clean = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<&str> = clean.lines().collect();
+    let last = lines.len();
+    lines[last - 3] = "x9 GARBAGE {not json";
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    std::fs::write(&out_path, "precious\n").unwrap();
+    let err = sink::merge_jsonl_file(&[&path], &out_path, None).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.contains(path.to_str().unwrap()), "{msg}");
+    assert!(msg.contains(&format!("line {}", last - 2)), "{msg}");
+    assert!(msg.contains("corruption"), "{msg}");
+    assert_eq!(std::fs::read(&out_path).unwrap(), b"precious\n");
+
+    let mut lines: Vec<&str> = clean.lines().collect();
+    lines.swap(0, 1);
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    let err = sink::merge_jsonl(&[&path], &mut Vec::new()).unwrap_err();
+    let msg = err.to_string();
+    assert!(msg.contains(path.to_str().unwrap()), "{msg}");
+    assert!(
+        msg.contains("line 1: record before the run header"),
+        "{msg}"
+    );
+    for p in [&path, &out_path] {
+        std::fs::remove_file(p).unwrap();
+    }
+}

@@ -69,7 +69,9 @@
 //! no-op for shards that completed on their own; a shard whose tail was
 //! stolen holds only its own units, so a re-run recomputes the stolen
 //! tail (the merged output of the first run is still the canonical
-//! artifact).
+//! artifact). A re-run with another `--procs` deals other blocks: a
+//! left-over shard ledger that a resume would append to out of order is
+//! refused before anything launches.
 
 use super::progress::ProgressTailer;
 use super::transport::{
@@ -270,35 +272,36 @@ enum ShardState {
     Ledger(HashSet<UnitId>),
 }
 
-/// The hard error for a ledger from a different run: the fleet never
-/// silently discards, overwrites, or merges data that is not its own.
-fn foreign(path: &Path) -> io::Error {
+/// The hard error for a shard ledger the fleet must not continue from:
+/// it never silently discards, overwrites, or merges data that is not
+/// its own.
+fn refuse(path: &Path, why: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidInput,
         format!(
-            "shard ledger {} belongs to a different run (fingerprint mismatch); \
-             move it aside before launching this fleet",
+            "shard ledger {} {why}; move it aside before launching this fleet",
             path.display()
         ),
     )
 }
 
-/// Inspect a shard ledger. Corruption and foreign-run ledgers are hard
-/// errors; an empty/absent file means fresh.
+/// [`refuse`] a ledger from a different run.
+fn foreign(path: &Path) -> io::Error {
+    refuse(path, "belongs to a different run (fingerprint mismatch)")
+}
+
+/// Inspect a shard ledger. Corruption, foreign-run ledgers and ledgers a
+/// resume of `shard` would append to out of order (left by a fleet with
+/// another `--procs`) are hard errors; a file without a record is fresh.
 fn shard_state(path: &Path, shard: &RunManifest) -> io::Result<ShardState> {
-    match std::fs::metadata(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ShardState::Fresh),
-        Err(e) => return Err(e),
-        Ok(m) if m.len() == 0 => return Ok(ShardState::Fresh),
-        Ok(_) => {}
-    }
+    use io::ErrorKind::{NotFound, UnexpectedEof};
     let ledger = match read_ledger(path) {
         Ok(l) => l,
-        // A child killed while its very first write was in flight leaves
-        // a non-empty file holding only a torn fragment (no well-formed
-        // record). That is a fresh shard — relaunch and let the child's
-        // `JsonlSink::create` truncate it — not corruption to abort on.
-        Err(_) if crate::sink::ledger_is_effectively_empty(path)? => return Ok(ShardState::Fresh),
+        // Absent, empty, or only a torn fragment: a child killed while
+        // its very first write was in flight. That is a fresh shard —
+        // relaunch and let the child's `JsonlSink::create` truncate it —
+        // not corruption to abort on.
+        Err(e) if matches!(e.kind(), NotFound | UnexpectedEof) => return Ok(ShardState::Fresh),
         Err(e) => {
             return Err(io::Error::new(
                 e.kind(),
@@ -309,14 +312,24 @@ fn shard_state(path: &Path, shard: &RunManifest) -> io::Result<ShardState> {
     if ledger.fingerprint != shard.fingerprint {
         return Err(foreign(path));
     }
-    Ok(ShardState::Ledger(ledger.done))
+    match ledger.resume_conflict(shard) {
+        Some((first, last)) => Err(refuse(
+            path,
+            &format!(
+                "cannot be resumed in order: its last completed unit (position {last}) \
+                 lies past this shard's first pending unit (position {first})"
+            ),
+        )),
+        None => Ok(ShardState::Ledger(ledger.done)),
+    }
 }
 
 /// The units a ledger holds, if it strict-reads as this run's — the
 /// inclusion rule the completeness check and the final merge share (the
-/// merge reuses the sets the last check read), so they can never
-/// disagree (a dead steal's partial ledger still contributes the units
-/// it did finish).
+/// merge reuses the sets the last check read). Both read through the one
+/// ledger reader under one rule set, so they can never disagree on a
+/// file (a dead steal's partial ledger still contributes the units it
+/// did finish).
 fn strict_done(path: &Path, fingerprint: u64) -> Option<HashSet<UnitId>> {
     read_ledger(path)
         .ok()

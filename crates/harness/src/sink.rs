@@ -10,14 +10,16 @@
 //! * [`JsonlSink`] — append-only records on disk for larger-than-memory
 //!   grids. Each completed unit writes its samples followed by a
 //!   completion marker, and the file doubles as the **resume ledger**:
-//!   [`read_ledger`] recovers the set of finished units after a crash;
+//!   [`read_units`] recovers the finished units after a crash;
 //! * [`AggregatingSink`] — O(δ) state per (algorithm, setting) via the
 //!   streaming Welford/t-digest [`StreamingSummary`] in `dpbench-stats`;
 //!   its summaries **merge** ([`AggregatingSink::merge_from`]) and
-//!   serialize to a compact sketch file. A fleet's `--agg` summary is
-//!   folded from the samples its merge writes ([`merge_jsonl_into`]) —
-//!   the summary [`summary_from_ledger`] would rebuild from the merged
-//!   ledger — so it matches a one-shot run's byte for byte;
+//!   serialize to a compact sketch file. Every path folds a unit the
+//!   same way ([`AggregatingSink::fold_unit`]): the live sink as units
+//!   complete, a ledger read as it yields them ([`summary_from_ledger`]),
+//!   and a merge as it writes them ([`merge_jsonl_into`]) — so a resumed
+//!   run's and a fleet's `--agg` summaries match a one-shot run's byte
+//!   for byte;
 //! * [`Tee`] — fan out to several sinks at once.
 //!
 //! ## The JSONL format
@@ -47,17 +49,33 @@
 //!
 //! ## Corruption policy
 //!
+//! Every ledger reader — [`read_units`] and the functions built on it
+//! ([`read_ledger`], [`read_samples`], [`read_store`],
+//! [`summary_from_ledger`]), and each input of [`merge_jsonl`] — reads
+//! the file once, through one reader, under one rule set:
+//!
+//! * the run header is the first record, and any repeat of it agrees;
+//! * a malformed line is tolerated only as the file's final content;
+//! * unit markers ascend by manifest position (a repeated marker does
+//!   not);
+//! * a sample's `pos` matches its unit's marker;
+//! * a completed unit holds exactly `n_trials` trials once duplicates
+//!   (pre-crash orphans superseded by a resume's copy) are dropped.
+//!
 //! A dirty crash can tear the **final** line of the file mid-write; that
 //! single case is recoverable by construction (the per-unit flush
 //! discipline means a torn line's unit has no completion marker and is
-//! re-run on resume), so the readers tolerate an unparseable line *only
-//! as the last content of the file* — and [`JsonlSink::append`]
-//! truncates it before resuming, keeping the healed file fully valid.
-//! A malformed line **followed by more records** can only be real
-//! mid-file corruption (bit rot, manual edits, interleaved writers);
-//! every reader turns it into a hard `InvalidData` error carrying the
-//! line number instead of silently skipping it — a benchmark must never
-//! convert corruption into plausible numbers.
+//! re-run on resume), and [`JsonlSink::append`] truncates the fragment
+//! before resuming, keeping the healed file fully valid. Anything else
+//! the rules refuse — a malformed line **followed by more records**, a
+//! marker out of order, a unit short of a trial — can only be real
+//! corruption (bit rot, manual edits, interleaved or concatenated
+//! writers), and every reader turns it into a hard `InvalidData` error
+//! carrying the line number instead of silently skipping it — a
+//! benchmark must never convert corruption into plausible numbers. A
+//! resume that would append a unit below the ledger's last completed
+//! one is refused before it writes ([`Ledger::resume_conflict`]), so
+//! the writers never produce a file the readers reject.
 
 use crate::config::{is_valid_identifier, Setting};
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
@@ -120,6 +138,13 @@ impl MemorySink {
     /// Consume into the store.
     pub fn into_store(self) -> ResultStore {
         self.store
+    }
+
+    /// Take in a unit an earlier run completed, as [`read_units`] yields
+    /// it from the ledger — the state a resumed run starts from.
+    pub fn load(&mut self, unit: LedgerUnit) {
+        self.completed.push(unit.id);
+        self.store.extend(unit.samples);
     }
 }
 
@@ -489,49 +514,35 @@ impl AggregatingSink {
         Ok(())
     }
 
-    /// Fold one merged unit's samples in the order
-    /// [`summary_from_ledger`] reads them back from the merged file:
-    /// by trial, ties in written order.
-    fn push_written_unit(&mut self, samples: &[ErrorSample]) {
-        let mut by_trial: Vec<&ErrorSample> = samples.iter().collect();
-        by_trial.sort_by_key(|s| s.trial);
-        for s in by_trial {
-            self.push_sample(s);
+    /// Fold one completed unit's samples, in order, into their
+    /// (algorithm, setting) groups — the one fold behind the live sink,
+    /// a ledger read and a merge, so all three produce the same summary
+    /// from the same units in the same (manifest) order.
+    pub fn fold_unit(&mut self, samples: &[ErrorSample]) {
+        // A unit's samples share one (algorithm, setting): one key build
+        // and one map lookup per unit, then O(1) pushes. Chunking by key
+        // keeps a doctored unit's strays in their own groups.
+        for run in samples.chunk_by(|a, b| a.algorithm == b.algorithm && a.setting == b.setting) {
+            let key = &run[0];
+            let group = self
+                .groups
+                .entry((key.algorithm.clone(), key.setting.to_string()))
+                .or_insert_with(|| (key.setting.clone(), StreamingSummary::new()));
+            for s in run {
+                group.1.push(s.error);
+            }
+            self.samples_seen += run.len() as u64;
         }
-    }
-
-    /// Fold one sample into its (algorithm, setting) group — the
-    /// rebuild path for [`summary_from_ledger`].
-    fn push_sample(&mut self, s: &ErrorSample) {
-        let group = self
-            .groups
-            .entry((s.algorithm.clone(), s.setting.to_string()))
-            .or_insert_with(|| (s.setting.clone(), StreamingSummary::new()));
-        self.samples_seen += 1;
-        group.1.push(s.error);
     }
 }
 
-/// Rebuild an [`AggregatingSink`] from a JSONL ledger's completed
-/// samples, in manifest order — the order a streaming run pushes them,
-/// so the written summary is byte-identical to the streamed one. This is
-/// how a **resumed** run produces its summary file (the streaming sink
-/// only saw the units run after the crash, but the ledger holds the
-/// union). A fleet gets the same summary from its merge
-/// ([`merge_jsonl_into`]) without reading the merged ledger back.
+/// Rebuild an [`AggregatingSink`] from a JSONL ledger's completed units,
+/// in one read, in manifest order — the order a streaming run folds
+/// them, so the written summary is byte-identical to the streamed one.
 pub fn summary_from_ledger<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
-    let path = path.as_ref();
-    let ledger = read_ledger(path)?;
     let mut sink = AggregatingSink::new();
-    sink.fingerprint = Some(ledger.fingerprint);
-    sink.n_trials = ledger.n_trials;
-    // Two passes total: the validating ledger read above plus one sample
-    // pass (`read_samples` would re-read the ledger a second time).
-    let mut keyed = collect_samples(path, &ledger.done)?;
-    keyed.sort_by_key(|(_, pos, s)| (*pos, s.trial));
-    for (_, _, s) in &keyed {
-        sink.push_sample(s);
-    }
+    let ledger = read_units(path, |unit| sink.fold_unit(&unit.samples))?;
+    sink.begin_run(ledger.fingerprint, ledger.n_trials)?;
     Ok(sink)
 }
 
@@ -632,20 +643,6 @@ impl ResultSink for Throttle<'_> {
     }
 }
 
-/// True when `path` holds no well-formed record at all — only blank
-/// lines and/or a torn fragment. This distinguishes "a writer died
-/// before its first flush completed" (safe to start fresh) from a file
-/// with real content whose header is damaged (corruption, surfaced as
-/// an error by [`read_ledger`]).
-pub fn ledger_is_effectively_empty<P: AsRef<Path>>(path: P) -> io::Result<bool> {
-    for line in BufReader::new(File::open(path)?).lines() {
-        if !matches!(classify(&line?), Line::Blank | Line::Malformed(_)) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Merge the summary files of one run's disjoint shards into one
 /// [`AggregatingSink`], combining sketches instead of re-reading samples.
 /// Merged moments and digests agree with a single stream's within
@@ -671,17 +668,8 @@ impl ResultSink for AggregatingSink {
         self.begin_run(manifest.fingerprint, manifest.n_trials)
     }
 
-    fn unit_complete(&mut self, unit: &ManifestUnit, samples: &[ErrorSample]) -> io::Result<()> {
-        // Every sample of a unit shares its (algorithm, setting): one key
-        // build and one map lookup per unit, then O(1) pushes.
-        let group = self
-            .groups
-            .entry((unit.algorithm.clone(), unit.setting.to_string()))
-            .or_insert_with(|| (unit.setting.clone(), StreamingSummary::new()));
-        for s in samples {
-            self.samples_seen += 1;
-            group.1.push(s.error);
-        }
+    fn unit_complete(&mut self, _unit: &ManifestUnit, samples: &[ErrorSample]) -> io::Result<()> {
+        self.fold_unit(samples);
         Ok(())
     }
 }
@@ -840,6 +828,38 @@ pub struct Ledger {
     pub cfg: Option<String>,
     /// Units with a completion marker.
     pub done: HashSet<UnitId>,
+    /// Manifest position of the last completed unit — the highest, since
+    /// markers ascend — or `None` when no unit completed.
+    pub last_pos: Option<usize>,
+}
+
+impl Ledger {
+    /// `(first pending, last completed)` manifest positions when resuming
+    /// `manifest` over this ledger would append a unit below the ledger's
+    /// last completed one — a ledger written for another shard or span,
+    /// whose resumed markers no reader would accept — and `None` when the
+    /// resume appends in manifest order.
+    pub fn resume_conflict(&self, manifest: &RunManifest) -> Option<(usize, usize)> {
+        let last = self.last_pos?;
+        let first = manifest
+            .units
+            .iter()
+            .find(|u| !self.done.contains(&u.id))?
+            .pos;
+        (first < last).then_some((first, last))
+    }
+}
+
+/// One completed unit, as the ledger reader yields it.
+#[derive(Debug, Clone)]
+pub struct LedgerUnit {
+    /// Manifest position, from the unit's completion marker.
+    pub pos: usize,
+    /// Unit id.
+    pub id: UnitId,
+    /// The unit's `n_trials` samples, deduplicated (last occurrence wins)
+    /// and in trial order.
+    pub samples: Vec<ErrorSample>,
 }
 
 pub(crate) fn bad(line_no: usize, what: &str) -> io::Error {
@@ -872,9 +892,10 @@ enum Line {
     Malformed(&'static str),
 }
 
-/// Classify (and fully parse) one line. Every reader shares this, so
-/// "well-formed" means the same thing to the resume path, the sample
-/// loader, the merge, and the tail-repair in [`JsonlSink::append`].
+/// Classify (and fully parse) one line. The ledger reader, the
+/// tail-repair in [`JsonlSink::append`], the progress probe and the
+/// fleet's header check all share this, so "well-formed" means the same
+/// thing to each.
 fn classify(line: &str) -> Line {
     let trimmed = line.trim();
     if trimmed.is_empty() {
@@ -955,102 +976,68 @@ impl TornTail {
     }
 }
 
-/// Parse a ledger/result file: header plus the set of completed units.
+/// Read a ledger once, handing each completed unit to `visit` in
+/// ascending manifest position, and return what the ledger knows. This
+/// is the one ledger reader: [`read_ledger`], [`read_samples`],
+/// [`read_store`] and [`summary_from_ledger`] are this pass with other
+/// visitors, and the merge reads each input through the same stream, so
+/// all of them accept and refuse the same files (the rules are in the
+/// module docs).
 ///
-/// Every line is fully validated. A torn (crash-truncated) **final** line
-/// is tolerated, matching the per-unit flush discipline of [`JsonlSink`];
-/// a malformed line anywhere else is an `InvalidData` error naming the
-/// line — mid-file corruption must never be silently skipped.
-pub fn read_ledger<P: AsRef<Path>>(path: P) -> io::Result<Ledger> {
-    let mut header: Option<(u64, usize, Option<String>)> = None;
+/// Crash tolerance: samples of units without a completion marker
+/// (in flight at a crash) are dropped — they will be re-run on resume.
+/// But a crash can also leave *orphans of units that later complete*: a
+/// `BufWriter` auto-flush can land part of a unit's samples on disk
+/// before the crash, and the resume re-runs the unit and appends a
+/// second (complete) copy plus the marker. Duplicates are resolved by
+/// `(sample-index, trial)` within the unit with the **last** occurrence
+/// winning — the resume's authoritative rewrite supersedes any
+/// pre-crash orphan (per-coordinate RNG makes the values bit-identical
+/// anyway; deduplication fixes the *count*). A torn line is tolerated
+/// only as the file's final content. A file without a single well-formed
+/// record (empty, or only a torn fragment) is an `UnexpectedEof` error.
+pub fn read_units<P: AsRef<Path>>(
+    path: P,
+    mut visit: impl FnMut(LedgerUnit),
+) -> io::Result<Ledger> {
+    let mut stream = UnitStream::open(path.as_ref())?;
     let mut done = HashSet::new();
-    let mut torn = TornTail::new();
-    for (i, line) in BufReader::new(File::open(path)?).lines().enumerate() {
-        let line = line?;
-        let cls = classify(&line);
-        if matches!(cls, Line::Blank) {
-            continue;
-        }
-        torn.check()?;
-        match cls {
-            Line::Header {
-                fingerprint,
-                n_trials,
-                cfg,
-            } => match &header {
-                Some((fp, nt, _)) if *fp != fingerprint || *nt != n_trials => {
-                    return Err(bad(i, "conflicting run headers"));
-                }
-                _ => header = Some((fingerprint, n_trials, cfg)),
-            },
-            Line::UnitDone { id, .. } => {
-                done.insert(id);
-            }
-            Line::Sample { .. } | Line::Blank => {}
-            Line::Malformed(what) => torn.defer(i, what),
-        }
+    while let Some(unit) = stream.take()? {
+        done.insert(unit.id);
+        visit(unit);
     }
-    let (fingerprint, n_trials, cfg) = header
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "ledger has no run header"))?;
+    let (fingerprint, n_trials, cfg) = stream.header().clone();
     Ok(Ledger {
         fingerprint,
         n_trials,
         cfg,
         done,
+        last_pos: stream.last_pos,
     })
 }
 
-/// Read every sample belonging to a **completed** unit, keyed by
-/// `(unit id, manifest position)` for canonical ordering.
-///
-/// Crash tolerance: samples of units without a completion marker
-/// (in-flight at a crash) are dropped — they will be re-run on resume.
-/// But a crash can also leave *orphans of units that later complete*: a
-/// `BufWriter` auto-flush can land part of a unit's samples on disk
-/// before the crash, and the resume re-runs the unit and appends a
-/// second (complete) copy plus the marker. Duplicates are resolved by
-/// `(unit, sample-index, trial)` with the **last** occurrence winning —
-/// the resume's authoritative rewrite supersedes any pre-crash orphan
-/// (per-coordinate RNG makes the values bit-identical anyway;
-/// deduplication fixes the *count*). A torn line is tolerated only as
-/// the file's final content, exactly as in [`read_ledger`].
-pub fn read_samples<P: AsRef<Path>>(path: P) -> io::Result<Vec<(UnitId, usize, ErrorSample)>> {
-    let path = path.as_ref();
-    // First pass validates structure (torn-tail rule included).
-    let done = read_ledger(path)?.done;
-    collect_samples(path, &done)
+/// Parse a ledger/result file: header plus the set of completed units
+/// ([`read_units`] without a visitor).
+pub fn read_ledger<P: AsRef<Path>>(path: P) -> io::Result<Ledger> {
+    read_units(path, drop)
 }
 
-/// The sample pass of [`read_samples`], reusing an already-read ledger
-/// (callers that hold a [`Ledger`] skip one full parse of the file).
-fn collect_samples(
-    path: &Path,
-    done: &HashSet<UnitId>,
-) -> io::Result<Vec<(UnitId, usize, ErrorSample)>> {
-    // (unit, sample index, trial) → slot in `out`; last occurrence wins.
-    let mut seen: HashMap<(UnitId, usize, usize), usize> = HashMap::new();
-    let mut out: Vec<(UnitId, usize, ErrorSample)> = Vec::new();
-    for line in BufReader::new(File::open(path)?).lines() {
-        let line = line?;
-        // A malformed line here can only be the tolerated torn tail —
-        // the first pass already rejected mid-file corruption.
-        let Line::Sample { id, pos, sample } = classify(&line) else {
-            continue;
-        };
-        if !done.contains(&id) {
-            continue;
-        }
-        match seen.entry((id, sample.sample, sample.trial)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                out[*e.get()] = (id, pos, sample);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(out.len());
-                out.push((id, pos, sample));
-            }
-        }
-    }
+/// Read every sample belonging to a **completed** unit, keyed by
+/// `(unit id, manifest position)`, in manifest order ([`read_units`]).
+pub fn read_samples<P: AsRef<Path>>(path: P) -> io::Result<Vec<(UnitId, usize, ErrorSample)>> {
+    let mut out = Vec::new();
+    read_units(path, |unit| {
+        out.extend(unit.samples.into_iter().map(|s| (unit.id, unit.pos, s)));
+    })?;
     Ok(out)
+}
+
+/// Load the completed samples of a JSONL file into a [`ResultStore`]
+/// (canonical — manifest — order; [`read_units`]).
+pub fn read_store<P: AsRef<Path>>(path: P) -> io::Result<ResultStore> {
+    let mut store = ResultStore::new();
+    read_units(path, |unit| store.extend(unit.samples))?;
+    Ok(store)
 }
 
 /// Result of one incremental [`probe_ledger`] pass.
@@ -1149,68 +1136,57 @@ fn parse_sample(rec: &json::Object) -> Option<(usize, ErrorSample)> {
     Some((rec.num("pos")?, sample))
 }
 
-/// Load the completed samples of a JSONL file into a [`ResultStore`]
-/// (canonical — manifest — order).
-pub fn read_store<P: AsRef<Path>>(path: P) -> io::Result<ResultStore> {
-    let mut keyed = read_samples(path)?;
-    keyed.sort_by_key(|(_, pos, s)| (*pos, s.trial));
-    let mut store = ResultStore::new();
-    store.extend(keyed.into_iter().map(|(_, _, s)| s));
-    Ok(store)
-}
-
 // ---------------------------------------------------------------------------
 // Streaming k-way merge
 // ---------------------------------------------------------------------------
 
-/// One input of the k-way merge, read once: it applies the strict
-/// readers' rules as it streams (the torn-tail rule, one leading run
-/// header, ascending unit markers) and yields completed units in ascending
-/// manifest position, holding in memory only the samples of units whose
-/// completion marker has not streamed past yet (normally exactly one
-/// unit; more only for pre-crash orphans and units in flight at a crash).
+/// The ledger reader behind [`read_units`] and each input of the k-way
+/// merge. It reads the file once, applies the module's rule set as it
+/// streams, and yields completed units in ascending manifest position,
+/// holding in memory only the samples of units whose completion marker
+/// has not streamed past yet (normally exactly one unit; more only for
+/// pre-crash orphans and units in flight at a crash).
 struct UnitStream {
     lines: std::iter::Enumerate<std::io::Lines<BufReader<File>>>,
-    /// The input's run header (fingerprint, `n_trials`, config summary),
-    /// once read.
+    /// The run header (fingerprint, `n_trials`, config summary), once
+    /// read.
     header: Option<(u64, usize, Option<String>)>,
     /// Samples (with their claimed manifest position) awaiting their
     /// unit's completion marker.
     pending: HashMap<UnitId, Vec<(usize, ErrorSample)>>,
-    /// Position of the last emitted unit (ascending-order guard — also
-    /// rejects duplicate markers).
+    /// Position of the last completed unit read (ascending-order guard —
+    /// also rejects duplicate markers).
     last_pos: Option<usize>,
     torn: TornTail,
-    /// Display name for error messages.
-    label: String,
     /// Lookahead: the next completed unit, if any.
-    head: Option<(usize, UnitId, Vec<ErrorSample>)>,
+    head: Option<LedgerUnit>,
 }
 
 /// Prefix an error with the name of the input it came from.
-fn named(label: &str, e: io::Error) -> io::Error {
-    io::Error::new(e.kind(), format!("{label}: {e}"))
+fn named(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 impl UnitStream {
     /// Open `path` and read up to its first completed unit. The run
     /// header must be the first record (every writer puts it there).
     fn open(path: &Path) -> io::Result<Self> {
-        let label = path.display().to_string();
-        let file = File::open(path).map_err(|e| named(&label, e))?;
         let mut s = Self {
-            lines: BufReader::new(file).lines().enumerate(),
+            lines: BufReader::new(File::open(path)?).lines().enumerate(),
             header: None,
             pending: HashMap::new(),
             last_pos: None,
             torn: TornTail::new(),
-            label,
             head: None,
         };
         s.head = s.next_unit()?;
         if s.header.is_none() {
-            let e = io::Error::new(io::ErrorKind::InvalidData, "ledger has no run header");
-            return Err(named(&s.label, e));
+            // Not one well-formed record: a writer died before its first
+            // line landed (or nothing was written).
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "ledger has no run header",
+            ));
         }
         Ok(s)
     }
@@ -1221,11 +1197,10 @@ impl UnitStream {
             .expect("open refuses a ledger without a header")
     }
 
-    /// Advance to the next completed unit: `(pos, id, samples)` with
-    /// samples deduplicated (last occurrence wins) and in trial order.
-    fn next_unit(&mut self) -> io::Result<Option<(usize, UnitId, Vec<ErrorSample>)>> {
+    /// Advance to the next completed unit.
+    fn next_unit(&mut self) -> io::Result<Option<LedgerUnit>> {
         for (i, line) in self.lines.by_ref() {
-            let cls = classify(&line.map_err(|e| named(&self.label, e))?);
+            let cls = classify(&line?);
             match cls {
                 Line::Blank => continue,
                 // Tolerated only as the file's final content.
@@ -1233,7 +1208,7 @@ impl UnitStream {
                     self.torn.defer(i, what);
                     continue;
                 }
-                _ => self.torn.check().map_err(|e| named(&self.label, e))?,
+                _ => self.torn.check()?,
             }
             match cls {
                 Line::Header {
@@ -1245,13 +1220,13 @@ impl UnitStream {
                     match &self.header {
                         None => self.header = Some(header),
                         Some(first) if *first != header => {
-                            return Err(named(&self.label, bad(i, "conflicting run headers")));
+                            return Err(bad(i, "conflicting run headers"));
                         }
                         Some(_) => {}
                     }
                 }
                 _ if self.header.is_none() => {
-                    return Err(named(&self.label, bad(i, "record before the run header")));
+                    return Err(bad(i, "record before the run header"));
                 }
                 // Samples of a unit that never completes in this file
                 // (in flight at a crash) wait here until EOF and are
@@ -1262,36 +1237,43 @@ impl UnitStream {
                 }
                 Line::UnitDone { id, pos } => {
                     if self.last_pos.is_some_and(|last| pos <= last) {
-                        return Err(named(
-                            &self.label,
-                            bad(
-                                i,
-                                "unit markers out of ascending manifest order \
-                                 (corrupt or hand-concatenated file)",
-                            ),
+                        return Err(bad(
+                            i,
+                            "unit markers out of ascending manifest order \
+                             (corrupt or hand-concatenated file)",
                         ));
                     }
                     self.last_pos = Some(pos);
-                    let samples = self.pending.remove(&id).unwrap_or_default();
                     // Dedup (sample, trial) last-wins; BTreeMap iteration
                     // restores canonical trial order. A sample claiming a
                     // different manifest slot than its unit's marker is
                     // corruption.
                     let mut dedup: BTreeMap<(usize, usize), ErrorSample> = BTreeMap::new();
-                    for (sample_pos, s) in samples {
+                    for (sample_pos, s) in self.pending.remove(&id).unwrap_or_default() {
                         if sample_pos != pos {
-                            return Err(named(
-                                &self.label,
-                                bad(
-                                    i,
-                                    "sample and completion marker disagree on \
-                                     manifest position",
-                                ),
+                            return Err(bad(
+                                i,
+                                "sample and completion marker disagree on manifest position",
                             ));
                         }
                         dedup.insert((s.sample, s.trial), s);
                     }
-                    return Ok(Some((pos, id, dedup.into_values().collect())));
+                    let n_trials = self.header().1;
+                    if dedup.len() != n_trials {
+                        return Err(bad(
+                            i,
+                            &format!(
+                                "completed unit holds {} trial(s) but the run header \
+                                 says n_trials = {n_trials}",
+                                dedup.len()
+                            ),
+                        ));
+                    }
+                    return Ok(Some(LedgerUnit {
+                        pos,
+                        id,
+                        samples: dedup.into_values().collect(),
+                    }));
                 }
                 Line::Blank | Line::Malformed(_) => unreachable!("skipped above"),
             }
@@ -1300,7 +1282,7 @@ impl UnitStream {
     }
 
     /// Pop the lookahead and refill it.
-    fn take(&mut self) -> io::Result<Option<(usize, UnitId, Vec<ErrorSample>)>> {
+    fn take(&mut self) -> io::Result<Option<LedgerUnit>> {
         let head = self.head.take();
         if head.is_some() {
             self.head = self.next_unit()?;
@@ -1326,7 +1308,7 @@ pub struct Merged {
 /// (e.g. overlapping resumes) must agree on every `(sample, trial)`
 /// coordinate and error bit, and are emitted once.
 ///
-/// Each input is read once, under the strict readers' rules (see
+/// Each input is read once, under the ledger readers' rules (see
 /// [`merge_jsonl_into`]); a failed merge may leave partial output in
 /// `out` ([`merge_jsonl_file`] never does).
 ///
@@ -1343,12 +1325,10 @@ pub fn merge_jsonl<P: AsRef<Path>, W: Write>(inputs: &[P], out: &mut W) -> io::R
 /// [`summary_from_ledger`] would rebuild from the output, byte for byte,
 /// without reading it back.
 ///
-/// Each input is read once, and checked as [`read_ledger`] checks it
-/// while it streams: its first record must be its run header, and every
-/// input's header must agree on the fingerprint, `n_trials` and config
-/// summary; a malformed line is tolerated only as the input's final
-/// content; unit markers must ascend. Errors name the input and, for
-/// corruption, its line.
+/// Each input is read once, through the reader behind [`read_units`]
+/// and so under the same rules, and every input's header must agree on
+/// the fingerprint, `n_trials` and config summary. Errors name the input
+/// and, for corruption, its line.
 pub fn merge_jsonl_into<P: AsRef<Path>, W: Write>(
     inputs: &[P],
     out: &mut W,
@@ -1358,11 +1338,11 @@ pub fn merge_jsonl_into<P: AsRef<Path>, W: Write>(
     if inputs.is_empty() {
         return Err(invalid("no input files to merge".into()));
     }
-    let mut streams: Vec<UnitStream> = Vec::with_capacity(inputs.len());
+    let mut streams: Vec<(UnitStream, &Path)> = Vec::with_capacity(inputs.len());
     for path in inputs {
         let path = path.as_ref();
-        let stream = UnitStream::open(path)?;
-        if let Some(first) = streams.first() {
+        let stream = UnitStream::open(path).map_err(|e| named(path, e))?;
+        if let Some((first, _)) = streams.first() {
             let ((fp, nt, cfg), (s_fp, s_nt, s_cfg)) = (first.header(), stream.header());
             if fp != s_fp {
                 return Err(invalid(format!(
@@ -1383,9 +1363,9 @@ pub fn merge_jsonl_into<P: AsRef<Path>, W: Write>(
                 )));
             }
         }
-        streams.push(stream);
+        streams.push((stream, path));
     }
-    let (fingerprint, n_trials, cfg) = streams[0].header().clone();
+    let (fingerprint, n_trials, cfg) = streams[0].0.header().clone();
     if let Some(summary) = summary.as_deref_mut() {
         summary.begin_run(fingerprint, n_trials)?;
     }
@@ -1400,45 +1380,48 @@ pub fn merge_jsonl_into<P: AsRef<Path>, W: Write>(
     let mut units = Vec::new();
     while let Some(min_pos) = streams
         .iter()
-        .filter_map(|s| s.head.as_ref().map(|(p, _, _)| *p))
+        .filter_map(|(s, _)| s.head.as_ref().map(|u| u.pos))
         .min()
     {
-        let mut chosen: Option<(UnitId, Vec<ErrorSample>)> = None;
-        for stream in &mut streams {
-            if stream.head.as_ref().map(|(p, _, _)| *p) != Some(min_pos) {
+        let mut chosen: Option<LedgerUnit> = None;
+        for (stream, path) in &mut streams {
+            if stream.head.as_ref().map(|u| u.pos) != Some(min_pos) {
                 continue;
             }
-            let label = stream.label.clone();
-            let (_, id, samples) = stream.take()?.expect("head checked above");
+            let unit = stream
+                .take()
+                .map_err(|e| named(path, e))?
+                .expect("head checked above");
             match &chosen {
-                None => chosen = Some((id, samples)),
-                Some((first_id, first)) => {
+                None => chosen = Some(unit),
+                Some(first) => {
                     // Duplicated unit (overlapping resumes): must agree
                     // on identity, count, every (sample, trial)
                     // coordinate, and every error bit.
-                    let agree = *first_id == id
-                        && first.len() == samples.len()
-                        && first.iter().zip(&samples).all(|(a, b)| {
+                    let agree = first.id == unit.id
+                        && first.samples.len() == unit.samples.len()
+                        && first.samples.iter().zip(&unit.samples).all(|(a, b)| {
                             a.sample == b.sample
                                 && a.trial == b.trial
                                 && a.error.to_bits() == b.error.to_bits()
                         });
                     if !agree {
                         return Err(invalid(format!(
-                            "{label}: duplicated unit {id} at pos {min_pos} \
-                             disagrees across inputs"
+                            "{}: duplicated unit {} at pos {min_pos} disagrees across inputs",
+                            path.display(),
+                            unit.id
                         )));
                     }
                 }
             }
         }
-        let (id, samples) = chosen.expect("some stream held min_pos");
+        let LedgerUnit { id, samples, .. } = chosen.expect("some stream held min_pos");
         for s in &samples {
             writeln!(out, "{}", format_sample(id, min_pos, s))?;
         }
         writeln!(out, "{}", format_unit_done(id, min_pos))?;
         if let Some(summary) = summary.as_deref_mut() {
-            summary.push_written_unit(&samples);
+            summary.fold_unit(&samples);
         }
         units.push(id);
     }

@@ -595,14 +595,18 @@ fn run(a: &Args) -> Result<ExitCode, String> {
 
     // Execute: results stream to a memory sink for the summary table, to
     // an append-only JSONL ledger (--out), and to a mergeable t-digest
-    // aggregation (--agg). A resumed run appends only the missing units
-    // to its ledger and reads everything else back from it.
+    // aggregation (--agg). A resumed run reads its ledger once, loading
+    // the units it holds into the memory and aggregation sinks, and the
+    // runner appends the missing units through the same sinks.
     let mut memory = MemorySink::new();
     let mut agg = AggregatingSink::new();
     let (done, mut jsonl) = match (resumed, out) {
         (Some(path), _) => {
-            let ledger =
-                sink::read_ledger(path).map_err(|e| format!("reading ledger {path}: {e}"))?;
+            let ledger = sink::read_units(path, |unit| {
+                agg.fold_unit(&unit.samples);
+                memory.load(unit);
+            })
+            .map_err(|e| format!("reading ledger {path}: {e}"))?;
             if ledger.fingerprint != manifest.fingerprint {
                 let mut msg = format!("ledger {path} belongs to a different run configuration");
                 match &ledger.cfg {
@@ -618,6 +622,15 @@ fn run(a: &Args) -> Result<ExitCode, String> {
                 }
                 return Err(msg);
             }
+            // Loading first and then running is manifest order only while
+            // every unit the run appends sits above the loaded ones.
+            if let Some((first, last)) = ledger.resume_conflict(&manifest) {
+                return Err(format!(
+                    "ledger {path} cannot be resumed in order: its last completed unit \
+                     (position {last}) lies past this run's first pending unit (position \
+                     {first}); resume it with the --shard and span that wrote it"
+                ));
+            }
             let jsonl = JsonlSink::append(path).map_err(|e| format!("opening {path}: {e}"))?;
             (ledger.done, Some(jsonl))
         }
@@ -631,10 +644,8 @@ fn run(a: &Args) -> Result<ExitCode, String> {
     if let Some(jsonl) = jsonl.as_mut() {
         sinks.push(jsonl);
     }
-    if resumed.is_none() {
-        sinks.push(&mut memory);
-        sinks.push(&mut agg);
-    }
+    sinks.push(&mut memory);
+    sinks.push(&mut agg);
     // A zero delay forwards without sleeping.
     let stats = runner.resume(
         &manifest,
@@ -692,27 +703,17 @@ fn run(a: &Args) -> Result<ExitCode, String> {
         );
     }
 
-    // The mergeable per-shard summary: streamed directly on a fresh run,
-    // rebuilt from the ledger (which holds the union of all phases)
-    // after a resume.
+    // The mergeable per-shard summary: the units this run completed, plus
+    // those a resumed ledger already held.
     if let Some(agg_path) = agg_out {
-        match resumed {
-            Some(path) => sink::summary_from_ledger(path)
-                .and_then(|mut rebuilt| rebuilt.write_summary_file(agg_path)),
-            None => agg.write_summary_file(agg_path),
-        }
-        .map_err(|e| format!("writing summary {agg_path}: {e}"))?;
+        agg.write_summary_file(agg_path)
+            .map_err(|e| format!("writing summary {agg_path}: {e}"))?;
         if verbose {
             println!("mergeable summary written to {agg_path}");
         }
     }
 
-    // Summary table: from memory for a fresh run; from the ledger (which
-    // holds the union of all phases) after a resume.
-    let store = match resumed {
-        Some(path) => sink::read_store(path).map_err(|e| format!("reading results back: {e}"))?,
-        None => memory.into_store(),
-    };
+    let store = memory.into_store();
     print_summary_table(
         store
             .summaries()

@@ -938,3 +938,71 @@ fn a_shard_exit_wakes_the_driver_before_its_poll_interval() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A ledger written for one shard cannot be resumed as a shard whose
+/// pending units sit below the units it completed: appending them would
+/// put its unit markers out of order, a file no reader accepts. The
+/// resume fails before it runs anything, names the ledger and both
+/// positions, and leaves the file as it was.
+#[test]
+fn resume_that_would_append_below_completed_units_is_refused() {
+    let dir = tmp_dir("cross-span");
+    let ledger = dir.join("L.jsonl");
+    let mut args = vec!["run"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&["--out", ledger.to_str().unwrap(), "--shard", "1/2"]);
+    run_ok(&args);
+    let before = std::fs::read(&ledger).unwrap();
+    // Shard 1/2 is positions 3–5; shard 1/4 is position 2 alone.
+    let mut args = vec!["run"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&[
+        "--out",
+        ledger.to_str().unwrap(),
+        "--shard",
+        "1/4",
+        "--resume",
+    ]);
+    let out = dpbench(&args);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(ledger.to_str().unwrap()), "{stderr}");
+    assert!(
+        stderr.contains("position 2") && stderr.contains("position 5"),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read(&ledger).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fleet re-run with another `--procs` over the same `--out` deals
+/// other blocks. A left-over shard ledger that its new shard would
+/// resume out of order is refused before any shard launches.
+#[test]
+fn fleet_refuses_shard_ledgers_left_by_another_procs_before_launching() {
+    let dir = tmp_dir("reprocs");
+    let merged = dir.join("fleet.jsonl");
+    let fleet = |procs: &str| {
+        let mut args = vec!["fleet", "--procs", procs];
+        args.extend_from_slice(GRID);
+        args.extend_from_slice(&["--out", merged.to_str().unwrap()]);
+        dpbench(&args)
+    };
+    assert!(fleet("2").status.success());
+    let shard1 = dir.join("fleet.shard1.jsonl");
+    let before = std::fs::read(&shard1).unwrap();
+    // Shard 1 of 2 holds positions 3–5; shard 1 of 4 is position 2.
+    let out = fleet("4");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(shard1.to_str().unwrap()) && stderr.contains("move it aside"),
+        "{stderr}"
+    );
+    assert_eq!(std::fs::read(&shard1).unwrap(), before);
+    for i in [2, 3] {
+        let ledger = dir.join(format!("fleet.shard{i}.jsonl"));
+        assert!(!ledger.exists(), "shard {i} launched before the refusal");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

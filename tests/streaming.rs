@@ -399,29 +399,33 @@ fn mid_file_corruption_is_a_hard_error_with_line_number() {
     drop(jsonl);
 
     let clean = std::fs::read_to_string(&path).unwrap();
-    let mut lines: Vec<&str> = clean.lines().collect();
-    let corrupted_line_no = 3; // 1-based; mid-file, well before EOF
-    lines[corrupted_line_no - 1] = "x9 GARBAGE {not json";
-    let dirty = lines.join("\n") + "\n";
-    std::fs::write(&path, &dirty).unwrap();
-
-    for result in [
-        sink::read_ledger(&path).map(|_| ()),
-        sink::read_samples(&path).map(|_| ()),
-        sink::read_store(&path).map(|_| ()),
-    ] {
-        let err = result.expect_err("mid-file corruption must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(
-            msg.contains(&format!("line {corrupted_line_no}")),
-            "error must carry the line number: {msg}"
-        );
-        assert!(msg.contains("corruption"), "{msg}");
+    // Line 3, mid-file and well before EOF, turns to garbage.
+    let mut garbage: Vec<&str> = clean.lines().collect();
+    garbage[2] = "x9 GARBAGE {not json";
+    // Lines 2–4 are the first unit's three samples and line 5 its
+    // marker: without line 3 the marker, now line 4, closes a unit one
+    // trial short.
+    let mut short: Vec<&str> = clean.lines().collect();
+    short.remove(2);
+    for (lines, line_no, what) in [(garbage, 3, "corruption"), (short, 4, "n_trials = 3")] {
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        for result in [
+            sink::read_ledger(&path).map(|_| ()),
+            sink::read_samples(&path).map(|_| ()),
+            sink::read_store(&path).map(|_| ()),
+            sink::summary_from_ledger(&path).map(|_| ()),
+            sink::merge_jsonl(&[&path], &mut Vec::new()),
+        ] {
+            let err = result.expect_err("mid-file corruption must be rejected");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("line {line_no}:")),
+                "error must carry the line number: {msg}"
+            );
+            assert!(msg.contains(what), "{msg}");
+        }
     }
-    // merge refuses the file too.
-    let mut out = Vec::new();
-    assert!(sink::merge_jsonl(&[&path], &mut out).is_err());
 
     // A half-overwritten *sample* record (valid tag, broken payload) is
     // equally fatal mid-file.
@@ -431,6 +435,78 @@ fn mid_file_corruption_is_a_hard_error_with_line_number() {
     std::fs::write(&path, lines.join("\n") + "\n").unwrap();
     let err = sink::read_ledger(&path).unwrap_err();
     assert!(err.to_string().contains("line 2"), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Every ledger reader and the merge read a file through one reader
+/// under one rule set, so each doctored copy of a clean ledger is
+/// accepted by all five or refused by all five with `InvalidData`.
+#[test]
+fn ledger_readers_and_the_merge_agree_on_every_file() {
+    let path = tmp("agree");
+    let _ = std::fs::remove_file(&path);
+    let runner = Runner::new(tiny_config());
+    let mut jsonl = JsonlSink::create(&path).unwrap();
+    runner
+        .run_with_sink(&runner.manifest(), &mut jsonl)
+        .unwrap();
+    drop(jsonl);
+    let clean = std::fs::read_to_string(&path).unwrap();
+    // Line 1 is the header, lines 2–4 and 5 the first unit's samples and
+    // marker, lines 6–8 and 9 the second unit's.
+    let doctor = |edit: &dyn Fn(&mut Vec<String>)| {
+        let mut lines: Vec<String> = clean.lines().map(str::to_string).collect();
+        edit(&mut lines);
+        lines.join("\n") + "\n"
+    };
+    let cases = [
+        ("record before the header", doctor(&|l| l.swap(0, 1)), false),
+        ("two markers swapped", doctor(&|l| l.swap(4, 8)), false),
+        (
+            "sample pos differs from its marker's",
+            doctor(&|l| l[1] = l[1].replacen("\"pos\":0,", "\"pos\":1,", 1)),
+            false,
+        ),
+        (
+            "repeated marker",
+            doctor(&|l| l.insert(5, l[4].clone())),
+            false,
+        ),
+        (
+            "missing sample line",
+            doctor(&|l| {
+                l.remove(2);
+            }),
+            false,
+        ),
+        (
+            "torn final line",
+            format!("{clean}{{\"t\":\"s\",\"unit\":\"00"),
+            true,
+        ),
+        ("clean", clean.clone(), true),
+    ];
+    for (what, text, valid) in cases {
+        std::fs::write(&path, &text).unwrap();
+        for (reader, verdict) in [
+            ("read_ledger", sink::read_ledger(&path).map(|_| ())),
+            ("read_samples", sink::read_samples(&path).map(|_| ())),
+            ("read_store", sink::read_store(&path).map(|_| ())),
+            (
+                "summary_from_ledger",
+                sink::summary_from_ledger(&path).map(|_| ()),
+            ),
+            ("merge_jsonl", sink::merge_jsonl(&[&path], &mut Vec::new())),
+        ] {
+            match verdict {
+                Ok(()) => assert!(valid, "{what}: {reader} accepted it"),
+                Err(e) => {
+                    assert!(!valid, "{what}: {reader} refused it: {e}");
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
+                }
+            }
+        }
+    }
     std::fs::remove_file(&path).unwrap();
 }
 

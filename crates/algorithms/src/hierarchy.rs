@@ -50,6 +50,10 @@ pub struct Hierarchy {
     kids: Vec<u32>,
     /// `cell_node[c]`: the inference-tree node holding cell `c`'s estimate.
     cell_node: Vec<u32>,
+    /// The `(branching, max_levels)` it was built with. With the domain
+    /// they determine the hierarchy, so they key the workspace's
+    /// [`NodeCounts`].
+    built_with: (usize, usize),
 }
 
 impl Hierarchy {
@@ -124,6 +128,7 @@ impl Hierarchy {
             leaves,
             kids,
             cell_node,
+            built_with: (branching, max_levels),
         }
     }
 
@@ -217,11 +222,13 @@ impl Hierarchy {
         self.measure_and_infer_with(x, level_eps, &mut Workspace::new(), rng)
     }
 
-    /// [`Hierarchy::measure_and_infer`] drawing the cumulative table, the
+    /// [`Hierarchy::measure_and_infer`] drawing the true node counts, the
     /// inference arrays, and the output buffer from a caller-owned
     /// [`Workspace`] — the allocation-free per-trial entry point of every
     /// hierarchical mechanism. The returned vector comes from the pool;
-    /// hand it back via `ws.give_f64` when done.
+    /// hand it back via `ws.give_f64` when done. The workspace keeps the
+    /// node counts of the last data vector it measured over this
+    /// hierarchy, so repeated trials on one vector only add fresh noise.
     ///
     /// Four linear passes over the inference tree: draw the noise in node
     /// id order, fuse upward in reverse id order, spread discrepancies
@@ -245,13 +252,8 @@ impl Hierarchy {
             self.domain,
             "data outside the hierarchy's domain"
         );
-        let table = match ws.take_table() {
-            Some(mut table) => {
-                table.rebuild_cells(x.counts(), x.domain());
-                table
-            }
-            None => PrefixTable::build(x),
-        };
+        let mut memo: Box<NodeCounts> = ws.take_typed();
+        let counts = memo.get(self, x.counts(), ws);
         // `est[i]` holds node i's measurement, then its upward estimate,
         // then its final value; `var[i]` the measurement's variance, then
         // the upward estimate's. An unmeasured node starts as an unknown
@@ -263,7 +265,7 @@ impl Hierarchy {
             if eps > 0.0 {
                 let (scale, variance) = (1.0 / eps, 2.0 / (eps * eps));
                 for id in ids.clone() {
-                    est[id] = table.eval(&self.nodes[id].query) + laplace(scale, rng);
+                    est[id] = counts[id] + laplace(scale, rng);
                     var[id] = variance;
                 }
             } else {
@@ -271,7 +273,7 @@ impl Hierarchy {
             }
         }
         var[self.nodes.len()..].fill(f64::INFINITY);
-        ws.store_table(table);
+        ws.store_typed(memo);
 
         // Upward, children before parents: fuse each node's measurement
         // with the sum of its children's estimates. A leaf keeps its own.
@@ -410,6 +412,48 @@ impl Hierarchy {
         }
         cells
     }
+}
+
+/// The true counts of every node of the last (hierarchy, data) pair a
+/// worker measured, kept in its [`Workspace`]'s typed slot. A unit's
+/// trials measure one data vector over one hierarchy, so each trial after
+/// the first adds its noise to these instead of rebuilding the cumulative
+/// table and summing every node again. The key is the hierarchy's domain
+/// and build parameters plus the cells, compared bit for bit (as SF's
+/// V-optimal memo keys its counts), so a hit holds exactly the values a
+/// rebuild would compute. DAWA's second stage and SF's buckets measure a
+/// new vector on nearly every call; they pay one copy of it.
+#[derive(Default)]
+struct NodeCounts {
+    key: Option<(Domain, (usize, usize))>,
+    cells: Vec<f64>,
+    counts: Vec<f64>,
+}
+
+impl NodeCounts {
+    /// `hier`'s node counts over `cells`, in node id order: the held ones
+    /// when the key matches, otherwise summed from the workspace's pooled
+    /// table and held in their place.
+    fn get(&mut self, hier: &Hierarchy, cells: &[f64], ws: &mut Workspace) -> &[f64] {
+        let key = Some((hier.domain, hier.built_with));
+        if self.key != key || !same_bits(&self.cells, cells) {
+            let table = ws.table_over(cells, hier.domain);
+            self.counts.clear();
+            self.counts
+                .extend(hier.nodes.iter().map(|node| table.eval(&node.query)));
+            ws.store_table(table);
+            self.cells.clear();
+            self.cells.extend_from_slice(cells);
+            self.key = key;
+        }
+        &self.counts
+    }
+}
+
+/// Whether two slices hold the same values bit for bit (so `-0.0` and
+/// `0.0` differ and a NaN equals only its own bits).
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// A node's upward-pass estimate and variance: its measurement

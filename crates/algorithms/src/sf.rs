@@ -36,7 +36,7 @@
 //! The per-bucket H hierarchies come from the worker's [`HierPool`], and
 //! their buffers from the workspace.
 
-use crate::hierarchy::HierPool;
+use crate::hierarchy::{same_bits, HierPool};
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
 use dpbench_core::{
@@ -257,13 +257,7 @@ impl VOptMemo {
     /// The table for `(counts, k, width)`: the held one when the key
     /// matches, otherwise a fresh [`VOptDp::build`] that replaces it.
     fn get(&mut self, counts: &[f64], k: usize, width: usize) -> &VOptDp {
-        let held = (self.k, self.width) == (k, width)
-            && self.counts.len() == counts.len()
-            && self
-                .counts
-                .iter()
-                .zip(counts)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+        let held = (self.k, self.width) == (k, width) && same_bits(&self.counts, counts);
         if !held {
             self.dp = None;
             self.counts.clear();

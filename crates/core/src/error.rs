@@ -27,19 +27,18 @@ impl Loss {
             y_hat.len(),
             "answer vectors must have equal length"
         );
+        self.reduce(y_true.iter().copied().zip(y_hat.iter().copied()))
+    }
+
+    /// The loss over `(true, estimate)` answer pairs in query order: the
+    /// one definition of each loss, behind [`Loss::eval`] and the fused
+    /// scorer [`Workload::scaled_error`](crate::Workload::scaled_error),
+    /// which feeds each answer in as it computes it.
+    pub(crate) fn reduce(&self, pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
         match self {
-            Loss::L1 => y_true.iter().zip(y_hat).map(|(a, b)| (a - b).abs()).sum(),
-            Loss::L2 => y_true
-                .iter()
-                .zip(y_hat)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt(),
-            Loss::LInf => y_true
-                .iter()
-                .zip(y_hat)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max),
+            Loss::L1 => pairs.map(|(a, b)| (a - b).abs()).sum(),
+            Loss::L2 => pairs.map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt(),
+            Loss::LInf => pairs.map(|(a, b)| (a - b).abs()).fold(0.0, f64::max),
         }
     }
 }
@@ -49,9 +48,15 @@ impl Loss {
 /// `scale` is the dataset scale `s = ‖x‖₁`; a scale of zero is clamped to 1
 /// so the metric stays finite on degenerate inputs.
 pub fn scaled_per_query_error(y_true: &[f64], y_hat: &[f64], scale: f64, loss: Loss) -> f64 {
-    let q = y_true.len().max(1) as f64;
+    per_query(loss.eval(y_true, y_hat), scale, y_true.len())
+}
+
+/// A workload's total loss over its `q` queries, divided by `s·q`
+/// (Definition 3, with the clamps of [`scaled_per_query_error`]).
+pub(crate) fn per_query(loss: f64, scale: f64, q: usize) -> f64 {
+    let q = q.max(1) as f64;
     let s = if scale > 0.0 { scale } else { 1.0 };
-    loss.eval(y_true, y_hat) / (s * q)
+    loss / (s * q)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::data::DataVector;
 use crate::domain::Domain;
+use crate::error::{self, Loss};
 use crate::query::{PrefixTable, RangeQuery};
 use crate::workspace::Workspace;
 use rand::Rng;
@@ -22,6 +23,10 @@ pub struct Workload {
     queries: Vec<RangeQuery>,
     /// [`Workload::fingerprint`], computed once at construction.
     fingerprint: u64,
+    /// Whether this is the 1-D Prefix workload, query `i` being `[0, i]`
+    /// for every cell `i`: [`Workload::scaled_error`] then scores it in one
+    /// running-sum pass instead of through a table.
+    prefix: bool,
 }
 
 impl Workload {
@@ -62,10 +67,16 @@ impl Workload {
             mix(q.hi.0 as u64);
             mix(q.hi.1 as u64);
         }
+        let prefix = matches!(domain, Domain::D1(n) if n == queries.len())
+            && queries
+                .iter()
+                .enumerate()
+                .all(|(i, q)| *q == RangeQuery::d1(0, i));
         Self {
             domain,
             queries,
             fingerprint: h,
+            prefix,
         }
     }
 
@@ -217,24 +228,66 @@ impl Workload {
         self.evaluate_cells_into(x.counts(), ws, out);
     }
 
-    /// Allocation-free [`Workload::evaluate_cells`]: the hot path of the
-    /// grid runner's trial loop. Steady-state calls allocate nothing — the
-    /// cumulative table is rebuilt in place from the workspace's pooled
-    /// table and `out` reuses its capacity.
+    /// Allocation-free [`Workload::evaluate_cells`]: answers land in `out`
+    /// (cleared first) and the cumulative table is rebuilt in place from
+    /// the workspace's pooled table.
     pub fn evaluate_cells_into(&self, cells: &[f64], ws: &mut Workspace, out: &mut Vec<f64>) {
-        let table = match ws.take_table() {
-            Some(mut table) => {
-                table.rebuild_cells(cells, self.domain);
-                table
-            }
-            None => PrefixTable::build_cells(cells, self.domain),
-        };
+        let table = ws.table_over(cells, self.domain);
         out.clear();
         out.reserve(self.queries.len());
         for q in &self.queries {
             out.push(table.eval(q));
         }
         ws.store_table(table);
+    }
+
+    /// Score cell estimates against the true answers `y_true` (paper
+    /// Definition 3): the bits of
+    /// `scaled_per_query_error(y_true, &self.evaluate_cells(cells), scale, loss)`
+    /// without building the answer vector — the grid runner's per-trial
+    /// scorer. Each answer feeds the loss as it is computed. The Prefix
+    /// workload's answers are one running sum over the cells (the values
+    /// [`PrefixTable`] would store, read back minus its zero sentinel,
+    /// which changes no bit), so it needs no table; every other workload
+    /// reads the workspace's pooled table.
+    pub fn scaled_error(
+        &self,
+        cells: &[f64],
+        y_true: &[f64],
+        scale: f64,
+        loss: Loss,
+        ws: &mut Workspace,
+    ) -> f64 {
+        assert_eq!(
+            cells.len(),
+            self.domain.n_cells(),
+            "cell slice length {} does not match domain {}",
+            cells.len(),
+            self.domain
+        );
+        assert_eq!(
+            y_true.len(),
+            self.queries.len(),
+            "answer vectors must have equal length"
+        );
+        let total = if self.prefix {
+            let mut acc = 0.0;
+            loss.reduce(y_true.iter().zip(cells).map(|(&y, &c)| {
+                acc += c;
+                (y, acc)
+            }))
+        } else {
+            let table = ws.table_over(cells, self.domain);
+            let total = loss.reduce(
+                y_true
+                    .iter()
+                    .zip(&self.queries)
+                    .map(|(&y, q)| (y, table.eval(q))),
+            );
+            ws.store_table(table);
+            total
+        };
+        error::per_query(total, scale, y_true.len())
     }
 }
 

@@ -6,7 +6,7 @@
 //! the matrix mechanism, and assorted per-trial temporaries. A
 //! [`Workspace`] is a per-worker-thread pool of reusable buffers threaded
 //! through [`Plan::execute`](crate::mechanism::Plan::execute) and
-//! [`Workload::evaluate_cells_into`](crate::workload::Workload::evaluate_cells_into)
+//! [`Workload::scaled_error`](crate::workload::Workload::scaled_error)
 //! so steady-state trials recycle every large buffer instead of touching
 //! the allocator.
 //!
@@ -17,9 +17,11 @@
 //! — is simply dropped or, better, given back by the harness after it has
 //! computed errors, closing the recycling loop. Mechanisms with richer
 //! scratch state (DAWA's sliding-window order-statistic structure, the
-//! pooled hierarchies, SF's memo of its last V-optimal table) stash it in
-//! the typed slot via [`Workspace::take_typed`]/[`Workspace::store_typed`].
+//! pooled hierarchies, the hierarchies' node counts of the last vector,
+//! SF's memo of its last V-optimal table) stash it in the typed slot via
+//! [`Workspace::take_typed`]/[`Workspace::store_typed`].
 
+use crate::domain::Domain;
 use crate::query::PrefixTable;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -83,10 +85,17 @@ impl Workspace {
         }
     }
 
-    /// Take the pooled [`PrefixTable`], if one was stored; callers rebuild
-    /// it in place via [`PrefixTable::rebuild_cells`].
-    pub fn take_table(&mut self) -> Option<PrefixTable> {
-        self.table.take()
+    /// The cumulative table over `cells`: the pooled [`PrefixTable`]
+    /// rebuilt in place when one was stored, else a new one. Give it back
+    /// with [`Workspace::store_table`].
+    pub fn table_over(&mut self, cells: &[f64], domain: Domain) -> PrefixTable {
+        match self.table.take() {
+            Some(mut table) => {
+                table.rebuild_cells(cells, domain);
+                table
+            }
+            None => PrefixTable::build_cells(cells, domain),
+        }
     }
 
     /// Store a [`PrefixTable`] for reuse by the next evaluation.

@@ -59,9 +59,7 @@ use dpbench_algorithms::hierarchy::HierPool;
 use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::{hash_str, rng_for};
-use dpbench_core::{
-    scaled_per_query_error, DataVector, Domain, MechError, Mechanism, Plan, Workload, Workspace,
-};
+use dpbench_core::{DataVector, Domain, MechError, Mechanism, Plan, Workload, Workspace};
 use dpbench_datasets::DataGenerator;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -836,7 +834,6 @@ impl Runner {
             .plan_for(mech, &unit.setting.domain, &data.workload)
             .unwrap_or_else(|e| panic!("{alg_name} failed to plan: {e}"));
 
-        let mut y_hat = ws.take_f64(0);
         let mut out = Vec::with_capacity(cfg.n_trials);
         for trial in 0..cfg.n_trials {
             let mut rng = rng_for(
@@ -853,9 +850,13 @@ impl Runner {
             let release =
                 execute_eps_with(plan.as_ref(), &data.x, unit.setting.epsilon, ws, &mut rng)
                     .unwrap_or_else(|e| panic!("{alg_name} failed: {e}"));
-            data.workload
-                .evaluate_cells_into(&release.estimate, ws, &mut y_hat);
-            let error = scaled_per_query_error(&data.y_true, &y_hat, data.scale, cfg.loss);
+            let error = data.workload.scaled_error(
+                &release.estimate,
+                &data.y_true,
+                data.scale,
+                cfg.loss,
+                ws,
+            );
             // Recycle the estimate buffer into the pool for the next trial.
             ws.give_f64(release.into_estimate());
             out.push(ErrorSample {
@@ -866,7 +867,6 @@ impl Runner {
                 error,
             });
         }
-        ws.give_f64(y_hat);
         out
     }
 }

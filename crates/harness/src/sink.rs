@@ -211,44 +211,93 @@ fn repair_tail(path: &Path) -> io::Result<()> {
 /// the lines the matching reader accepts — anything else gets truncated
 /// when it is the final line.
 pub(crate) fn repair_tail_with(path: &Path, is_valid: impl Fn(&str) -> bool) -> io::Result<()> {
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut offset: u64 = 0;
-    let mut last_start: u64 = 0;
-    let mut last_line: Vec<u8> = Vec::new();
-    let mut ends_with_newline = true; // vacuously, for an empty file
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let n = reader.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            break;
-        }
-        ends_with_newline = buf.last() == Some(&b'\n');
-        let content = if ends_with_newline {
-            &buf[..n - 1]
-        } else {
-            &buf[..]
-        };
-        if !content.iter().all(u8::is_ascii_whitespace) {
-            last_start = offset;
-            last_line = content.to_vec();
-        }
-        offset += n as u64;
-    }
-    if last_line.is_empty() {
+    let Some(tail) = last_line(&mut File::open(path)?, TAIL_BLOCK)? else {
         return Ok(()); // empty (or all-blank) file: nothing to repair
-    }
-    let torn = !is_valid(&String::from_utf8_lossy(&last_line));
-    if torn {
+    };
+    if !is_valid(&String::from_utf8_lossy(&tail.line)) {
         OpenOptions::new()
             .write(true)
             .open(path)?
-            .set_len(last_start)
-    } else if !ends_with_newline {
+            .set_len(tail.start)
+    } else if !tail.ends_with_newline {
         OpenOptions::new().append(true).open(path)?.write_all(b"\n")
     } else {
         Ok(())
     }
+}
+
+/// The block [`last_line`] reads backwards from the end of a ledger.
+const TAIL_BLOCK: usize = 8192;
+
+/// A file's last non-blank line (a line of ASCII whitespace is blank).
+#[derive(Debug, PartialEq)]
+struct Tail {
+    /// Offset of the line's first byte.
+    start: u64,
+    /// The line without its newline.
+    line: Vec<u8>,
+    /// Whether the file's last byte is a newline.
+    ends_with_newline: bool,
+}
+
+/// Find the last non-blank line by reading `file` backwards from its end
+/// in `block`-byte reads: the last byte that is not whitespace lies on
+/// it, the newline before that byte (or the file's start) starts it, and
+/// the first newline after it (or the file's end) ends it. Only the
+/// blocks from that line's start to the end are read, so a resume reads
+/// its ledger's tail rather than the whole file. `None` for an empty or
+/// all-blank file.
+fn last_line(file: &mut File, block: usize) -> io::Result<Option<Tail>> {
+    use std::io::{Read, Seek, SeekFrom};
+    assert!(block > 0, "a block must hold at least one byte");
+    let len = file.metadata()?.len();
+    let mut buf = vec![0; block];
+    let (mut end, mut start, mut line_end) = (len, 0, len);
+    let mut ends_with_newline = false;
+    let mut found = false;
+    while end > 0 {
+        let from = end.saturating_sub(block as u64);
+        let chunk = &mut buf[..(end - from) as usize];
+        file.seek(SeekFrom::Start(from))?;
+        file.read_exact(chunk)?;
+        if end == len {
+            ends_with_newline = chunk.last() == Some(&b'\n');
+        }
+        // Until the last non-blank byte turns up, each block moves
+        // `line_end` back to its first newline; from that byte on, the
+        // search is for the newline before it.
+        let mut before = chunk.len();
+        if !found {
+            let text = chunk.iter().rposition(|b| !b.is_ascii_whitespace());
+            let after = text.unwrap_or(0);
+            if let Some(nl) = chunk[after..].iter().position(|&b| b == b'\n') {
+                line_end = from + (after + nl) as u64;
+            }
+            match text {
+                Some(i) => (found, before) = (true, i),
+                None => {
+                    end = from;
+                    continue;
+                }
+            }
+        }
+        if let Some(nl) = chunk[..before].iter().rposition(|&b| b == b'\n') {
+            start = from + nl as u64 + 1;
+            break;
+        }
+        end = from;
+    }
+    if !found {
+        return Ok(None);
+    }
+    let mut line = vec![0; (line_end - start) as usize];
+    file.seek(SeekFrom::Start(start))?;
+    file.read_exact(&mut line)?;
+    Ok(Some(Tail {
+        start,
+        line,
+        ends_with_newline,
+    }))
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -1436,4 +1485,97 @@ pub fn merge_jsonl_file<P: AsRef<Path>>(
     summary: Option<&mut AggregatingSink>,
 ) -> io::Result<Merged> {
     replace_file(out, |w| merge_jsonl_into(inputs, w, summary))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The forward scan [`last_line`] replaced: every line is read, and the
+    /// last one holding a non-whitespace byte wins.
+    fn last_line_forward(path: &Path) -> io::Result<Option<Tail>> {
+        let mut reader = BufReader::new(File::open(path)?);
+        let mut offset: u64 = 0;
+        let mut last_start: u64 = 0;
+        let mut last_line: Vec<u8> = Vec::new();
+        let mut ends_with_newline = true; // vacuously, for an empty file
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let n = reader.read_until(b'\n', &mut buf)?;
+            if n == 0 {
+                break;
+            }
+            ends_with_newline = buf.last() == Some(&b'\n');
+            let content = if ends_with_newline {
+                &buf[..n - 1]
+            } else {
+                &buf[..]
+            };
+            if !content.iter().all(u8::is_ascii_whitespace) {
+                last_start = offset;
+                last_line = content.to_vec();
+            }
+            offset += n as u64;
+        }
+        Ok((!last_line.is_empty()).then_some(Tail {
+            start: last_start,
+            line: last_line,
+            ends_with_newline,
+        }))
+    }
+
+    #[test]
+    fn backward_tail_scan_matches_the_forward_scan() {
+        let unit = r#"{"t":"u","unit":"00000000000000aa","pos":0}"#;
+        let long = format!(
+            r#"{{"t":"run","fp":"00000000000000aa","n_trials":1,"cfg":"{}"}}"#,
+            "x".repeat(3 * TAIL_BLOCK)
+        );
+        let torn = &unit[..20];
+        let tails = [
+            ("torn final line", format!("{unit}\n{unit}\n{torn}")),
+            ("torn line after blanks", format!("{unit}\n{torn}\n \n\t\n")),
+            ("record missing its newline", format!("{unit}\n{unit}")),
+            ("trailing blank lines", format!("{unit}\n\n  \n\r\n\n")),
+            ("blank tail without a newline", format!("{unit}\n \t")),
+            ("record with trailing spaces", format!("{unit}\n{unit}  \n")),
+            ("empty file", String::new()),
+            ("all-blank file", " \n\n\t \r\n".to_string()),
+            ("one newline", "\n".to_string()),
+            ("record longer than a block", format!("{unit}\n{long}\n")),
+            (
+                "long torn record",
+                format!("{unit}\n{}", &long[..long.len() - 7]),
+            ),
+            ("long record, no newline", format!("{long}\n{long}")),
+            (
+                "long blank tail",
+                format!("{unit}\n{}\n", " ".repeat(2 * TAIL_BLOCK)),
+            ),
+        ];
+        let dir = std::env::temp_dir();
+        for (i, (what, text)) in tails.iter().enumerate() {
+            let path = dir.join(format!("dpbench-tail-{}-{i}.jsonl", std::process::id()));
+            std::fs::write(&path, text).unwrap();
+            let forward = last_line_forward(&path).unwrap();
+            for block in [1, 2, 3, 7, 64, TAIL_BLOCK] {
+                let backward = last_line(&mut File::open(&path).unwrap(), block).unwrap();
+                assert_eq!(backward, forward, "{what}, {block}-byte blocks");
+            }
+            // The repair keeps what the forward scan's decision kept.
+            let valid = |line: &str| !matches!(classify(line), Line::Malformed(_));
+            repair_tail_with(&path, valid).unwrap();
+            let expected = match &forward {
+                None => text.clone().into_bytes(),
+                Some(t) if !valid(&String::from_utf8_lossy(&t.line)) => {
+                    text.as_bytes()[..t.start as usize].to_vec()
+                }
+                Some(t) if !t.ends_with_newline => format!("{text}\n").into_bytes(),
+                Some(_) => text.clone().into_bytes(),
+            };
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "{what}");
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
 }

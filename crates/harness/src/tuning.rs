@@ -12,7 +12,7 @@
 use dpbench_algorithms::ahp::Ahp;
 use dpbench_algorithms::mwem::Mwem;
 use dpbench_core::rng::rng_for;
-use dpbench_core::{scaled_per_query_error, DataVector, Domain, Loss, Mechanism, Workload};
+use dpbench_core::{DataVector, Domain, Loss, Mechanism, Workload, Workspace};
 use dpbench_datasets::sampling::multinomial;
 
 /// Configuration of a tuning run.
@@ -69,6 +69,7 @@ fn training_error<M: Mechanism>(mech: &M, signal: f64, cfg: &TuningConfig, tag: 
     let domain = Domain::D1(n);
     let workload = Workload::prefix_1d(n);
     let scale = (signal / cfg.epsilon).max(1.0) as u64;
+    let mut ws = Workspace::new();
     let mut total = 0.0;
     let mut count = 0;
     for (si, shape) in training_shapes(n).iter().enumerate() {
@@ -80,8 +81,7 @@ fn training_error<M: Mechanism>(mech: &M, signal: f64, cfg: &TuningConfig, tag: 
             let est = mech
                 .run_eps(&x, &workload, cfg.epsilon, &mut rng)
                 .expect("training run failed");
-            let y_hat = workload.evaluate_cells(&est);
-            total += scaled_per_query_error(&y, &y_hat, x.scale(), Loss::L2);
+            total += workload.scaled_error(&est, &y, x.scale(), Loss::L2, &mut ws);
             count += 1;
         }
     }

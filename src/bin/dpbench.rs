@@ -584,14 +584,6 @@ fn run(a: &Args) -> Result<ExitCode, String> {
     if from_pos.is_some() || until_pos.is_some() {
         manifest = manifest.span(from_pos.unwrap_or(0), until_pos.unwrap_or(usize::MAX));
     }
-    println!(
-        "running {} units ({} trials each{})...",
-        manifest.len(),
-        manifest.n_trials,
-        shard
-            .map(|(i, k)| format!(", shard {i}/{k} of {}", manifest.total_units))
-            .unwrap_or_default()
-    );
 
     // Execute: results stream to a memory sink for the summary table, to
     // an append-only JSONL ledger (--out), and to a mergeable t-digest
@@ -640,6 +632,16 @@ fn run(a: &Args) -> Result<ExitCode, String> {
         }
         (None, None) => (HashSet::new(), None),
     };
+    // Announced only once the ledger has been read and checked and the
+    // `--out` sink is open: a refused run prints its error alone.
+    println!(
+        "running {} units ({} trials each{})...",
+        manifest.len(),
+        manifest.n_trials,
+        shard
+            .map(|(i, k)| format!(", shard {i}/{k} of {}", manifest.total_units))
+            .unwrap_or_default()
+    );
     let mut sinks: Vec<&mut dyn ResultSink> = Vec::new();
     if let Some(jsonl) = jsonl.as_mut() {
         sinks.push(jsonl);

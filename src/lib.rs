@@ -48,10 +48,12 @@
 //! let release = execute_eps(plan.as_ref(), &x, 0.1, &mut rng).unwrap();
 //! assert!(release.spent() <= 0.1 + 1e-12);
 //!
-//! // Measure the scaled per-query error (paper Definition 3).
+//! // Score the estimate by its scaled per-query error (paper
+//! // Definition 3) in one call; the workspace lends scratch buffers and
+//! // can be reused across trials.
 //! let y = workload.evaluate(&x);
-//! let y_hat = workload.evaluate_cells(&release.estimate);
-//! let err = scaled_per_query_error(&y, &y_hat, x.scale(), Loss::L2);
+//! let mut ws = Workspace::new();
+//! let err = workload.scaled_error(&release.estimate, &y, x.scale(), Loss::L2, &mut ws);
 //! assert!(err.is_finite());
 //!
 //! // One-liner equivalent when no reuse is needed:
@@ -78,7 +80,7 @@ pub mod prelude {
     pub use dpbench_core::mechanism::execute_eps;
     pub use dpbench_core::{
         scaled_per_query_error, BudgetLedger, DataVector, Domain, Loss, MechError, MechInfo,
-        Mechanism, Plan, PlanDiagnostics, RangeQuery, Release, SpendRecord, Workload,
+        Mechanism, Plan, PlanDiagnostics, RangeQuery, Release, SpendRecord, Workload, Workspace,
     };
     pub use dpbench_datasets::{datasets_1d, datasets_2d, DataGenerator, Dataset};
     pub use dpbench_harness::config::{ExperimentConfig, WorkloadSpec};

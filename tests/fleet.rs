@@ -943,7 +943,9 @@ fn a_shard_exit_wakes_the_driver_before_its_poll_interval() {
 /// pending units sit below the units it completed: appending them would
 /// put its unit markers out of order, a file no reader accepts. The
 /// resume fails before it runs anything, names the ledger and both
-/// positions, and leaves the file as it was.
+/// positions, and leaves the file as it was. So does a resume over a
+/// ledger whose first unit lost a trial, and a run whose `--out` cannot
+/// be created; none of them announces a run on stdout.
 #[test]
 fn resume_that_would_append_below_completed_units_is_refused() {
     let dir = tmp_dir("cross-span");
@@ -963,15 +965,41 @@ fn resume_that_would_append_below_completed_units_is_refused() {
         "1/4",
         "--resume",
     ]);
-    let out = dpbench(&args);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains(ledger.to_str().unwrap()), "{stderr}");
+    let refused = |args: &[&str], what: &str| {
+        let out = dpbench(args);
+        assert_eq!(out.status.code(), Some(1));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("running"), "{stdout}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(stderr.contains(what), "{stderr}");
+        stderr
+    };
+    let stderr = refused(&args, ledger.to_str().unwrap());
     assert!(
         stderr.contains("position 2") && stderr.contains("position 5"),
         "{stderr}"
     );
     assert_eq!(std::fs::read(&ledger).unwrap(), before);
+
+    // Lines 2–4 are the first unit's trials: without line 3 its marker
+    // closes a unit one trial short.
+    let short = dir.join("short.jsonl");
+    let text = std::fs::read_to_string(reference_ledger(&dir)).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.remove(2);
+    std::fs::write(&short, lines.join("\n") + "\n").unwrap();
+    let before = std::fs::read(&short).unwrap();
+    let mut args = vec!["run"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&["--out", short.to_str().unwrap(), "--resume"]);
+    refused(&args, "line 4:");
+    assert_eq!(std::fs::read(&short).unwrap(), before);
+
+    // A directory cannot be created as a ledger.
+    let mut args = vec!["run"];
+    args.extend_from_slice(GRID);
+    args.extend_from_slice(&["--out", dir.to_str().unwrap()]);
+    refused(&args, "creating");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -16,6 +16,9 @@
 //! The rest of the registry (UNIFORM through AGRID) is pinned the same
 //! way, captured before AHP's clustering stopped rescanning its runs and
 //! the exponential mechanism stopped taking logarithms that cannot win.
+//! `Runner` ledgers over a 1-D grid, one per workload and loss, were
+//! captured before trials were scored in one pass and the hierarchies
+//! kept each vector's node counts per worker.
 
 use dpbench::algorithms::matrix_mechanism::MatrixMechanism;
 use dpbench::algorithms::quadtree::QuadTree;
@@ -885,4 +888,65 @@ fn runner_ledger_over_a_repeated_2d_dataset_is_pinned() {
         runner.run_with_sink(&runner.manifest(), &mut sink).unwrap();
     }
     assert_eq!(String::from_utf8(bytes).unwrap(), GRID_2D_LEDGER);
+}
+
+/// FNV digests of `Runner` ledgers over one 1-D grid, the six baselines
+/// plus DAWA and SF at two samples of three trials, one per (workload,
+/// loss). Captured before trials were scored in one pass and the
+/// hierarchies kept each data vector's true node counts per worker.
+const RUNNER_1D_LEDGER_DIGESTS: [(&str, &str, u64); 9] = [
+    ("prefix", "l1", 0x2d66_4a0b_4e2b_aecf),
+    ("prefix", "l2", 0x4daf_ae30_da61_f4df),
+    ("prefix", "linf", 0xb772_b43e_217f_1f03),
+    ("identity", "l1", 0xa2d9_43a4_8187_b860),
+    ("identity", "l2", 0x2940_fd7c_af72_b6f5),
+    ("identity", "linf", 0x2eb6_6465_e78e_ea13),
+    ("random:300", "l1", 0xb48f_cb18_79ad_dcb0),
+    ("random:300", "l2", 0xb0d0_c75a_945b_68dd),
+    ("random:300", "linf", 0xb121_bc08_3a5f_ca3b),
+];
+
+#[test]
+fn runner_ledgers_over_1d_workloads_and_losses_are_pinned() {
+    let dataset = dpbench::datasets::catalog::by_name("MEDCOST").unwrap();
+    let workloads = [
+        WorkloadSpec::Prefix,
+        WorkloadSpec::Identity,
+        WorkloadSpec::RandomRanges(300),
+    ];
+    let losses = [(Loss::L1, "l1"), (Loss::L2, "l2"), (Loss::LInf, "linf")];
+    let mut digests = Vec::new();
+    for workload in workloads {
+        for (loss, loss_name) in losses {
+            let config = ExperimentConfig {
+                datasets: vec![dataset.clone()],
+                scales: vec![100_000],
+                domains: vec![Domain::D1(256)],
+                epsilons: vec![0.1],
+                algorithms: [
+                    "IDENTITY", "H", "HB", "GREEDY_H", "PRIVELET", "UNIFORM", "DAWA", "SF",
+                ]
+                .map(String::from)
+                .to_vec(),
+                n_samples: 2,
+                n_trials: 3,
+                workload,
+                loss,
+            };
+            let mut runner = Runner::new(config);
+            runner.threads = 2;
+            let mut bytes = Vec::new();
+            {
+                let mut sink = JsonlSink::from_writer(&mut bytes);
+                runner.run_with_sink(&runner.manifest(), &mut sink).unwrap();
+            }
+            let label = workload.to_string();
+            digests.push((label, loss_name, fnv(FNV_BASIS, &bytes)));
+        }
+    }
+    let expected: Vec<(String, &str, u64)> = RUNNER_1D_LEDGER_DIGESTS
+        .iter()
+        .map(|&(w, l, d)| (w.to_string(), l, d))
+        .collect();
+    assert_eq!(digests, expected);
 }

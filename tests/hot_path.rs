@@ -7,9 +7,11 @@
 //! loops, MWEM's lazy-scale kernel must pass
 //! the kernel gate against its retained full-rescale kernel, the bounded
 //! exponential mechanism and AHP's one-pass clustering must match their
-//! retained full loops, and
-//! executions drawing scratch from a reused [`Workspace`] must be
-//! bit-identical to executions with fresh scratch.
+//! retained full loops, the one-pass scorer must match evaluating then
+//! scoring, and
+//! executions drawing scratch from a reused [`Workspace`] (including the
+//! hierarchies' stored node counts) must be bit-identical to executions
+//! with fresh scratch.
 
 use dpbench_algorithms::ahp::{greedy_clusters, greedy_clusters_naive};
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
@@ -22,7 +24,8 @@ use dpbench_core::mechanism::{execute_eps_with, Mechanism};
 use dpbench_core::primitives::{exponential_mechanism, exponential_mechanism_naive};
 use dpbench_core::rng::rng_for;
 use dpbench_core::{
-    scaled_per_query_error, DataVector, Domain, Loss, Plan, Release, Workload, Workspace,
+    scaled_per_query_error, DataVector, Domain, Loss, Plan, RangeQuery, Release, Workload,
+    Workspace,
 };
 use dpbench_harness::competitive::kernel_gate;
 use dpbench_harness::config::WorkloadSpec;
@@ -721,4 +724,183 @@ fn greedy_clusters_equal_rescanning_loop() {
         }
     }
     assert!(longest >= 300, "longest run {longest}");
+}
+
+/// The one-pass scorer against the two-step path it replaced
+/// (`evaluate_cells`, then `scaled_per_query_error`), bit for bit: every
+/// `Workload` constructor — the Prefix workload built directly and
+/// through `Workload::new`, a 1-cell domain included — all three losses,
+/// random estimates and estimates and true answers holding NaN, ±∞, −0.0,
+/// subnormals and 1e300, at degenerate and ordinary scales. One workspace
+/// scores every case, so its pooled table moves between domains.
+#[test]
+fn one_pass_scorer_equals_evaluate_then_score() {
+    let mut rng = StdRng::seed_from_u64(0x5C0E);
+    let mut workloads = Vec::new();
+    for n in [1, 2, 7, 64, 300] {
+        let d1 = Domain::D1(n);
+        workloads.push(Workload::prefix_1d(n));
+        let queries = (0..n).map(|i| RangeQuery::d1(0, i)).collect();
+        workloads.push(Workload::new(d1, queries));
+        // One query short of Prefix, and Prefix out of order.
+        let short = (0..n - 1).map(|i| RangeQuery::d1(0, i)).collect();
+        workloads.push(Workload::new(d1, short));
+        let reversed = (0..n).rev().map(|i| RangeQuery::d1(0, i)).collect();
+        workloads.push(Workload::new(d1, reversed));
+        workloads.push(Workload::identity(d1));
+        workloads.push(Workload::all_ranges_1d(n.min(40)));
+        workloads.push(Workload::fixed_width_1d(n, n.div_ceil(3)));
+        workloads.push(Workload::random_ranges(d1, 50, &mut rng));
+    }
+    for (r, c) in [(1, 1), (1, 5), (4, 4), (9, 6)] {
+        let d2 = Domain::D2(r, c);
+        workloads.push(Workload::identity(d2));
+        workloads.push(Workload::marginals_2d(r, c));
+        workloads.push(Workload::random_ranges(d2, 60, &mut rng));
+        workloads.push(Workload::new(d2, vec![RangeQuery::d2(0, 0, r - 1, c - 1)]));
+    }
+    let specials = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        -2.2e-308,
+        1e300,
+        -1e300,
+    ];
+    // Rust leaves a NaN result's sign and payload to the compiler (it may
+    // propagate either operand of a commutative add), so two loops doing
+    // the same operations may return differently signed NaNs; every
+    // output writes NaN without either.
+    let bits = |e: f64| {
+        if e.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            e.to_bits()
+        }
+    };
+    let mut ws = Workspace::new();
+    let mut cases = 0;
+    for w in &workloads {
+        let n = w.domain().n_cells();
+        let mut vectors: Vec<Vec<f64>> = (0..3)
+            .map(|k| {
+                let magnitude = [1.0, 1e3, 1e8][k];
+                (0..n)
+                    .map(|_| rng.gen_range(-magnitude..magnitude))
+                    .collect()
+            })
+            .collect();
+        for &v in &specials {
+            vectors.push(vec![v; n]);
+            // One special value among ordinary ones.
+            let mut one: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
+            one[rng.gen_range(0..n)] = v;
+            vectors.push(one);
+        }
+        // A mix of every special value.
+        vectors.push((0..n).map(|i| specials[i % specials.len()]).collect());
+        let truth = w.evaluate_cells(&vectors[1]);
+        let special_truth: Vec<f64> = (0..w.len())
+            .map(|i| specials[(i * 7) % specials.len()])
+            .collect();
+        for cells in &vectors {
+            for y_true in [&truth, &special_truth] {
+                for loss in [Loss::L1, Loss::L2, Loss::LInf] {
+                    for scale in [0.0, -1.0, 1.0, 12_345.0, f64::NAN] {
+                        let two_step =
+                            scaled_per_query_error(y_true, &w.evaluate_cells(cells), scale, loss);
+                        let one_pass = w.scaled_error(cells, y_true, scale, loss, &mut ws);
+                        assert_eq!(
+                            bits(one_pass),
+                            bits(two_step),
+                            "{:?} over {} ({} queries), {loss:?}, scale {scale}: \
+                             {one_pass} vs {two_step}",
+                            &cells[..n.min(4)],
+                            w.domain(),
+                            w.len()
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 30_000, "ran {cases} cases");
+}
+
+/// The hierarchical mechanisms keep each data vector's true node counts
+/// in the worker's workspace: one workspace runs each of them over two
+/// vectors in turn and over a copy of the first with a zero flipped to
+/// −0.0 (a different key bit for bit), trial after trial, then all of
+/// them interleaved; every estimate must equal, bit for bit, the one a
+/// fresh workspace computes.
+#[test]
+fn stored_node_counts_equal_a_fresh_workspace() {
+    let mut rng = StdRng::seed_from_u64(0x40DE);
+    let d1 = Domain::D1(300);
+    let d2 = Domain::D2(32, 32);
+    let vectors = |rng: &mut StdRng, domain: Domain| {
+        let x1 = shaped(rng, domain, 1e5);
+        let x2 = shaped(rng, domain, 1e5);
+        let mut flipped = x1.counts().to_vec();
+        let zero = flipped.iter().position(|&c| c == 0.0).expect("a zero cell");
+        flipped[zero] = -0.0;
+        let x1_flipped = DataVector::new(flipped, domain);
+        vec![
+            x1.clone(),
+            x1.clone(),
+            x2.clone(),
+            x1_flipped.clone(),
+            x1,
+            x1_flipped,
+            x2,
+        ]
+    };
+    let settings = [
+        (d1, Workload::prefix_1d(300), vec!["H", "HB", "GREEDY_H"]),
+        (
+            d2,
+            Workload::random_ranges(d2, 200, &mut rng),
+            vec!["HB", "GREEDY_H", "QUADTREE"],
+        ),
+    ];
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    for (domain, workload, names) in settings {
+        let xs = vectors(&mut rng, domain);
+        let plans: Vec<_> = names
+            .iter()
+            .map(|&name| {
+                let mech = mechanism_by_name(name).unwrap();
+                (name, mech.plan(&domain, &workload).unwrap())
+            })
+            .collect();
+        let mut reused = Workspace::new();
+        let mut run = |name: &str, plan: &dyn Plan, v: usize, x: &DataVector, trial: u64| {
+            let coords = [v as u64, trial];
+            let mut fresh = Workspace::new();
+            let a = execute_eps_with(plan, x, 0.1, &mut fresh, &mut rng_for(name, &coords));
+            let b = execute_eps_with(plan, x, 0.1, &mut reused, &mut rng_for(name, &coords));
+            assert_eq!(
+                bits(&a.unwrap().estimate),
+                bits(&b.unwrap().estimate),
+                "{name} over {domain}, vector {v}, trial {trial}"
+            );
+        };
+        for (name, plan) in &plans {
+            for (v, x) in xs.iter().enumerate() {
+                for trial in 0..3 {
+                    run(name, plan.as_ref(), v, x, trial);
+                }
+            }
+        }
+        for (v, x) in xs.iter().enumerate() {
+            for (name, plan) in &plans {
+                run(name, plan.as_ref(), v, x, 7);
+            }
+        }
+    }
 }

@@ -215,19 +215,6 @@ impl Workload {
         self.queries.iter().map(|q| table.eval(q)).collect()
     }
 
-    /// Allocation-free [`Workload::evaluate`]: answers land in `out`
-    /// (cleared first) and the prefix table is recycled through `ws`.
-    pub fn evaluate_into(&self, x: &DataVector, ws: &mut Workspace, out: &mut Vec<f64>) {
-        assert_eq!(
-            x.domain(),
-            self.domain,
-            "data vector domain {} does not match workload domain {}",
-            x.domain(),
-            self.domain
-        );
-        self.evaluate_cells_into(x.counts(), ws, out);
-    }
-
     /// Allocation-free [`Workload::evaluate_cells`]: answers land in `out`
     /// (cleared first) and the cumulative table is rebuilt in place from
     /// the workspace's pooled table.
@@ -398,7 +385,7 @@ mod tests {
         let mut out = Vec::new();
         // Twice, to exercise the rebuilt (pooled) prefix table.
         for _ in 0..2 {
-            w.evaluate_into(&x, &mut ws, &mut out);
+            w.evaluate_cells_into(x.counts(), &mut ws, &mut out);
             assert_eq!(out, fresh);
         }
         // 2-D path too.

@@ -88,6 +88,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// Fewest uncovered units a straggler must hold before its tail is worth
+/// re-dealing (stealing a single in-flight unit only duplicates work).
+const STEAL_MIN_UNITS: usize = 2;
+
+/// Consecutive rounds one shard may defer (failed copy-back) before the
+/// fleet gives up on it. Distinct from `max_attempts`: deferral means the
+/// remote may be fine and the driver simply cannot look.
+const MAX_DEFER_ROUNDS: usize = 20;
+
 /// How a fleet run is conducted.
 #[derive(Debug, Clone)]
 pub struct FleetOptions {
@@ -135,14 +144,6 @@ pub struct FleetOptions {
     /// stealing). On by default: any deal merges byte-identically, so
     /// stealing only changes wall clock, never output.
     pub steal: bool,
-    /// Minimum uncovered units a straggler must hold before its tail is
-    /// worth re-dealing (stealing a single in-flight unit only
-    /// duplicates work).
-    pub steal_min_units: usize,
-    /// Consecutive rounds one shard may defer (failed copy-back) before
-    /// the fleet gives up on it. Distinct from `max_attempts`: deferral
-    /// means the remote may be fine and we simply cannot look.
-    pub max_defer_rounds: usize,
     /// Write an atomically-updated (temp + rename, never torn) fleet
     /// status JSON here on every probe tick — the pollable dashboard
     /// feed behind `fleet --status-file`.
@@ -160,8 +161,6 @@ impl Default for FleetOptions {
             progress_interval: Duration::from_millis(500),
             stall_timeout: None,
             steal: true,
-            steal_min_units: 2,
-            max_defer_rounds: 20,
             status_file: None,
         }
     }
@@ -828,7 +827,7 @@ impl Fleet<'_> {
     /// position ranges launched as fresh sub-shards. Steals are
     /// opportunistic: a failed steal launch is a warning, never a failed
     /// self.
-    fn steal(&mut self, running: &mut Vec<Running>, out: &Path, opts: &FleetOptions) {
+    fn steal(&mut self, running: &mut Vec<Running>, out: &Path) {
         let procs = self.shards.len();
         let busy: HashSet<usize> = running
             .iter()
@@ -859,7 +858,7 @@ impl Fleet<'_> {
                 .filter(|u| !active.iter().any(|(f, ul)| u.pos >= *f && u.pos < *ul))
                 .map(|u| u.pos)
                 .collect();
-            if eligible.len() >= opts.steal_min_units.max(1)
+            if eligible.len() >= STEAL_MIN_UNITS
                 && victim
                     .as_ref()
                     .is_none_or(|(_, b)| eligible.len() > b.len())
@@ -1039,7 +1038,7 @@ pub fn run_fleet_summarized(
                 Refresh::Defer(e) => {
                     fleet.defers[i] += 1;
                     any_defer = true;
-                    if fleet.defers[i] > opts.max_defer_rounds {
+                    if fleet.defers[i] > MAX_DEFER_ROUNDS {
                         return Err(io::Error::other(format!(
                             "shard {i}: copy-back failed {} consecutive round(s) \
                              (last error: {e}); its remote ledger is unreachable",
@@ -1212,7 +1211,7 @@ pub fn run_fleet_summarized(
                     }
                 }
                 if opts.steal && fleet.tracks.len() - procs < procs * opts.max_attempts {
-                    fleet.steal(&mut running, out, opts);
+                    fleet.steal(&mut running, out);
                 }
                 if fleet.raise_done_floor() && opts.progress {
                     eprintln!(

@@ -41,7 +41,7 @@ use crate::sink::{read_ledger, JsonlSink, Throttle};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -505,6 +505,93 @@ impl CommandTransport {
             .stderr(stderr)
             .spawn()
     }
+
+    /// Run a fetch or cleanup template under `sh -c` with `vars`
+    /// substituted. A failed status is an error that `failed` words from
+    /// the status and the command line.
+    fn run_template(
+        &self,
+        template: &str,
+        vars: &[(&str, String)],
+        failed: impl FnOnce(ExitStatus, &str) -> String,
+    ) -> io::Result<()> {
+        let line = self.substitute(template, vars);
+        let status = self.run_shell(&line, Stdio::null())?.wait()?;
+        if status.success() {
+            Ok(())
+        } else {
+            Err(io::Error::other(failed(status, &line)))
+        }
+    }
+
+    /// Run the fetch template (`what` names it in errors) for the ledger
+    /// at `paths`, from byte `offset`, into a scratch file beside `dest`:
+    /// the scratch file when the command produced one, `None` when it ran
+    /// and produced nothing.
+    fn fetch_to_scratch(
+        &self,
+        template: &str,
+        what: &str,
+        index: usize,
+        paths: &RemotePaths,
+        dest: &Path,
+        offset: u64,
+    ) -> io::Result<Option<PathBuf>> {
+        // The command writes to a scratch path, not to `dest` directly:
+        // whether a file materialized *this time* is what distinguishes
+        // Copied from Missing. Deciding via `dest.exists()` would report
+        // stale bytes from an earlier fetch as Copied, and a failed
+        // command must leave the previous good copy untouched.
+        let scratch = dest.with_file_name(format!(
+            "{}.fetch.tmp",
+            dest.file_name()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_default()
+        ));
+        let _ = std::fs::remove_file(&scratch);
+        let vars = [
+            ("src", sh_quote(&paths.ledger.display().to_string())),
+            ("dest", sh_quote(&scratch.display().to_string())),
+            ("index", index.to_string()),
+            ("offset", offset.to_string()),
+            ("workdir", sh_quote(&paths.dir.display().to_string())),
+        ];
+        // Outcome semantics matter here: `Missing` is a claim of
+        // *confirmed absence* (the driver restarts a Partial shard fresh
+        // on it), while a failed fetch command could just as well be
+        // transient unreachability — reporting that as Missing would
+        // discard a remote shard's completed work over a network blip.
+        // So: command ran and produced nothing → Missing; command failed
+        // → an error the driver treats as "try again next round".
+        let ran = self.run_template(template, &vars, |status, line| {
+            format!("{what} command for shard {index} exited with {status}: {line}")
+        });
+        if let Err(e) = ran {
+            let _ = std::fs::remove_file(&scratch);
+            return Err(e);
+        }
+        Ok(scratch.exists().then_some(scratch))
+    }
+
+    /// Remove the workdir at `paths`: through the cleanup template, whose
+    /// `{index}` is `index` and whose failure names `whose`, or locally.
+    fn cleanup_dir(&self, paths: RemotePaths, index: usize, whose: &str) -> io::Result<()> {
+        match &self.cleanup_template {
+            Some(template) => self.run_template(
+                template,
+                &[
+                    ("index", index.to_string()),
+                    ("workdir", sh_quote(&paths.dir.display().to_string())),
+                ],
+                |status, _| format!("cleanup command for {whose} exited with {status}"),
+            ),
+            None => match std::fs::remove_dir_all(&paths.dir) {
+                Ok(()) => Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+                Err(e) => Err(e),
+            },
+        }
+    }
 }
 
 /// Quote one argument for POSIX `sh`. Plain words pass through; anything
@@ -564,57 +651,19 @@ impl ShardTransport for CommandTransport {
             Artifact::Ledger => self.remote_paths(index),
             Artifact::Steal { seq } => self.remote_steal_paths(seq),
         };
-        let src = &paths.ledger;
         match &self.fetch_template {
+            // A ranged-capable template ({offset}) doubles as the
+            // full-fetch command with offset 0.
             Some(template) => {
-                // The command writes to a scratch path, not to `dest`
-                // directly: whether a file materialized *this time* is
-                // what distinguishes Copied from Missing. Deciding via
-                // `dest.exists()` would report stale bytes from an
-                // earlier fetch as Copied, and a failed command must
-                // leave the previous good copy untouched.
-                let scratch = dest.with_file_name(format!(
-                    "{}.fetch.tmp",
-                    dest.file_name()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                ));
-                let _ = std::fs::remove_file(&scratch);
-                // A ranged-capable template ({offset}) doubles as the
-                // full-fetch command with offset 0.
-                let line = self.substitute(
-                    template,
-                    &[
-                        ("src", sh_quote(&src.display().to_string())),
-                        ("dest", sh_quote(&scratch.display().to_string())),
-                        ("index", index.to_string()),
-                        ("offset", "0".to_string()),
-                        ("workdir", sh_quote(&paths.dir.display().to_string())),
-                    ],
-                );
-                // Outcome semantics matter here: `Missing` is a claim of
-                // *confirmed absence* (the driver restarts a Partial
-                // shard fresh on it), while a failed fetch command could
-                // just as well be transient unreachability — reporting
-                // that as Missing would discard a remote shard's
-                // completed work over a network blip. So: command ran
-                // and produced nothing → Missing; command failed → an
-                // error the driver treats as "try again next round".
-                let status = self.run_shell(&line, Stdio::null())?.wait()?;
-                if !status.success() {
-                    let _ = std::fs::remove_file(&scratch);
-                    return Err(io::Error::other(format!(
-                        "fetch command for shard {index} exited with {status}: {line}"
-                    )));
-                }
-                if scratch.exists() {
-                    std::fs::rename(&scratch, dest)?;
-                    Ok(FetchOutcome::Copied)
-                } else {
-                    Ok(FetchOutcome::Missing)
+                match self.fetch_to_scratch(template, "fetch", index, &paths, dest, 0)? {
+                    Some(scratch) => {
+                        std::fs::rename(&scratch, dest)?;
+                        Ok(FetchOutcome::Copied)
+                    }
+                    None => Ok(FetchOutcome::Missing),
                 }
             }
-            None => match std::fs::copy(src, dest) {
+            None => match std::fs::copy(&paths.ledger, dest) {
                 Ok(_) => Ok(FetchOutcome::Copied),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(FetchOutcome::Missing),
                 Err(e) => Err(e),
@@ -633,11 +682,10 @@ impl ShardTransport for CommandTransport {
             Artifact::Ledger => self.remote_paths(index),
             Artifact::Steal { seq } => self.remote_steal_paths(seq),
         };
-        let src = &paths.ledger;
         match &self.fetch_template {
             // No template: the workdir is filesystem-reachable, so range
             // natively with seek + append.
-            None => ranged_copy(src, dest, from),
+            None => ranged_copy(&paths.ledger, dest, from),
             // A template can range only if it takes the offset; plain
             // `scp {src} {dest}` templates fall back to full fetches.
             Some(template) if !template.contains("{offset}") => Ok(RangedFetch::Unsupported),
@@ -647,36 +695,11 @@ impl ShardTransport for CommandTransport {
                     // splicing a remote tail after it would corrupt.
                     return Ok(RangedFetch::Unsupported);
                 }
-                let scratch = dest.with_file_name(format!(
-                    "{}.fetch.tmp",
-                    dest.file_name()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                ));
-                let _ = std::fs::remove_file(&scratch);
-                let line = self.substitute(
-                    template,
-                    &[
-                        ("src", sh_quote(&src.display().to_string())),
-                        ("dest", sh_quote(&scratch.display().to_string())),
-                        ("index", index.to_string()),
-                        ("offset", from.to_string()),
-                        ("workdir", sh_quote(&paths.dir.display().to_string())),
-                    ],
-                );
-                // Same Missing-vs-Err split as the full fetch: command
-                // ran and produced nothing → confirmed absence; command
-                // failed → "try again next round".
-                let status = self.run_shell(&line, Stdio::null())?.wait()?;
-                if !status.success() {
-                    let _ = std::fs::remove_file(&scratch);
-                    return Err(io::Error::other(format!(
-                        "ranged fetch command for shard {index} exited with {status}: {line}"
-                    )));
-                }
-                if !scratch.exists() {
+                let Some(scratch) =
+                    self.fetch_to_scratch(template, "ranged fetch", index, &paths, dest, from)?
+                else {
                     return Ok(RangedFetch::Missing);
-                }
+                };
                 let bytes = std::fs::metadata(&scratch)?.len();
                 // Splice: drop any torn tail past the validated prefix,
                 // then append the delivered range.
@@ -702,62 +725,13 @@ impl ShardTransport for CommandTransport {
     }
 
     fn cleanup_steal(&self, seq: usize, slot: usize) -> io::Result<()> {
-        let paths = self.remote_steal_paths(seq);
-        match &self.cleanup_template {
-            Some(template) => {
-                // {index} names the slot the steal ran on, so templates
-                // like `ssh worker{index} rm -rf {workdir}` reach the
-                // right machine.
-                let line = self.substitute(
-                    template,
-                    &[
-                        ("index", slot.to_string()),
-                        ("workdir", sh_quote(&paths.dir.display().to_string())),
-                    ],
-                );
-                let status = self.run_shell(&line, Stdio::null())?.wait()?;
-                if status.success() {
-                    Ok(())
-                } else {
-                    Err(io::Error::other(format!(
-                        "cleanup command for steal {seq} exited with {status}"
-                    )))
-                }
-            }
-            None => match std::fs::remove_dir_all(&paths.dir) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e),
-            },
-        }
+        // {index} names the slot the steal ran on, so templates like
+        // `ssh worker{index} rm -rf {workdir}` reach the right machine.
+        self.cleanup_dir(self.remote_steal_paths(seq), slot, &format!("steal {seq}"))
     }
 
     fn cleanup(&self, index: usize) -> io::Result<()> {
-        let paths = self.remote_paths(index);
-        match &self.cleanup_template {
-            Some(template) => {
-                let line = self.substitute(
-                    template,
-                    &[
-                        ("index", index.to_string()),
-                        ("workdir", sh_quote(&paths.dir.display().to_string())),
-                    ],
-                );
-                let status = self.run_shell(&line, Stdio::null())?.wait()?;
-                if status.success() {
-                    Ok(())
-                } else {
-                    Err(io::Error::other(format!(
-                        "cleanup command for shard {index} exited with {status}"
-                    )))
-                }
-            }
-            None => match std::fs::remove_dir_all(&paths.dir) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e),
-            },
-        }
+        self.cleanup_dir(self.remote_paths(index), index, &format!("shard {index}"))
     }
 }
 
@@ -972,7 +946,7 @@ fn execute_faulty_shard(
         let Ok(ledger) = read_ledger(remote) else {
             return Ok(false);
         };
-        (ledger.done, JsonlSink::append(remote)?)
+        (ledger.done, JsonlSink::append(remote, ledger.heal)?)
     } else {
         (HashSet::new(), JsonlSink::create(remote)?)
     };

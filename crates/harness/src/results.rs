@@ -151,36 +151,6 @@ impl ResultStore {
         }
         out
     }
-
-    /// Parse a CSV produced by [`ResultStore::to_csv`].
-    pub fn from_csv(csv: &str) -> Result<Self, String> {
-        let mut store = ResultStore::new();
-        for (lineno, line) in csv.lines().enumerate().skip(1) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split(',').collect();
-            if parts.len() != 8 {
-                return Err(format!("line {}: expected 8 fields", lineno + 1));
-            }
-            let domain = parse_domain(parts[3])
-                .ok_or_else(|| format!("line {}: bad domain {}", lineno + 1, parts[3]))?;
-            let err = |field: &str| format!("line {}: bad {field}", lineno + 1);
-            store.push(ErrorSample {
-                algorithm: parts[0].to_string(),
-                setting: Setting {
-                    dataset: parts[1].to_string(),
-                    scale: parts[2].parse().map_err(|_| err("scale"))?,
-                    domain,
-                    epsilon: parts[4].parse().map_err(|_| err("epsilon"))?,
-                },
-                sample: parts[5].parse().map_err(|_| err("sample"))?,
-                trial: parts[6].parse().map_err(|_| err("trial"))?,
-                error: parts[7].parse().map_err(|_| err("error"))?,
-            });
-        }
-        Ok(store)
-    }
 }
 
 /// Parse the `Display` form of a domain (`"4096"` or `"128x128"`).
@@ -288,19 +258,12 @@ mod tests {
         let mut store = ResultStore::new();
         store.push(sample("DAWA", 0, 1.5e-4));
         store.push(sample("IDENTITY", 1, 2.25e-3));
-        let csv = store.to_csv();
-        assert!(csv.starts_with("algorithm,dataset,"));
-        let back = ResultStore::from_csv(&csv).unwrap();
-        assert_eq!(back.samples().len(), 2);
-        assert_eq!(back.samples()[0].algorithm, "DAWA");
-        assert!((back.samples()[0].error - 1.5e-4).abs() < 1e-18);
-        assert_eq!(back.samples()[1].setting, setting());
-    }
-
-    #[test]
-    fn csv_rejects_malformed() {
-        assert!(ResultStore::from_csv("header\nonly,three,fields").is_err());
-        assert!(ResultStore::from_csv("h\nA,D,notanumber,256,0.1,0,0,1.0").is_err());
+        assert_eq!(
+            store.to_csv(),
+            "algorithm,dataset,scale,domain,epsilon,sample,trial,error\n\
+             DAWA,ADULT,1000,256,0.1,0,0,1.5e-4\n\
+             IDENTITY,ADULT,1000,256,0.1,0,1,2.25e-3\n"
+        );
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! no string escapes (tenant names are validated identifiers). A malformed
 //! line mid-file is hard corruption (`InvalidData` naming the line); a
 //! torn **final** line — the only damage a crash mid-append can cause —
-//! is healed by truncation on reopen, which loses at most the one record
-//! whose spend never produced a response.
+//! is healed on reopen by the ledger's own torn-tail rule, fed by the same
+//! replay pass: keep everything through the last well-formed record plus
+//! the blank lines right after it, cut from the first malformed line that
+//! no record follows, and add a final newline if the kept part lacks one.
+//! The cut loses at most the one record whose spend never produced a
+//! response.
 //!
 //! Bit-exact recovery: the accountant holds its tenant lock across both
 //! the in-memory ledger op and the journal append, so per-tenant journal
@@ -31,7 +35,7 @@
 //!   refusing loudly beats quietly releasing answers with no durable
 //!   spend record.
 
-use crate::sink::{bad, TornTail};
+use crate::sink::{bad, Heal, TornTail};
 use dpbench_core::json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -161,9 +165,9 @@ impl SpendJournal {
     }
 
     /// Open a journal over any [`JournalIo`]: create the header if the
-    /// storage is empty, heal a torn final line (truncating it), and
-    /// replay every surviving record in order. Returns the writer
-    /// positioned after the last record.
+    /// storage is empty, heal a torn tail by the torn-tail rule (see the
+    /// module docs), and replay every surviving record in order. Returns
+    /// the writer positioned after the last record.
     pub fn open_with(mut io: Box<dyn JournalIo>) -> io::Result<(Self, Vec<JournalRecord>)> {
         let bytes = io.read()?;
         if bytes.iter().all(u8::is_ascii_whitespace) {
@@ -181,18 +185,15 @@ impl SpendJournal {
                 Vec::new(),
             ));
         }
-        let scan = scan(&bytes)?;
-        if scan.valid_len < bytes.len() as u64 {
-            io.truncate(scan.valid_len)?;
+        let (records, Heal { mut len, newline }) = scan(&bytes)?;
+        if len < bytes.len() as u64 {
+            io.truncate(len)?;
         }
-        let mut len = scan.valid_len;
-        if scan.needs_newline {
-            // A complete final record merely lost its newline: terminate
-            // it instead of discarding it.
+        if newline {
             io.append(b"\n")?;
             len += 1;
         }
-        let seq = scan.records.len() as u64;
+        let seq = records.len() as u64;
         Ok((
             Self {
                 io,
@@ -200,7 +201,7 @@ impl SpendJournal {
                 seq,
                 wedged: None,
             },
-            scan.records,
+            records,
         ))
     }
 
@@ -311,59 +312,31 @@ fn classify(line: &str) -> JLine {
     }
 }
 
-/// The result of scanning raw journal bytes.
-struct Scan {
-    records: Vec<JournalRecord>,
-    /// Byte length of the valid prefix (everything after it is a torn
-    /// final line to truncate).
-    valid_len: u64,
-    /// The final line is valid but missing its `\n`.
-    needs_newline: bool,
-}
-
 /// Strict scan over raw bytes: header required first, every line fully
-/// parsed, a malformed line tolerated only as the torn final line (its
-/// byte offset is returned as the truncation point). Mid-file garbage is
-/// an `InvalidData` error naming the line.
-fn scan(bytes: &[u8]) -> io::Result<Scan> {
+/// parsed, a malformed line tolerated only as the file's final content.
+/// Returns the records and where the torn-tail rule cuts the bytes.
+/// Mid-file garbage is an `InvalidData` error naming the line.
+fn scan(bytes: &[u8]) -> io::Result<(Vec<JournalRecord>, Heal)> {
     let mut records = Vec::new();
     let mut saw_header = false;
     let mut torn = TornTail::new();
-    let mut offset = 0_u64;
-    let mut valid_len = 0_u64;
-    let mut needs_newline = false;
     for (line_no, raw) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
-        offset += raw.len() as u64;
-        let terminated = raw.last() == Some(&b'\n');
-        let content = if terminated {
-            &raw[..raw.len() - 1]
-        } else {
-            raw
-        };
-        let line = String::from_utf8_lossy(content);
-        match classify(&line) {
-            JLine::Blank => {
-                valid_len = offset;
-                needs_newline = false;
-            }
-            JLine::Malformed(what) => torn.defer(line_no, what),
+        match classify(&String::from_utf8_lossy(raw)) {
+            JLine::Blank => torn.blank(raw),
+            JLine::Malformed(what) => torn.malformed(line_no, raw, what),
             JLine::Header => {
-                torn.check()?;
+                torn.record(raw)?;
                 if saw_header {
                     return Err(bad(line_no, "duplicate journal header"));
                 }
                 saw_header = true;
-                valid_len = offset;
-                needs_newline = !terminated;
             }
             JLine::Record(rec) => {
-                torn.check()?;
+                torn.record(raw)?;
                 if !saw_header {
                     return Err(bad(line_no, "journal record before header"));
                 }
                 records.push(rec);
-                valid_len = offset;
-                needs_newline = !terminated;
             }
         }
     }
@@ -373,18 +346,7 @@ fn scan(bytes: &[u8]) -> io::Result<Scan> {
             "missing journal header",
         ));
     }
-    // A torn final line is healed by truncating to `valid_len`; if it was
-    // terminated, `valid_len` already excludes it.
-    if needs_newline {
-        // The last valid line is unterminated — truncation point is past
-        // it; the caller appends the newline.
-        debug_assert_eq!(valid_len, bytes.len() as u64);
-    }
-    Ok(Scan {
-        records,
-        valid_len,
-        needs_newline,
-    })
+    Ok((records, torn.heal()))
 }
 
 /// Strict replay of the journal at `path`: every record in file order.
@@ -394,9 +356,9 @@ fn scan(bytes: &[u8]) -> io::Result<Scan> {
 pub fn replay(path: &Path) -> io::Result<Vec<JournalRecord>> {
     let bytes = std::fs::read(path)
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    let s =
+    let (records, _) =
         scan(&bytes).map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-    Ok(s.records)
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -455,6 +417,28 @@ mod tests {
         // The heal is durable: a third open sees the same single record.
         let (_, again) = SpendJournal::open(&path).unwrap();
         assert_eq!(again.len(), 1);
+    }
+
+    #[test]
+    fn torn_record_before_a_blank_line_is_cut_and_the_journal_reopens() {
+        let path = tmp("torn-blank");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (mut j, _) = SpendJournal::open(&path).unwrap();
+            j.append("ci", JournalOp::Spend, 0.5).unwrap();
+        }
+        // A crash mid-append, then a blank line.
+        let mut raw = std::fs::read_to_string(&path).unwrap();
+        raw.push_str("{\"t\":\"spend\",\"ten\n \n");
+        std::fs::write(&path, raw).unwrap();
+        let (mut j, replayed) = SpendJournal::open(&path).unwrap();
+        assert_eq!(replayed.len(), 1, "the torn record is dropped");
+        j.append("ci", JournalOp::Spend, 0.25).unwrap();
+        drop(j);
+        // The torn line was cut, so it is not buried mid-file.
+        let (_, replayed) = SpendJournal::open(&path).unwrap();
+        let spends: Vec<f64> = replayed.iter().map(|r| r.eps).collect();
+        assert_eq!(spends, [0.5, 0.25]);
     }
 
     #[test]

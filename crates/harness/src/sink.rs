@@ -63,19 +63,25 @@
 //!   (pre-crash orphans superseded by a resume's copy) are dropped.
 //!
 //! A dirty crash can tear the **final** line of the file mid-write; that
-//! single case is recoverable by construction (the per-unit flush
-//! discipline means a torn line's unit has no completion marker and is
-//! re-run on resume), and [`JsonlSink::append`] truncates the fragment
-//! before resuming, keeping the healed file fully valid. Anything else
-//! the rules refuse — a malformed line **followed by more records**, a
-//! marker out of order, a unit short of a trial — can only be real
-//! corruption (bit rot, manual edits, interleaved or concatenated
-//! writers), and every reader turns it into a hard `InvalidData` error
-//! carrying the line number instead of silently skipping it — a
-//! benchmark must never convert corruption into plausible numbers. A
-//! resume that would append a unit below the ledger's last completed
-//! one is refused before it writes ([`Ledger::resume_conflict`]), so
-//! the writers never produce a file the readers reject.
+//! case is recoverable by construction (the per-unit flush discipline
+//! means a torn line's unit has no completion marker and is re-run on
+//! resume). One torn-tail rule, shared with the serve spend journal,
+//! decides the heal while the reader streams past the tail: keep
+//! everything through the last well-formed record plus the blank lines
+//! right after it, cut from the first malformed line that no record
+//! follows, and add a final newline if the kept part lacks one. The read
+//! reports that heal point ([`Ledger::heal`]) and [`JsonlSink::append`]
+//! applies it before resuming, keeping the healed file fully valid.
+//! Anything else the rules refuse — a malformed line **followed by more
+//! records**, a marker out of order, a unit short of a trial — can only
+//! be real corruption (bit rot, manual edits, interleaved or
+//! concatenated writers), and every reader turns it into a hard
+//! `InvalidData` error carrying the line number instead of silently
+//! skipping it — a benchmark must never convert corruption into
+//! plausible numbers. A resume that would append a unit below the
+//! ledger's last completed one is refused before it writes
+//! ([`Ledger::resume_conflict`]), so the writers never produce a file
+//! the readers reject.
 
 use crate::config::{is_valid_identifier, Setting};
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
@@ -181,123 +187,29 @@ impl JsonlSink<BufWriter<File>> {
     }
 
     /// Open `path` for append without a new header — the resume mode,
-    /// continuing a ledger whose header was validated by the caller.
+    /// continuing a ledger the caller has read. `heal` is that read's
+    /// [`Ledger::heal`], applied before anything is written, so the
+    /// ledger's bytes are not read again.
     ///
-    /// If a crash tore the final line mid-write, it is **truncated**
-    /// first: the torn record's unit has no completion marker (per-unit
-    /// flush writes the marker last), so dropping the fragment loses
-    /// nothing, and the healed file stays fully parseable — which is what
-    /// lets the readers treat any *mid-file* malformed line as hard
-    /// corruption. A complete final record merely missing its newline is
-    /// terminated instead.
-    pub fn append<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        repair_tail(path.as_ref())?;
+    /// A crash can tear the final line mid-write. The torn record's unit
+    /// has no completion marker (per-unit flush writes the marker last),
+    /// so cutting the fragment loses nothing, and the healed file stays
+    /// fully parseable — which is what lets the readers treat any
+    /// *mid-file* malformed line as hard corruption. A complete final
+    /// record merely missing its newline is terminated instead.
+    pub fn append<P: AsRef<Path>>(path: P, heal: Heal) -> io::Result<Self> {
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        if file.metadata()?.len() > heal.len {
+            file.set_len(heal.len)?;
+        }
+        if heal.newline {
+            file.write_all(b"\n")?;
+        }
         Ok(Self {
-            out: BufWriter::new(OpenOptions::new().append(true).open(path)?),
+            out: BufWriter::new(file),
             write_header: false,
         })
     }
-}
-
-/// Truncate a torn (unparseable) final line; newline-terminate a valid
-/// final record that lost its newline in a crash.
-fn repair_tail(path: &Path) -> io::Result<()> {
-    repair_tail_with(path, |line| !matches!(classify(line), Line::Malformed(_)))
-}
-
-/// [`repair_tail`] parametrized on what "well-formed" means, so other
-/// strict JSONL ledgers (e.g. the serve spend journal) can heal their own
-/// torn tails with their own line grammar. `is_valid` must accept exactly
-/// the lines the matching reader accepts — anything else gets truncated
-/// when it is the final line.
-pub(crate) fn repair_tail_with(path: &Path, is_valid: impl Fn(&str) -> bool) -> io::Result<()> {
-    let Some(tail) = last_line(&mut File::open(path)?, TAIL_BLOCK)? else {
-        return Ok(()); // empty (or all-blank) file: nothing to repair
-    };
-    if !is_valid(&String::from_utf8_lossy(&tail.line)) {
-        OpenOptions::new()
-            .write(true)
-            .open(path)?
-            .set_len(tail.start)
-    } else if !tail.ends_with_newline {
-        OpenOptions::new().append(true).open(path)?.write_all(b"\n")
-    } else {
-        Ok(())
-    }
-}
-
-/// The block [`last_line`] reads backwards from the end of a ledger.
-const TAIL_BLOCK: usize = 8192;
-
-/// A file's last non-blank line (a line of ASCII whitespace is blank).
-#[derive(Debug, PartialEq)]
-struct Tail {
-    /// Offset of the line's first byte.
-    start: u64,
-    /// The line without its newline.
-    line: Vec<u8>,
-    /// Whether the file's last byte is a newline.
-    ends_with_newline: bool,
-}
-
-/// Find the last non-blank line by reading `file` backwards from its end
-/// in `block`-byte reads: the last byte that is not whitespace lies on
-/// it, the newline before that byte (or the file's start) starts it, and
-/// the first newline after it (or the file's end) ends it. Only the
-/// blocks from that line's start to the end are read, so a resume reads
-/// its ledger's tail rather than the whole file. `None` for an empty or
-/// all-blank file.
-fn last_line(file: &mut File, block: usize) -> io::Result<Option<Tail>> {
-    use std::io::{Read, Seek, SeekFrom};
-    assert!(block > 0, "a block must hold at least one byte");
-    let len = file.metadata()?.len();
-    let mut buf = vec![0; block];
-    let (mut end, mut start, mut line_end) = (len, 0, len);
-    let mut ends_with_newline = false;
-    let mut found = false;
-    while end > 0 {
-        let from = end.saturating_sub(block as u64);
-        let chunk = &mut buf[..(end - from) as usize];
-        file.seek(SeekFrom::Start(from))?;
-        file.read_exact(chunk)?;
-        if end == len {
-            ends_with_newline = chunk.last() == Some(&b'\n');
-        }
-        // Until the last non-blank byte turns up, each block moves
-        // `line_end` back to its first newline; from that byte on, the
-        // search is for the newline before it.
-        let mut before = chunk.len();
-        if !found {
-            let text = chunk.iter().rposition(|b| !b.is_ascii_whitespace());
-            let after = text.unwrap_or(0);
-            if let Some(nl) = chunk[after..].iter().position(|&b| b == b'\n') {
-                line_end = from + (after + nl) as u64;
-            }
-            match text {
-                Some(i) => (found, before) = (true, i),
-                None => {
-                    end = from;
-                    continue;
-                }
-            }
-        }
-        if let Some(nl) = chunk[..before].iter().rposition(|&b| b == b'\n') {
-            start = from + nl as u64 + 1;
-            break;
-        }
-        end = from;
-    }
-    if !found {
-        return Ok(None);
-    }
-    let mut line = vec![0; (line_end - start) as usize];
-    file.seek(SeekFrom::Start(start))?;
-    file.read_exact(&mut line)?;
-    Ok(Some(Tail {
-        start,
-        line,
-        ends_with_newline,
-    }))
 }
 
 impl<W: Write + Send> JsonlSink<W> {
@@ -880,6 +792,9 @@ pub struct Ledger {
     /// Manifest position of the last completed unit — the highest, since
     /// markers ascend — or `None` when no unit completed.
     pub last_pos: Option<usize>,
+    /// Where the torn-tail rule cuts this file; [`JsonlSink::append`]
+    /// applies it.
+    pub heal: Heal,
 }
 
 impl Ledger {
@@ -941,10 +856,10 @@ enum Line {
     Malformed(&'static str),
 }
 
-/// Classify (and fully parse) one line. The ledger reader, the
-/// tail-repair in [`JsonlSink::append`], the progress probe and the
-/// fleet's header check all share this, so "well-formed" means the same
-/// thing to each.
+/// Classify (and fully parse) one line. The ledger reader (and with it
+/// the heal point [`JsonlSink::append`] applies), the progress probe and
+/// the fleet's header check all share this, so "well-formed" means the
+/// same thing to each.
 fn classify(line: &str) -> Line {
     let trimmed = line.trim();
     if trimmed.is_empty() {
@@ -999,29 +914,83 @@ pub(crate) fn header_fingerprint(path: &Path) -> Option<u64> {
     }
 }
 
-/// The deferred-error state of the torn-tail rule: a malformed line is
-/// held here and only becomes a hard error if another record follows it.
-pub(crate) struct TornTail(Option<io::Error>);
+/// Where a log's torn tail is cut, as the torn-tail rule (see the module
+/// docs) decides it: [`read_units`] reports it on [`Ledger::heal`] and
+/// [`JsonlSink::append`] applies it. Only a read makes one.
+#[derive(Debug, Clone, Copy)]
+pub struct Heal {
+    /// Bytes kept from the start of the file.
+    pub(crate) len: u64,
+    /// The kept part ends without a newline, so one is added.
+    pub(crate) newline: bool,
+}
+
+/// The torn-tail rule of both append-only logs, the result ledger and the
+/// serve spend journal. Each reader feeds it every line in order,
+/// classified by its own grammar. A malformed line is held, and becomes a
+/// hard error only if a record follows it. The heal point keeps
+/// everything through the last well-formed record plus the blank lines
+/// right after it, and cuts from the first malformed line that no record
+/// follows.
+pub(crate) struct TornTail {
+    /// The error the held malformed line becomes if a record follows it.
+    held: Option<io::Error>,
+    /// Bytes fed so far.
+    read: u64,
+    heal: Heal,
+}
 
 impl TornTail {
     pub(crate) fn new() -> Self {
-        Self(None)
-    }
-
-    /// A well-formed record arrived: any held malformed line was
-    /// mid-file, i.e. real corruption.
-    pub(crate) fn check(&mut self) -> io::Result<()> {
-        match self.0.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
+        Self {
+            held: None,
+            read: 0,
+            heal: Heal {
+                len: 0,
+                newline: false,
+            },
         }
     }
 
-    pub(crate) fn defer(&mut self, line_no: usize, what: &str) {
-        self.0 = Some(bad(
+    /// Step past one line (`raw`, newline included), moving the heal
+    /// point to its end when it is `kept`.
+    fn advance(&mut self, raw: &[u8], kept: bool) {
+        self.read += raw.len() as u64;
+        if kept {
+            self.heal = Heal {
+                len: self.read,
+                newline: raw.last() != Some(&b'\n'),
+            };
+        }
+    }
+
+    /// A blank line: kept unless a malformed line is held.
+    pub(crate) fn blank(&mut self, raw: &[u8]) {
+        self.advance(raw, self.held.is_none());
+    }
+
+    /// A malformed line (`line_no` counts from 0): cut, and held against
+    /// a record that may follow it.
+    pub(crate) fn malformed(&mut self, line_no: usize, raw: &[u8], what: &str) {
+        self.advance(raw, false);
+        self.held = Some(bad(
             line_no,
             &format!("{what} followed by further records (mid-file corruption; only a torn final line is tolerated)"),
         ));
+    }
+
+    /// A well-formed record: any held malformed line was mid-file, i.e.
+    /// real corruption.
+    pub(crate) fn record(&mut self, raw: &[u8]) -> io::Result<()> {
+        if let Some(e) = self.held.take() {
+            return Err(e);
+        }
+        self.advance(raw, true);
+        Ok(())
+    }
+
+    pub(crate) fn heal(&self) -> Heal {
+        self.heal
     }
 }
 
@@ -1043,8 +1012,9 @@ impl TornTail {
 /// winning — the resume's authoritative rewrite supersedes any
 /// pre-crash orphan (per-coordinate RNG makes the values bit-identical
 /// anyway; deduplication fixes the *count*). A torn line is tolerated
-/// only as the file's final content. A file without a single well-formed
-/// record (empty, or only a torn fragment) is an `UnexpectedEof` error.
+/// only as the file's final content, and [`Ledger::heal`] says where the
+/// torn-tail rule cuts it. A file without a single well-formed record
+/// (empty, or only a torn fragment) is an `UnexpectedEof` error.
 pub fn read_units<P: AsRef<Path>>(
     path: P,
     mut visit: impl FnMut(LedgerUnit),
@@ -1062,6 +1032,7 @@ pub fn read_units<P: AsRef<Path>>(
         cfg,
         done,
         last_pos: stream.last_pos,
+        heal: stream.torn.heal(),
     })
 }
 
@@ -1196,7 +1167,11 @@ fn parse_sample(rec: &json::Object) -> Option<(usize, ErrorSample)> {
 /// has not streamed past yet (normally exactly one unit; more only for
 /// pre-crash orphans and units in flight at a crash).
 struct UnitStream {
-    lines: std::iter::Enumerate<std::io::Lines<BufReader<File>>>,
+    reader: BufReader<File>,
+    /// The line being read (newline included), reused across lines.
+    line: Vec<u8>,
+    /// Lines read so far.
+    lines_read: usize,
     /// The run header (fingerprint, `n_trials`, config summary), once
     /// read.
     header: Option<(u64, usize, Option<String>)>,
@@ -1221,7 +1196,9 @@ impl UnitStream {
     /// header must be the first record (every writer puts it there).
     fn open(path: &Path) -> io::Result<Self> {
         let mut s = Self {
-            lines: BufReader::new(File::open(path)?).lines().enumerate(),
+            reader: BufReader::new(File::open(path)?),
+            line: Vec::new(),
+            lines_read: 0,
             header: None,
             pending: HashMap::new(),
             last_pos: None,
@@ -1248,16 +1225,31 @@ impl UnitStream {
 
     /// Advance to the next completed unit.
     fn next_unit(&mut self) -> io::Result<Option<LedgerUnit>> {
-        for (i, line) in self.lines.by_ref() {
-            let cls = classify(&line?);
+        loop {
+            self.line.clear();
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+                return Ok(None);
+            }
+            let i = self.lines_read;
+            self.lines_read += 1;
+            let text = std::str::from_utf8(&self.line).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
+            let cls = classify(text);
             match cls {
-                Line::Blank => continue,
-                // Tolerated only as the file's final content.
-                Line::Malformed(what) => {
-                    self.torn.defer(i, what);
+                Line::Blank => {
+                    self.torn.blank(&self.line);
                     continue;
                 }
-                _ => self.torn.check()?,
+                // Tolerated only as the file's final content.
+                Line::Malformed(what) => {
+                    self.torn.malformed(i, &self.line, what);
+                    continue;
+                }
+                _ => self.torn.record(&self.line)?,
             }
             match cls {
                 Line::Header {
@@ -1327,7 +1319,6 @@ impl UnitStream {
                 Line::Blank | Line::Malformed(_) => unreachable!("skipped above"),
             }
         }
-        Ok(None)
     }
 
     /// Pop the lookahead and refill it.
@@ -1490,92 +1481,154 @@ pub fn merge_jsonl_file<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{FaultyIo, SpendJournal};
+    use std::sync::{Arc, Mutex};
 
-    /// The forward scan [`last_line`] replaced: every line is read, and the
-    /// last one holding a non-whitespace byte wins.
-    fn last_line_forward(path: &Path) -> io::Result<Option<Tail>> {
-        let mut reader = BufReader::new(File::open(path)?);
-        let mut offset: u64 = 0;
-        let mut last_start: u64 = 0;
-        let mut last_line: Vec<u8> = Vec::new();
-        let mut ends_with_newline = true; // vacuously, for an empty file
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            let n = reader.read_until(b'\n', &mut buf)?;
-            if n == 0 {
-                break;
+    /// The last line of `text` holding a non-whitespace byte, found by
+    /// reading every line: its offset and its bytes.
+    fn last_line_forward(text: &[u8]) -> Option<(usize, &[u8])> {
+        let mut offset = 0;
+        let mut last = None;
+        for raw in text.split_inclusive(|&b| b == b'\n') {
+            if !raw.iter().all(u8::is_ascii_whitespace) {
+                last = Some((offset, raw));
             }
-            ends_with_newline = buf.last() == Some(&b'\n');
-            let content = if ends_with_newline {
-                &buf[..n - 1]
-            } else {
-                &buf[..]
-            };
-            if !content.iter().all(u8::is_ascii_whitespace) {
-                last_start = offset;
-                last_line = content.to_vec();
-            }
-            offset += n as u64;
+            offset += raw.len();
         }
-        Ok((!last_line.is_empty()).then_some(Tail {
-            start: last_start,
-            line: last_line,
-            ends_with_newline,
-        }))
+        last
     }
 
-    #[test]
-    fn backward_tail_scan_matches_the_forward_scan() {
-        let unit = r#"{"t":"u","unit":"00000000000000aa","pos":0}"#;
-        let long = format!(
-            r#"{{"t":"run","fp":"00000000000000aa","n_trials":1,"cfg":"{}"}}"#,
-            "x".repeat(3 * TAIL_BLOCK)
+    /// Heal `text` as a resumed ledger: one strict read, then an append.
+    fn heal_as_ledger(path: &Path, text: &str) -> Vec<u8> {
+        std::fs::write(path, text).unwrap();
+        let ledger = read_units(path, drop).unwrap();
+        drop(JsonlSink::append(path, ledger.heal).unwrap());
+        let healed = std::fs::read(path).unwrap();
+        // A healed ledger has nothing left to heal.
+        let again = read_ledger(path).unwrap().heal;
+        assert_eq!((again.len, again.newline), (healed.len() as u64, false));
+        healed
+    }
+
+    /// Heal `text` as a reopened spend journal.
+    fn heal_as_journal(text: &str) -> Vec<u8> {
+        let disk = Arc::new(Mutex::new(text.as_bytes().to_vec()));
+        SpendJournal::open_with(Box::new(FaultyIo::over(Arc::clone(&disk)))).unwrap();
+        let healed = disk.lock().unwrap().clone();
+        let reopened = Arc::new(Mutex::new(healed.clone()));
+        SpendJournal::open_with(Box::new(FaultyIo::over(Arc::clone(&reopened)))).unwrap();
+        assert_eq!(
+            *reopened.lock().unwrap(),
+            healed,
+            "a healed journal reopens unchanged"
         );
-        let torn = &unit[..20];
-        let tails = [
-            ("torn final line", format!("{unit}\n{unit}\n{torn}")),
-            ("torn line after blanks", format!("{unit}\n{torn}\n \n\t\n")),
-            ("record missing its newline", format!("{unit}\n{unit}")),
-            ("trailing blank lines", format!("{unit}\n\n  \n\r\n\n")),
-            ("blank tail without a newline", format!("{unit}\n \t")),
-            ("record with trailing spaces", format!("{unit}\n{unit}  \n")),
-            ("empty file", String::new()),
-            ("all-blank file", " \n\n\t \r\n".to_string()),
-            ("one newline", "\n".to_string()),
-            ("record longer than a block", format!("{unit}\n{long}\n")),
+        healed
+    }
+
+    /// One tail table for both append-only logs. Each tail sits behind the
+    /// log's header and heals by the one torn-tail rule. The oracle is the
+    /// last-line decision: cut from the last non-blank line's start when it
+    /// is malformed, else add a missing final newline. It holds for every
+    /// tail but those with two malformed final lines, which the rule cuts
+    /// from the first.
+    #[test]
+    fn both_logs_heal_every_tail_by_one_rule() {
+        let logs = [
             (
-                "long torn record",
-                format!("{unit}\n{}", &long[..long.len() - 7]),
+                "ledger",
+                r#"{"t":"run","fp":"00000000000000aa","n_trials":1}"#,
+                r#"{"t":"s","unit":"00000000000000aa","pos":0,"alg":"IDENTITY","dataset":"NAME","scale":1000,"domain":"128","eps":0.1,"sample":0,"trial":0,"err":0.5}"#,
             ),
-            ("long record, no newline", format!("{long}\n{long}")),
             (
-                "long blank tail",
-                format!("{unit}\n{}\n", " ".repeat(2 * TAIL_BLOCK)),
+                "journal",
+                r#"{"t":"tenants","v":1}"#,
+                r#"{"t":"spend","tenant":"NAME","eps":0.5,"seq":1}"#,
             ),
         ];
-        let dir = std::env::temp_dir();
-        for (i, (what, text)) in tails.iter().enumerate() {
-            let path = dir.join(format!("dpbench-tail-{}-{i}.jsonl", std::process::id()));
-            std::fs::write(&path, text).unwrap();
-            let forward = last_line_forward(&path).unwrap();
-            for block in [1, 2, 3, 7, 64, TAIL_BLOCK] {
-                let backward = last_line(&mut File::open(&path).unwrap(), block).unwrap();
-                assert_eq!(backward, forward, "{what}, {block}-byte blocks");
+        let path = std::env::temp_dir().join(format!("dpbench-tail-{}.jsonl", std::process::id()));
+        for (log, header, template) in logs {
+            let rec = template.replace("NAME", "ci");
+            // Longer than the reader's 8 KiB buffer.
+            let long = template.replace("NAME", &"x".repeat(3 * 8192));
+            let torn = &rec[..20];
+            let first_torn = format!("{header}\n{rec}\n");
+            let tails = [
+                ("torn final line", format!("{rec}\n{rec}\n{torn}"), None),
+                (
+                    "torn line, then a blank line",
+                    format!("{rec}\n{torn}\n \n"),
+                    None,
+                ),
+                (
+                    "torn line, then blank lines",
+                    format!("{rec}\n{torn}\n \n\t\n"),
+                    None,
+                ),
+                (
+                    "blank lines, then a torn line",
+                    format!("{rec}\n\n \n{torn}"),
+                    None,
+                ),
+                ("record missing its newline", format!("{rec}\n{rec}"), None),
+                ("trailing blank lines", format!("{rec}\n\n  \n\r\n\n"), None),
+                ("blank tail without a newline", format!("{rec}\n \t"), None),
+                (
+                    "record with trailing spaces",
+                    format!("{rec}\n{rec}  \n"),
+                    None,
+                ),
+                ("header alone", String::new(), None),
+                ("all-blank tail", " \n\n\t \r\n".to_string(), None),
+                ("one newline", "\n".to_string(), None),
+                ("long record", format!("{rec}\n{long}\n"), None),
+                (
+                    "long torn record",
+                    format!("{rec}\n{}", &long[..long.len() - 7]),
+                    None,
+                ),
+                ("long record, no newline", format!("{long}\n{long}"), None),
+                (
+                    "long blank tail",
+                    format!("{rec}\n{}\n", " ".repeat(2 * 8192)),
+                    None,
+                ),
+                (
+                    "two malformed final lines",
+                    format!("{rec}\n{torn}\n{torn}\n"),
+                    Some(&first_torn),
+                ),
+                (
+                    "two malformed lines around a blank one",
+                    format!("{rec}\n{torn}\n\n{}", &long[..100]),
+                    Some(&first_torn),
+                ),
+            ];
+            for (what, tail, decided) in tails {
+                let text = format!("{header}\n{tail}");
+                let expected = match decided {
+                    Some(kept) => kept.as_bytes().to_vec(),
+                    None => match last_line_forward(text.as_bytes()) {
+                        Some((start, line))
+                            if json::Object::parse(String::from_utf8_lossy(line).trim())
+                                .is_err() =>
+                        {
+                            text.as_bytes()[..start].to_vec()
+                        }
+                        _ if !text.ends_with('\n') => format!("{text}\n").into_bytes(),
+                        _ => text.as_bytes().to_vec(),
+                    },
+                };
+                let healed = match log {
+                    "ledger" => heal_as_ledger(&path, &text),
+                    _ => heal_as_journal(&text),
+                };
+                assert_eq!(
+                    String::from_utf8_lossy(&healed),
+                    String::from_utf8_lossy(&expected),
+                    "{log}: {what}"
+                );
             }
-            // The repair keeps what the forward scan's decision kept.
-            let valid = |line: &str| !matches!(classify(line), Line::Malformed(_));
-            repair_tail_with(&path, valid).unwrap();
-            let expected = match &forward {
-                None => text.clone().into_bytes(),
-                Some(t) if !valid(&String::from_utf8_lossy(&t.line)) => {
-                    text.as_bytes()[..t.start as usize].to_vec()
-                }
-                Some(t) if !t.ends_with_newline => format!("{text}\n").into_bytes(),
-                Some(_) => text.clone().into_bytes(),
-            };
-            assert_eq!(std::fs::read(&path).unwrap(), expected, "{what}");
-            std::fs::remove_file(&path).unwrap();
         }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -623,7 +623,8 @@ fn run(a: &Args) -> Result<ExitCode, String> {
                      {first}); resume it with the --shard and span that wrote it"
                 ));
             }
-            let jsonl = JsonlSink::append(path).map_err(|e| format!("opening {path}: {e}"))?;
+            let jsonl =
+                JsonlSink::append(path, ledger.heal).map_err(|e| format!("opening {path}: {e}"))?;
             (ledger.done, Some(jsonl))
         }
         (None, Some(path)) => {

@@ -77,7 +77,7 @@ fn kill_and_resume_is_bit_identical_across_thread_counts() {
         assert_eq!(ledger.done.len(), 7);
         let mut second = Runner::new(tiny_config());
         second.threads = threads;
-        let mut append = JsonlSink::append(&path).unwrap();
+        let mut append = JsonlSink::append(&path, ledger.heal).unwrap();
         let stats = second.resume(&manifest, &ledger.done, &mut append).unwrap();
         assert_eq!(stats.skipped, 7);
         assert_eq!(stats.units, manifest.len() - 7);
@@ -117,10 +117,10 @@ fn resumed_ledger_is_byte_identical_to_uninterrupted_file() {
     let mut part = JsonlSink::create(&cut_path).unwrap();
     first.run_with_sink(&manifest, &mut part).unwrap();
     drop(part);
-    let done = sink::read_ledger(&cut_path).unwrap().done;
-    let mut rest = JsonlSink::append(&cut_path).unwrap();
+    let ledger = sink::read_ledger(&cut_path).unwrap();
+    let mut rest = JsonlSink::append(&cut_path, ledger.heal).unwrap();
     Runner::new(tiny_config())
-        .resume(&manifest, &done, &mut rest)
+        .resume(&manifest, &ledger.done, &mut rest)
         .unwrap();
     drop(rest);
 
@@ -276,11 +276,15 @@ fn orphaned_pre_crash_samples_do_not_double_count_after_resume() {
     .unwrap();
     drop(f);
 
-    let done = sink::read_ledger(&path).unwrap().done;
-    assert_eq!(done.len(), 4, "orphans must not mark their unit done");
-    let mut append = JsonlSink::append(&path).unwrap();
+    let ledger = sink::read_ledger(&path).unwrap();
+    assert_eq!(
+        ledger.done.len(),
+        4,
+        "orphans must not mark their unit done"
+    );
+    let mut append = JsonlSink::append(&path, ledger.heal).unwrap();
     Runner::new(tiny_config())
-        .resume(&manifest, &done, &mut append)
+        .resume(&manifest, &ledger.done, &mut append)
         .unwrap();
     drop(append);
 
@@ -377,9 +381,9 @@ fn resume_with_complete_ledger_runs_nothing() {
     runner.run_with_sink(&manifest, &mut jsonl).unwrap();
     drop(jsonl);
 
-    let done = sink::read_ledger(&path).unwrap().done;
-    let mut append = JsonlSink::append(&path).unwrap();
-    let stats = runner.resume(&manifest, &done, &mut append).unwrap();
+    let ledger = sink::read_ledger(&path).unwrap();
+    let mut append = JsonlSink::append(&path, ledger.heal).unwrap();
+    let stats = runner.resume(&manifest, &ledger.done, &mut append).unwrap();
     assert_eq!(stats.units, 0);
     assert_eq!(stats.skipped, manifest.len());
     std::fs::remove_file(&path).unwrap();
@@ -440,16 +444,16 @@ fn mid_file_corruption_is_a_hard_error_with_line_number() {
 
 /// Every ledger reader and the merge read a file through one reader
 /// under one rule set, so each doctored copy of a clean ledger is
-/// accepted by all five or refused by all five with `InvalidData`.
+/// accepted by all five or refused by all five with `InvalidData`. A
+/// resume of every accepted copy writes the clean ledger's bytes.
 #[test]
 fn ledger_readers_and_the_merge_agree_on_every_file() {
     let path = tmp("agree");
     let _ = std::fs::remove_file(&path);
     let runner = Runner::new(tiny_config());
+    let manifest = runner.manifest();
     let mut jsonl = JsonlSink::create(&path).unwrap();
-    runner
-        .run_with_sink(&runner.manifest(), &mut jsonl)
-        .unwrap();
+    runner.run_with_sink(&manifest, &mut jsonl).unwrap();
     drop(jsonl);
     let clean = std::fs::read_to_string(&path).unwrap();
     // Line 1 is the header, lines 2–4 and 5 the first unit's samples and
@@ -459,6 +463,7 @@ fn ledger_readers_and_the_merge_agree_on_every_file() {
         edit(&mut lines);
         lines.join("\n") + "\n"
     };
+    let two_units: String = clean.lines().take(9).map(|l| format!("{l}\n")).collect();
     let cases = [
         ("record before the header", doctor(&|l| l.swap(0, 1)), false),
         ("two markers swapped", doctor(&|l| l.swap(4, 8)), false),
@@ -484,8 +489,19 @@ fn ledger_readers_and_the_merge_agree_on_every_file() {
             format!("{clean}{{\"t\":\"s\",\"unit\":\"00"),
             true,
         ),
+        (
+            "torn line followed by blank lines",
+            format!("{two_units}{{\"t\":\"s\",\"unit\":\"00\n \n\n"),
+            true,
+        ),
         ("clean", clean.clone(), true),
     ];
+    let mut non_utf8 = clean.clone().into_bytes();
+    non_utf8[clean.find("MEDCOST\",").unwrap()] = 0xff;
+    let cases = cases
+        .map(|(what, text, valid)| (what, text.into_bytes(), valid))
+        .into_iter()
+        .chain([("non-UTF-8 byte on line 2", non_utf8, false)]);
     for (what, text, valid) in cases {
         std::fs::write(&path, &text).unwrap();
         for (reader, verdict) in [
@@ -505,6 +521,14 @@ fn ledger_readers_and_the_merge_agree_on_every_file() {
                     assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
                 }
             }
+        }
+        if valid {
+            let ledger = sink::read_ledger(&path).unwrap();
+            let mut append = JsonlSink::append(&path, ledger.heal).unwrap();
+            runner.resume(&manifest, &ledger.done, &mut append).unwrap();
+            drop(append);
+            let resumed = std::fs::read_to_string(&path).unwrap();
+            assert!(resumed == clean, "{what}: the resume wrote other bytes");
         }
     }
     std::fs::remove_file(&path).unwrap();
@@ -533,14 +557,15 @@ fn torn_tail_is_truncated_on_append_and_file_stays_valid() {
     drop(f);
 
     // Readers tolerate the torn tail (it is the final content) …
-    assert_eq!(sink::read_ledger(&path).unwrap().done.len(), 3);
+    let ledger = sink::read_ledger(&path).unwrap();
+    assert_eq!(ledger.done.len(), 3);
     // … and append() removes it entirely.
-    drop(JsonlSink::append(&path).unwrap());
+    drop(JsonlSink::append(&path, ledger.heal).unwrap());
     assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
-    let done = sink::read_ledger(&path).unwrap().done;
-    let mut rest = JsonlSink::append(&path).unwrap();
+    let ledger = sink::read_ledger(&path).unwrap();
+    let mut rest = JsonlSink::append(&path, ledger.heal).unwrap();
     Runner::new(tiny_config())
-        .resume(&manifest, &done, &mut rest)
+        .resume(&manifest, &ledger.done, &mut rest)
         .unwrap();
     drop(rest);
     // The healed, resumed file is valid end to end.
@@ -584,7 +609,7 @@ fn torn_numeric_tail_that_still_parses_is_treated_as_torn() {
     let ledger = sink::read_ledger(&path).unwrap();
     assert_eq!(ledger.done.len(), 3, "torn marker counted as completed");
     // … append truncates the fragment, resume re-runs the unit …
-    let mut rest = JsonlSink::append(&path).unwrap();
+    let mut rest = JsonlSink::append(&path, ledger.heal).unwrap();
     Runner::new(tiny_config())
         .resume(&manifest, &ledger.done, &mut rest)
         .unwrap();
@@ -899,10 +924,10 @@ fn merge_summary_equals_the_summary_of_its_output() {
             sink::format_sample(victim.id, victim.pos, &orphan)
         ));
     }
-    let done = sink::read_ledger(&path).unwrap().done;
-    let mut append = JsonlSink::append(&path).unwrap();
+    let ledger = sink::read_ledger(&path).unwrap();
+    let mut append = JsonlSink::append(&path, ledger.heal).unwrap();
     Runner::new(tiny_config())
-        .resume(&manifest, &done, &mut append)
+        .resume(&manifest, &ledger.done, &mut append)
         .unwrap();
     drop(append);
     append_raw(&format!(

@@ -123,10 +123,9 @@ pub fn run(mut config: ExperimentConfig) -> ResultStore {
             plan.hit_rate() * 100.0
         );
         eprintln!(
-            "[dpbench] data cache: {} hits / {} misses / {} evictions; hierarchy pool: {:.1}% hit",
+            "[dpbench] data cache: {} hits / {} misses; hierarchy pool: {:.1}% hit",
             stats.data_cache.hits,
             stats.data_cache.misses,
-            stats.data_cache.evictions,
             stats.hier_cache.hit_rate() * 100.0
         );
     }

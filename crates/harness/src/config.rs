@@ -177,6 +177,17 @@ pub fn is_valid_identifier(s: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'*')
 }
 
+/// Refuse a grid list that holds an entry twice: the repeat would give
+/// two units one id, and every reader of the ledger would count both.
+fn listed_once<T: PartialEq + fmt::Display>(what: &str, items: &[T]) -> Result<(), String> {
+    for (i, x) in items.iter().enumerate() {
+        if items[..i].contains(x) {
+            return Err(format!("{what} {x} is listed twice"));
+        }
+    }
+    Ok(())
+}
+
 impl ExperimentConfig {
     /// All settings in the grid.
     pub fn settings(&self) -> Vec<Setting> {
@@ -209,7 +220,8 @@ impl ExperimentConfig {
     /// Fail fast on a grid that cannot run or that the JSONL ledger
     /// cannot represent: dataset and algorithm identifiers must match
     /// `[A-Za-z0-9_*-]+` (see [`is_valid_identifier`]), every ε must be
-    /// positive and finite, every dataset must coarsen to each domain of
+    /// positive and finite, no dataset, scale, domain, ε or algorithm may
+    /// be listed twice, every dataset must coarsen to each domain of
     /// its dimensionality, the workload must run on each of those
     /// domains (the rule [`WorkloadSpec::parse`] applies), and the grid
     /// needs a trial, a sample and a setting. Called by the runner before
@@ -233,6 +245,12 @@ impl ExperimentConfig {
         if let Some(e) = self.epsilons.iter().find(|e| !(e.is_finite() && **e > 0.0)) {
             return Err(format!("epsilon {e} is not positive and finite"));
         }
+        let datasets: Vec<&str> = self.datasets.iter().map(|d| d.name).collect();
+        listed_once("dataset", &datasets)?;
+        listed_once("scale", &self.scales)?;
+        listed_once("domain", &self.domains)?;
+        listed_once("epsilon", &self.epsilons)?;
+        listed_once("algorithm", &self.algorithms)?;
         for d in &self.datasets {
             for domain in self.domains.iter().filter(|m| m.dims() == d.dims()) {
                 if !d.base_domain.coarsens_to(domain) {
@@ -494,6 +512,41 @@ mod tests {
         for (cfg, expected) in cases {
             let err = cfg.validate().unwrap_err();
             assert!(err.contains(expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_repeated_grid_entry() {
+        let base = ExperimentConfig {
+            datasets: vec![catalog::by_name("ADULT").unwrap()],
+            scales: vec![1000, 2000],
+            domains: vec![Domain::D1(256)],
+            epsilons: vec![0.1, 1.0],
+            algorithms: vec!["IDENTITY".into(), "DAWA".into()],
+            n_samples: 1,
+            n_trials: 1,
+            workload: WorkloadSpec::Prefix,
+            loss: Loss::L2,
+        };
+        assert!(base.validate().is_ok());
+        let mut cases = Vec::new();
+        let mut c = base.clone();
+        c.datasets.push(catalog::by_name("ADULT").unwrap());
+        cases.push((c, "dataset ADULT is listed twice"));
+        let mut c = base.clone();
+        c.scales.push(1000);
+        cases.push((c, "scale 1000 is listed twice"));
+        let mut c = base.clone();
+        c.domains.push(Domain::D1(256));
+        cases.push((c, "domain 256 is listed twice"));
+        let mut c = base.clone();
+        c.epsilons.push(0.1);
+        cases.push((c, "epsilon 0.1 is listed twice"));
+        let mut c = base.clone();
+        c.algorithms.push("DAWA".into());
+        cases.push((c, "algorithm DAWA is listed twice"));
+        for (cfg, expected) in cases {
+            assert_eq!(cfg.validate().unwrap_err(), expected);
         }
     }
 

@@ -16,28 +16,29 @@
 //! The data vector, workload, and true answers `y_true` shared by the
 //! mechanisms of one (setting, sample) cell are built exactly once in a
 //! memoized data cache keyed by their coordinates (each cell samples from
-//! a dataset shape built once per (dataset, domain)) — with **LRU
-//! eviction under a configurable byte budget**
-//! ([`Runner::data_cache_bytes`]), safe precisely because sinks stream
-//! results out instead of holding the whole grid alive. Every trial
-//! derives its RNG stream deterministically from its coordinates, so
-//! results are reproducible and independent of thread scheduling, of
-//! sharding, and of eviction (an evicted vector regenerates
-//! bit-identically).
+//! a dataset shape built once per (dataset, domain)). The manifest fixes
+//! each cell's lifetime: the cache counts the units of the run that read
+//! the cell, each claim takes one, and the claim that takes the last
+//! removes the cell, whose worker keeps it until that unit ends. A run
+//! therefore holds only the cells its remaining units read, and never
+//! generates one twice. Every trial derives its RNG stream
+//! deterministically from its coordinates, so results are reproducible
+//! and independent of thread scheduling and of sharding.
 //!
-//! **Claim rule.** The units of one cell are contiguous in the manifest,
-//! and the worker that claims a cell's first unit builds the cell (and
-//! its shape, when no worker has built or started that). A worker never
-//! waits on a build another worker is doing: it passes over (defers)
-//! every unit whose cell, or whose shape, is being built and claims the
-//! earliest unit whose data is built or not yet started. Deferred units go
-//! first once their data is built, and a worker blocks only when every
-//! unit left waits on a build in progress. With one thread nothing is
-//! ever in progress at a claim, so units run in manifest order. While one
-//! worker builds a 2-D shape, the others build the next dataset's shape
-//! or run cells that are ready. Units therefore finish out of order, and
-//! a completion that arrives ahead of an earlier unit waits in the
-//! consumer until that unit arrives.
+//! **Claim rule.** The worker that claims a cell's first unit builds the
+//! cell (and its shape, when no worker has built or started that). The
+//! cell's other units need not follow it in the manifest: an ε sweep
+//! interleaves the cells of one scale. A worker never waits on a build
+//! another worker is doing: it passes over (defers) every unit whose
+//! cell, or whose shape, is being built and claims the earliest unit
+//! whose data is built or not yet started. Deferred units go first once
+//! their data is built, and a worker blocks only when every unit left
+//! waits on a build in progress. With one thread nothing is ever in
+//! progress at a claim, so units run in manifest order. While one worker
+//! builds a 2-D shape, the others build the next dataset's shape or run
+//! cells that are ready. Units therefore finish out of order, and a
+//! completion that arrives ahead of an earlier unit waits in the consumer
+//! until that unit arrives.
 //!
 //! Mechanisms run through the two-phase plan/execute API: the runner keeps
 //! a [`PlanCache`] keyed by `(mechanism, domain, workload)` so each
@@ -206,15 +207,6 @@ struct UnitData {
     scale: f64,
 }
 
-impl UnitData {
-    /// Approximate resident bytes (the two f64 arrays; the workload is
-    /// shared per domain and accounted separately as negligible).
-    fn bytes(&self) -> usize {
-        (self.x.n_cells() + self.y_true.len()) * std::mem::size_of::<f64>()
-            + std::mem::size_of::<Self>()
-    }
-}
-
 /// Cache key of one generated data vector: (dataset-name hash, scale,
 /// domain, sample index).
 type DataKey = (u64, u64, Domain, usize);
@@ -236,22 +228,12 @@ fn cell_keys(unit: &ManifestUnit) -> (DataKey, ShapeKey) {
 pub struct DataCacheStats {
     /// Lookups served by an already-generated vector.
     pub hits: u64,
-    /// Vectors generated (first use or regeneration after eviction).
+    /// Vectors generated: one per cell the run reads.
     pub misses: u64,
-    /// Entries evicted to stay under the byte budget.
+    /// Always 0: a cell leaves the cache at its last claim, so none is
+    /// generated twice. perfbench reports it as
+    /// `runner.data_cache.evictions`.
     pub evictions: u64,
-    /// Bytes resident when the run finished.
-    pub resident_bytes: usize,
-}
-
-/// One [`DataCache`] entry: the cell's data plus LRU bookkeeping.
-struct DataEntry {
-    /// `None` while a worker builds the cell.
-    data: Option<Arc<UnitData>>,
-    /// Monotonic access tick (bigger = more recent).
-    last_used: u64,
-    /// Resident bytes; 0 until the cell is built.
-    bytes: usize,
 }
 
 /// Everything behind the [`DataCache`]'s one lock. The claim queue lives
@@ -259,16 +241,17 @@ struct DataEntry {
 /// one step: no other worker can see the cell as unclaimed in between.
 #[derive(Default)]
 struct DataMap {
-    cells: HashMap<DataKey, DataEntry>,
+    /// The cells one unit has claimed and another has yet to claim:
+    /// `None` while a worker builds one.
+    cells: HashMap<DataKey, Option<Arc<UnitData>>>,
+    /// How many units of the run have yet to claim each cell.
+    claims_left: HashMap<DataKey, usize>,
     /// Dataset shapes depend only on (dataset, domain): every (scale,
     /// sample) cell of one dataset and domain draws from one shape built
     /// once per run (a 2-D shape costs tens of milliseconds, the
     /// multinomial draw from it well under one). `None` while a worker
-    /// builds it. Like the workloads, they stay outside the byte budget.
+    /// builds it. Like the workloads, they live as long as the run.
     shapes: HashMap<ShapeKey, Option<Arc<Vec<f64>>>>,
-    total_bytes: usize,
-    /// LRU clock.
-    tick: u64,
     /// First manifest position no worker has looked at yet.
     next: usize,
     /// Positions passed over because their cell or shape was being built,
@@ -282,7 +265,7 @@ impl DataMap {
     fn busy(&self, unit: &ManifestUnit) -> bool {
         let (key, shape) = cell_keys(unit);
         match self.cells.get(&key) {
-            Some(entry) => entry.data.is_none(),
+            Some(data) => data.is_none(),
             None => matches!(self.shapes.get(&shape), Some(None)),
         }
     }
@@ -301,14 +284,14 @@ enum CellClaim {
 #[cfg(test)]
 type BuildHook = Box<dyn Fn(&DataCache, &DataKey) + Sync>;
 
-/// Memoized `(dataset, scale, domain, sample)` → [`UnitData`] map with
-/// LRU eviction under a byte budget, and the queue workers claim units
-/// from. Note ε is *not* part of the key: the data vector never depends on
-/// the privacy budget, so an ε sweep shares one generated vector per
-/// sample. Eviction is safe for correctness because generation is
-/// deterministic per coordinates — an evicted entry regenerates
-/// bit-identically — and in-flight users hold their own `Arc`, so a
-/// victim's memory is reclaimed when the last unit using it finishes.
+/// Memoized `(dataset, scale, domain, sample)` → [`UnitData`] map, and the
+/// queue workers claim units from. Note ε is *not* part of the key: the
+/// data vector never depends on the privacy budget, so an ε sweep shares
+/// one generated vector per sample. A cell lives from its first claim to
+/// its last: each claim takes one from the count of units left to read
+/// the cell, and the claim that takes the last removes the cell. That
+/// unit's worker holds its own `Arc` until the unit ends, so the cell's
+/// memory is freed then; a cell whose only unit builds it is never stored.
 struct DataCache {
     inner: Mutex<DataMap>,
     /// Signalled whenever a cell or a shape is built (or a build unwinds).
@@ -316,25 +299,30 @@ struct DataCache {
     /// Workloads depend only on the domain; memoized separately so the
     /// grid holds one query list per domain instead of one per cell.
     workloads: Mutex<HashMap<Domain, Arc<Workload>>>,
-    budget_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     /// Called by a worker about to build a cell, once its shape is built.
     #[cfg(test)]
     before_build: Option<BuildHook>,
 }
 
 impl DataCache {
-    fn new(budget_bytes: usize) -> Self {
+    /// A cache for `units`, the units of one run: a full manifest, a
+    /// shard, a span or a resume remainder.
+    fn new(units: &[ManifestUnit]) -> Self {
+        let mut claims_left = HashMap::new();
+        for unit in units {
+            *claims_left.entry(cell_keys(unit).0).or_insert(0) += 1;
+        }
         Self {
-            inner: Mutex::default(),
+            inner: Mutex::new(DataMap {
+                claims_left,
+                ..DataMap::default()
+            }),
             built: Condvar::new(),
             workloads: Mutex::default(),
-            budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             #[cfg(test)]
             before_build: None,
         }
@@ -348,8 +336,7 @@ impl DataCache {
         DataCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self.lock().total_bytes,
+            evictions: 0,
         }
     }
 
@@ -396,24 +383,28 @@ impl DataCache {
     }
 
     /// The data of a unit that does not wait on a build: a hit, or a miss
-    /// that marks its cell (and a missing shape) as being built.
+    /// that marks its cell (and a missing shape) as being built. The
+    /// cell's last claim removes it, or never stores it when that claim
+    /// is a miss.
     fn take(&self, map: &mut DataMap, unit: &ManifestUnit) -> CellClaim {
         let (key, shape) = cell_keys(unit);
-        map.tick += 1;
-        if let Some(entry) = map.cells.get_mut(&key) {
-            entry.last_used = map.tick;
+        let left = map.claims_left.get_mut(&key).expect("a unit of the run");
+        *left -= 1;
+        let last = *left == 0;
+        let held = if last {
+            map.claims_left.remove(&key);
+            map.cells.remove(&key)
+        } else {
+            map.cells.get(&key).cloned()
+        };
+        if let Some(data) = held {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return CellClaim::Ready(Arc::clone(entry.data.as_ref().expect("cell is built")));
+            return CellClaim::Ready(data.expect("cell is built"));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        map.cells.insert(
-            key,
-            DataEntry {
-                data: None,
-                last_used: map.tick,
-                bytes: 0,
-            },
-        );
+        if !last {
+            map.cells.insert(key, None);
+        }
         CellClaim::Build(match map.shapes.entry(shape) {
             Entry::Occupied(built) => {
                 Some(Arc::clone(built.get().as_ref().expect("shape is built")))
@@ -426,8 +417,8 @@ impl DataCache {
     }
 
     /// Build the cell of a unit claimed with [`CellClaim::Build`] (and its
-    /// shape, when the claim held none), publish both, and wake waiting
-    /// workers.
+    /// shape, when the claim held none), publish both for the units still
+    /// to claim them, and wake waiting workers.
     fn build(
         &self,
         cfg: &ExperimentConfig,
@@ -480,42 +471,13 @@ impl DataCache {
             y_true,
             scale,
         });
-        self.publish(key, &data);
+        // A cell whose claim was its last has no entry to fill.
+        if let Some(slot) = self.lock().cells.get_mut(&key) {
+            *slot = Some(Arc::clone(&data));
+        }
         marks.cell = None;
         self.built.notify_all();
         data
-    }
-
-    /// Store a freshly built cell, record its size, and evict
-    /// least-recently-used built entries until the budget holds. The
-    /// just-built key is exempt (guaranteed progress even under a budget
-    /// smaller than one vector).
-    fn publish(&self, just_built: DataKey, data: &Arc<UnitData>) {
-        let mut map = self.lock();
-        let map = &mut *map;
-        let entry = map
-            .cells
-            .get_mut(&just_built)
-            .expect("a claimed cell stays");
-        entry.data = Some(Arc::clone(data));
-        entry.bytes = data.bytes();
-        map.total_bytes += entry.bytes;
-        while map.total_bytes > self.budget_bytes {
-            let victim = map
-                .cells
-                .iter()
-                .filter(|(k, e)| e.bytes > 0 && **k != just_built)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    let e = map.cells.remove(&k).expect("victim exists");
-                    map.total_bytes -= e.bytes;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
     }
 }
 
@@ -591,10 +553,6 @@ pub struct Runner {
     /// Plan cache shared by all workers; inspect after a run for hit
     /// statistics.
     pub plan_cache: PlanCache,
-    /// Byte budget of the generated-data cache (LRU-evicted above this;
-    /// default 256 MiB). Determinism is unaffected — evicted vectors
-    /// regenerate bit-identically.
-    pub data_cache_bytes: usize,
     /// Stop cleanly after this many units have been delivered to the sink
     /// (in manifest order). A testing/ops knob: the resulting ledger looks
     /// exactly like an interrupted run and can be `--resume`d.
@@ -618,7 +576,6 @@ impl Runner {
             threads,
             verbose: false,
             plan_cache: PlanCache::new(),
-            data_cache_bytes: 256 << 20,
             max_units: None,
             cancel: None,
         }
@@ -668,7 +625,7 @@ impl Runner {
         manifest: &RunManifest,
         sink: &mut dyn ResultSink,
     ) -> io::Result<RunStats> {
-        self.run_on(manifest, sink, &DataCache::new(self.data_cache_bytes))
+        self.run_on(manifest, sink, &DataCache::new(&manifest.units))
     }
 
     /// [`Runner::run_with_sink`] over a given data cache.
@@ -879,6 +836,7 @@ mod tests {
     use dpbench_core::mechanism::execute_eps;
     use dpbench_core::{Domain, Loss};
     use dpbench_datasets::catalog;
+    use std::sync::atomic::AtomicUsize;
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -970,14 +928,17 @@ mod tests {
         }
     }
 
-    /// The ledger bytes and data-cache counters of one run.
-    fn ledger_of(runner: &Runner, data_cache: &DataCache) -> (String, DataCacheStats) {
+    /// The ledger bytes and data-cache counters of one run of `manifest`
+    /// over a cache made for it.
+    fn ledger_of(
+        runner: &Runner,
+        manifest: &RunManifest,
+        data_cache: &DataCache,
+    ) -> (String, DataCacheStats) {
         let mut bytes = Vec::new();
         let stats = {
             let mut sink = crate::sink::JsonlSink::from_writer(&mut bytes);
-            runner
-                .run_on(&runner.manifest(), &mut sink, data_cache)
-                .unwrap()
+            runner.run_on(manifest, &mut sink, data_cache).unwrap()
         };
         (String::from_utf8(bytes).unwrap(), stats.data_cache)
     }
@@ -1003,7 +964,8 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut runner = Runner::new(grid_2d_config());
             runner.threads = threads;
-            let (ledger, stats) = ledger_of(&runner, &DataCache::new(runner.data_cache_bytes));
+            let manifest = runner.manifest();
+            let (ledger, stats) = ledger_of(&runner, &manifest, &DataCache::new(&manifest.units));
             assert_eq!(stats.misses, 8, "{threads} threads: {stats:?}");
             assert_eq!(stats.hits, 24, "{threads} threads: {stats:?}");
             match &reference {
@@ -1015,10 +977,10 @@ mod tests {
 
     /// While one worker's build of the first cell is held open, the other
     /// worker must claim past that cell's second unit and finish the next
-    /// cell's units: the held build waits until the cell after that is
-    /// built. A worker that blocked on the held cell instead would never
-    /// get there, so the wait is bounded and the test fails rather than
-    /// hangs.
+    /// cell's units: the held build waits until a worker builds the cell
+    /// after that. A worker that blocked on the held cell instead would
+    /// never get there, so the wait is bounded and the test fails rather
+    /// than hangs.
     #[test]
     fn a_worker_claims_past_a_cell_another_worker_is_building() {
         let mut cfg = tiny_config();
@@ -1033,29 +995,34 @@ mod tests {
             cell_keys(&manifest.units[4]).0,
         );
         let overtaken = Arc::new(AtomicBool::new(false));
-        let mut cache = DataCache::new(runner.data_cache_bytes);
-        let flag = Arc::clone(&overtaken);
+        // Set as the third cell's build starts; its end wakes the waiter.
+        let third_started = Arc::new(AtomicBool::new(false));
+        let mut cache = DataCache::new(&manifest.units);
+        let (flag, building) = (Arc::clone(&overtaken), Arc::clone(&third_started));
         cache.before_build = Some(Box::new(move |cache, key| {
+            if *key == third {
+                building.store(true, Ordering::Relaxed);
+            }
             if *key != held {
                 return;
             }
             let (map, wait) = cache
                 .built
-                .wait_timeout_while(cache.lock(), std::time::Duration::from_secs(30), |m| {
-                    m.cells.get(&third).is_none_or(|e| e.data.is_none())
+                .wait_timeout_while(cache.lock(), std::time::Duration::from_secs(30), |_| {
+                    !building.load(Ordering::Relaxed)
                 })
                 .unwrap();
             drop(map);
             flag.store(!wait.timed_out(), Ordering::Relaxed);
         }));
-        let (ledger, stats) = ledger_of(&runner, &cache);
+        let (ledger, stats) = ledger_of(&runner, &manifest, &cache);
         assert!(
             overtaken.load(Ordering::Relaxed),
             "no worker finished a later cell while the first was being built"
         );
         assert_eq!(stats.misses, 3, "{stats:?}");
         runner.threads = 1;
-        let (serial, _) = ledger_of(&runner, &DataCache::new(runner.data_cache_bytes));
+        let (serial, _) = ledger_of(&runner, &manifest, &DataCache::new(&manifest.units));
         assert_eq!(ledger, serial);
     }
 
@@ -1124,28 +1091,77 @@ mod tests {
         assert_eq!(merged, reference);
     }
 
+    /// A cell lives from its first claim to its last. Under an ε sweep a
+    /// cell's units are not contiguous in the manifest (two scales × two
+    /// ε × two samples: four cells, six units each), yet each cell is
+    /// built once at every thread count and no cell is left when the run
+    /// ends. At one thread the first scale's cells are gone before the
+    /// second scale's are built, so no build sees more than two cells
+    /// held (its own among them). A resume remainder cut inside a cell
+    /// and a span that starts and ends inside cells empty the cache too,
+    /// and write the reference bytes.
     #[test]
-    fn data_cache_eviction_preserves_results() {
-        // A zero-byte budget forces eviction after every build; results
-        // must not change (regeneration is deterministic).
-        let reference = Runner::new(tiny_config()).run();
-        let mut squeezed = Runner::new(tiny_config());
-        squeezed.data_cache_bytes = 0;
-        let manifest = squeezed.manifest();
-        let mut sink = MemorySink::new();
-        let stats = squeezed.run_with_sink(&manifest, &mut sink).unwrap();
-        assert!(stats.data_cache.evictions > 0, "{:?}", stats.data_cache);
-        let setting = reference.settings()[0].clone();
-        for alg in ["IDENTITY", "UNIFORM", "DAWA"] {
-            assert_eq!(
-                reference.errors_for(alg, &setting),
-                sink.store().errors_for(alg, &setting),
-                "{alg} changed under eviction"
+    fn a_cell_lives_from_its_first_claim_to_its_last() {
+        let mut cfg = tiny_config();
+        cfg.scales = vec![1_000, 2_000];
+        cfg.epsilons = vec![0.1, 1.0];
+        let mut runner = Runner::new(cfg);
+        let manifest = runner.manifest();
+        // Each run of `units` over a fresh cache: its ledger bytes, once
+        // the run has left no cell behind.
+        let run = |runner: &Runner, units: &RunManifest| {
+            let cache = DataCache::new(&units.units);
+            let (ledger, stats) = ledger_of(runner, units, &cache);
+            assert!(cache.lock().cells.is_empty(), "cells left after {stats:?}");
+            ledger
+        };
+        // A ledger without its header line.
+        let body = |ledger: &str| ledger.split_once('\n').unwrap().1.to_string();
+        let lines_per_unit = runner.config.n_trials + 1;
+        let mut reference = None;
+        for threads in [1, 2, 4] {
+            runner.threads = threads;
+            let peak = Arc::new(AtomicUsize::new(0));
+            let mut cache = DataCache::new(&manifest.units);
+            let held = Arc::clone(&peak);
+            cache.before_build = Some(Box::new(move |cache, _| {
+                held.fetch_max(cache.lock().cells.len(), Ordering::Relaxed);
+            }));
+            let (ledger, stats) = ledger_of(&runner, &manifest, &cache);
+            assert_eq!((stats.misses, stats.hits), (4, 20), "{threads} threads");
+            assert!(
+                cache.lock().cells.is_empty(),
+                "{threads} threads left cells"
             );
+            if threads == 1 {
+                let peak = peak.load(Ordering::Relaxed);
+                assert!(peak <= 2, "one thread held {peak} cells at a build");
+            }
+            let reference = reference.get_or_insert(ledger.clone());
+            assert!(ledger == *reference, "{threads} threads wrote other bytes");
+
+            // Four units: the first cell's first three and one of the
+            // second's; then the rest.
+            let mut first = Runner::new(runner.config.clone());
+            first.threads = threads;
+            first.max_units = Some(4);
+            let prefix = ledger_of(&first, &manifest, &DataCache::new(&manifest.units)).0;
+            let done: HashSet<UnitId> = manifest.units[..4].iter().map(|u| u.id).collect();
+            let rest = run(&runner, &manifest.without(&done));
+            assert!(
+                prefix + &body(&rest) == *reference,
+                "{threads} threads resumed"
+            );
+
+            // Positions 1..22: from inside the first cell to inside the last.
+            let spanned = run(&runner, &manifest.span(1, 22));
+            let expected: String = body(reference)
+                .split_inclusive('\n')
+                .skip(lines_per_unit)
+                .take(21 * lines_per_unit)
+                .collect();
+            assert!(body(&spanned) == expected, "{threads} threads' span");
         }
-        // Budget honored at end of run (nothing resident above 0 + the
-        // just-built exemption's single entry).
-        assert!(stats.data_cache.resident_bytes <= 40_000);
     }
 
     #[test]

@@ -105,7 +105,6 @@ const GRID: &[Flag] = &[
     ("samples", "S"),
     ("workload", "prefix|identity|random:N"),
     ("loss", "l1|l2"),
-    ("data-cache-mb", "MB"),
 ];
 
 /// Runner knobs `run` and `fleet` share (`fleet` splits `--threads`
@@ -494,9 +493,6 @@ fn grid_runner(a: &Args) -> Result<Runner, String> {
         runner.threads = n;
     }
     runner.verbose = a.flag("verbose", false);
-    if let Some(mb) = a.get::<usize>("data-cache-mb")? {
-        runner.data_cache_bytes = mb << 20;
-    }
     Ok(runner)
 }
 
@@ -690,13 +686,7 @@ fn run(a: &Args) -> Result<ExitCode, String> {
             plan.hit_rate() * 100.0
         );
         let d = stats.data_cache;
-        println!(
-            "data cache: {} hits / {} misses, {} evictions, {} KiB resident",
-            d.hits,
-            d.misses,
-            d.evictions,
-            d.resident_bytes >> 10
-        );
+        println!("data cache: {} hits / {} misses", d.hits, d.misses);
         let h = stats.hier_cache;
         println!(
             "hierarchy pool: {} hits / {} misses ({:.1}% hit rate)",

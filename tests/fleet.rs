@@ -372,12 +372,30 @@ fn unknown_flag_names_are_rejected() {
         stderr.contains("unknown flag --procs"),
         "unexpected stderr: {stderr}"
     );
-    // Scripts that still pass `serve --batch-window-ms` or `--poller`
-    // must fail, not run with the flag ignored.
-    for (flag, value) in [("--batch-window-ms", "5"), ("--poller", "poll")] {
-        let out = dpbench(&["serve", flag, value]);
-        assert_eq!(out.status.code(), Some(1), "serve {flag} accepted");
+    // Scripts that still pass `serve --batch-window-ms` or `--poller`,
+    // or `run`/`fleet --data-cache-mb`, must fail, not run with the flag
+    // ignored.
+    let never = "/tmp/never-written.jsonl";
+    for args in [
+        &["serve", "--batch-window-ms", "5"][..],
+        &["serve", "--poller", "poll"],
+        &["run", "--dataset", "MEDCOST", "--data-cache-mb", "64"],
+        &[
+            "fleet",
+            "--procs",
+            "2",
+            "--dataset",
+            "MEDCOST",
+            "--out",
+            never,
+            "--data-cache-mb",
+            "64",
+        ],
+    ] {
+        let out = dpbench(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} accepted");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
         assert!(
             stderr.contains(&format!("unknown flag {flag}")),
             "unexpected stderr: {stderr}"
@@ -546,7 +564,6 @@ fn malformed_numeric_flags_are_errors_not_defaults() {
         ("--workload", "random:x", "bad workload random:x"),
         ("--loss", "l3", "unknown loss l3"),
         ("--threads", "many", "bad --threads value"),
-        ("--data-cache-mb", "lots", "bad --data-cache-mb value"),
     ];
     let mut cases = Vec::new();
     for &(flag, value, expected) in grid {
@@ -693,6 +710,19 @@ fn unrunnable_grids_fail_at_parse_time() {
     let mut fleet = argv(&["fleet", "--procs", "0", "--out", never]);
     fleet.extend(argv(GRID));
     cases.push((fleet, "bad --procs value"));
+    // A repeated algorithm wrote two units under one id, and the summary
+    // counted every trial twice; neither command may write a file.
+    let dir = tmp_dir("repeated-entry");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (ledger, summary) = (path("d.jsonl"), path("a.jsonl"));
+    let repeated = ["--dataset", "MEDCOST", "--algorithms", "IDENTITY,IDENTITY"];
+    let mut run = argv(&["run", "--domain", "64", "--trials", "3"]);
+    run.extend(argv(&repeated));
+    run.extend(argv(&["--out", &ledger, "--agg", &summary]));
+    cases.push((run, "algorithm IDENTITY is listed twice"));
+    let mut fleet = argv(&["fleet", "--procs", "2", "--out", &ledger, "--agg", &summary]);
+    fleet.extend(argv(&repeated));
+    cases.push((fleet, "algorithm IDENTITY is listed twice"));
     let serve = argv(&["serve", "--port", "0", "--tenants", "a=1", "--domain", "0"]);
     cases.push((serve, "cannot coarsen"));
     cases.push((
@@ -700,6 +730,9 @@ fn unrunnable_grids_fail_at_parse_time() {
         "bad --threads value",
     ));
     assert_rejected(&cases);
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a refused grid wrote {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
